@@ -13,10 +13,11 @@ All outputs are deterministic functions of the config and seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import sys
-from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
@@ -26,10 +27,12 @@ from .compose import (
     Axis,
     OverlapRegion,
     SeamLine,
+    canvas_dims,
     compose_feathered,
     compose_raw,
     compute_overlaps,
     derive_seams,
+    overlaps_by_tile,
     rasterize,
 )
 from .config import parse_rect, load_run_config, parse_kv
@@ -42,7 +45,7 @@ from .correction import (
     linear_weight_field,
 )
 from .errors import ConfigError, GalvoMosaicError, UndefinedCnrError
-from .geometry import placement_table
+from .geometry import TilePlacement, placement_table
 from .metrics import (
     MetricsReport,
     RegionKind,
@@ -82,33 +85,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-class _TileLoader:
-    """On-demand corrected tiles with a small LRU cache.
-
-    Raw 16-bit frames stay resident; the float conversion plus ROI
-    correction is recomputed on miss, so memory stays bounded by the
-    cache size rather than the grid size.
-    """
-
-    def __init__(self, raw: dict, fits, cache_size: int):
-        self._raw = raw
-        self._fits = fits
-        self._cache: OrderedDict = OrderedDict()
-        self._cache_size = max(2, cache_size)
-
-    def get(self, key: tuple[int, int]) -> np.ndarray:
-        if key in self._cache:
-            self._cache.move_to_end(key)
-            return self._cache[key]
-        tile = pgm.to_unit(self._raw[key])
-        if self._fits:
-            tile = apply_roi_corrections(tile, self._fits)
-        self._cache[key] = tile
-        if len(self._cache) > self._cache_size:
-            self._cache.popitem(last=False)
-        return tile
-
-
 def _resolve_mode(args: argparse.Namespace) -> tuple[str, bool]:
     """(correction, feather) after applying --mode defaults and overrides."""
     if args.mode == "raw":
@@ -126,16 +102,16 @@ def _build_fits(manifest: DatasetManifest, dataset: Path, correction: str):
     if correction == "off":
         return []
     bright = pgm.to_unit(pgm.read_pgm(dataset / manifest.ref_bright_path))
+    if correction == "two-point":
+        refs = ReferencePair(
+            bright_frame=bright,
+            l_bright=manifest.bright_level,
+            dark_frame=pgm.to_unit(pgm.read_pgm(dataset / manifest.ref_dark_path)),
+            l_dark=manifest.dark_level,
+        )
     fits = []
     for roi in manifest.rois:
         if correction == "two-point":
-            dark = pgm.to_unit(pgm.read_pgm(dataset / manifest.ref_dark_path))
-            refs = ReferencePair(
-                bright_frame=bright,
-                l_bright=manifest.bright_level,
-                dark_frame=dark,
-                l_dark=manifest.dark_level,
-            )
             model = fit_two_point(refs, roi, eps=manifest.epsilon)
         else:
             model = fit_bright_only(bright, manifest.bright_level, roi, eps=manifest.epsilon)
@@ -143,16 +119,54 @@ def _build_fits(manifest: DatasetManifest, dataset: Path, correction: str):
     return fits
 
 
-def _overlap_samples(
-    loader: _TileLoader, placements_by_index: dict, ov: OverlapRegion
-) -> tuple[np.ndarray, np.ndarray]:
-    samples = []
-    for key in (ov.tile_a, ov.tile_b):
-        x, y = rasterize(placements_by_index[key])
-        rows = slice(ov.rect.y0 - y, ov.rect.y1 - y)
-        cols = slice(ov.rect.x0 - x, ov.rect.x1 - x)
-        samples.append(loader.get(key)[rows, cols])
-    return samples[0], samples[1]
+def _corrected_tiles(
+    dataset: Path,
+    manifest: DatasetManifest,
+    fits,
+    placements: list[TilePlacement],
+    overlaps: list[OverlapRegion],
+    mae: list,
+):
+    """Read and correct each tile once, in placement order, and yield it.
+
+    As a tile arrives, ``mae[k]`` is filled for every overlap k it closes
+    (its left and top pairs); the earlier tile's overlap samples are the
+    only part of it kept until then.
+    """
+    paths = {(t["row"], t["col"]): dataset / t["path"] for t in manifest.tiles}
+    by_tile = overlaps_by_tile(overlaps)
+    pending: dict[int, np.ndarray] = {}
+    for p in placements:
+        key = (p.row, p.col)
+        tile = pgm.to_unit(pgm.read_pgm(paths[key]))
+        if fits:
+            tile = apply_roi_corrections(tile, fits)
+        x, y = rasterize(p)
+        for k in by_tile.get(key, ()):
+            rect = overlaps[k].rect
+            samples = tile[rect.y0 - y:rect.y1 - y, rect.x0 - x:rect.x1 - x]
+            if key == overlaps[k].tile_a:
+                pending[k] = samples.copy()
+            else:
+                mae[k] = normalized_mae(pending.pop(k), samples)
+        yield tile
+
+
+@contextlib.contextmanager
+def _replacing(path: Path):
+    """Binary file whose content replaces ``path`` only if the block completes.
+
+    The content goes to a temporary file beside ``path``, which is
+    removed on error, so an earlier ``path`` stays intact.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def cmd_stitch(args: argparse.Namespace) -> int:
@@ -170,49 +184,43 @@ def cmd_stitch(args: argparse.Namespace) -> int:
 
     scan = manifest.scan
     placements = placement_table(scan)
-    by_index = {(p.row, p.col): p for p in placements}
     overlaps = compute_overlaps(placements, scan.tile_width, scan.tile_height)
-    seams = derive_seams(placements, scan.tile_width, scan.tile_height)
-
-    raw_tiles = {
-        (t["row"], t["col"]): pgm.read_pgm(dataset / t["path"]) for t in manifest.tiles
-    }
+    seams = derive_seams(placements, overlaps)
+    width, height = canvas_dims(placements, scan.tile_width, scan.tile_height)
     fits = _build_fits(manifest, dataset, correction)
-    # Two grid rows stay cached so row-adjacent overlap sampling and the
-    # later row-major compose pass each load every tile only once.
-    loader = _TileLoader(raw_tiles, fits, cache_size=2 * scan.n_cols + 2)
 
-    # Consistency metric on corrected-but-unblended tiles, one value per
-    # grid-adjacent overlapping pair.
+    # One pass: each tile is read and corrected once, its overlap MAE
+    # (on corrected-but-unblended tiles) is taken as it arrives, and the
+    # finished mosaic rows are encoded and appended to the PGM.
+    mae: list = [None] * len(overlaps)
+    tiles = _corrected_tiles(dataset, manifest, fits, placements, overlaps, mae)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    with _replacing(out / "mosaic.pgm") as f:
+        f.write(pgm.pgm_header(width, height))
+
+        def write_rows(row: int, rows: np.ndarray) -> None:
+            f.write(pgm.to_u16(rows).astype(">u2").tobytes())
+
+        if feather:
+            compose_feathered(
+                tiles, placements, overlaps, scan.tile_width, scan.tile_height, sink=write_rows
+            )
+        else:
+            compose_raw(tiles, placements, scan.tile_width, scan.tile_height, sink=write_rows)
+
+    # One consistency value per grid-adjacent overlapping pair.
     mae_entries: list[tuple[str, float]] = []
     degenerate_pairs: list[str] = []
-    for ov in overlaps:
-        a, b = _overlap_samples(loader, by_index, ov)
-        mae, _, degenerate = normalized_mae(a, b)
+    for ov, (value, _, degenerate) in zip(overlaps, mae):
         pair = f"({ov.tile_a[0]},{ov.tile_a[1]})-({ov.tile_b[0]},{ov.tile_b[1]})"
-        mae_entries.append((pair, mae))
+        mae_entries.append((pair, value))
         if degenerate:
             degenerate_pairs.append(pair)
     mae_mean = float(np.mean([v for _, v in mae_entries])) if mae_entries else math.nan
 
-    ordered = [(p.row, p.col) for p in placements]
-    tile_stream = (loader.get(key) for key in ordered)
-    if feather:
-        canvas = compose_feathered(
-            tile_stream, placements, overlaps, scan.tile_width, scan.tile_height
-        )
-    else:
-        canvas = compose_raw(tile_stream, placements, scan.tile_width, scan.tile_height)
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    mosaic_u16 = pgm.to_u16(canvas.finalize())
-    pgm.write_pgm(out / "mosaic.pgm", mosaic_u16)
-    if args.png:
-        pgm.write_png(out / "mosaic.png", mosaic_u16)
-
     sidecar = {
-        "canvas": {"width": canvas.width, "height": canvas.height},
+        "canvas": {"width": width, "height": height},
         "tile": {"width": scan.tile_width, "height": scan.tile_height},
         "mode": {
             "compose": "feathered" if feather else "raw",
@@ -253,9 +261,12 @@ def cmd_stitch(args: argparse.Namespace) -> int:
             for r in manifest.regions
         ],
     }
-    (out / "sidecar.json").write_text(json.dumps(sidecar, indent=2) + "\n", encoding="ascii")
+    with _replacing(out / "sidecar.json") as f:
+        f.write((json.dumps(sidecar, indent=2) + "\n").encode("ascii"))
+    if args.png:
+        pgm.write_png(out / "mosaic.png", pgm.read_pgm(out / "mosaic.pgm"))
     print(
-        f"wrote {out / 'mosaic.pgm'} ({canvas.width}x{canvas.height}, "
+        f"wrote {out / 'mosaic.pgm'} ({width}x{height}, "
         f"correction={correction}, feather={'on' if feather else 'off'})"
     )
     return 0

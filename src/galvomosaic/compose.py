@@ -1,9 +1,9 @@
 """Global canvas composition from placed tiles.
 
 Placements are rasterized to integer pixel offsets (round half away
-from zero) and tiles are written onto an accumulation canvas in
-row-major acquisition order.  Raw mode overwrites, so later tiles win
-inside overlaps and the overwrite boundaries define the seam lines.
+from zero) and tiles are written onto the canvas in row-major
+acquisition order.  Raw mode overwrites, so later tiles win inside
+overlaps and the overwrite boundaries define the seam lines.
 Feathered mode gives each tile a weight map that is 1 in its interior
 and ramps linearly to 0 across every tile edge that lies inside an
 overlap with a grid neighbor, the ramp spanning that overlap's width;
@@ -11,6 +11,15 @@ the canvas accumulates weight*value and weight and finalizes by
 division.  For two tiles with complementary ramps the result is exactly
 the classic two-image seam feather; corner regions where four tiles
 meet fall out of the same normalization.
+
+Composition is a single pass that holds only a row band: the canvas
+rows that a later tile can still touch.  A row is finished once it lies
+above the smallest rasterized ``y`` of every later tile; finished rows
+are finalized and handed to a ``sink`` in raster order, so memory grows
+with canvas width times band height, not with canvas area.  The band
+height follows from the placements (one tile height for an untilted
+grid).  Without a sink the finished rows are gathered into the returned
+:class:`MosaicCanvas`.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -49,38 +58,40 @@ def rasterize(placement: TilePlacement) -> tuple[int, int]:
     return round_half_away(placement.dx), round_half_away(placement.dy)
 
 
+# sink(row, rows): ``rows`` are finished canvas rows starting at canvas
+# row ``row``, float intensities with 0 where no tile lies.  The array is
+# reused once the call returns, so a sink must consume or copy it.
+RowSink = Callable[[int, np.ndarray], None]
+
+
 @dataclass
 class MosaicCanvas:
-    """Accumulation grids plus a per-pixel count of contributing tiles."""
+    """Size and coverage of a composed canvas, plus its rows when gathered.
+
+    ``rows`` holds the finished canvas when composition ran without a
+    sink, and is ``None`` when the rows went to a sink instead.
+    """
 
     width: int
     height: int
     mode: ComposeMode
-    value_sum: np.ndarray = field(repr=False)
-    weight_sum: np.ndarray = field(repr=False)
-    touch_count: np.ndarray = field(repr=False)
-
-    @classmethod
-    def empty(cls, width: int, height: int, mode: ComposeMode) -> "MosaicCanvas":
-        return cls(
-            width=width,
-            height=height,
-            mode=mode,
-            value_sum=np.zeros((height, width), dtype=np.float64),
-            weight_sum=np.zeros((height, width), dtype=np.float64),
-            touch_count=np.zeros((height, width), dtype=np.uint8),
-        )
+    tile_width: int
+    tile_height: int
+    boxes: list[tuple[int, int]] = field(repr=False)
+    rows: np.ndarray | None = field(default=None, repr=False)
 
     def covered(self) -> np.ndarray:
         """Boolean mask of pixels any tile contributed to."""
-        return self.weight_sum > 0.0
+        mask = np.zeros((self.height, self.width), dtype=bool)
+        for x, y in self.boxes:
+            mask[y:y + self.tile_height, x:x + self.tile_width] = True
+        return mask
 
     def finalize(self) -> np.ndarray:
-        """Per-pixel intensity: value_sum/weight_sum, 0 where uncovered."""
-        out = np.zeros((self.height, self.width), dtype=np.float64)
-        mask = self.covered()
-        out[mask] = self.value_sum[mask] / self.weight_sum[mask]
-        return out
+        """Per-pixel intensity of the gathered canvas, 0 where uncovered."""
+        if self.rows is None:
+            raise CompositionError("canvas rows went to a sink and were not gathered")
+        return self.rows.copy()
 
 
 @dataclass(frozen=True)
@@ -173,6 +184,17 @@ def compute_overlaps(
     return overlaps
 
 
+def overlaps_by_tile(
+    overlaps: Sequence[OverlapRegion],
+) -> dict[tuple[int, int], list[int]]:
+    """Indices into ``overlaps`` of the (at most four) overlaps of each tile."""
+    by_tile: dict[tuple[int, int], list[int]] = {}
+    for k, ov in enumerate(overlaps):
+        by_tile.setdefault(ov.tile_a, []).append(k)
+        by_tile.setdefault(ov.tile_b, []).append(k)
+    return by_tile
+
+
 def _edge_ramp(length: int, ramp_px: int, from_start: bool) -> np.ndarray:
     """Multiplicative 1D ramp over one tile axis.
 
@@ -238,24 +260,118 @@ def _check_tile_shape(tile: np.ndarray, tile_width: int, tile_height: int) -> No
         )
 
 
+def _band_schedule(
+    ys: Sequence[int], tile_height: int, height: int
+) -> tuple[list[int], int]:
+    """Rows finished after each tile, and the band depth.
+
+    A row is finished once it lies above the smallest ``y`` of every
+    later tile.  The depth is the widest span, over the pass, from the
+    first unfinished row to the lowest row touched so far.
+    """
+    finished = [height] * len(ys)
+    for k in range(len(ys) - 2, -1, -1):
+        finished[k] = min(finished[k + 1], ys[k + 1])
+    done, reach, depth = 0, 0, 1
+    for y, stop in zip(ys, finished):
+        reach = max(reach, y + tile_height)
+        depth = max(depth, reach - done)
+        done = stop
+    return finished, depth
+
+
+class _RowBand:
+    """Accumulators for the canvas rows that tiles can still touch.
+
+    A ring of ``depth`` buffer rows: canvas row r lives in buffer row
+    r % depth.  Rows above ``done`` have been emitted and their buffer
+    rows zeroed for reuse.  Raw mode keeps values only; feathered mode
+    also keeps weight sums.
+    """
+
+    def __init__(self, width: int, depth: int, feathered: bool):
+        self.depth = depth
+        self.value = np.zeros((depth, width), dtype=np.float64)
+        self.weight = np.zeros((depth, width), dtype=np.float64) if feathered else None
+        self.done = 0
+
+    def _runs(self, start: int, stop: int):
+        """(canvas row, buffer slice) runs covering canvas rows start..stop-1."""
+        while start < stop:
+            offset = start % self.depth
+            n = min(stop - start, self.depth - offset)
+            yield start, slice(offset, offset + n)
+            start += n
+
+    def add(self, tile: np.ndarray, weights: np.ndarray | None, x: int, y: int) -> None:
+        cols = slice(x, x + tile.shape[1])
+        for row, buf in self._runs(y, y + tile.shape[0]):
+            part = slice(row - y, row - y + buf.stop - buf.start)
+            if weights is None:
+                self.value[buf, cols] = tile[part]
+            else:
+                self.value[buf, cols] += tile[part] * weights[part]
+                self.weight[buf, cols] += weights[part]
+
+    def emit(self, stop: int, sink: RowSink) -> None:
+        """Finalize canvas rows done..stop-1 and pass them to ``sink`` in order."""
+        for row, buf in self._runs(self.done, stop):
+            value = self.value[buf]
+            if self.weight is None:
+                sink(row, value)
+            else:
+                weight = self.weight[buf]
+                out = np.zeros_like(value)
+                np.divide(value, weight, out=out, where=weight > 0.0)
+                sink(row, out)
+                weight[...] = 0.0
+            value[...] = 0.0
+        self.done = max(self.done, stop)
+
+
+def _compose(
+    tiles: Iterable[np.ndarray],
+    placements: Sequence[TilePlacement],
+    tile_width: int,
+    tile_height: int,
+    mode: ComposeMode,
+    weight_map: Callable[[TilePlacement], np.ndarray] | None,
+    sink: RowSink | None,
+) -> MosaicCanvas:
+    width, height = canvas_dims(placements, tile_width, tile_height)
+    boxes = [rasterize(p) for p in placements]
+    finished, depth = _band_schedule([y for _, y in boxes], tile_height, height)
+    canvas = MosaicCanvas(width, height, mode, tile_width, tile_height, boxes)
+    if sink is None:
+        gathered = canvas.rows = np.empty((height, width), dtype=np.float64)
+
+        def sink(row: int, rows: np.ndarray) -> None:
+            gathered[row:row + rows.shape[0]] = rows
+
+    band = _RowBand(width, depth, feathered=weight_map is not None)
+    for (tile, placement), (x, y), stop in zip(_iter_tiles(tiles, placements), boxes, finished):
+        _check_tile_shape(tile, tile_width, tile_height)
+        band.add(tile, None if weight_map is None else weight_map(placement), x, y)
+        band.emit(stop, sink)
+    return canvas
+
+
 def compose_raw(
     tiles: Iterable[np.ndarray],
     placements: Sequence[TilePlacement],
     tile_width: int,
     tile_height: int,
+    *,
+    sink: RowSink | None = None,
 ) -> MosaicCanvas:
-    """Overwrite composition in row-major acquisition order."""
-    width, height = canvas_dims(placements, tile_width, tile_height)
-    canvas = MosaicCanvas.empty(width, height, ComposeMode.RAW_OVERWRITE)
-    for tile, placement in _iter_tiles(tiles, placements):
-        _check_tile_shape(tile, tile_width, tile_height)
-        x, y = rasterize(placement)
-        rows = slice(y, y + tile_height)
-        cols = slice(x, x + tile_width)
-        canvas.value_sum[rows, cols] = tile
-        canvas.weight_sum[rows, cols] = 1.0
-        canvas.touch_count[rows, cols] += 1
-    return canvas
+    """Overwrite composition in row-major acquisition order.
+
+    Tiles are consumed one at a time.  With ``sink``, finished rows go to
+    it in raster order; without, they are gathered for ``finalize()``.
+    """
+    return _compose(
+        tiles, placements, tile_width, tile_height, ComposeMode.RAW_OVERWRITE, None, sink
+    )
 
 
 def compose_feathered(
@@ -264,41 +380,43 @@ def compose_feathered(
     overlaps: Sequence[OverlapRegion],
     tile_width: int,
     tile_height: int,
+    *,
+    sink: RowSink | None = None,
 ) -> MosaicCanvas:
-    """Weighted composition with linear ramps across overlapped edges."""
-    width, height = canvas_dims(placements, tile_width, tile_height)
-    canvas = MosaicCanvas.empty(width, height, ComposeMode.FEATHERED)
-    for tile, placement in _iter_tiles(tiles, placements):
-        _check_tile_shape(tile, tile_width, tile_height)
-        weights = tile_weight_map(
-            (placement.row, placement.col), tile_width, tile_height, overlaps
-        )
-        x, y = rasterize(placement)
-        rows = slice(y, y + tile_height)
-        cols = slice(x, x + tile_width)
-        canvas.value_sum[rows, cols] += tile * weights
-        canvas.weight_sum[rows, cols] += weights
-        canvas.touch_count[rows, cols] += 1
-    bad = (canvas.touch_count > 0) & ~canvas.covered()
-    if bad.any():
-        raise CompositionError(
-            f"{int(bad.sum())} touched pixels accumulated zero weight"
-        )
-    return canvas
+    """Weighted composition with linear ramps across overlapped edges.
+
+    Every pixel of every tile must carry positive weight, so every
+    touched canvas pixel is covered.  ``sink`` works as in
+    :func:`compose_raw`.
+    """
+    by_tile = overlaps_by_tile(overlaps)
+
+    def weight_map(placement: TilePlacement) -> np.ndarray:
+        index = (placement.row, placement.col)
+        own = [overlaps[k] for k in by_tile.get(index, ())]
+        weights = tile_weight_map(index, tile_width, tile_height, own)
+        if not (weights > 0.0).all():
+            raise CompositionError(f"tile {index} has pixels of zero weight")
+        return weights
+
+    return _compose(
+        tiles, placements, tile_width, tile_height, ComposeMode.FEATHERED, weight_map, sink
+    )
 
 
 def derive_seams(
-    placements: Sequence[TilePlacement], tile_width: int, tile_height: int
+    placements: Sequence[TilePlacement], overlaps: Sequence[OverlapRegion]
 ) -> list[SeamLine]:
     """Raw-mode overwrite boundaries, one per overlapping adjacent pair.
 
-    For a horizontal pair the later (right) tile's left edge is the
-    boundary, giving a vertical seam clipped to the overlap's row range;
-    vertical pairs give horizontal seams at the later tile's top edge.
+    ``overlaps`` are the placements' :func:`compute_overlaps`.  For a
+    horizontal pair the later (right) tile's left edge is the boundary,
+    giving a vertical seam clipped to the overlap's row range; vertical
+    pairs give horizontal seams at the later tile's top edge.
     """
     table = _by_index(placements)
     seams: list[SeamLine] = []
-    for ov in compute_overlaps(placements, tile_width, tile_height):
+    for ov in overlaps:
         later = table[ov.tile_b]
         x, y = rasterize(later)
         if ov.axis is Axis.HORIZONTAL:

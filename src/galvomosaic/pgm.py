@@ -35,6 +35,11 @@ def to_u16(img: np.ndarray) -> np.ndarray:
     return np.floor(scaled + 0.5).astype(np.uint16)
 
 
+def pgm_header(width: int, height: int) -> bytes:
+    """P5 header of a width x height image; big-endian u16 rows follow it."""
+    return f"P5\n{width} {height}\n{MAXVAL}\n".encode("ascii")
+
+
 def write_pgm(path: str | os.PathLike, img: np.ndarray) -> None:
     """Write a 2D uint16 array as binary PGM (P5), big-endian samples."""
     arr = np.asarray(img)
@@ -44,7 +49,7 @@ def write_pgm(path: str | os.PathLike, img: np.ndarray) -> None:
         raise ImageFormatError(f"expected uint16 data, got {arr.dtype}")
     h, w = arr.shape
     with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n{MAXVAL}\n".encode("ascii"))
+        f.write(pgm_header(w, h))
         f.write(arr.astype(">u2").tobytes())
 
 

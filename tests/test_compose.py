@@ -108,7 +108,7 @@ class TestComposeRaw:
         final = canvas.finalize()
         assert np.all(final[:, :10] == 0.25)
         assert np.all(final[:, 10:] == 0.75)
-        assert np.all(canvas.weight_sum[:, :] == 1.0)
+        assert canvas.covered().all()
 
     def test_later_tile_overwrites(self):
         a = np.full((10, 10), 10 / 65535)
@@ -195,11 +195,14 @@ class TestComposeFeathered:
         overlaps = compute_overlaps(table, 60, 60)
         tiles = [np.full((60, 60), 0.5)] * 9
         canvas = compose_feathered(tiles, table, overlaps, 60, 60)
-        assert np.array_equal(canvas.covered(), canvas.touch_count > 0)
-        # every placed pixel carries weight
+        covered = canvas.covered()
+        # every placed pixel carries weight, so it finalizes to the tile value
         for p in table:
             x, y = rasterize(p)
-            assert np.all(canvas.weight_sum[y:y + 60, x:x + 60] > 0.0)
+            assert covered[y:y + 60, x:x + 60].all()
+        final = canvas.finalize()
+        assert np.allclose(final[covered], 0.5, rtol=0, atol=1e-15)
+        assert np.all(final[~covered] == 0.0)
 
     def test_determinism_bit_identical(self):
         rng = np.random.default_rng(5)
@@ -211,24 +214,64 @@ class TestComposeFeathered:
         overlaps = compute_overlaps(placements, 30, 30)
         one = compose_feathered(tiles, placements, overlaps, 30, 30)
         two = compose_feathered(tiles, placements, overlaps, 30, 30)
-        assert np.array_equal(one.value_sum, two.value_sum)
-        assert np.array_equal(one.weight_sum, two.weight_sum)
+        assert np.array_equal(one.finalize(), two.finalize())
+
+
+class TestRowSink:
+    def grid(self):
+        # 3x3 grid of 30 px tiles with a Y tilt: each grid row climbs
+        # 4 px per column, so row bands overlap across grid rows.
+        placements = [place(i, j, 18.0 * j, 8.0 + 21.0 * i - 4.0 * j)
+                      for i in range(3) for j in range(3)]
+        rng = np.random.default_rng(17)
+        tiles = [rng.uniform(0.0, 1.0, size=(30, 30)) for _ in placements]
+        return tiles, placements, compute_overlaps(placements, 30, 30)
+
+    @pytest.mark.parametrize("feathered", [False, True])
+    def test_sink_rows_arrive_in_raster_order_and_match_finalize(self, feathered):
+        tiles, placements, overlaps = self.grid()
+        blocks = []
+
+        def sink(row, rows):
+            blocks.append((row, rows.copy()))
+
+        if feathered:
+            gathered = compose_feathered(tiles, placements, overlaps, 30, 30)
+            streamed = compose_feathered(tiles, placements, overlaps, 30, 30, sink=sink)
+        else:
+            gathered = compose_raw(tiles, placements, 30, 30)
+            streamed = compose_raw(tiles, placements, 30, 30, sink=sink)
+        starts = [row for row, _ in blocks]
+        assert starts[0] == 0
+        assert all(b[0] + len(b[1]) == a for a, b in zip(starts[1:], blocks))
+        assert np.array_equal(np.concatenate([rows for _, rows in blocks]), gathered.finalize())
+        assert (streamed.width, streamed.height) == (gathered.width, gathered.height)
+        assert np.array_equal(streamed.covered(), gathered.covered())
+        with pytest.raises(CompositionError):
+            streamed.finalize()
+
+    def test_rows_above_every_tile_are_zero(self):
+        tile = np.full((10, 10), 0.5)
+        final = compose_raw([tile], [place(0, 0, 0, 7)], 10, 10).finalize()
+        assert final.shape == (17, 10)
+        assert np.all(final[:7] == 0.0) and np.all(final[7:] == 0.5)
 
 
 class TestDeriveSeams:
     def test_single_tile_has_no_seams(self):
-        assert derive_seams([place(0, 0, 0, 0)], 100, 100) == []
+        placements = [place(0, 0, 0, 0)]
+        assert derive_seams(placements, compute_overlaps(placements, 100, 100)) == []
 
     def test_two_tiles_one_vertical_seam(self):
         placements = [place(0, 0, 0, 0), place(0, 1, 442.2, 0)]
-        (seam,) = derive_seams(placements, 1000, 1000)
+        (seam,) = derive_seams(placements, compute_overlaps(placements, 1000, 1000))
         assert seam.orientation is Axis.VERTICAL
         assert seam.position == 442
         assert (seam.start, seam.stop) == (0, 1000)
 
     def test_full_grid_seam_count(self):
         table = placement_table(grid_cfg())
-        seams = derive_seams(table, 1000, 1000)
+        seams = derive_seams(table, compute_overlaps(table, 1000, 1000))
         vertical = [s for s in seams if s.orientation is Axis.VERTICAL]
         horizontal = [s for s in seams if s.orientation is Axis.HORIZONTAL]
         assert len(vertical) == 90
@@ -236,6 +279,6 @@ class TestDeriveSeams:
 
     def test_seam_extent_clipped_to_overlap(self):
         placements = [place(0, 0, 0, 0), place(0, 1, 30, 7)]
-        (seam,) = derive_seams(placements, 50, 50)
+        (seam,) = derive_seams(placements, compute_overlaps(placements, 50, 50))
         assert seam.position == 30
         assert (seam.start, seam.stop) == (7, 50)
