@@ -13,10 +13,8 @@ All outputs are deterministic functions of the config and seed.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -131,14 +129,22 @@ def _corrected_tiles(
 
     As a tile arrives, ``mae[k]`` is filled for every overlap k it closes
     (its left and top pairs); the earlier tile's overlap samples are the
-    only part of it kept until then.
+    only part of it kept until then.  A tile whose dimensions differ from
+    the manifest's raises :class:`~galvomosaic.pgm.ImageFormatError`.
     """
     paths = {(t["row"], t["col"]): dataset / t["path"] for t in manifest.tiles}
+    expected = (manifest.scan.tile_height, manifest.scan.tile_width)
     by_tile = overlaps_by_tile(overlaps)
     pending: dict[int, np.ndarray] = {}
     for p in placements:
         key = (p.row, p.col)
-        tile = pgm.to_unit(pgm.read_pgm(paths[key]))
+        counts = pgm.read_pgm(paths[key])
+        if counts.shape != expected:
+            raise pgm.ImageFormatError(
+                f"{paths[key]}: tile ({p.row}, {p.col}) is "
+                f"{counts.shape[1]}x{counts.shape[0]}, expected {expected[1]}x{expected[0]}"
+            )
+        tile = pgm.to_unit(counts)
         if fits:
             tile = apply_roi_corrections(tile, fits)
         x, y = rasterize(p)
@@ -150,23 +156,6 @@ def _corrected_tiles(
             else:
                 mae[k] = normalized_mae(pending.pop(k), samples)
         yield tile
-
-
-@contextlib.contextmanager
-def _replacing(path: Path):
-    """Binary file whose content replaces ``path`` only if the block completes.
-
-    The content goes to a temporary file beside ``path``, which is
-    removed on error, so an earlier ``path`` stays intact.
-    """
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as f:
-            yield f
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 def cmd_stitch(args: argparse.Namespace) -> int:
@@ -196,7 +185,7 @@ def cmd_stitch(args: argparse.Namespace) -> int:
     tiles = _corrected_tiles(dataset, manifest, fits, placements, overlaps, mae)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with _replacing(out / "mosaic.pgm") as f:
+    with pgm.replacing(out / "mosaic.pgm") as f:
         f.write(pgm.pgm_header(width, height))
 
         def write_rows(row: int, rows: np.ndarray) -> None:
@@ -261,7 +250,7 @@ def cmd_stitch(args: argparse.Namespace) -> int:
             for r in manifest.regions
         ],
     }
-    with _replacing(out / "sidecar.json") as f:
+    with pgm.replacing(out / "sidecar.json") as f:
         f.write((json.dumps(sidecar, indent=2) + "\n").encode("ascii"))
     if args.png:
         pgm.write_png(out / "mosaic.png", pgm.read_pgm(out / "mosaic.pgm"))

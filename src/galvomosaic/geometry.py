@@ -21,11 +21,20 @@ composition stage's job.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ConfigError, DegenerateGridError, IndexRangeError
+
+
+def require_finite(spec) -> None:
+    """Raise :class:`ConfigError` naming the first NaN or infinite float field of ``spec``."""
+    for f in dataclasses.fields(spec):
+        value = getattr(spec, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{f.name} must be finite, got {value}")
 
 
 class ScanStrategy(Enum):
@@ -60,6 +69,7 @@ class ScanConfig:
 
     def validate(self) -> None:
         """Raise :class:`ConfigError` naming the first invalid field."""
+        require_finite(self)
         if self.n_rows < 1:
             raise ConfigError(f"n_rows must be >= 1, got {self.n_rows}")
         if self.n_cols < 1:

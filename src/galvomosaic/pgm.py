@@ -7,7 +7,9 @@ PNG support requires Pillow and is selected by the ``.png`` extension.
 
 from __future__ import annotations
 
+import contextlib
 import os
+from pathlib import Path
 
 import numpy as np
 
@@ -29,15 +31,37 @@ def to_u16(img: np.ndarray) -> np.ndarray:
     """Float intensities -> uint16 counts, clamped to [0, 1], round half up.
 
     Inputs are nonnegative after the clamp, so round-half-away-from-zero
-    reduces to floor(x + 0.5).
+    reduces to floor(x + 0.5).  The arithmetic runs in place on one
+    float64 copy, so ``img`` itself is never written.
     """
-    scaled = np.clip(np.asarray(img, dtype=np.float64), 0.0, 1.0) * MAXVAL
-    return np.floor(scaled + 0.5).astype(np.uint16)
+    scaled = np.array(img, dtype=np.float64)
+    np.clip(scaled, 0.0, 1.0, out=scaled)
+    scaled *= MAXVAL
+    scaled += 0.5
+    np.floor(scaled, out=scaled)
+    return scaled.astype(np.uint16)
 
 
 def pgm_header(width: int, height: int) -> bytes:
     """P5 header of a width x height image; big-endian u16 rows follow it."""
     return f"P5\n{width} {height}\n{MAXVAL}\n".encode("ascii")
+
+
+@contextlib.contextmanager
+def replacing(path: Path):
+    """Binary file whose content replaces ``path`` only if the block completes.
+
+    The content goes to a temporary file beside ``path``, which is
+    removed on error, so an earlier ``path`` stays intact.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_pgm(path: str | os.PathLike, img: np.ndarray) -> None:
@@ -50,7 +74,7 @@ def write_pgm(path: str | os.PathLike, img: np.ndarray) -> None:
     h, w = arr.shape
     with open(path, "wb") as f:
         f.write(pgm_header(w, h))
-        f.write(arr.astype(">u2").tobytes())
+        f.write(arr.astype(">u2", order="C"))
 
 
 def read_pgm(path: str | os.PathLike) -> np.ndarray:

@@ -13,6 +13,13 @@ against known ground truth.
 Everything is seed-deterministic: tile (i, j) draws from a generator
 seeded by (rng_seed, 0, i, j), references from (rng_seed, 1, k), so the
 output is independent of evaluation order.
+
+:func:`write_dataset` streams: the target is held once, as 16-bit counts
+(2 B per canvas pixel), and each tile is cut, degraded, encoded and
+written in placement order before the next one is cut, so memory grows
+with the canvas at 2 B/px plus a few tile-sized buffers.  One helper
+thread draws the gain jitter and noise of the next tile from that tile's
+own generator while the current one is finished and written.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -31,7 +39,7 @@ from . import pgm
 from .compose import canvas_dims, rasterize
 from .correction import RectROI
 from .errors import ConfigError, CoverageError, GalvoMosaicError
-from .geometry import ScanConfig, ScanStrategy, placement_table
+from .geometry import ScanConfig, ScanStrategy, TilePlacement, placement_table, require_finite
 from .metrics import RegionKind, RegionSpec
 
 DARK_SHADE = 0.02
@@ -54,6 +62,7 @@ class DegradationSpec:
     rng_seed: int = 0
 
     def validate(self) -> None:
+        require_finite(self)
         if not 0.0 < self.vignette_min <= 1.0:
             raise ConfigError(f"vignette_min must be in (0, 1], got {self.vignette_min}")
         if self.gain_jitter < 0.0:
@@ -91,7 +100,7 @@ def _usaf_layout(width: int, height: int) -> dict[str, RectROI]:
     }
 
 
-def _draw_bar_groups(img: np.ndarray, value: float) -> None:
+def _draw_bar_groups(img: np.ndarray, dark: np.ndarray) -> None:
     height, width = img.shape
     # Vertical-bar groups of halving pitch, side by side.
     x0 = int(width * 0.55)
@@ -105,7 +114,7 @@ def _draw_bar_groups(img: np.ndarray, value: float) -> None:
             continue
         x = np.arange(gx0, gx1)
         dark_cols = x[(x - gx0) // pitch % 2 == 0]
-        img[y0:y1, dark_cols] = DARK_SHADE
+        img[y0:y1, dark_cols] = dark
     # Horizontal-bar groups stacked below.
     hx0, hx1 = int(width * 0.20), int(width * 0.45)
     hy0 = int(height * 0.76)
@@ -118,7 +127,36 @@ def _draw_bar_groups(img: np.ndarray, value: float) -> None:
             continue
         y = np.arange(gy0, gy1)
         dark_rows = y[(y - gy0) // pitch % 2 == 0]
-        img[dark_rows, hx0:hx1] = DARK_SHADE
+        img[dark_rows, hx0:hx1] = dark
+
+
+def _target_counts(
+    width: int, height: int, pattern: TargetPattern, value: float, pitch: int
+) -> np.ndarray:
+    """:func:`make_target` as uint16 counts, the form the target is stored in."""
+    if width < 1 or height < 1:
+        raise ConfigError(f"target dims must be positive, got {width}x{height}")
+    bright = pgm.to_u16(np.array(value))
+    dark = pgm.to_u16(np.array(DARK_SHADE))
+    if pattern is TargetPattern.UNIFORM:
+        img = np.full((height, width), bright, dtype=np.uint16)
+    elif pattern is TargetPattern.BARS:
+        if pitch < 1:
+            raise ConfigError(f"bar pitch must be >= 1, got {pitch}")
+        img = np.full((height, width), bright, dtype=np.uint16)
+        x = np.arange(width)
+        img[:, (x // pitch) % 2 == 0] = dark
+    elif pattern is TargetPattern.USAF_LIKE:
+        img = np.full((height, width), bright, dtype=np.uint16)
+        layout = _usaf_layout(width, height)
+        rows, cols = layout["signal"].slices()
+        img[rows, cols] = dark
+        rows, cols = layout["dark"].slices()
+        img[rows, cols] = dark
+        _draw_bar_groups(img, dark)
+    else:  # pragma: no cover - enum is closed
+        raise ConfigError(f"unknown target pattern {pattern}")
+    return img
 
 
 def make_target(
@@ -136,27 +174,7 @@ def make_target(
     bright and dark measurement regions, and bar groups of decreasing
     pitch (see :func:`target_regions` for the region rectangles).
     """
-    if width < 1 or height < 1:
-        raise ConfigError(f"target dims must be positive, got {width}x{height}")
-    if pattern is TargetPattern.UNIFORM:
-        img = np.full((height, width), value, dtype=np.float64)
-    elif pattern is TargetPattern.BARS:
-        if pitch < 1:
-            raise ConfigError(f"bar pitch must be >= 1, got {pitch}")
-        img = np.full((height, width), value, dtype=np.float64)
-        x = np.arange(width)
-        img[:, (x // pitch) % 2 == 0] = DARK_SHADE
-    elif pattern is TargetPattern.USAF_LIKE:
-        img = np.full((height, width), value, dtype=np.float64)
-        layout = _usaf_layout(width, height)
-        rows, cols = layout["signal"].slices()
-        img[rows, cols] = DARK_SHADE
-        rows, cols = layout["dark"].slices()
-        img[rows, cols] = DARK_SHADE
-        _draw_bar_groups(img, value)
-    else:  # pragma: no cover - enum is closed
-        raise ConfigError(f"unknown target pattern {pattern}")
-    return pgm.to_unit(pgm.to_u16(img))
+    return pgm.to_unit(_target_counts(width, height, pattern, value, pitch))
 
 
 def target_regions(width: int, height: int, pattern: TargetPattern) -> list[RegionSpec]:
@@ -171,27 +189,39 @@ def target_regions(width: int, height: int, pattern: TargetPattern) -> list[Regi
     ]
 
 
-def _bilinear_crop(truth: np.ndarray, dx: float, dy: float, tw: int, th: int) -> np.ndarray:
-    """Tile-sized sample of ``truth`` at a real-valued offset."""
-    ix, iy = int(np.floor(dx)), int(np.floor(dy))
-    fx, fy = dx - ix, dy - iy
-    h, w = truth.shape
+def _crop(
+    src: np.ndarray, to_float, p: TilePlacement, tw: int, th: int, subpixel: bool
+) -> np.ndarray:
+    """One tile-sized float64 sample of ``src`` at placement ``p``.
 
-    def crop(x0: int, y0: int) -> np.ndarray:
-        return truth[y0:y0 + th, x0:x0 + tw]
-
+    ``to_float`` turns a window of ``src`` into a new float64 array, so
+    only the window the tile needs is converted.  An integer crop takes
+    the rounded offset; a subpixel crop interpolates bilinearly at the
+    exact one, from a window one pixel wider and taller where needed.
+    """
+    h, w = src.shape
+    if not subpixel:
+        x, y = rasterize(p)
+        if x < 0 or y < 0 or x + tw > w or y + th > h:
+            raise CoverageError(
+                f"tile ({p.row}, {p.col}) at ({x}, {y}) exceeds truth bounds {w}x{h}"
+            )
+        return to_float(src[y:y + th, x:x + tw])
+    ix, iy = math.floor(p.dx), math.floor(p.dy)
+    fx, fy = p.dx - ix, p.dy - iy
     if ix < 0 or iy < 0 or ix + tw + (fx > 0) > w or iy + th + (fy > 0) > h:
         raise CoverageError(
-            f"subpixel placement ({dx}, {dy}) exceeds truth bounds {w}x{h}"
+            f"subpixel placement ({p.dx}, {p.dy}) exceeds truth bounds {w}x{h}"
         )
-    out = (1 - fy) * (1 - fx) * crop(ix, iy)
+    win = to_float(src[iy:iy + th + (fy > 0), ix:ix + tw + (fx > 0)])
+    out = (1 - fy) * (1 - fx) * win[:th, :tw]
     if fx > 0:
-        out += (1 - fy) * fx * crop(ix + 1, iy)
+        out += (1 - fy) * fx * win[:th, 1:]
     if fy > 0:
-        out += fy * (1 - fx) * crop(ix, iy + 1)
+        out += fy * (1 - fx) * win[1:, :tw]
     if fx > 0 and fy > 0:
-        out += fy * fx * crop(ix + 1, iy + 1)
-    return np.asarray(out, dtype=np.float64)
+        out += fy * fx * win[1:, 1:]
+    return out
 
 
 def required_truth_dims(cfg: ScanConfig, subpixel: bool = False) -> tuple[int, int]:
@@ -228,19 +258,10 @@ def extract_tiles(
         raise CoverageError(
             f"truth image {w}x{h} too small; this scan needs at least {need_w}x{need_h}"
         )
-    tiles = []
-    for p in placement_table(cfg):
-        if subpixel:
-            data = _bilinear_crop(truth, p.dx, p.dy, tw, th)
-        else:
-            x, y = rasterize(p)
-            if x < 0 or y < 0 or x + tw > w or y + th > h:
-                raise CoverageError(
-                    f"tile ({p.row}, {p.col}) at ({x}, {y}) exceeds truth bounds {w}x{h}"
-                )
-            data = truth[y:y + th, x:x + tw].copy()
-        tiles.append(Tile(row=p.row, col=p.col, data=data))
-    return tiles
+    return [
+        Tile(row=p.row, col=p.col, data=_crop(truth, np.copy, p, tw, th, subpixel))
+        for p in placement_table(cfg)
+    ]
 
 
 def vignette_field(height: int, width: int, vignette_min: float) -> np.ndarray:
@@ -255,12 +276,56 @@ def vignette_field(height: int, width: int, vignette_min: float) -> np.ndarray:
     return 1.0 - (1.0 - vignette_min) * (r2 / r2_corner)
 
 
-def _tile_rng(seed: int, row: int, col: int) -> np.random.Generator:
-    return np.random.default_rng([seed, 0, row, col])
+def _field(
+    spec: DegradationSpec, rois: Sequence[RectROI], th: int, tw: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Vignette gain and ROI corner offset of a th x tw frame."""
+    vignette = vignette_field(th, tw, spec.vignette_min)
+    offset = np.zeros((th, tw), dtype=np.float64)
+    for roi in rois:
+        roi.check_within((th, tw))
+        rows, cols = roi.slices()
+        offset[rows, cols] += spec.corner_offset
+    return vignette, offset
 
 
-def _reference_rng(seed: int, which: int) -> np.random.Generator:
-    return np.random.default_rng([seed, 1, which])
+def _noise(rng: np.random.Generator, sigma: float, shape: tuple[int, int]):
+    return rng.normal(0.0, sigma, shape) if sigma > 0.0 else None
+
+
+def _tile_draws(spec: DegradationSpec, row: int, col: int, shape: tuple[int, int]):
+    """Gain jitter and noise (None when ``noise_sigma`` is 0) of tile (row, col).
+
+    Drawn from the tile's own generator, uniform first, then normal.
+    :func:`write_dataset` runs this on its look-ahead thread, so it calls
+    numpy only: a traced package function there would share the span
+    stack of the main thread.
+    """
+    rng = np.random.default_rng([spec.rng_seed, 0, row, col])
+    jitter = rng.uniform(1.0 - spec.gain_jitter, 1.0 + spec.gain_jitter)
+    return jitter, _noise(rng, spec.noise_sigma, shape)
+
+
+def _finish(img: np.ndarray, offset: np.ndarray, noise) -> np.ndarray:
+    """In place: ``(img + offset) + noise``, clamped to [0, 1]."""
+    img += offset
+    if noise is not None:
+        img += noise
+    np.clip(img, 0.0, 1.0, out=img)
+    return img
+
+
+def _degrade_tile(img, vignette, offset, jitter, noise) -> np.ndarray:
+    """In place: ``((img * vignette) * jitter + offset) + noise``, clamped."""
+    img *= vignette
+    img *= jitter
+    return _finish(img, offset, noise)
+
+
+def _reference(spec: DegradationSpec, which: int, level: float, vignette, offset) -> np.ndarray:
+    """Uniform frame at ``level`` through the field effects, without jitter."""
+    rng = np.random.default_rng([spec.rng_seed, 1, which])
+    return _finish(vignette * level, offset, _noise(rng, spec.noise_sigma, vignette.shape))
 
 
 def degrade(
@@ -277,37 +342,24 @@ def degrade(
     ``corner_offset`` inside every ROI footprint, add Gaussian noise,
     clamp to [0, 1].  The bright/dark references are uniform frames at
     the given levels pushed through the same field effects (no per-tile
-    jitter, their own noise draws).
+    jitter, their own noise draws).  The input tiles are not modified.
     """
     spec.validate()
     if not tiles:
         raise ConfigError("degrade needs at least one tile")
     th, tw = tiles[0].data.shape
-    vignette = vignette_field(th, tw, spec.vignette_min)
-    offset = np.zeros((th, tw), dtype=np.float64)
-    for roi in rois:
-        roi.check_within((th, tw))
-        rows, cols = roi.slices()
-        offset[rows, cols] += spec.corner_offset
-
-    def finish(img: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        if spec.noise_sigma > 0.0:
-            img = img + rng.normal(0.0, spec.noise_sigma, img.shape)
-        return np.clip(img, 0.0, 1.0)
-
+    vignette, offset = _field(spec, rois, th, tw)
     out = []
     for tile in tiles:
         if tile.data.shape != (th, tw):
             raise CoverageError(
                 f"tile ({tile.row}, {tile.col}) shape {tile.data.shape} != {th}x{tw}"
             )
-        rng = _tile_rng(spec.rng_seed, tile.row, tile.col)
-        jitter = rng.uniform(1.0 - spec.gain_jitter, 1.0 + spec.gain_jitter)
-        data = finish(tile.data * vignette * jitter + offset, rng)
+        jitter, noise = _tile_draws(spec, tile.row, tile.col, (th, tw))
+        data = _degrade_tile(np.array(tile.data, dtype=np.float64), vignette, offset, jitter, noise)
         out.append(Tile(row=tile.row, col=tile.col, data=data, meta=dict(tile.meta)))
-
-    bright_ref = finish(vignette * bright_level + offset, _reference_rng(spec.rng_seed, 0))
-    dark_ref = finish(vignette * dark_level + offset, _reference_rng(spec.rng_seed, 1))
+    bright_ref = _reference(spec, 0, bright_level, vignette, offset)
+    dark_ref = _reference(spec, 1, dark_level, vignette, offset)
     return out, bright_ref, dark_ref
 
 
@@ -500,7 +552,11 @@ def write_dataset(
 
     The ground truth defaults to exactly the canvas footprint of the
     scan.  Reference levels are snapped onto the 16-bit grid before use
-    so the stored reference frames encode them exactly.
+    so the stored reference frames encode them exactly.  Every input is
+    checked before the first file is written.  Tiles are written one at
+    a time, in placement order, and ``manifest.json`` is the commit
+    point: an earlier one is removed first and the new one is put in
+    place whole, last, so a dataset with a manifest is complete.
     """
     scan.validate()
     degradation.validate()
@@ -512,30 +568,17 @@ def write_dataset(
             f"target {width}x{height} smaller than required canvas {need_w}x{need_h}"
         )
 
-    truth = make_target(width, height, pattern, value=target_value, pitch=target_pitch)
+    counts = _target_counts(width, height, pattern, target_value, target_pitch)
     region_list = list(regions) if regions is not None else target_regions(width, height, pattern)
-    tiles = extract_tiles(truth, scan, subpixel=subpixel)
     bright_level = snap_level(bright_level)
     dark_level = snap_level(dark_level)
-    degraded, bright_ref, dark_ref = degrade(
-        tiles, degradation, rois, bright_level=bright_level, dark_level=dark_level
-    )
-    total_s = timing_report(scan, per_frame_ms)
-
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    pgm.write_pgm(out / "truth.pgm", pgm.to_u16(truth))
-    pgm.write_pgm(out / "ref_bright.pgm", pgm.to_u16(bright_ref))
-    pgm.write_pgm(out / "ref_dark.pgm", pgm.to_u16(dark_ref))
-    tile_entries = []
-    for tile in degraded:
-        name = tile_filename(tile.row, tile.col, scan.n_rows, scan.n_cols)
-        pgm.write_pgm(out / name, pgm.to_u16(tile.data))
-        tile_entries.append({"row": tile.row, "col": tile.col, "path": name})
-
+    tw, th = scan.tile_width, scan.tile_height
+    vignette, offset = _field(degradation, rois, th, tw)
+    placements = placement_table(scan)
+    names = [tile_filename(p.row, p.col, scan.n_rows, scan.n_cols) for p in placements]
     manifest = DatasetManifest(
         scan=scan,
-        tiles=tile_entries,
+        tiles=[{"row": p.row, "col": p.col, "path": n} for p, n in zip(placements, names)],
         truth_path="truth.pgm",
         degradation=degradation,
         subpixel=subpixel,
@@ -546,12 +589,40 @@ def write_dataset(
         bright_level=bright_level,
         dark_level=dark_level,
         per_frame_ms=per_frame_ms,
-        total_s=total_s,
+        total_s=timing_report(scan, per_frame_ms),
         epsilon=epsilon,
         band_px=band_px,
     )
     manifest.validate()
-    (out / "manifest.json").write_text(manifest.to_json(), encoding="ascii")
+
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "manifest.json").unlink(missing_ok=True)
+    pgm.write_pgm(out / "truth.pgm", counts)
+    for which, (name, level) in enumerate(
+        (("ref_bright.pgm", bright_level), ("ref_dark.pgm", dark_level))
+    ):
+        ref = pgm.to_u16(_reference(degradation, which, level, vignette, offset))
+        pgm.write_pgm(out / name, ref)
+
+    # The helper thread draws tile k + 1 while tile k is finished here;
+    # one draw in flight bounds the noise held to two tiles.
+    with ThreadPoolExecutor(max_workers=1) as ahead:
+        first = placements[0]
+        draws = ahead.submit(_tile_draws, degradation, first.row, first.col, (th, tw))
+        for k, p in enumerate(placements):
+            jitter, noise = draws.result()
+            if k + 1 < len(placements):
+                q = placements[k + 1]
+                draws = ahead.submit(_tile_draws, degradation, q.row, q.col, (th, tw))
+            img = _degrade_tile(
+                _crop(counts, pgm.to_unit, p, tw, th, subpixel), vignette, offset, jitter, noise
+            )
+            pgm.write_pgm(out / names[k], pgm.to_u16(img))
+            del img, noise
+
+    with pgm.replacing(out / "manifest.json") as f:
+        f.write(manifest.to_json().encode("ascii"))
     return manifest
 
 

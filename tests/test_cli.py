@@ -48,6 +48,25 @@ class TestSimulate:
         assert (out / "ref_dark.pgm").exists()
         assert (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("dv_x", "nan"), ("dv_y", "inf"), ("s_x", "inf"), ("alpha_x", "-inf"),
+            ("alpha_y", "nan"), ("v0", "nan"), ("amplitude", "inf"), ("settle_ms", "nan"),
+            ("vignette_min", "nan"), ("corner_offset", "inf"), ("gain_jitter", "inf"),
+            ("noise_sigma", "nan"),
+        ],
+    )
+    def test_non_finite_float_names_key(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(SMALL_CONFIG + f"{key} = {value}\n")
+        out = tmp_path / "ds"
+        assert run("simulate", "--config", cfg, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert f"{key} must be finite" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_degenerate_sinusoidal_grid_fails_cleanly(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(

@@ -17,12 +17,23 @@ def test_to_u16_clamps_and_rounds_half_up():
     assert pgm.to_u16(values).tolist() == [[0, 0, 2, 65535, 65535]]
 
 
+def test_to_u16_leaves_input_intact_and_takes_0d():
+    values = np.array([[-0.5, 0.25, 2.0]])
+    before = values.copy()
+    assert pgm.to_u16(values).tolist() == [[0, 16384, 65535]]
+    assert np.array_equal(values, before)
+    half = pgm.to_u16(np.array(0.5))
+    assert half.shape == () and half.dtype == np.uint16 and int(half) == 32768
+
+
 def test_pgm_roundtrip(tmp_path):
     rng = np.random.default_rng(11)
     img = rng.integers(0, 65536, size=(37, 53), dtype=np.uint16)
     path = tmp_path / "img.pgm"
     pgm.write_pgm(path, img)
     assert np.array_equal(pgm.read_pgm(path), img)
+    pgm.write_pgm(path, img.T)  # not C-contiguous: still written in raster order
+    assert np.array_equal(pgm.read_pgm(path), img.T)
 
 
 def test_pgm_header_comments_are_skipped(tmp_path):

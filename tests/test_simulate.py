@@ -1,11 +1,15 @@
 """Synthetic dataset generation and its round-trip guarantees."""
 
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from galvomosaic import pgm
 from galvomosaic.compose import compose_feathered, compose_raw, compute_overlaps, rasterize
 from galvomosaic.correction import RectROI, ReferencePair, correct_roi, fit_two_point
-from galvomosaic.errors import ConfigError, CoverageError
+from galvomosaic.errors import ConfigError, CoverageError, GalvoMosaicError
 from galvomosaic.geometry import ScanConfig, ScanStrategy, placement_table
 from galvomosaic.metrics import RegionKind
 from galvomosaic.simulate import (
@@ -14,7 +18,9 @@ from galvomosaic.simulate import (
     TargetPattern,
     degrade,
     extract_tiles,
+    load_manifest,
     make_target,
+    required_truth_dims,
     snap_level,
     target_regions,
     tile_filename,
@@ -292,3 +298,112 @@ class TestWriteDataset:
         manifest = write_dataset(tmp_path, cfg, identity_spec(), rois=[], bright_level=0.9)
         assert manifest.bright_level == snap_level(0.9)
         assert manifest.bright_level * 65535 == round(manifest.bright_level * 65535)
+
+
+# write_dataset streams tiles through the same crop and degrade helpers as
+# the list APIs; each case must give the same bytes as the list pipeline.
+STREAM_CASES = {
+    "linear_noise": (
+        small_cfg(),
+        DegradationSpec(
+            vignette_min=0.85, corner_offset=0.05, gain_jitter=0.05, noise_sigma=0.01, rng_seed=5
+        ),
+        False,
+    ),
+    # the last tile of a grid row lies above the first tile of the row before it
+    "sinusoidal_subpixel_negative_tilt": (
+        small_cfg(n_rows=3, n_cols=4, strategy=ScanStrategy.SINUSOIDAL, alpha_x=3.5, alpha_y=-12.25),
+        DegradationSpec(
+            vignette_min=0.9, corner_offset=0.05, gain_jitter=0.05, noise_sigma=0.002, rng_seed=11
+        ),
+        True,
+    ),
+    "no_noise": (
+        small_cfg(),
+        DegradationSpec(vignette_min=0.9, corner_offset=0.05, gain_jitter=0.05, rng_seed=2),
+        False,
+    ),
+}
+STREAM_ROIS = [RectROI(x0=0, y0=50, width=30, height=30)]
+
+
+class TestStreamingWriteDataset:
+    @pytest.mark.parametrize("case", sorted(STREAM_CASES))
+    def test_files_match_list_pipeline(self, tmp_path, case):
+        cfg, spec, subpixel = STREAM_CASES[case]
+        manifest = write_dataset(
+            tmp_path, cfg, spec, STREAM_ROIS, subpixel=subpixel, bright_level=0.9, dark_level=0.05
+        )
+        truth = make_target(*required_truth_dims(cfg, subpixel=subpixel), TargetPattern.USAF_LIKE)
+        tiles, bright, dark = degrade(
+            extract_tiles(truth, cfg, subpixel=subpixel),
+            spec,
+            STREAM_ROIS,
+            bright_level=manifest.bright_level,
+            dark_level=manifest.dark_level,
+        )
+        expected = {"truth.pgm": truth, "ref_bright.pgm": bright, "ref_dark.pgm": dark}
+        for tile, entry in zip(tiles, manifest.tiles):
+            assert (tile.row, tile.col) == (entry["row"], entry["col"])
+            expected[entry["path"]] = tile.data
+        assert len(expected) == 3 + cfg.n_rows * cfg.n_cols
+        for name, data in expected.items():
+            assert np.array_equal(pgm.read_pgm(tmp_path / name), pgm.to_u16(data)), name
+
+    def test_memory_scales_with_canvas_counts(self, tmp_path):
+        # 200 px tiles on 175 px steps; a 16x8 grid doubles the canvas of an 8x8 one
+        spec = DegradationSpec(
+            vignette_min=0.85, corner_offset=0.05, gain_jitter=0.05, noise_sigma=0.002, rng_seed=1
+        )
+        tile_buffer = 200 * 200 * 8
+        for n_rows in (8, 16):
+            cfg = ScanConfig(
+                n_rows=n_rows, n_cols=8, dv_x=1.0, dv_y=1.0, s_x=175.0, s_y=175.0,
+                tile_width=200, tile_height=200,
+            )
+            width, height = required_truth_dims(cfg)
+            tracemalloc.start()
+            try:
+                write_dataset(tmp_path / f"rows{n_rows}", cfg, spec, [RectROI(0, 120, 80, 80)])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 4 * width * height * 2 + 8 * tile_buffer, (n_rows, peak)
+
+    def test_encode_and_write_stay_on_main_thread(self, tmp_path, monkeypatch):
+        calls = []
+
+        def recorded(func):
+            def wrapper(*args, **kwargs):
+                calls.append((func.__name__, threading.get_ident()))
+                return func(*args, **kwargs)
+            return wrapper
+
+        for name in ("to_u16", "write_pgm"):
+            monkeypatch.setattr(pgm, name, recorded(getattr(pgm, name)))
+        write_dataset(tmp_path, small_cfg(), identity_spec(gain_jitter=0.05, noise_sigma=0.01), [])
+        assert sum(name == "write_pgm" for name, _ in calls) == 3 + 9
+        assert {ident for _, ident in calls} == {threading.main_thread().ident}
+
+    def test_failed_rewrite_leaves_no_manifest(self, tmp_path, monkeypatch):
+        cfg = small_cfg()
+        write_dataset(tmp_path, cfg, identity_spec(noise_sigma=0.01), [])
+        assert (tmp_path / "manifest.json").exists()
+        write_pgm = pgm.write_pgm
+        tiles_written = []
+
+        def failing_write(path, img):
+            if path.name.startswith("tile_"):
+                tiles_written.append(path.name)
+                if len(tiles_written) == 3:
+                    raise OSError("disk full")
+            write_pgm(path, img)
+
+        monkeypatch.setattr(pgm, "write_pgm", failing_write)
+        with pytest.raises(OSError, match="disk full"):
+            write_dataset(tmp_path, cfg, identity_spec(noise_sigma=0.01, rng_seed=9), [])
+        names = {p.name for p in tmp_path.iterdir()}
+        assert "manifest.json" not in names
+        assert not [n for n in names if n.endswith(".tmp")], names
+        with pytest.raises(GalvoMosaicError, match="no manifest.json"):
+            load_manifest(tmp_path)

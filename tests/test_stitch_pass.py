@@ -195,3 +195,14 @@ def test_failed_stitch_keeps_earlier_outputs(tmp_path, capsys):
     assert run("stitch", "--dataset", dataset, "--out", out) == 1
     assert str(victim) in capsys.readouterr().err
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_wrong_size_tile_is_named(tmp_path, capsys):
+    dataset = simulate(tmp_path, "quick", QUICK_CFG)
+    victim = dataset / "tile_r00_c01.pgm"
+    pgm.write_pgm(victim, np.zeros((40, 40), dtype=np.uint16))
+    capsys.readouterr()
+    out = tmp_path / "run"
+    assert run("stitch", "--dataset", dataset, "--out", out) == 1
+    assert f"{victim}: tile (0, 1) is 40x40, expected 80x80" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
