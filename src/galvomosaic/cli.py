@@ -289,7 +289,8 @@ def _regions_from_sidecar(entries: list[dict]) -> list[RegionSpec]:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    mosaic = pgm.to_unit(pgm.read_image(args.mosaic))
+    # The metrics convert only the region rows and seam lines they index.
+    mosaic = pgm.UnitView(pgm.map_image(args.mosaic))
     try:
         sidecar = json.loads(Path(args.sidecar).read_text(encoding="ascii"))
         seams = [
@@ -335,8 +336,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "report.json").write_text(report.to_json(), encoding="ascii")
-    (out / "report.txt").write_text(report.to_text(), encoding="ascii")
+    with pgm.replacing(out / "report.json") as f:
+        f.write(report.to_json().encode("ascii"))
+    with pgm.replacing(out / "report.txt") as f:
+        f.write(report.to_text().encode("ascii"))
     print(
         f"cnr={report.cnr:.6g} bright_std={report.bright_std:.6g} "
         f"dark_std={report.dark_std:.6g} mean_seam_jump={report.mean_seam_jump:.6g} "

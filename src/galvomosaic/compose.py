@@ -320,10 +320,11 @@ class _RowBand:
             if self.weight is None:
                 sink(row, value)
             else:
+                # In place: value is 0 wherever weight is, since every
+                # tile pixel carries a weight > 0.
                 weight = self.weight[buf]
-                out = np.zeros_like(value)
-                np.divide(value, weight, out=out, where=weight > 0.0)
-                sink(row, out)
+                np.divide(value, weight, out=value, where=weight > 0.0)
+                sink(row, value)
                 weight[...] = 0.0
             value[...] = 0.0
         self.done = max(self.done, stop)

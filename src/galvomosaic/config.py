@@ -6,7 +6,7 @@ Scan keys (see :class:`~galvomosaic.geometry.ScanConfig`):
 Correction keys:
     rois            semicolon-separated "x0,y0,width,height" rects;
                     defaults per strategy when omitted
-    epsilon, band_px, ref_bright, ref_dark
+    epsilon, band_px
 Simulation keys:
     vignette_min, corner_offset, gain_jitter, noise_sigma, seed,
     bright_level, dark_level, subpixel, per_frame_ms,
@@ -24,9 +24,9 @@ from pathlib import Path
 
 from .correction import BAND_PX_DEFAULT, EPSILON_DEFAULT, RectROI
 from .errors import ConfigError, DimensionMismatchError
-from .geometry import ScanConfig, ScanStrategy
+from .geometry import ScanConfig, ScanStrategy, require_finite
 from .metrics import RegionKind, RegionSpec
-from .simulate import DegradationSpec, TargetPattern
+from .simulate import DegradationSpec, TargetPattern, snap_level
 
 SCAN_KEYS = (
     "n_rows", "n_cols", "dv_x", "dv_y", "s_x", "s_y", "alpha_x", "alpha_y",
@@ -38,7 +38,7 @@ _REGION_KINDS = {
     "region_dark": ("dark", RegionKind.DARK_BACKGROUND),
 }
 _KNOWN_KEYS = set(SCAN_KEYS) | set(_REGION_KINDS) | {
-    "rois", "epsilon", "band_px", "ref_bright", "ref_dark",
+    "rois", "epsilon", "band_px",
     "vignette_min", "corner_offset", "gain_jitter", "noise_sigma", "seed",
     "bright_level", "dark_level", "subpixel", "per_frame_ms",
     "target_pattern", "target_value", "target_pitch", "target_width", "target_height",
@@ -64,8 +64,19 @@ class RunConfig:
     target_width: int | None = None
     target_height: int | None = None
     regions: list[RegionSpec] | None = None
-    ref_bright: str | None = None
-    ref_dark: str | None = None
+
+    def validate(self) -> None:
+        """Raise :class:`ConfigError` naming the first bad float field."""
+        require_finite(self)
+        if self.epsilon < 0:
+            raise ConfigError(f"key 'epsilon': must be >= 0, got {self.epsilon}")
+        # The levels are stored on the 16-bit grid, where the stitcher
+        # needs them to stay apart.
+        if not snap_level(self.bright_level) > snap_level(self.dark_level):
+            raise ConfigError(
+                f"key 'bright_level': must be > dark_level on the 16-bit grid, got "
+                f"{self.bright_level} and {self.dark_level}"
+            )
 
 
 def default_rois(strategy: ScanStrategy, tile_width: int, tile_height: int) -> list[RectROI]:
@@ -239,15 +250,11 @@ def load_run_config(
     band_px = _convert("band_px", kv.get("band_px", str(BAND_PX_DEFAULT)), int)
     if band_px < 1:
         raise ConfigError(f"key 'band_px': must be >= 1, got {band_px}")
-    epsilon = _convert("epsilon", kv.get("epsilon", repr(EPSILON_DEFAULT)), float)
-    if epsilon < 0:
-        raise ConfigError(f"key 'epsilon': must be >= 0, got {epsilon}")
-
-    return RunConfig(
+    rc = RunConfig(
         scan=scan,
         rois=rois,
         degradation=degradation,
-        epsilon=epsilon,
+        epsilon=_convert("epsilon", kv.get("epsilon", repr(EPSILON_DEFAULT)), float),
         band_px=band_px,
         bright_level=_convert("bright_level", kv.get("bright_level", "0.9"), float),
         dark_level=_convert("dark_level", kv.get("dark_level", "0.0"), float),
@@ -259,6 +266,6 @@ def load_run_config(
         target_width=_convert("target_width", kv["target_width"], int) if "target_width" in kv else None,
         target_height=_convert("target_height", kv["target_height"], int) if "target_height" in kv else None,
         regions=regions or None,
-        ref_bright=kv.get("ref_bright"),
-        ref_dark=kv.get("ref_dark"),
     )
+    rc.validate()
+    return rc

@@ -7,6 +7,12 @@ Quality metrics run on the finalized canvas: contrast-to-noise ratio
 |mu_sig - mu_bg| / sigma_bg, per-region intensity standard deviation,
 and the mean absolute intensity difference between the pixel pairs
 straddling each geometric seam line.
+
+The canvas of a quality metric is a 2D array or any object with a
+``shape`` whose indexing returns the indexed block as an array, such as
+:class:`~galvomosaic.pgm.UnitView` over a memory-mapped mosaic.  The
+metrics index only the rows of each region and the two pixel lines of
+each seam, and convert only those to float64.
 """
 
 from __future__ import annotations
@@ -141,10 +147,13 @@ def overlap_mae(samples_i: np.ndarray, samples_j: np.ndarray) -> float:
     return mae
 
 
-def _region_values(canvas: np.ndarray, region: RegionSpec) -> np.ndarray:
+def _region_values(canvas, region: RegionSpec) -> np.ndarray:
+    # Convert the region's full-width rows, then slice the columns: the
+    # values keep the row stride of the full canvas, so numpy reduces
+    # them in the same order as over a view of a whole float canvas.
     region.rect.check_within(canvas.shape)
     rows, cols = region.rect.slices()
-    return np.asarray(canvas, dtype=np.float64)[rows, cols]
+    return np.asarray(canvas[rows], dtype=np.float64)[:, cols]
 
 
 def _population_std(values: np.ndarray) -> float:
@@ -155,7 +164,7 @@ def _population_std(values: np.ndarray) -> float:
     return float(values.std())
 
 
-def cnr(canvas: np.ndarray, signal: RegionSpec, background: RegionSpec) -> float:
+def cnr(canvas, signal: RegionSpec, background: RegionSpec) -> float:
     """Contrast-to-noise ratio |mu_sig - mu_bg| / sigma_bg."""
     sig = _region_values(canvas, signal)
     bg = _region_values(canvas, background)
@@ -165,7 +174,7 @@ def cnr(canvas: np.ndarray, signal: RegionSpec, background: RegionSpec) -> float
     return float(abs(sig.mean() - bg.mean())) / sigma_bg
 
 
-def region_std(canvas: np.ndarray, region: RegionSpec) -> float:
+def region_std(canvas, region: RegionSpec) -> float:
     """Population standard deviation of intensities inside a region."""
     values = _region_values(canvas, region)
     if values.size < 2:
@@ -175,19 +184,19 @@ def region_std(canvas: np.ndarray, region: RegionSpec) -> float:
     return _population_std(values)
 
 
-def mean_seam_jump(canvas: np.ndarray, seams: Sequence[SeamLine]) -> float:
+def mean_seam_jump(canvas, seams: Sequence[SeamLine]) -> float:
     """Mean |intensity difference| across all seam-straddling pixel pairs.
 
     A vertical seam at x contributes the pairs (x-1, y), (x, y) for every
     row y in its extent; horizontal seams are the transpose.  The mean is
-    over all pairs of all seams pooled together.
+    over all pairs of all seams pooled together.  Each seam line is read
+    once: seams sharing an orientation and position take their slices
+    of one difference array spanning all their extents.
     """
-    canvas = np.asarray(canvas, dtype=np.float64)
     if not seams:
         raise NoOverlapError("no seams to measure")
     height, width = canvas.shape
-    total = 0.0
-    count = 0
+    lines: dict[tuple[Axis, int], tuple[int, int]] = {}
     for seam in seams:
         if seam.stop <= seam.start:
             raise IndexRangeError(f"seam extent empty: {seam}")
@@ -196,15 +205,30 @@ def mean_seam_jump(canvas: np.ndarray, seams: Sequence[SeamLine]) -> float:
                 raise IndexRangeError(f"vertical seam at x={seam.position} outside canvas width {width}")
             if seam.start < 0 or seam.stop > height:
                 raise IndexRangeError(f"seam extent outside canvas height {height}: {seam}")
-            span = slice(seam.start, seam.stop)
-            diffs = np.abs(canvas[span, seam.position] - canvas[span, seam.position - 1])
         else:
             if not 1 <= seam.position < height:
                 raise IndexRangeError(f"horizontal seam at y={seam.position} outside canvas height {height}")
             if seam.start < 0 or seam.stop > width:
                 raise IndexRangeError(f"seam extent outside canvas width {width}: {seam}")
-            span = slice(seam.start, seam.stop)
-            diffs = np.abs(canvas[seam.position, span] - canvas[seam.position - 1, span])
-        total += float(diffs.sum())
-        count += diffs.size
+        key = (seam.orientation, seam.position)
+        start, stop = lines.get(key, (seam.start, seam.stop))
+        lines[key] = (min(start, seam.start), max(stop, seam.stop))
+
+    diffs: dict[tuple[Axis, int], np.ndarray] = {}
+    for (orientation, position), (start, stop) in lines.items():
+        span = slice(start, stop)
+        if orientation is Axis.VERTICAL:
+            pair = np.asarray(canvas[span, position - 1:position + 1], dtype=np.float64)
+            diffs[orientation, position] = np.abs(pair[:, 1] - pair[:, 0])
+        else:
+            pair = np.asarray(canvas[position - 1:position + 1, span], dtype=np.float64)
+            diffs[orientation, position] = np.abs(pair[1] - pair[0])
+
+    total = 0.0
+    count = 0
+    for seam in seams:
+        start = lines[seam.orientation, seam.position][0]
+        part = diffs[seam.orientation, seam.position][seam.start - start:seam.stop - start]
+        total += float(part.sum())
+        count += part.size
     return total / count

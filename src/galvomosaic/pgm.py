@@ -8,6 +8,7 @@ PNG support requires Pillow and is selected by the ``.png`` extension.
 from __future__ import annotations
 
 import contextlib
+import mmap
 import os
 from pathlib import Path
 
@@ -77,11 +78,14 @@ def write_pgm(path: str | os.PathLike, img: np.ndarray) -> None:
         f.write(arr.astype(">u2", order="C"))
 
 
-def read_pgm(path: str | os.PathLike) -> np.ndarray:
-    """Read a binary PGM (P5) with maxval 65535 into a uint16 array."""
-    with open(path, "rb") as f:
-        data = f.read()
-    if not data.startswith(b"P5"):
+def _raster_layout(path, data) -> tuple[int, int, int]:
+    """(height, width, raster offset) of the binary PGM held in ``data``.
+
+    ``data`` is any bytes-like object with ``find`` (``bytes`` or an
+    ``mmap``).  Checks the magic, skips ``#`` comments, requires maxval
+    65535 and a raster no shorter than the header says.
+    """
+    if data[:2] != b"P5":
         raise ImageFormatError(f"{path}: not a binary PGM (P5) file")
 
     # Header = magic, width, height, maxval as whitespace-separated tokens,
@@ -107,16 +111,57 @@ def read_pgm(path: str | os.PathLike) -> np.ndarray:
         w, h, maxval = (int(t) for t in tokens)
     except ValueError as exc:
         raise ImageFormatError(f"{path}: malformed PGM header") from exc
+    if w < 0 or h < 0:
+        raise ImageFormatError(f"{path}: malformed PGM header: size {w}x{h}")
     if maxval != MAXVAL:
         raise ImageFormatError(f"{path}: expected maxval {MAXVAL}, got {maxval}")
-    pos += 1  # single whitespace byte after maxval
+    pos = min(pos + 1, len(data))  # single whitespace byte after maxval
     expected = w * h * 2
-    raster = data[pos:pos + expected]
-    if len(raster) != expected:
+    available = len(data) - pos
+    if available < expected:
         raise ImageFormatError(
-            f"{path}: raster has {len(raster)} bytes, expected {expected}"
+            f"{path}: raster has {available} bytes, expected {expected}"
         )
+    return h, w, pos
+
+
+def read_pgm(path: str | os.PathLike) -> np.ndarray:
+    """Read a binary PGM (P5) with maxval 65535 into a uint16 array."""
+    with open(path, "rb") as f:
+        data = f.read()
+    h, w, pos = _raster_layout(path, data)
+    raster = data[pos:pos + 2 * h * w]
     return np.frombuffer(raster, dtype=">u2").reshape(h, w).astype(np.uint16)
+
+
+def map_pgm(path: str | os.PathLike) -> np.ndarray:
+    """Memory-map a binary PGM (P5) as a read-only big-endian u16 array.
+
+    Same header checks as :func:`read_pgm`; only the pixels that are
+    indexed are ever read from disk.
+    """
+    with open(path, "rb") as f:
+        if os.fstat(f.fileno()).st_size == 0:
+            raise ImageFormatError(f"{path}: not a binary PGM (P5) file")
+        data = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+    h, w, pos = _raster_layout(path, data)
+    return np.frombuffer(data, dtype=">u2", count=h * w, offset=pos).reshape(h, w)
+
+
+class UnitView:
+    """float64 intensities in [0, 1] of a u16 counts array, converted per index.
+
+    ``view[key]`` is ``to_unit(counts[key])``: only the indexed block is
+    converted, so a metric that reads a few rows of a memory-mapped
+    mosaic never holds the whole float canvas.
+    """
+
+    def __init__(self, counts: np.ndarray):
+        self.counts = counts
+        self.shape = counts.shape
+
+    def __getitem__(self, key) -> np.ndarray:
+        return to_unit(self.counts[key])
 
 
 def write_png(path: str | os.PathLike, img: np.ndarray) -> None:
@@ -150,8 +195,8 @@ def write_image(path: str | os.PathLike, img: np.ndarray) -> None:
         write_pgm(path, img)
 
 
-def read_image(path: str | os.PathLike) -> np.ndarray:
-    """Dispatch on extension: .png from PNG, anything else from PGM."""
+def map_image(path: str | os.PathLike) -> np.ndarray:
+    """u16 counts by extension: .png decoded from PNG, anything else a mapped PGM."""
     if str(path).lower().endswith(".png"):
         return read_png(path)
-    return read_pgm(path)
+    return map_pgm(path)

@@ -27,7 +27,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -606,7 +605,10 @@ def write_dataset(
         pgm.write_pgm(out / name, ref)
 
     # The helper thread draws tile k + 1 while tile k is finished here;
-    # one draw in flight bounds the noise held to two tiles.
+    # one draw in flight bounds the noise held to two tiles.  Imported
+    # here so that stitch and evaluate do not pay for it.
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=1) as ahead:
         first = placements[0]
         draws = ahead.submit(_tile_draws, degradation, first.row, first.col, (th, tw))

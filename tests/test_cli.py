@@ -1,6 +1,7 @@
 """End-to-end CLI pipeline on small grids."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -64,6 +65,38 @@ class TestSimulate:
         assert run("simulate", "--config", cfg, "--out", out) == 1
         err = capsys.readouterr().err
         assert f"{key} must be finite" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "lines, key, message",
+        [
+            pytest.param("bright_level = nan\n", "bright_level", "must be finite", id="bright_nan"),
+            pytest.param("dark_level = -inf\n", "dark_level", "must be finite", id="dark_-inf"),
+            pytest.param("per_frame_ms = inf\n", "per_frame_ms", "must be finite", id="frame_inf"),
+            pytest.param("target_value = nan\n", "target_value", "must be finite", id="target_nan"),
+            pytest.param("epsilon = nan\n", "epsilon", "must be finite", id="epsilon_nan"),
+            pytest.param(
+                "bright_level = 0.4\ndark_level = 0.4\n", "bright_level", "must be > dark_level",
+                id="bright_eq_dark",
+            ),
+            pytest.param(
+                "bright_level = 0.2\ndark_level = 0.3\n", "bright_level", "must be > dark_level",
+                id="bright_lt_dark",
+            ),
+            pytest.param(
+                "bright_level = 1.5\ndark_level = 1.2\n", "bright_level", "must be > dark_level",
+                id="both_clamp_to_one",
+            ),
+        ],
+    )
+    def test_bad_run_float_names_key(self, tmp_path, capsys, lines, key, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(SMALL_CONFIG + lines)
+        out = tmp_path / "ds"
+        assert run("simulate", "--config", cfg, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert key in err and message in err
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -240,6 +273,59 @@ class TestEvaluate:
         )
         assert code != 0
         assert "exceeds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            pytest.param(lambda raw: raw[:-101], id="truncated"),
+            pytest.param(lambda raw: b"P5\n4 4\n255\n" + bytes(16), id="maxval_255"),
+        ],
+    )
+    def test_bad_mosaic_names_file_and_keeps_reports(self, tmp_path, stitched, capsys, damage):
+        rep = tmp_path / "rep"
+        args = ["--sidecar", stitched / "sidecar.json", "--out", rep]
+        assert run("evaluate", "--mosaic", stitched / "mosaic.pgm", *args) == 0
+        before = {p.name: p.read_bytes() for p in rep.iterdir()}
+        capsys.readouterr()
+        bad = tmp_path / "bad_mosaic.pgm"
+        bad.write_bytes(damage((stitched / "mosaic.pgm").read_bytes()))
+        assert run("evaluate", "--mosaic", bad, *args) == 1
+        err = capsys.readouterr().err
+        assert str(bad) in err and "Traceback" not in err
+        assert {p.name: p.read_bytes() for p in rep.iterdir()} == before
+        assert sorted(before) == ["report.json", "report.txt"]
+
+    def test_memory_does_not_grow_with_mosaic_height(self, tmp_path):
+        # Same regions and seams on a mosaic and on one twice as tall:
+        # only the region rows and seam lines are converted, so the
+        # Python-heap peak barely moves (whole-canvas decoding doubles it).
+        rng = np.random.default_rng(21)
+        regions = [
+            {"name": "signal", "kind": "signal", "x0": 10, "y0": 10, "width": 100, "height": 40},
+            {"name": "bright", "kind": "bright_background", "x0": 0, "y0": 60, "width": 600, "height": 30},
+            {"name": "dark", "kind": "dark_background", "x0": 200, "y0": 100, "width": 100, "height": 50},
+        ]
+        seams = [
+            {"orientation": "vertical", "position": 300, "start": 0, "stop": 200},
+            {"orientation": "horizontal", "position": 150, "start": 0, "stop": 600},
+        ]
+        sidecar = tmp_path / "sidecar.json"
+        sidecar.write_text(json.dumps(
+            {"seams": seams, "regions": regions, "mae_per_overlap": [], "mae_mean": None}
+        ))
+        peaks = []
+        for height in (400, 800):
+            mosaic = tmp_path / f"mosaic_{height}.pgm"
+            pgm.write_pgm(mosaic, rng.integers(0, 65536, size=(height, 600), dtype=np.uint16))
+            tracemalloc.start()
+            try:
+                code = run("evaluate", "--mosaic", mosaic, "--sidecar", sidecar,
+                           "--out", tmp_path / f"rep_{height}")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+        assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
 class TestPipelineReproducibility:

@@ -109,3 +109,12 @@ def test_unknown_key_rejected(tmp_path):
     path = write(tmp_path, MINIMAL + "warp_speed = 9\n")
     with pytest.raises(ConfigError, match="warp_speed"):
         load_run_config(path)
+
+
+@pytest.mark.parametrize("key", ["ref_bright", "ref_dark"])
+def test_reference_frame_keys_are_unknown(tmp_path, key):
+    # The stitcher always uses the dataset's own reference frames, so
+    # a key naming other frames would be silently ignored: reject it.
+    path = write(tmp_path, MINIMAL + f"{key} = frames/{key}.pgm\n")
+    with pytest.raises(ConfigError, match=key):
+        load_run_config(path)

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from galvomosaic.compose import Axis, SeamLine
+from galvomosaic import pgm
+from galvomosaic.compose import Axis, SeamLine, canvas_dims, compute_overlaps, derive_seams
 from galvomosaic.correction import RectROI
 from galvomosaic.errors import (
     DegenerateFitError,
@@ -15,6 +16,7 @@ from galvomosaic.errors import (
     NoOverlapError,
     UndefinedCnrError,
 )
+from galvomosaic.geometry import ScanConfig, ScanStrategy, placement_table
 from galvomosaic.metrics import (
     RegionKind,
     RegionSpec,
@@ -270,3 +272,92 @@ def test_randomized_canvases_match_bruteforce_oracles():
         a_ref, b_ref = ols_oracle(x.tolist(), y.tolist())
         assert fit.a == pytest.approx(a_ref, rel=1e-9)
         assert fit.b == pytest.approx(b_ref, rel=1e-9, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The memory-mapped mosaic view against the whole float canvas
+
+
+def per_seam_jump(canvas, seams):
+    """The whole-canvas computation: one difference array per seam."""
+    total, count = 0.0, 0
+    for s in seams:
+        span = slice(s.start, s.stop)
+        if s.orientation is Axis.VERTICAL:
+            diffs = np.abs(canvas[span, s.position] - canvas[span, s.position - 1])
+        else:
+            diffs = np.abs(canvas[s.position, span] - canvas[s.position - 1, span])
+        total += float(diffs.sum())
+        count += diffs.size
+    return total / count
+
+
+def mapped_and_whole(tmp_path, height, width, seed):
+    counts = np.random.default_rng(seed).integers(0, 65536, size=(height, width), dtype=np.uint16)
+    path = tmp_path / "mosaic.pgm"
+    pgm.write_pgm(path, counts)
+    return pgm.UnitView(pgm.map_pgm(path)), pgm.to_unit(pgm.read_pgm(path))
+
+
+class TestMappedView:
+    def test_regions_full_width_and_partial(self, tmp_path):
+        view, whole = mapped_and_whole(tmp_path, 150, 397, seed=3)
+        full = region("full", 0, 20, 397, 33)
+        part = region("part", 101, 60, 173, 77)
+        sig = region("sig", 5, 140, 40, 10, RegionKind.SIGNAL)
+        for r in (full, part, sig):
+            assert region_std(view, r) == region_std(whole, r)
+        for bg in (full, part):
+            assert cnr(view, sig, bg) == cnr(whole, sig, bg)
+        # Summing a region as one contiguous run instead of row by row
+        # changes the last bits of a good share of random regions.
+        rng = np.random.default_rng(8)
+        for _ in range(40):
+            x0, y0 = (int(v) for v in rng.integers(0, 100, size=2))
+            w, h = int(rng.integers(20, 290)), int(rng.integers(10, 50))
+            r = region("r", x0, y0, w, h)
+            assert region_std(view, r) == region_std(whole, r)
+            assert cnr(view, sig, r) == cnr(whole, sig, r)
+
+    def test_seams_sharing_a_line(self, tmp_path):
+        view, whole = mapped_and_whole(tmp_path, 300, 260, seed=4)
+        V, H = Axis.VERTICAL, Axis.HORIZONTAL
+        seams = [
+            SeamLine(orientation=V, position=80, start=0, stop=90),
+            SeamLine(orientation=H, position=120, start=7, stop=200),
+            SeamLine(orientation=V, position=80, start=150, stop=300),  # gap on the line
+            SeamLine(orientation=V, position=80, start=60, stop=170),  # overlaps both
+            SeamLine(orientation=H, position=120, start=3, stop=150),
+            SeamLine(orientation=V, position=1, start=13, stop=14),
+            SeamLine(orientation=H, position=299, start=0, stop=260),
+        ]
+        expected = per_seam_jump(whole, seams)
+        assert mean_seam_jump(whole, seams) == expected
+        assert mean_seam_jump(view, seams) == expected
+
+    def test_sinusoidal_tilted_grid(self, tmp_path):
+        scan = ScanConfig(
+            n_rows=4, n_cols=5, dv_x=0.1, dv_y=0.1, s_x=350, s_y=352,
+            alpha_x=3.5, alpha_y=-12.25, strategy=ScanStrategy.SINUSOIDAL,
+            tile_width=64, tile_height=64,
+        )
+        placements = placement_table(scan)
+        seams = derive_seams(placements, compute_overlaps(placements, 64, 64))
+        width, height = canvas_dims(placements, 64, 64)
+        view, whole = mapped_and_whole(tmp_path, height, width, seed=5)
+        assert mean_seam_jump(view, seams) == per_seam_jump(whole, seams)
+        sig = region("sig", 30, 40, 60, 50, RegionKind.SIGNAL)
+        bg = region("bg", 0, 100, width, 45)
+        assert cnr(view, sig, bg) == cnr(whole, sig, bg)
+        assert region_std(view, sig) == region_std(whole, sig)
+
+    def test_bad_seam_raises_the_same_first_error(self, tmp_path):
+        view, whole = mapped_and_whole(tmp_path, 20, 30, seed=6)
+        seams = [
+            SeamLine(orientation=Axis.VERTICAL, position=5, start=0, stop=10),
+            SeamLine(orientation=Axis.HORIZONTAL, position=25, start=0, stop=10),
+            SeamLine(orientation=Axis.VERTICAL, position=40, start=0, stop=10),
+        ]
+        for canvas in (view, whole):
+            with pytest.raises(IndexRangeError, match="horizontal seam at y=25"):
+                mean_seam_jump(canvas, seams)

@@ -79,10 +79,45 @@ def test_png_roundtrip(tmp_path):
     assert np.array_equal(pgm.read_png(path), img)
 
 
-def test_read_write_image_dispatch_on_extension(tmp_path):
+def test_write_map_image_dispatch_on_extension(tmp_path):
     pytest.importorskip("PIL")
     img = np.full((4, 4), 1234, dtype=np.uint16)
     for name in ("a.pgm", "a.png"):
         path = tmp_path / name
         pgm.write_image(path, img)
-        assert np.array_equal(pgm.read_image(path), img)
+        assert np.array_equal(pgm.map_image(path), img)
+
+
+def test_map_pgm_is_a_read_only_view_of_the_raster(tmp_path):
+    rng = np.random.default_rng(17)
+    img = rng.integers(0, 65536, size=(23, 41), dtype=np.uint16)
+    path = tmp_path / "img.pgm"
+    path.write_bytes(b"P5\n# comment\n41 23\n65535\n" + img.astype(">u2").tobytes() + b"tail")
+    mapped = pgm.map_pgm(path)
+    assert type(mapped) is np.ndarray and mapped.dtype == np.dtype(">u2")
+    assert not mapped.flags.writeable
+    assert np.array_equal(mapped, img)
+    view = pgm.UnitView(mapped)
+    assert view.shape == (23, 41)
+    assert np.array_equal(view[3:9, 5:7], pgm.to_unit(img)[3:9, 5:7])
+
+
+@pytest.mark.parametrize("reader", [pgm.read_pgm, pgm.map_pgm])
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        pytest.param(b"", "not a binary PGM", id="empty"),
+        pytest.param(b"P2\n3 2\n65535\n", "not a binary PGM", id="magic"),
+        pytest.param(b"P5\n3 2", "truncated PGM header", id="short_header"),
+        pytest.param(b"P5\n3 x\n65535\n", "malformed PGM header", id="bad_height"),
+        pytest.param(b"P5\n1 1\n255\n\x00", "expected maxval 65535, got 255", id="maxval_255"),
+        pytest.param(b"P5\n4 4\n65535\n\x00\x01", "raster has 2 bytes, expected 32", id="short_raster"),
+        pytest.param(b"P5\n2 1\n65535", "raster has 0 bytes, expected 4", id="no_raster"),
+    ],
+)
+def test_readers_reject_bad_files_naming_the_path(tmp_path, reader, raw, message):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(raw)
+    with pytest.raises(pgm.ImageFormatError, match=message) as info:
+        reader(path)
+    assert str(path) in str(info.value)
