@@ -16,126 +16,21 @@ Pipeline stages, one module each:
   commands tying the stages together.
 """
 
-from .compose import (
-    Axis,
-    ComposeMode,
-    MosaicCanvas,
-    OverlapRegion,
-    SeamLine,
-    canvas_dims,
-    compose_feathered,
-    compose_raw,
-    compute_overlaps,
-    derive_seams,
-    rasterize,
-    round_half_away,
-)
-from .correction import (
-    CorrectionMode,
-    RectROI,
-    ReferencePair,
-    ResponseModel,
-    WeightField,
-    apply_roi_corrections,
-    build_reference,
-    correct_roi,
-    feather_roi,
-    fit_bright_only,
-    fit_two_point,
-    linear_weight_field,
-    reference_level,
-)
+from .compose import compose_feathered, compute_overlaps
+from .correction import correct_roi, fit_two_point
 from .errors import GalvoMosaicError
-from .geometry import (
-    ScanConfig,
-    ScanStrategy,
-    TilePlacement,
-    linear_offset,
-    placement_table,
-    sinusoidal_offset,
-    sinusoidal_voltage,
-    tile_offset,
-)
-from .metrics import (
-    AffineFit,
-    MetricsReport,
-    RegionKind,
-    RegionSpec,
-    cnr,
-    fit_affine,
-    mean_seam_jump,
-    overlap_mae,
-    region_std,
-)
-from .simulate import (
-    DatasetManifest,
-    DegradationSpec,
-    TargetPattern,
-    Tile,
-    degrade,
-    extract_tiles,
-    make_target,
-    target_regions,
-    timing_report,
-    vignette_field,
-    write_dataset,
-)
+from .geometry import ScanConfig, placement_table
+from .metrics import mean_seam_jump
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineFit",
-    "Axis",
-    "ComposeMode",
-    "CorrectionMode",
-    "DatasetManifest",
-    "DegradationSpec",
     "GalvoMosaicError",
-    "MetricsReport",
-    "MosaicCanvas",
-    "OverlapRegion",
-    "RectROI",
-    "ReferencePair",
-    "RegionKind",
-    "RegionSpec",
-    "ResponseModel",
     "ScanConfig",
-    "ScanStrategy",
-    "SeamLine",
-    "TargetPattern",
-    "Tile",
-    "TilePlacement",
-    "WeightField",
-    "apply_roi_corrections",
-    "build_reference",
-    "canvas_dims",
-    "cnr",
     "compose_feathered",
-    "compose_raw",
     "compute_overlaps",
     "correct_roi",
-    "degrade",
-    "derive_seams",
-    "extract_tiles",
-    "feather_roi",
-    "fit_affine",
-    "fit_bright_only",
     "fit_two_point",
-    "linear_offset",
-    "linear_weight_field",
-    "make_target",
     "mean_seam_jump",
-    "overlap_mae",
     "placement_table",
-    "rasterize",
-    "reference_level",
-    "region_std",
-    "round_half_away",
-    "sinusoidal_offset",
-    "sinusoidal_voltage",
-    "target_regions",
-    "tile_offset",
-    "timing_report",
-    "vignette_field",
-    "write_dataset",
 ]

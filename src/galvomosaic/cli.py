@@ -33,9 +33,8 @@ from .compose import (
     overlaps_by_tile,
     rasterize,
 )
-from .config import parse_rect, load_run_config, parse_kv
+from .config import load_run_config, parse_kv, regions_from_kv
 from .correction import (
-    RectROI,
     ReferencePair,
     apply_roi_corrections,
     fit_bright_only,
@@ -238,22 +237,10 @@ def cmd_stitch(args: argparse.Namespace) -> int:
         "mae_per_overlap": [[pair, value] for pair, value in mae_entries],
         "mae_mean": None if math.isnan(mae_mean) else mae_mean,
         "mae_degenerate_pairs": degenerate_pairs,
-        "regions": [
-            {
-                "name": r.name,
-                "kind": r.kind.value,
-                "x0": r.rect.x0,
-                "y0": r.rect.y0,
-                "width": r.rect.width,
-                "height": r.rect.height,
-            }
-            for r in manifest.regions
-        ],
+        "regions": [r.to_dict() for r in manifest.regions],
     }
     with pgm.replacing(out / "sidecar.json") as f:
         f.write((json.dumps(sidecar, indent=2) + "\n").encode("ascii"))
-    if args.png:
-        pgm.write_png(out / "mosaic.png", pgm.read_pgm(out / "mosaic.pgm"))
     print(
         f"wrote {out / 'mosaic.pgm'} ({width}x{height}, "
         f"correction={correction}, feather={'on' if feather else 'off'})"
@@ -262,35 +249,15 @@ def cmd_stitch(args: argparse.Namespace) -> int:
 
 
 def _regions_from_file(path: str) -> list[RegionSpec]:
-    kv = parse_kv(Path(path).read_text(encoding="utf-8"))
-    region_keys = {
-        "region_signal": ("signal", RegionKind.SIGNAL),
-        "region_bright": ("bright", RegionKind.BRIGHT_BACKGROUND),
-        "region_dark": ("dark", RegionKind.DARK_BACKGROUND),
-    }
-    regions = []
-    for key, (name, kind) in region_keys.items():
-        if key in kv:
-            regions.append(RegionSpec(name=name, rect=parse_rect(key, kv[key]), kind=kind))
+    regions = regions_from_kv(parse_kv(Path(path).read_text(encoding="utf-8")))
     if not regions:
         raise ConfigError(f"{path}: no region_signal/region_bright/region_dark keys found")
     return regions
 
 
-def _regions_from_sidecar(entries: list[dict]) -> list[RegionSpec]:
-    return [
-        RegionSpec(
-            name=r["name"],
-            kind=RegionKind(r["kind"]),
-            rect=RectROI(x0=r["x0"], y0=r["y0"], width=r["width"], height=r["height"]),
-        )
-        for r in entries
-    ]
-
-
 def cmd_evaluate(args: argparse.Namespace) -> int:
     # The metrics convert only the region rows and seam lines they index.
-    mosaic = pgm.UnitView(pgm.map_image(args.mosaic))
+    mosaic = pgm.UnitView(pgm.map_pgm(args.mosaic))
     try:
         sidecar = json.loads(Path(args.sidecar).read_text(encoding="ascii"))
         seams = [
@@ -304,13 +271,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         ]
         mae_entries = [(pair, value) for pair, value in sidecar["mae_per_overlap"]]
         mae_mean = sidecar["mae_mean"]
+        if not args.regions:
+            regions = [RegionSpec.from_dict(r) for r in sidecar.get("regions", [])]
     except (KeyError, TypeError, ValueError) as exc:
         raise GalvoMosaicError(f"malformed sidecar {args.sidecar}: {exc}") from exc
 
     if args.regions:
         regions = _regions_from_file(args.regions)
-    else:
-        regions = _regions_from_sidecar(sidecar.get("regions", []))
     by_kind = {r.kind: r for r in regions}
     signal = by_kind.get(RegionKind.SIGNAL)
     bright = by_kind.get(RegionKind.BRIGHT_BACKGROUND)
@@ -381,11 +348,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_st.add_argument(
         "--feather", choices=["on", "off"], help="override the mode's feathering choice"
     )
-    p_st.add_argument("--png", action="store_true", help="also write mosaic.png (needs Pillow)")
     p_st.set_defaults(func=cmd_stitch)
 
     p_ev = sub.add_parser("evaluate", help="compute metrics for a stitched mosaic")
-    p_ev.add_argument("--mosaic", required=True, help="mosaic image (PGM or PNG)")
+    p_ev.add_argument("--mosaic", required=True, help="mosaic image (16-bit PGM)")
     p_ev.add_argument("--sidecar", required=True, help="sidecar JSON written by stitch")
     p_ev.add_argument(
         "--regions", help="key-value file with region_signal/region_bright/region_dark"

@@ -36,11 +36,6 @@ from .errors import CompositionError, DimensionMismatchError
 from .geometry import TilePlacement
 
 
-class ComposeMode(Enum):
-    RAW_OVERWRITE = "raw"
-    FEATHERED = "feathered"
-
-
 class Axis(Enum):
     HORIZONTAL = "horizontal"
     VERTICAL = "vertical"
@@ -74,7 +69,6 @@ class MosaicCanvas:
 
     width: int
     height: int
-    mode: ComposeMode
     tile_width: int
     tile_height: int
     boxes: list[tuple[int, int]] = field(repr=False)
@@ -335,14 +329,13 @@ def _compose(
     placements: Sequence[TilePlacement],
     tile_width: int,
     tile_height: int,
-    mode: ComposeMode,
     weight_map: Callable[[TilePlacement], np.ndarray] | None,
     sink: RowSink | None,
 ) -> MosaicCanvas:
     width, height = canvas_dims(placements, tile_width, tile_height)
     boxes = [rasterize(p) for p in placements]
     finished, depth = _band_schedule([y for _, y in boxes], tile_height, height)
-    canvas = MosaicCanvas(width, height, mode, tile_width, tile_height, boxes)
+    canvas = MosaicCanvas(width, height, tile_width, tile_height, boxes)
     if sink is None:
         gathered = canvas.rows = np.empty((height, width), dtype=np.float64)
 
@@ -370,9 +363,7 @@ def compose_raw(
     Tiles are consumed one at a time.  With ``sink``, finished rows go to
     it in raster order; without, they are gathered for ``finalize()``.
     """
-    return _compose(
-        tiles, placements, tile_width, tile_height, ComposeMode.RAW_OVERWRITE, None, sink
-    )
+    return _compose(tiles, placements, tile_width, tile_height, None, sink)
 
 
 def compose_feathered(
@@ -400,9 +391,7 @@ def compose_feathered(
             raise CompositionError(f"tile {index} has pixels of zero weight")
         return weights
 
-    return _compose(
-        tiles, placements, tile_width, tile_height, ComposeMode.FEATHERED, weight_map, sink
-    )
+    return _compose(tiles, placements, tile_width, tile_height, weight_map, sink)
 
 
 def derive_seams(

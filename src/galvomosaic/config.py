@@ -170,27 +170,13 @@ def scan_config_from_kv(kv: dict[str, str]) -> ScanConfig:
     return cfg
 
 
-def scan_config_to_text(cfg: ScanConfig) -> str:
-    """Serialize a ScanConfig back to the key-value format."""
-    lines = [
-        f"n_rows = {cfg.n_rows}",
-        f"n_cols = {cfg.n_cols}",
-        f"dv_x = {cfg.dv_x!r}",
-        f"dv_y = {cfg.dv_y!r}",
-        f"s_x = {cfg.s_x!r}",
-        f"s_y = {cfg.s_y!r}",
-        f"alpha_x = {cfg.alpha_x!r}",
-        f"alpha_y = {cfg.alpha_y!r}",
-        f"strategy = {cfg.strategy.value}",
-        f"tile_width = {cfg.tile_width}",
-        f"tile_height = {cfg.tile_height}",
-        f"settle_ms = {cfg.settle_ms!r}",
+def regions_from_kv(kv: dict[str, str]) -> list[RegionSpec]:
+    """The metric regions among parsed key-value pairs, in signal, bright, dark order."""
+    return [
+        RegionSpec(name=name, rect=parse_rect(key, kv[key]), kind=kind)
+        for key, (name, kind) in _REGION_KINDS.items()
+        if key in kv
     ]
-    if cfg.v0 is not None:
-        lines.append(f"v0 = {cfg.v0!r}")
-    if cfg.amplitude is not None:
-        lines.append(f"amplitude = {cfg.amplitude!r}")
-    return "\n".join(lines) + "\n"
 
 
 def load_run_config(
@@ -242,11 +228,7 @@ def load_run_config(
             f"key 'target_pattern': expected uniform|bars|usaf, got {pattern_text!r}"
         ) from None
 
-    regions = []
-    for key, (name, kind) in _REGION_KINDS.items():
-        if key in kv:
-            regions.append(RegionSpec(name=name, rect=parse_rect(key, kv[key]), kind=kind))
-
+    regions = regions_from_kv(kv)
     band_px = _convert("band_px", kv.get("band_px", str(BAND_PX_DEFAULT)), int)
     if band_px < 1:
         raise ConfigError(f"key 'band_px': must be >= 1, got {band_px}")

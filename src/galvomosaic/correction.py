@@ -26,7 +26,6 @@ those units.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
@@ -78,11 +77,6 @@ class RectROI:
             )
 
 
-class CorrectionMode(Enum):
-    TWO_POINT = "two-point"
-    BRIGHT_ONLY = "bright-only"
-
-
 @dataclass(frozen=True)
 class ReferencePair:
     """Bright/dark reference frames and their global brightness levels.
@@ -118,7 +112,6 @@ class ResponseModel:
     gain: np.ndarray
     offset: np.ndarray
     epsilon: float
-    mode: CorrectionMode
 
     def __post_init__(self) -> None:
         if self.gain.shape != self.offset.shape:
@@ -158,7 +151,7 @@ def fit_two_point(
     dark = np.asarray(refs.dark_frame, dtype=np.float64)[rows, cols]
     gain = (bright - dark) / (refs.l_bright - refs.l_dark + eps)
     offset = dark - gain * refs.l_dark
-    return ResponseModel(gain=gain, offset=offset, epsilon=eps, mode=CorrectionMode.TWO_POINT)
+    return ResponseModel(gain=gain, offset=offset, epsilon=eps)
 
 
 def fit_bright_only(
@@ -170,9 +163,7 @@ def fit_bright_only(
     roi.check_within(np.asarray(bright).shape)
     rows, cols = roi.slices()
     gain = np.asarray(bright, dtype=np.float64)[rows, cols] / (l_bright + eps)
-    return ResponseModel(
-        gain=gain, offset=np.zeros_like(gain), epsilon=eps, mode=CorrectionMode.BRIGHT_ONLY
-    )
+    return ResponseModel(gain=gain, offset=np.zeros_like(gain), epsilon=eps)
 
 
 def correct_roi(tile: np.ndarray, model: ResponseModel, roi: RectROI) -> np.ndarray:
@@ -234,37 +225,6 @@ def feather_roi(
         blended = np.where(full, corrected, blended)
     out[rows, cols] = np.clip(blended, 0.0, 1.0)
     return out
-
-
-def build_reference(frames: Sequence[np.ndarray]) -> np.ndarray:
-    """Pixelwise mean of structure-free frames acquired at one level."""
-    if len(frames) == 0:
-        raise InvalidReferenceError("need at least one reference frame")
-    shape = np.asarray(frames[0]).shape
-    for k, frame in enumerate(frames):
-        if np.asarray(frame).shape != shape:
-            raise DimensionMismatchError(
-                f"frame {k} has shape {np.asarray(frame).shape}, expected {shape}"
-            )
-    return np.mean(np.stack([np.asarray(f, dtype=np.float64) for f in frames]), axis=0)
-
-
-def reference_level(frame: np.ndarray, rois: Sequence[RectROI]) -> float:
-    """Global brightness level of a reference frame.
-
-    Measured as the mean over the frame outside every correction ROI:
-    the ROIs are the anomalous regions being corrected, so the target
-    level has to come from the well-behaved remainder of the field.
-    """
-    frame = np.asarray(frame, dtype=np.float64)
-    keep = np.ones(frame.shape, dtype=bool)
-    for roi in rois:
-        roi.check_within(frame.shape)
-        rows, cols = roi.slices()
-        keep[rows, cols] = False
-    if not keep.any():
-        raise InvalidReferenceError("ROIs cover the entire frame; no level region left")
-    return float(frame[keep].mean())
 
 
 def apply_roi_corrections(

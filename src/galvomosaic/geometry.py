@@ -37,6 +37,15 @@ def require_finite(spec) -> None:
             raise ConfigError(f"{f.name} must be finite, got {value}")
 
 
+def fields_dict(spec) -> dict:
+    """The dataclass fields of ``spec`` by name, in order, with enums as their values."""
+    out = {}
+    for f in dataclasses.fields(spec):
+        value = getattr(spec, f.name)
+        out[f.name] = value.value if isinstance(value, Enum) else value
+    return out
+
+
 class ScanStrategy(Enum):
     LINEAR = "linear"
     SINUSOIDAL = "sinusoidal"

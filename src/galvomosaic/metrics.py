@@ -33,6 +33,7 @@ from .errors import (
     NoOverlapError,
     UndefinedCnrError,
 )
+from .geometry import fields_dict
 
 
 @dataclass(frozen=True)
@@ -56,6 +57,16 @@ class RegionSpec:
     name: str
     rect: RectROI
     kind: RegionKind
+
+    def to_dict(self) -> dict:
+        """The region as stored in ``manifest.json`` and ``sidecar.json``."""
+        return {"name": self.name, "kind": self.kind.value, **fields_dict(self.rect)}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "RegionSpec":
+        """Inverse of :meth:`to_dict`."""
+        rect = RectROI(x0=d["x0"], y0=d["y0"], width=d["width"], height=d["height"])
+        return cls(name=d["name"], rect=rect, kind=RegionKind(d["kind"]))
 
 
 @dataclass

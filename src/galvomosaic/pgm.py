@@ -1,8 +1,7 @@
-"""16-bit grayscale image I/O: PGM (P5, maxval 65535) and optional PNG.
+"""16-bit grayscale image I/O: binary PGM (P5, maxval 65535).
 
 Pipeline images are stored as unsigned 16-bit and processed internally
 as float64 in [0, 1]; ``to_unit`` / ``to_u16`` convert between the two.
-PNG support requires Pillow and is selected by the ``.png`` extension.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ class ImageFormatError(GalvoMosaicError):
 
 def to_unit(img: np.ndarray) -> np.ndarray:
     """uint16 counts -> float64 intensities in [0, 1]."""
-    return np.asarray(img, dtype=np.float64) / MAXVAL
+    return np.divide(img, MAXVAL, dtype=np.float64)
 
 
 def to_u16(img: np.ndarray) -> np.ndarray:
@@ -162,41 +161,3 @@ class UnitView:
 
     def __getitem__(self, key) -> np.ndarray:
         return to_unit(self.counts[key])
-
-
-def write_png(path: str | os.PathLike, img: np.ndarray) -> None:
-    """Write a 2D uint16 array as 16-bit grayscale PNG (requires Pillow)."""
-    try:
-        from PIL import Image
-    except ImportError as exc:  # pragma: no cover - depends on environment
-        raise ImageFormatError("PNG output requires Pillow (pip install Pillow)") from exc
-    arr = np.ascontiguousarray(np.asarray(img, dtype=np.uint16))
-    Image.fromarray(arr).save(path)  # uint16 arrays map to 16-bit grayscale
-
-
-def read_png(path: str | os.PathLike) -> np.ndarray:
-    """Read a 16-bit grayscale PNG into a uint16 array (requires Pillow)."""
-    try:
-        from PIL import Image
-    except ImportError as exc:  # pragma: no cover - depends on environment
-        raise ImageFormatError("PNG input requires Pillow (pip install Pillow)") from exc
-    with Image.open(path) as im:
-        arr = np.array(im)
-    if arr.ndim != 2:
-        raise ImageFormatError(f"{path}: expected grayscale PNG, got shape {arr.shape}")
-    return arr.astype(np.uint16)
-
-
-def write_image(path: str | os.PathLike, img: np.ndarray) -> None:
-    """Dispatch on extension: .png to PNG, anything else to PGM."""
-    if str(path).lower().endswith(".png"):
-        write_png(path, img)
-    else:
-        write_pgm(path, img)
-
-
-def map_image(path: str | os.PathLike) -> np.ndarray:
-    """u16 counts by extension: .png decoded from PNG, anything else a mapped PGM."""
-    if str(path).lower().endswith(".png"):
-        return read_png(path)
-    return map_pgm(path)

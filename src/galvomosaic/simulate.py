@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Sequence
@@ -38,7 +38,14 @@ from . import pgm
 from .compose import canvas_dims, rasterize
 from .correction import RectROI
 from .errors import ConfigError, CoverageError, GalvoMosaicError
-from .geometry import ScanConfig, ScanStrategy, TilePlacement, placement_table, require_finite
+from .geometry import (
+    ScanConfig,
+    ScanStrategy,
+    TilePlacement,
+    fields_dict,
+    placement_table,
+    require_finite,
+)
 from .metrics import RegionKind, RegionSpec
 
 DARK_SHADE = 0.02
@@ -77,7 +84,6 @@ class Tile:
     row: int
     col: int
     data: np.ndarray
-    meta: dict = field(default_factory=dict)
 
 
 def _usaf_layout(width: int, height: int) -> dict[str, RectROI]:
@@ -356,7 +362,7 @@ def degrade(
             )
         jitter, noise = _tile_draws(spec, tile.row, tile.col, (th, tw))
         data = _degrade_tile(np.array(tile.data, dtype=np.float64), vignette, offset, jitter, noise)
-        out.append(Tile(row=tile.row, col=tile.col, data=data, meta=dict(tile.meta)))
+        out.append(Tile(row=tile.row, col=tile.col, data=data))
     bright_ref = _reference(spec, 0, bright_level, vignette, offset)
     dark_ref = _reference(spec, 1, dark_level, vignette, offset)
     return out, bright_ref, dark_ref
@@ -397,7 +403,33 @@ class DatasetManifest:
     band_px: int = 50
 
     def validate(self) -> None:
-        """Every grid coordinate must appear exactly once."""
+        """Every grid coordinate appears exactly once; every path is a plain file name."""
+        if not isinstance(self.tiles, list):
+            raise GalvoMosaicError(
+                f"manifest key 'tiles': expected a list, got {type(self.tiles).__name__}"
+            )
+        for k, t in enumerate(self.tiles):
+            if not (
+                isinstance(t, dict) and isinstance(t.get("row"), int) and isinstance(t.get("col"), int)
+            ):
+                raise GalvoMosaicError(
+                    f"manifest key 'tiles[{k}]': expected an object with integer "
+                    f"row and col, got {t!r}"
+                )
+            if not _plain_file_name(t.get("path")):
+                raise GalvoMosaicError(
+                    f"manifest key 'tiles[{k}].path' of tile ({t['row']}, {t['col']}): "
+                    f"expected a plain file name, got {t.get('path')!r}"
+                )
+        for key, value in (
+            ("truth", self.truth_path),
+            ("reference.bright", self.ref_bright_path),
+            ("reference.dark", self.ref_dark_path),
+        ):
+            if not _plain_file_name(value):
+                raise GalvoMosaicError(
+                    f"manifest key {key!r}: expected a plain file name, got {value!r}"
+                )
         seen = {(t["row"], t["col"]) for t in self.tiles}
         expected = {
             (i, j) for i in range(self.scan.n_rows) for j in range(self.scan.n_cols)
@@ -410,49 +442,14 @@ class DatasetManifest:
             )
 
     def to_json(self) -> str:
-        scan = {
-            "n_rows": self.scan.n_rows,
-            "n_cols": self.scan.n_cols,
-            "dv_x": self.scan.dv_x,
-            "dv_y": self.scan.dv_y,
-            "s_x": self.scan.s_x,
-            "s_y": self.scan.s_y,
-            "alpha_x": self.scan.alpha_x,
-            "alpha_y": self.scan.alpha_y,
-            "strategy": self.scan.strategy.value,
-            "v0": self.scan.v0,
-            "amplitude": self.scan.amplitude,
-            "tile_width": self.scan.tile_width,
-            "tile_height": self.scan.tile_height,
-            "settle_ms": self.scan.settle_ms,
-        }
         payload = {
-            "scan": scan,
+            "scan": fields_dict(self.scan),
             "tiles": self.tiles,
             "truth": self.truth_path,
-            "degradation": {
-                "vignette_min": self.degradation.vignette_min,
-                "corner_offset": self.degradation.corner_offset,
-                "gain_jitter": self.degradation.gain_jitter,
-                "noise_sigma": self.degradation.noise_sigma,
-                "rng_seed": self.degradation.rng_seed,
-            },
+            "degradation": fields_dict(self.degradation),
             "subpixel": self.subpixel,
-            "rois": [
-                {"x0": r.x0, "y0": r.y0, "width": r.width, "height": r.height}
-                for r in self.rois
-            ],
-            "regions": [
-                {
-                    "name": r.name,
-                    "kind": r.kind.value,
-                    "x0": r.rect.x0,
-                    "y0": r.rect.y0,
-                    "width": r.rect.width,
-                    "height": r.rect.height,
-                }
-                for r in self.regions
-            ],
+            "rois": [fields_dict(r) for r in self.rois],
+            "regions": [r.to_dict() for r in self.regions],
             "reference": {
                 "bright": self.ref_bright_path,
                 "dark": self.ref_dark_path,
@@ -475,39 +472,15 @@ class DatasetManifest:
     def from_json(cls, text: str) -> "DatasetManifest":
         try:
             payload = json.loads(text)
-            scan = ScanConfig(
-                n_rows=payload["scan"]["n_rows"],
-                n_cols=payload["scan"]["n_cols"],
-                dv_x=payload["scan"]["dv_x"],
-                dv_y=payload["scan"]["dv_y"],
-                s_x=payload["scan"]["s_x"],
-                s_y=payload["scan"]["s_y"],
-                alpha_x=payload["scan"]["alpha_x"],
-                alpha_y=payload["scan"]["alpha_y"],
-                strategy=ScanStrategy(payload["scan"]["strategy"]),
-                v0=payload["scan"]["v0"],
-                amplitude=payload["scan"]["amplitude"],
-                tile_width=payload["scan"]["tile_width"],
-                tile_height=payload["scan"]["tile_height"],
-                settle_ms=payload["scan"]["settle_ms"],
-            )
+            scan = payload["scan"]
             manifest = cls(
-                scan=scan,
+                scan=ScanConfig(**{**scan, "strategy": ScanStrategy(scan["strategy"])}),
                 tiles=payload["tiles"],
                 truth_path=payload["truth"],
                 degradation=DegradationSpec(**payload["degradation"]),
                 subpixel=payload.get("subpixel", False),
                 rois=[RectROI(**r) for r in payload["rois"]],
-                regions=[
-                    RegionSpec(
-                        name=r["name"],
-                        kind=RegionKind(r["kind"]),
-                        rect=RectROI(
-                            x0=r["x0"], y0=r["y0"], width=r["width"], height=r["height"]
-                        ),
-                    )
-                    for r in payload["regions"]
-                ],
+                regions=[RegionSpec.from_dict(r) for r in payload["regions"]],
                 ref_bright_path=payload["reference"]["bright"],
                 ref_dark_path=payload["reference"]["dark"],
                 bright_level=payload["reference"]["bright_level"],
@@ -517,10 +490,19 @@ class DatasetManifest:
                 epsilon=payload.get("correction", {}).get("epsilon", 1e-6),
                 band_px=payload.get("correction", {}).get("band_px", 50),
             )
+            manifest.validate()
         except (KeyError, TypeError, ValueError) as exc:
             raise GalvoMosaicError(f"malformed manifest: {exc}") from exc
-        manifest.validate()
         return manifest
+
+
+def _plain_file_name(value) -> bool:
+    """Whether a manifest path names a file in the dataset directory itself."""
+    return (
+        isinstance(value, str)
+        and os.path.basename(value) == value
+        and value not in ("", ".", "..")
+    )
 
 
 def snap_level(level: float) -> float:

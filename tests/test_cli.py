@@ -191,13 +191,49 @@ class TestStitch:
         err_gain = np.abs(mosaics["gain"][window] - crop[window]).mean()
         assert err_gain < err_off
 
-    def test_png_output_matches_pgm(self, tmp_path, dataset):
-        pytest.importorskip("PIL")
-        out = tmp_path / "png"
-        assert run("stitch", "--dataset", dataset, "--out", out, "--png") == 0
-        assert np.array_equal(
-            pgm.read_png(out / "mosaic.png"), pgm.read_pgm(out / "mosaic.pgm")
-        )
+    @staticmethod
+    def _stitch_fails_cleanly(tmp_path, dataset, manifest, capsys):
+        (dataset / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert run("stitch", "--dataset", dataset, "--out", out) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return err
+
+    @pytest.mark.parametrize("where", ["dotdot", "absolute", "subdir"])
+    @pytest.mark.parametrize("key", ["tile", "reference.bright", "reference.dark", "truth"])
+    def test_manifest_path_must_stay_in_dataset(self, tmp_path, dataset, capsys, key, where):
+        # The file the path names exists, so only the path itself is at fault.
+        target = {
+            "dotdot": tmp_path / "q" / "x.pgm",
+            "absolute": tmp_path / "abs.pgm",
+            "subdir": dataset / "sub" / "x.pgm",
+        }[where]
+        target.parent.mkdir(exist_ok=True)
+        target.write_bytes((dataset / "tile_r00_c03.pgm").read_bytes())
+        path = {"dotdot": "../q/x.pgm", "absolute": str(target), "subdir": "sub/x.pgm"}[where]
+        manifest = json.loads((dataset / "manifest.json").read_text())
+        if key == "tile":
+            assert manifest["tiles"][3]["path"] == "tile_r00_c03.pgm"
+            manifest["tiles"][3]["path"] = path
+            named = "'tiles[3].path' of tile (0, 3)"
+        elif key == "truth":
+            manifest["truth"] = path
+            named = "'truth'"
+        else:
+            manifest["reference"][key.split(".")[1]] = path
+            named = repr(key)
+        err = self._stitch_fails_cleanly(tmp_path, dataset, manifest, capsys)
+        assert named in err and "plain file name" in err and repr(path) in err
+
+    @pytest.mark.parametrize("tiles", [5, None, [7]], ids=["int", "null", "list_of_int"])
+    def test_malformed_tile_list_names_key(self, tmp_path, dataset, capsys, tiles):
+        manifest = json.loads((dataset / "manifest.json").read_text())
+        manifest["tiles"] = tiles
+        err = self._stitch_fails_cleanly(tmp_path, dataset, manifest, capsys)
+        assert "manifest key 'tiles" in err
 
 
 class TestEvaluate:
@@ -258,6 +294,20 @@ class TestEvaluate:
         report = json.loads((rep / "report.json").read_text())
         assert report["cnr"] is None
         assert report["bright_std"] == 0.0
+
+    def test_malformed_sidecar_region_is_named(self, tmp_path, stitched, capsys):
+        sidecar = json.loads((stitched / "sidecar.json").read_text())
+        del sidecar["regions"][0]["x0"]
+        bad = tmp_path / "bad_sidecar.json"
+        bad.write_text(json.dumps(sidecar))
+        code = run(
+            "evaluate", "--mosaic", stitched / "mosaic.pgm",
+            "--sidecar", bad, "--out", tmp_path / "r",
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "malformed sidecar" in err and "x0" in err
+        assert not (tmp_path / "r").exists()
 
     def test_region_out_of_bounds_fails(self, tmp_path, stitched, capsys):
         regions = tmp_path / "regions.cfg"

@@ -7,7 +7,6 @@ from galvomosaic.config import (
     load_run_config,
     parse_kv,
     scan_config_from_kv,
-    scan_config_to_text,
 )
 from galvomosaic.errors import ConfigError
 from galvomosaic.geometry import ScanStrategy
@@ -39,12 +38,6 @@ def test_parse_kv_comments_blanks_and_overrides():
 def test_parse_kv_rejects_garbage_line():
     with pytest.raises(ConfigError, match="line 2"):
         parse_kv("a = 1\nnot a pair\n")
-
-
-def test_scan_config_roundtrip_through_text():
-    cfg = scan_config_from_kv(parse_kv(MINIMAL))
-    again = scan_config_from_kv(parse_kv(scan_config_to_text(cfg)))
-    assert again == cfg
 
 
 def test_missing_required_key_is_named():

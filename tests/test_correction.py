@@ -6,19 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from galvomosaic.correction import (
-    CorrectionMode,
     RectROI,
     ReferencePair,
     ResponseModel,
     WeightField,
     apply_roi_corrections,
-    build_reference,
     correct_roi,
     feather_roi,
     fit_bright_only,
     fit_two_point,
     linear_weight_field,
-    reference_level,
 )
 from galvomosaic.errors import (
     DimensionMismatchError,
@@ -45,7 +42,6 @@ class TestFitTwoPoint:
         model = fit_two_point(refs, ROI, eps=0.0)
         assert np.allclose(model.gain, 1.0)
         assert np.allclose(model.offset, 50.0)
-        assert model.mode is CorrectionMode.TWO_POINT
 
     def test_equal_references_give_zero_gain(self):
         refs = ReferencePair(
@@ -105,7 +101,6 @@ class TestFitTwoPoint:
 class TestFitBrightOnly:
     def test_uniform_frame_gain_near_one(self):
         model = fit_bright_only(constant_frame(0.75), 0.75, ROI, eps=1e-6)
-        assert model.mode is CorrectionMode.BRIGHT_ONLY
         assert np.allclose(model.gain, 1.0, atol=2e-6)
         assert np.all(model.offset == 0.0)
 
@@ -134,7 +129,6 @@ class TestCorrectRoi:
             gain=np.ones((ROI.height, ROI.width)),
             offset=np.zeros((ROI.height, ROI.width)),
             epsilon=0.0,
-            mode=CorrectionMode.TWO_POINT,
         )
         rows, cols = ROI.slices()
         assert np.array_equal(correct_roi(tile, model, ROI), tile[rows, cols])
@@ -145,7 +139,6 @@ class TestCorrectRoi:
             gain=np.ones((ROI.height, ROI.width)),
             offset=np.full((ROI.height, ROI.width), 50.0),
             epsilon=0.0,
-            mode=CorrectionMode.TWO_POINT,
         )
         assert np.allclose(correct_roi(tile, model, ROI), 100.0)
 
@@ -246,49 +239,10 @@ class TestFeatherRoi:
             gain=np.ones((ROI.height, ROI.width)),
             offset=np.zeros((ROI.height, ROI.width)),
             epsilon=0.0,
-            mode=CorrectionMode.TWO_POINT,
         )
         corrected = correct_roi(self.tile, model, ROI)
         out = feather_roi(self.tile, corrected, linear_weight_field(ROI, 13), ROI)
         assert np.array_equal(out, self.tile)
-
-
-class TestBuildReference:
-    def test_single_frame_passthrough(self):
-        frame = np.arange(12.0).reshape(3, 4)
-        assert np.array_equal(build_reference([frame]), frame)
-
-    def test_mean_of_two_constants(self):
-        out = build_reference([constant_frame(10.0), constant_frame(30.0)])
-        assert np.all(out == 20.0)
-
-    def test_noise_shrinks_like_sqrt_n(self):
-        rng = np.random.default_rng(17)
-        sigma = 0.05
-        frames = [0.5 + rng.normal(0, sigma, size=(40, 40)) for _ in range(16)]
-        averaged = build_reference(frames)
-        # std of the mean ~ sigma / 4; allow generous statistical slack
-        assert averaged.std() < sigma / 4 * 1.3
-        assert averaged.std() > sigma / 4 * 0.7
-
-    def test_rejects_empty_and_mismatched(self):
-        with pytest.raises(InvalidReferenceError):
-            build_reference([])
-        with pytest.raises(DimensionMismatchError):
-            build_reference([constant_frame(1.0), constant_frame(1.0, shape=(3, 3))])
-
-
-class TestReferenceLevel:
-    def test_mean_excludes_roi(self):
-        frame = constant_frame(0.5)
-        rows, cols = ROI.slices()
-        frame[rows, cols] = 99.0  # anomalous region must not influence the level
-        assert reference_level(frame, [ROI]) == pytest.approx(0.5)
-
-    def test_rejects_total_coverage(self):
-        full = RectROI(x0=0, y0=0, width=TILE[1], height=TILE[0])
-        with pytest.raises(InvalidReferenceError):
-            reference_level(constant_frame(1.0), [full])
 
 
 @given(
@@ -308,7 +262,6 @@ def test_forward_model_round_trip(gain, offset, level):
         gain=np.full((12, 16), gain),
         offset=np.full((12, 16), offset),
         epsilon=eps,
-        mode=CorrectionMode.TWO_POINT,
     )
     recovered = correct_roi(degraded, model, roi)
     tol = abs(eps * level / gain) + 1e-12
@@ -325,7 +278,6 @@ def test_apply_roi_corrections_handles_multiple_rois():
             gain=np.full((roi.height, roi.width), 2.0),
             offset=np.zeros((roi.height, roi.width)),
             epsilon=0.0,
-            mode=CorrectionMode.TWO_POINT,
         )
         fits.append((model, roi, linear_weight_field(roi, band_px=5)))
     out = apply_roi_corrections(tile, fits)

@@ -70,24 +70,6 @@ def test_write_pgm_requires_uint16():
         pgm.write_pgm("/tmp/never-written.pgm", np.zeros((2, 2), dtype=np.float64))
 
 
-def test_png_roundtrip(tmp_path):
-    pytest.importorskip("PIL")
-    rng = np.random.default_rng(13)
-    img = rng.integers(0, 65536, size=(21, 34), dtype=np.uint16)
-    path = tmp_path / "img.png"
-    pgm.write_png(path, img)
-    assert np.array_equal(pgm.read_png(path), img)
-
-
-def test_write_map_image_dispatch_on_extension(tmp_path):
-    pytest.importorskip("PIL")
-    img = np.full((4, 4), 1234, dtype=np.uint16)
-    for name in ("a.pgm", "a.png"):
-        path = tmp_path / name
-        pgm.write_image(path, img)
-        assert np.array_equal(pgm.map_image(path), img)
-
-
 def test_map_pgm_is_a_read_only_view_of_the_raster(tmp_path):
     rng = np.random.default_rng(17)
     img = rng.integers(0, 65536, size=(23, 41), dtype=np.uint16)
