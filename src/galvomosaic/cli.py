@@ -22,7 +22,6 @@ import numpy as np
 
 from . import pgm
 from .compose import (
-    Axis,
     OverlapRegion,
     SeamLine,
     canvas_dims,
@@ -33,7 +32,7 @@ from .compose import (
     overlaps_by_tile,
     rasterize,
 )
-from .config import load_run_config, parse_kv, regions_from_kv
+from .config import load_run_config, regions_from_file
 from .correction import (
     ReferencePair,
     apply_roi_corrections,
@@ -42,7 +41,7 @@ from .correction import (
     linear_weight_field,
 )
 from .errors import ConfigError, GalvoMosaicError, UndefinedCnrError
-from .geometry import TilePlacement, placement_table
+from .geometry import TilePlacement, fields_dict, placement_table
 from .metrics import (
     MetricsReport,
     RegionKind,
@@ -57,24 +56,7 @@ from .simulate import DatasetManifest, load_manifest, write_dataset
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     rc = load_run_config(args.config, strategy_override=args.strategy, seed_override=args.seed)
-    manifest = write_dataset(
-        args.out,
-        rc.scan,
-        rc.degradation,
-        rc.rois,
-        pattern=rc.target_pattern,
-        target_value=rc.target_value,
-        target_pitch=rc.target_pitch,
-        target_width=rc.target_width,
-        target_height=rc.target_height,
-        bright_level=rc.bright_level,
-        dark_level=rc.dark_level,
-        per_frame_ms=rc.per_frame_ms,
-        regions=rc.regions,
-        subpixel=rc.subpixel,
-        epsilon=rc.epsilon,
-        band_px=rc.band_px,
-    )
+    manifest = write_dataset(args.out, rc)
     print(
         f"wrote {len(manifest.tiles)} tiles + 2 references + manifest to {args.out} "
         f"(total acquisition {manifest.total_s:.3g} s)"
@@ -98,21 +80,22 @@ def _resolve_mode(args: argparse.Namespace) -> tuple[str, bool]:
 def _build_fits(manifest: DatasetManifest, dataset: Path, correction: str):
     if correction == "off":
         return []
+    run = manifest.run
     bright = pgm.to_unit(pgm.read_pgm(dataset / manifest.ref_bright_path))
     if correction == "two-point":
         refs = ReferencePair(
             bright_frame=bright,
-            l_bright=manifest.bright_level,
+            l_bright=run.bright_level,
             dark_frame=pgm.to_unit(pgm.read_pgm(dataset / manifest.ref_dark_path)),
-            l_dark=manifest.dark_level,
+            l_dark=run.dark_level,
         )
     fits = []
-    for roi in manifest.rois:
+    for roi in run.rois:
         if correction == "two-point":
-            model = fit_two_point(refs, roi, eps=manifest.epsilon)
+            model = fit_two_point(refs, roi, eps=run.epsilon)
         else:
-            model = fit_bright_only(bright, manifest.bright_level, roi, eps=manifest.epsilon)
-        fits.append((model, roi, linear_weight_field(roi, manifest.band_px)))
+            model = fit_bright_only(bright, run.bright_level, roi, eps=run.epsilon)
+        fits.append((model, roi, linear_weight_field(roi, run.band_px)))
     return fits
 
 
@@ -132,7 +115,7 @@ def _corrected_tiles(
     the manifest's raises :class:`~galvomosaic.pgm.ImageFormatError`.
     """
     paths = {(t["row"], t["col"]): dataset / t["path"] for t in manifest.tiles}
-    expected = (manifest.scan.tile_height, manifest.scan.tile_width)
+    expected = (manifest.run.scan.tile_height, manifest.run.scan.tile_width)
     by_tile = overlaps_by_tile(overlaps)
     pending: dict[int, np.ndarray] = {}
     for p in placements:
@@ -170,7 +153,7 @@ def cmd_stitch(args: argparse.Namespace) -> int:
         )
     correction, feather = _resolve_mode(args)
 
-    scan = manifest.scan
+    scan = manifest.run.scan
     placements = placement_table(scan)
     overlaps = compute_overlaps(placements, scan.tile_width, scan.tile_height)
     seams = derive_seams(placements, overlaps)
@@ -215,29 +198,14 @@ def cmd_stitch(args: argparse.Namespace) -> int:
             "correction": correction,
         },
         "placements": [
-            {
-                "row": p.row,
-                "col": p.col,
-                "dx": p.dx,
-                "dy": p.dy,
-                "x": rasterize(p)[0],
-                "y": rasterize(p)[1],
-            }
-            for p in placements
+            {**fields_dict(p), "x": x, "y": y}
+            for p, (x, y) in zip(placements, map(rasterize, placements))
         ],
-        "seams": [
-            {
-                "orientation": s.orientation.value,
-                "position": s.position,
-                "start": s.start,
-                "stop": s.stop,
-            }
-            for s in seams
-        ],
+        "seams": [fields_dict(s) for s in seams],
         "mae_per_overlap": [[pair, value] for pair, value in mae_entries],
         "mae_mean": None if math.isnan(mae_mean) else mae_mean,
         "mae_degenerate_pairs": degenerate_pairs,
-        "regions": [r.to_dict() for r in manifest.regions],
+        "regions": [r.to_dict() for r in manifest.run.regions],
     }
     with pgm.replacing(out / "sidecar.json") as f:
         f.write((json.dumps(sidecar, indent=2) + "\n").encode("ascii"))
@@ -248,27 +216,12 @@ def cmd_stitch(args: argparse.Namespace) -> int:
     return 0
 
 
-def _regions_from_file(path: str) -> list[RegionSpec]:
-    regions = regions_from_kv(parse_kv(Path(path).read_text(encoding="utf-8")))
-    if not regions:
-        raise ConfigError(f"{path}: no region_signal/region_bright/region_dark keys found")
-    return regions
-
-
 def cmd_evaluate(args: argparse.Namespace) -> int:
     # The metrics convert only the region rows and seam lines they index.
     mosaic = pgm.UnitView(pgm.map_pgm(args.mosaic))
     try:
         sidecar = json.loads(Path(args.sidecar).read_text(encoding="ascii"))
-        seams = [
-            SeamLine(
-                orientation=Axis(s["orientation"]),
-                position=s["position"],
-                start=s["start"],
-                stop=s["stop"],
-            )
-            for s in sidecar["seams"]
-        ]
+        seams = [SeamLine.from_dict(s) for s in sidecar["seams"]]
         mae_entries = [(pair, value) for pair, value in sidecar["mae_per_overlap"]]
         mae_mean = sidecar["mae_mean"]
         if not args.regions:
@@ -277,7 +230,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise GalvoMosaicError(f"malformed sidecar {args.sidecar}: {exc}") from exc
 
     if args.regions:
-        regions = _regions_from_file(args.regions)
+        regions = regions_from_file(args.regions)
     by_kind = {r.kind: r for r in regions}
     signal = by_kind.get(RegionKind.SIGNAL)
     bright = by_kind.get(RegionKind.BRIGHT_BACKGROUND)

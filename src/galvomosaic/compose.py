@@ -111,6 +111,11 @@ class SeamLine:
     start: int
     stop: int
 
+    @classmethod
+    def from_dict(cls, d: dict) -> "SeamLine":
+        """Inverse of ``fields_dict(seam)``, the form ``sidecar.json`` stores."""
+        return cls(**{**d, "orientation": Axis(d["orientation"])})
+
 
 def canvas_dims(
     placements: Sequence[TilePlacement], tile_width: int, tile_height: int

@@ -22,27 +22,67 @@ composition stage's job.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
+import numbers
+import types
+import typing
 from dataclasses import dataclass
-from enum import Enum
+from enum import Enum, EnumMeta
 
 from .errors import ConfigError, DegenerateGridError, IndexRangeError
 
 
-def require_finite(spec) -> None:
-    """Raise :class:`ConfigError` naming the first NaN or infinite float field of ``spec``."""
-    for f in dataclasses.fields(spec):
-        value = getattr(spec, f.name)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"{f.name} must be finite, got {value}")
+@functools.lru_cache(maxsize=None)
+def scalar_fields(cls) -> tuple[tuple[str, type, bool], ...]:
+    """``(name, T, takes None)`` for each field of dataclass ``cls`` annotated
+    ``T`` or ``T | None``, where ``T`` is ``int``, ``float``, ``bool`` or an enum.
+    """
+    out = []
+    for name, hint in typing.get_type_hints(cls).items():
+        optional = type(None) in typing.get_args(hint)
+        if typing.get_origin(hint) is types.UnionType:
+            hint = next(a for a in typing.get_args(hint) if a is not type(None))
+        if hint in (int, float, bool) or isinstance(hint, EnumMeta):
+            out.append((name, hint, optional))
+    return tuple(out)
+
+
+# What each scalar annotation admits; an enum admits only its members.
+_ADMITS = {int: numbers.Integral, float: numbers.Real, bool: bool}
+
+
+def check_fields(spec, prefix: str = "") -> None:
+    """Raise :class:`ConfigError` naming the first scalar field of ``spec``
+    whose value does not fit its annotation; ``prefix`` goes before the
+    field name in the message.
+
+    An ``int`` takes any integer but no bool, a ``float`` takes any real
+    number but no bool and must be finite, a ``bool`` takes only a bool,
+    an enum only its members, and ``T | None`` also takes ``None``.
+    """
+    for name, kind, optional in scalar_fields(type(spec)):
+        value = getattr(spec, name)
+        if value is None and optional:
+            continue
+        # bool is an Integral, so it is told apart first.
+        if isinstance(value, bool) != (kind is bool) or not isinstance(value, _ADMITS.get(kind, kind)):
+            raise ConfigError(f"key {prefix + name!r}: expected {kind.__name__}, got {value!r}")
+        if kind is float and not math.isfinite(value):
+            raise ConfigError(f"{prefix + name} must be finite, got {value}")
+
+
+@functools.lru_cache(maxsize=None)
+def _field_names(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in dataclasses.fields(cls))
 
 
 def fields_dict(spec) -> dict:
     """The dataclass fields of ``spec`` by name, in order, with enums as their values."""
     out = {}
-    for f in dataclasses.fields(spec):
-        value = getattr(spec, f.name)
-        out[f.name] = value.value if isinstance(value, Enum) else value
+    for name in _field_names(type(spec)):
+        value = getattr(spec, name)
+        out[name] = value.value if isinstance(value, Enum) else value
     return out
 
 
@@ -78,7 +118,7 @@ class ScanConfig:
 
     def validate(self) -> None:
         """Raise :class:`ConfigError` naming the first invalid field."""
-        require_finite(self)
+        check_fields(self)
         if self.n_rows < 1:
             raise ConfigError(f"n_rows must be >= 1, got {self.n_rows}")
         if self.n_cols < 1:

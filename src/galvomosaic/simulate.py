@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 from typing import Sequence
@@ -36,15 +36,15 @@ import numpy as np
 
 from . import pgm
 from .compose import canvas_dims, rasterize
-from .correction import RectROI
-from .errors import ConfigError, CoverageError, GalvoMosaicError
+from .correction import BAND_PX_DEFAULT, EPSILON_DEFAULT, RectROI
+from .errors import ConfigError, CoverageError, DimensionMismatchError, GalvoMosaicError
 from .geometry import (
     ScanConfig,
     ScanStrategy,
     TilePlacement,
+    check_fields,
     fields_dict,
     placement_table,
-    require_finite,
 )
 from .metrics import RegionKind, RegionSpec
 
@@ -68,13 +68,70 @@ class DegradationSpec:
     rng_seed: int = 0
 
     def validate(self) -> None:
-        require_finite(self)
+        check_fields(self)
         if not 0.0 < self.vignette_min <= 1.0:
             raise ConfigError(f"vignette_min must be in (0, 1], got {self.vignette_min}")
         if self.gain_jitter < 0.0:
             raise ConfigError(f"gain_jitter must be >= 0, got {self.gain_jitter}")
         if self.noise_sigma < 0.0:
             raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+
+
+@dataclass
+class RunConfig:
+    """Every setting of one run: the scan, the corrections and the simulation.
+
+    A config file sets these fields by name (``seed`` sets
+    ``degradation.rng_seed``) and ``manifest.json`` records them, so the
+    defaults here are the only ones.  :meth:`validate` is the one check of
+    both a loaded config and a loaded manifest.
+    """
+
+    scan: ScanConfig
+    rois: list[RectROI]
+    degradation: DegradationSpec = field(default_factory=DegradationSpec)
+    epsilon: float = EPSILON_DEFAULT
+    band_px: int = BAND_PX_DEFAULT
+    bright_level: float = 0.9
+    dark_level: float = 0.0
+    subpixel: bool = False
+    per_frame_ms: float = 60.5
+    target_pattern: TargetPattern = TargetPattern.USAF_LIKE
+    target_value: float = 0.9
+    target_pitch: int = 32
+    target_width: int | None = None
+    target_height: int | None = None
+    regions: list[RegionSpec] | None = None
+
+    def validate(self) -> None:
+        """Raise :class:`ConfigError` naming the first setting of a wrong type or value."""
+        self.scan.validate()
+        self.degradation.validate()
+        check_fields(self)
+        for k, roi in enumerate(self.rois):
+            check_fields(roi, f"rois[{k}].")
+            try:
+                roi.check_within((self.scan.tile_height, self.scan.tile_width))
+            except DimensionMismatchError as exc:
+                raise ConfigError(f"key 'rois': {exc}") from exc
+        for k, region in enumerate(self.regions or []):
+            check_fields(region.rect, f"regions[{k}].")
+        if self.per_frame_ms < self.scan.settle_ms:
+            raise ConfigError(
+                f"key 'per_frame_ms': {self.per_frame_ms} ms must cover the settling period "
+                f"({self.scan.settle_ms} ms)"
+            )
+        if self.band_px < 1:
+            raise ConfigError(f"key 'band_px': must be >= 1, got {self.band_px}")
+        if self.epsilon < 0:
+            raise ConfigError(f"key 'epsilon': must be >= 0, got {self.epsilon}")
+        # The levels are stored on the 16-bit grid, where the stitcher
+        # needs them to stay apart.
+        if not snap_level(self.bright_level) > snap_level(self.dark_level):
+            raise ConfigError(
+                f"key 'bright_level': must be > dark_level on the 16-bit grid, got "
+                f"{self.bright_level} and {self.dark_level}"
+            )
 
 
 @dataclass
@@ -370,10 +427,6 @@ def degrade(
 
 def timing_report(cfg: ScanConfig, per_frame_ms: float) -> float:
     """Total acquisition time in seconds for the whole grid."""
-    if per_frame_ms < cfg.settle_ms:
-        raise ConfigError(
-            f"per_frame_ms ({per_frame_ms}) must cover the settling period ({cfg.settle_ms} ms)"
-        )
     return cfg.n_rows * cfg.n_cols * per_frame_ms / 1000.0
 
 
@@ -384,26 +437,26 @@ def tile_filename(row: int, col: int, n_rows: int, n_cols: int) -> str:
 
 @dataclass
 class DatasetManifest:
-    """Everything needed to reproduce and stitch one emitted dataset."""
+    """Everything needed to reproduce and stitch one emitted dataset.
 
-    scan: ScanConfig
+    ``run`` is the run's settings with the reference levels snapped to
+    the 16-bit grid and the metric regions resolved.  The ``target_*``
+    settings are not recorded, so a loaded manifest's ``run`` holds their
+    defaults.  Loading runs :meth:`validate`, which applies the checks a
+    config gets, so a manifest holds no value a config could not.
+    """
+
+    run: RunConfig
     tiles: list[dict]
     truth_path: str
-    degradation: DegradationSpec
-    subpixel: bool
-    rois: list[RectROI]
-    regions: list[RegionSpec]
     ref_bright_path: str
     ref_dark_path: str
-    bright_level: float
-    dark_level: float
-    per_frame_ms: float
     total_s: float
-    epsilon: float = 1e-6
-    band_px: int = 50
 
     def validate(self) -> None:
-        """Every grid coordinate appears exactly once; every path is a plain file name."""
+        """:meth:`RunConfig.validate`, then: every grid coordinate appears
+        exactly once and every path is a plain file name."""
+        self.run.validate()
         if not isinstance(self.tiles, list):
             raise GalvoMosaicError(
                 f"manifest key 'tiles': expected a list, got {type(self.tiles).__name__}"
@@ -430,10 +483,9 @@ class DatasetManifest:
                 raise GalvoMosaicError(
                     f"manifest key {key!r}: expected a plain file name, got {value!r}"
                 )
+        scan = self.run.scan
         seen = {(t["row"], t["col"]) for t in self.tiles}
-        expected = {
-            (i, j) for i in range(self.scan.n_rows) for j in range(self.scan.n_cols)
-        }
+        expected = {(i, j) for i in range(scan.n_rows) for j in range(scan.n_cols)}
         if len(self.tiles) != len(expected) or seen != expected:
             missing = sorted(expected - seen)
             extra = sorted(seen - expected)
@@ -442,27 +494,28 @@ class DatasetManifest:
             )
 
     def to_json(self) -> str:
+        run = self.run
         payload = {
-            "scan": fields_dict(self.scan),
+            "scan": fields_dict(run.scan),
             "tiles": self.tiles,
             "truth": self.truth_path,
-            "degradation": fields_dict(self.degradation),
-            "subpixel": self.subpixel,
-            "rois": [fields_dict(r) for r in self.rois],
-            "regions": [r.to_dict() for r in self.regions],
+            "degradation": fields_dict(run.degradation),
+            "subpixel": run.subpixel,
+            "rois": [fields_dict(r) for r in run.rois],
+            "regions": [r.to_dict() for r in run.regions],
             "reference": {
                 "bright": self.ref_bright_path,
                 "dark": self.ref_dark_path,
-                "bright_level": self.bright_level,
-                "dark_level": self.dark_level,
+                "bright_level": run.bright_level,
+                "dark_level": run.dark_level,
             },
             "correction": {
-                "epsilon": self.epsilon,
-                "band_px": self.band_px,
+                "epsilon": run.epsilon,
+                "band_px": run.band_px,
             },
             "timing": {
-                "settle_ms": self.scan.settle_ms,
-                "per_frame_ms": self.per_frame_ms,
+                "settle_ms": run.scan.settle_ms,
+                "per_frame_ms": run.per_frame_ms,
                 "total_s": self.total_s,
             },
         }
@@ -472,23 +525,26 @@ class DatasetManifest:
     def from_json(cls, text: str) -> "DatasetManifest":
         try:
             payload = json.loads(text)
-            scan = payload["scan"]
-            manifest = cls(
+            scan, reference = payload["scan"], payload["reference"]
+            run = RunConfig(
                 scan=ScanConfig(**{**scan, "strategy": ScanStrategy(scan["strategy"])}),
+                rois=[RectROI(**r) for r in payload["rois"]],
+                degradation=DegradationSpec(**payload["degradation"]),
+                epsilon=payload["correction"]["epsilon"],
+                band_px=payload["correction"]["band_px"],
+                bright_level=reference["bright_level"],
+                dark_level=reference["dark_level"],
+                subpixel=payload["subpixel"],
+                per_frame_ms=payload["timing"]["per_frame_ms"],
+                regions=[RegionSpec.from_dict(r) for r in payload["regions"]],
+            )
+            manifest = cls(
+                run=run,
                 tiles=payload["tiles"],
                 truth_path=payload["truth"],
-                degradation=DegradationSpec(**payload["degradation"]),
-                subpixel=payload.get("subpixel", False),
-                rois=[RectROI(**r) for r in payload["rois"]],
-                regions=[RegionSpec.from_dict(r) for r in payload["regions"]],
-                ref_bright_path=payload["reference"]["bright"],
-                ref_dark_path=payload["reference"]["dark"],
-                bright_level=payload["reference"]["bright_level"],
-                dark_level=payload["reference"]["dark_level"],
-                per_frame_ms=payload["timing"]["per_frame_ms"],
+                ref_bright_path=reference["bright"],
+                ref_dark_path=reference["dark"],
                 total_s=payload["timing"]["total_s"],
-                epsilon=payload.get("correction", {}).get("epsilon", 1e-6),
-                band_px=payload.get("correction", {}).get("band_px", 50),
             )
             manifest.validate()
         except (KeyError, TypeError, ValueError) as exc:
@@ -510,25 +566,7 @@ def snap_level(level: float) -> float:
     return float(pgm.to_u16(np.array(level))) / pgm.MAXVAL
 
 
-def write_dataset(
-    out_dir: str | os.PathLike,
-    scan: ScanConfig,
-    degradation: DegradationSpec,
-    rois: Sequence[RectROI],
-    *,
-    pattern: TargetPattern = TargetPattern.USAF_LIKE,
-    target_value: float = 0.9,
-    target_pitch: int = 32,
-    target_width: int | None = None,
-    target_height: int | None = None,
-    bright_level: float = 0.9,
-    dark_level: float = 0.0,
-    per_frame_ms: float = 60.5,
-    regions: Sequence[RegionSpec] | None = None,
-    subpixel: bool = False,
-    epsilon: float = 1e-6,
-    band_px: int = 50,
-) -> DatasetManifest:
+def write_dataset(out_dir: str | os.PathLike, run: RunConfig) -> DatasetManifest:
     """Generate and write a complete dataset; returns its manifest.
 
     The ground truth defaults to exactly the canvas footprint of the
@@ -539,49 +577,43 @@ def write_dataset(
     point: an earlier one is removed first and the new one is put in
     place whole, last, so a dataset with a manifest is complete.
     """
-    scan.validate()
-    degradation.validate()
+    run.validate()
+    scan, degradation, subpixel = run.scan, run.degradation, run.subpixel
     need_w, need_h = required_truth_dims(scan, subpixel=subpixel)
-    width = target_width if target_width is not None else need_w
-    height = target_height if target_height is not None else need_h
+    width = run.target_width if run.target_width is not None else need_w
+    height = run.target_height if run.target_height is not None else need_h
     if width < need_w or height < need_h:
         raise CoverageError(
             f"target {width}x{height} smaller than required canvas {need_w}x{need_h}"
         )
 
-    counts = _target_counts(width, height, pattern, target_value, target_pitch)
-    region_list = list(regions) if regions is not None else target_regions(width, height, pattern)
-    bright_level = snap_level(bright_level)
-    dark_level = snap_level(dark_level)
+    counts = _target_counts(width, height, run.target_pattern, run.target_value, run.target_pitch)
+    run = replace(
+        run,
+        bright_level=snap_level(run.bright_level),
+        dark_level=snap_level(run.dark_level),
+        regions=run.regions if run.regions is not None
+        else target_regions(width, height, run.target_pattern),
+    )
     tw, th = scan.tile_width, scan.tile_height
-    vignette, offset = _field(degradation, rois, th, tw)
+    vignette, offset = _field(degradation, run.rois, th, tw)
     placements = placement_table(scan)
     names = [tile_filename(p.row, p.col, scan.n_rows, scan.n_cols) for p in placements]
     manifest = DatasetManifest(
-        scan=scan,
+        run=run,
         tiles=[{"row": p.row, "col": p.col, "path": n} for p, n in zip(placements, names)],
         truth_path="truth.pgm",
-        degradation=degradation,
-        subpixel=subpixel,
-        rois=list(rois),
-        regions=region_list,
         ref_bright_path="ref_bright.pgm",
         ref_dark_path="ref_dark.pgm",
-        bright_level=bright_level,
-        dark_level=dark_level,
-        per_frame_ms=per_frame_ms,
-        total_s=timing_report(scan, per_frame_ms),
-        epsilon=epsilon,
-        band_px=band_px,
+        total_s=timing_report(scan, run.per_frame_ms),
     )
-    manifest.validate()
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "manifest.json").unlink(missing_ok=True)
     pgm.write_pgm(out / "truth.pgm", counts)
     for which, (name, level) in enumerate(
-        (("ref_bright.pgm", bright_level), ("ref_dark.pgm", dark_level))
+        (("ref_bright.pgm", run.bright_level), ("ref_dark.pgm", run.dark_level))
     ):
         ref = pgm.to_u16(_reference(degradation, which, level, vignette, offset))
         pgm.write_pgm(out / name, ref)

@@ -1,13 +1,17 @@
 """End-to-end CLI pipeline on small grids."""
 
 import json
+import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from galvomosaic import pgm
 from galvomosaic.cli import main
+
+QUICK_CFG = Path(__file__).resolve().parents[1] / "configs" / "quick.cfg"
 
 # 10x10 grid of small tiles; spacing 35 px leaves 45 px overlaps.
 SMALL_CONFIG = """\
@@ -236,6 +240,41 @@ class TestStitch:
         assert "manifest key 'tiles" in err
 
 
+    # One manifest value that no config could hold: the manifest goes
+    # through the same checks as a config, naming the key.
+    @pytest.mark.parametrize(
+        "path, value, key",
+        [
+            pytest.param(("correction", "epsilon"), -1e9, "'epsilon'", id="epsilon_negative"),
+            pytest.param(("correction", "epsilon"), math.nan, "epsilon", id="epsilon_nan"),
+            pytest.param(("correction", "band_px"), 0, "'band_px'", id="band_px_zero"),
+            pytest.param(("reference", "bright_level"), 0, "'bright_level'", id="bright_zero"),
+            pytest.param(("degradation", "gain_jitter"), -1, "gain_jitter", id="jitter_negative"),
+            pytest.param(("timing", "per_frame_ms"), math.inf, "per_frame_ms", id="frame_inf"),
+            pytest.param(
+                ("rois", 0), {"x0": 60, "y0": 50, "width": 30, "height": 30}, "'rois'",
+                id="roi_outside_tile",
+            ),
+            pytest.param(("reference", "bright_level"), "0.9", "'bright_level'", id="bright_str"),
+            pytest.param(("correction", "band_px"), "8", "'band_px'", id="band_px_str"),
+            pytest.param(("subpixel",), "no", "'subpixel'", id="subpixel_str"),
+            pytest.param(("rois", 0, "x0"), 5.0, "'rois[0].x0'", id="roi_float"),
+            pytest.param(("regions", 0, "width"), 4.5, "'regions[0].width'", id="region_float"),
+            pytest.param(("timing", "per_frame_ms"), 1.0, "'per_frame_ms'", id="frame_below_settle"),
+        ],
+    )
+    def test_manifest_values_checked_like_config(self, tmp_path, capsys, path, value, key):
+        dataset = tmp_path / "quick"
+        assert run("simulate", "--config", QUICK_CFG, "--out", dataset) == 0
+        manifest = json.loads((dataset / "manifest.json").read_text())
+        parent = manifest
+        for part in path[:-1]:
+            parent = parent[part]
+        parent[path[-1]] = value
+        err = self._stitch_fails_cleanly(tmp_path, dataset, manifest, capsys)
+        assert key in err, err
+
+
 class TestEvaluate:
     @pytest.fixture
     def stitched(self, tmp_path, config_path):
@@ -307,6 +346,23 @@ class TestEvaluate:
         assert code == 1
         err = capsys.readouterr().err
         assert "malformed sidecar" in err and "x0" in err
+        assert not (tmp_path / "r").exists()
+
+    def test_unknown_region_key_rejected(self, tmp_path, stitched, capsys):
+        regions = tmp_path / "regions.cfg"
+        regions.write_text(
+            "region_signal = 0,0,50,50\n"
+            "region_bright = 60,0,50,50\n"
+            "region_dark = 0,60,50,50\n"
+            "region_sgnal = 5,5,5,5\n"
+        )
+        code = run(
+            "evaluate", "--mosaic", stitched / "mosaic.pgm",
+            "--sidecar", stitched / "sidecar.json",
+            "--regions", regions, "--out", tmp_path / "r",
+        )
+        assert code == 1
+        assert "unknown config key 'region_sgnal'" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
     def test_region_out_of_bounds_fails(self, tmp_path, stitched, capsys):

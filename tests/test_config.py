@@ -6,11 +6,10 @@ from galvomosaic.config import (
     default_rois,
     load_run_config,
     parse_kv,
-    scan_config_from_kv,
 )
 from galvomosaic.errors import ConfigError
-from galvomosaic.geometry import ScanStrategy
-from galvomosaic.simulate import TargetPattern
+from galvomosaic.geometry import ScanConfig, ScanStrategy
+from galvomosaic.simulate import RunConfig, TargetPattern
 
 MINIMAL = """\
 n_rows = 2
@@ -31,25 +30,42 @@ def write(tmp_path, text):
 
 
 def test_parse_kv_comments_blanks_and_overrides():
-    kv = parse_kv("# header\na = 1\n\nb = two  # trailing\na = 3\n")
+    kv = parse_kv("# header\na = 1\n\nb = two  # trailing\na = 3\n", {"a", "b"})
     assert kv == {"a": "3", "b": "two"}
 
 
 def test_parse_kv_rejects_garbage_line():
     with pytest.raises(ConfigError, match="line 2"):
-        parse_kv("a = 1\nnot a pair\n")
+        parse_kv("a = 1\nnot a pair\n", {"a"})
 
 
-def test_missing_required_key_is_named():
-    with pytest.raises(ConfigError, match="n_cols"):
-        scan_config_from_kv({"n_rows": "2"})
+def test_missing_required_key_is_named(tmp_path):
+    with pytest.raises(ConfigError, match="missing required key 'n_cols'"):
+        load_run_config(write(tmp_path, "n_rows = 2\n"))
 
 
-def test_bad_number_names_key():
-    kv = parse_kv(MINIMAL)
-    kv["s_x"] = "fast"
+def test_bad_number_names_key(tmp_path):
     with pytest.raises(ConfigError, match="s_x"):
-        scan_config_from_kv(kv)
+        load_run_config(write(tmp_path, MINIMAL + "s_x = fast\n"))
+
+
+def test_omitted_keys_take_field_defaults(tmp_path):
+    scan = ScanConfig(
+        n_rows=2, n_cols=3, dv_x=1.1, dv_y=1.1, s_x=402.0, s_y=468.0,
+        tile_width=1000, tile_height=1000,
+    )
+    rois = default_rois(ScanStrategy.LINEAR, 1000, 1000)
+    assert load_run_config(write(tmp_path, MINIMAL)) == RunConfig(scan, rois)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("strategy", "zigzag"), ("target_pattern", "checkers"), ("subpixel", "maybe"),
+     ("band_px", "8.0"), ("target_width", "wide"), ("seed", "1.5")],
+)
+def test_unparsable_value_names_key(tmp_path, key, value):
+    with pytest.raises(ConfigError, match=f"key '{key}'"):
+        load_run_config(write(tmp_path, MINIMAL + f"{key} = {value}\n"))
 
 
 def test_default_rois_per_strategy():

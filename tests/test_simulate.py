@@ -1,5 +1,6 @@
 """Synthetic dataset generation and its round-trip guarantees."""
 
+import dataclasses
 import threading
 import tracemalloc
 
@@ -11,10 +12,11 @@ from galvomosaic.compose import compose_feathered, compose_raw, compute_overlaps
 from galvomosaic.correction import RectROI, ReferencePair, correct_roi, fit_two_point
 from galvomosaic.errors import ConfigError, CoverageError, GalvoMosaicError
 from galvomosaic.geometry import ScanConfig, ScanStrategy, placement_table
-from galvomosaic.metrics import RegionKind
+from galvomosaic.metrics import RegionKind, RegionSpec
 from galvomosaic.simulate import (
     DatasetManifest,
     DegradationSpec,
+    RunConfig,
     TargetPattern,
     degrade,
     extract_tiles,
@@ -259,14 +261,14 @@ class TestTiming:
 
     def test_per_frame_must_cover_settling(self):
         cfg = small_cfg(settle_ms=30.0)
-        with pytest.raises(ConfigError):
-            timing_report(cfg, per_frame_ms=10.0)
+        with pytest.raises(ConfigError, match="'per_frame_ms'"):
+            RunConfig(cfg, [], per_frame_ms=10.0).validate()
 
 
 class TestWriteDataset:
     def test_emits_complete_dataset(self, tmp_path):
         cfg = small_cfg()
-        manifest = write_dataset(tmp_path, cfg, identity_spec(), rois=[])
+        manifest = write_dataset(tmp_path, RunConfig(cfg, []))
         names = {p.name for p in tmp_path.iterdir()}
         expected_tiles = {
             tile_filename(i, j, 3, 3) for i in range(3) for j in range(3)
@@ -275,13 +277,13 @@ class TestWriteDataset:
         assert {"truth.pgm", "ref_bright.pgm", "ref_dark.pgm", "manifest.json"} <= names
         assert len(manifest.tiles) == 9
         restored = DatasetManifest.from_json((tmp_path / "manifest.json").read_text())
-        assert restored.scan == manifest.scan
-        assert restored.degradation == manifest.degradation
-        assert restored.bright_level == manifest.bright_level
+        assert restored.run.scan == manifest.run.scan
+        assert restored.run.degradation == manifest.run.degradation
+        assert restored.run.bright_level == manifest.run.bright_level
 
     def test_manifest_requires_every_grid_index_once(self, tmp_path):
         cfg = small_cfg()
-        manifest = write_dataset(tmp_path, cfg, identity_spec(), rois=[])
+        manifest = write_dataset(tmp_path, RunConfig(cfg, []))
         manifest.tiles = manifest.tiles[:-1]
         with pytest.raises(Exception, match="missing"):
             manifest.validate()
@@ -289,15 +291,68 @@ class TestWriteDataset:
     def test_undersized_target_rejected(self, tmp_path):
         cfg = small_cfg()
         with pytest.raises(CoverageError):
-            write_dataset(
-                tmp_path, cfg, identity_spec(), rois=[], target_width=100, target_height=100
-            )
+            write_dataset(tmp_path, RunConfig(cfg, [], target_width=100, target_height=100))
 
     def test_reference_levels_are_snapped_to_grid(self, tmp_path):
         cfg = small_cfg(n_rows=1, n_cols=2)
-        manifest = write_dataset(tmp_path, cfg, identity_spec(), rois=[], bright_level=0.9)
-        assert manifest.bright_level == snap_level(0.9)
-        assert manifest.bright_level * 65535 == round(manifest.bright_level * 65535)
+        manifest = write_dataset(tmp_path, RunConfig(cfg, [], bright_level=0.9))
+        assert manifest.run.bright_level == snap_level(0.9)
+        assert manifest.run.bright_level * 65535 == round(manifest.run.bright_level * 65535)
+
+
+    def test_manifest_records_run_except_target(self, tmp_path):
+        rc = RunConfig(
+            small_cfg(), [RectROI(0, 50, 30, 30)], identity_spec(gain_jitter=0.05, rng_seed=3),
+            epsilon=1e-3, band_px=7, bright_level=0.8, dark_level=0.1, subpixel=True,
+            per_frame_ms=70.0, target_pattern=TargetPattern.BARS, target_value=0.7,
+            target_pitch=9, target_width=400, target_height=300,
+        )
+        manifest = write_dataset(tmp_path, rc)
+        untargeted = dataclasses.replace(
+            manifest.run,
+            **{f: getattr(RunConfig(rc.scan, rc.rois), f) for f in (
+                "target_pattern", "target_value", "target_pitch", "target_width", "target_height",
+            )},
+        )
+        assert load_manifest(tmp_path).run == untargeted
+
+
+class TestRunConfigValidate:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("band_px", True), ("band_px", 8.0), ("subpixel", 1), ("bright_level", "0.9"),
+         ("target_width", 1.5), ("target_pattern", "usaf")],
+    )
+    def test_wrong_type_names_field(self, field, value):
+        with pytest.raises(ConfigError, match=f"key '{field}': expected"):
+            RunConfig(small_cfg(), [], **{field: value}).validate()
+
+    def test_nested_settings_are_checked(self):
+        with pytest.raises(ConfigError, match="key 'n_rows': expected int"):
+            RunConfig(small_cfg(n_rows=3.0), []).validate()
+        with pytest.raises(ConfigError, match="key 'rng_seed': expected int"):
+            RunConfig(small_cfg(), [], identity_spec(rng_seed=False)).validate()
+
+    def test_int_for_float_and_none_for_optional_accepted(self):
+        RunConfig(small_cfg(s_x=350), [], epsilon=0, per_frame_ms=61, target_width=None).validate()
+
+    def test_numpy_int_accepted_as_int(self):
+        scan = small_cfg(n_rows=np.int64(3), tile_width=np.int64(TILE_W))
+        RunConfig(scan, [], identity_spec(rng_seed=np.int64(7)), band_px=np.int32(8)).validate()
+        assert len(placement_table(scan)) == 9
+
+    def test_numpy_float32_accepted_as_float(self):
+        scan = small_cfg(s_x=np.float32(350.0))
+        RunConfig(scan, [], identity_spec(gain_jitter=np.float32(0.05))).validate()
+        with pytest.raises(ConfigError, match="s_x must be finite"):
+            small_cfg(s_x=np.float32("nan")).validate()
+
+    def test_rect_fields_name_the_key(self):
+        with pytest.raises(ConfigError, match=r"key 'rois\[1\]\.x0': expected int, got 5\.0"):
+            RunConfig(small_cfg(), [RectROI(0, 0, 8, 8), RectROI(5.0, 0, 8, 8)]).validate()
+        region = RegionSpec("dark", RectROI(0, 0, 8, 8.0), RegionKind.DARK_BACKGROUND)
+        with pytest.raises(ConfigError, match=r"key 'regions\[0\]\.height': expected int"):
+            RunConfig(small_cfg(), [], regions=[region]).validate()
 
 
 # write_dataset streams tiles through the same crop and degrade helpers as
@@ -332,15 +387,18 @@ class TestStreamingWriteDataset:
     def test_files_match_list_pipeline(self, tmp_path, case):
         cfg, spec, subpixel = STREAM_CASES[case]
         manifest = write_dataset(
-            tmp_path, cfg, spec, STREAM_ROIS, subpixel=subpixel, bright_level=0.9, dark_level=0.05
+            tmp_path,
+            RunConfig(
+                cfg, STREAM_ROIS, spec, subpixel=subpixel, bright_level=0.9, dark_level=0.05
+            ),
         )
         truth = make_target(*required_truth_dims(cfg, subpixel=subpixel), TargetPattern.USAF_LIKE)
         tiles, bright, dark = degrade(
             extract_tiles(truth, cfg, subpixel=subpixel),
             spec,
             STREAM_ROIS,
-            bright_level=manifest.bright_level,
-            dark_level=manifest.dark_level,
+            bright_level=manifest.run.bright_level,
+            dark_level=manifest.run.dark_level,
         )
         expected = {"truth.pgm": truth, "ref_bright.pgm": bright, "ref_dark.pgm": dark}
         for tile, entry in zip(tiles, manifest.tiles):
@@ -364,7 +422,8 @@ class TestStreamingWriteDataset:
             width, height = required_truth_dims(cfg)
             tracemalloc.start()
             try:
-                write_dataset(tmp_path / f"rows{n_rows}", cfg, spec, [RectROI(0, 120, 80, 80)])
+                rc = RunConfig(cfg, [RectROI(0, 120, 80, 80)], spec)
+                write_dataset(tmp_path / f"rows{n_rows}", rc)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -381,13 +440,15 @@ class TestStreamingWriteDataset:
 
         for name in ("to_u16", "write_pgm"):
             monkeypatch.setattr(pgm, name, recorded(getattr(pgm, name)))
-        write_dataset(tmp_path, small_cfg(), identity_spec(gain_jitter=0.05, noise_sigma=0.01), [])
+        write_dataset(
+            tmp_path, RunConfig(small_cfg(), [], identity_spec(gain_jitter=0.05, noise_sigma=0.01))
+        )
         assert sum(name == "write_pgm" for name, _ in calls) == 3 + 9
         assert {ident for _, ident in calls} == {threading.main_thread().ident}
 
     def test_failed_rewrite_leaves_no_manifest(self, tmp_path, monkeypatch):
         cfg = small_cfg()
-        write_dataset(tmp_path, cfg, identity_spec(noise_sigma=0.01), [])
+        write_dataset(tmp_path, RunConfig(cfg, [], identity_spec(noise_sigma=0.01)))
         assert (tmp_path / "manifest.json").exists()
         write_pgm = pgm.write_pgm
         tiles_written = []
@@ -401,7 +462,7 @@ class TestStreamingWriteDataset:
 
         monkeypatch.setattr(pgm, "write_pgm", failing_write)
         with pytest.raises(OSError, match="disk full"):
-            write_dataset(tmp_path, cfg, identity_spec(noise_sigma=0.01, rng_seed=9), [])
+            write_dataset(tmp_path, RunConfig(cfg, [], identity_spec(noise_sigma=0.01, rng_seed=9)))
         names = {p.name for p in tmp_path.iterdir()}
         assert "manifest.json" not in names
         assert not [n for n in names if n.endswith(".tmp")], names

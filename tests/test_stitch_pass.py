@@ -83,7 +83,7 @@ def oracle_pgm(dataset: Path, mode: str) -> bytes:
     tile's weights taken from the whole overlap list.
     """
     manifest = load_manifest(dataset)
-    scan = manifest.scan
+    scan = manifest.run.scan
     tw, th = scan.tile_width, scan.tile_height
     placements = placement_table(scan)
     overlaps = compute_overlaps(placements, tw, th)
@@ -92,14 +92,14 @@ def oracle_pgm(dataset: Path, mode: str) -> bytes:
     if mode == "processed":
         refs = ReferencePair(
             bright_frame=pgm.to_unit(pgm.read_pgm(dataset / manifest.ref_bright_path)),
-            l_bright=manifest.bright_level,
+            l_bright=manifest.run.bright_level,
             dark_frame=pgm.to_unit(pgm.read_pgm(dataset / manifest.ref_dark_path)),
-            l_dark=manifest.dark_level,
+            l_dark=manifest.run.dark_level,
         )
         fits = [
-            (fit_two_point(refs, roi, eps=manifest.epsilon), roi,
-             linear_weight_field(roi, manifest.band_px))
-            for roi in manifest.rois
+            (fit_two_point(refs, roi, eps=manifest.run.epsilon), roi,
+             linear_weight_field(roi, manifest.run.band_px))
+            for roi in manifest.run.rois
         ]
     paths = {(t["row"], t["col"]): dataset / t["path"] for t in manifest.tiles}
     value = np.zeros((height, width))
@@ -147,7 +147,7 @@ def leaves_whole_rows_uncovered(boxes, tile):
 )
 def test_mosaic_matches_full_canvas_oracle(tmp_path, name, cfg_text, geometry, mode):
     dataset = simulate(tmp_path, name, cfg_text)
-    scan = load_manifest(dataset).scan
+    scan = load_manifest(dataset).run.scan
     boxes = {(p.row, p.col): rasterize(p) for p in placement_table(scan)}
     assert geometry(boxes, scan.tile_height)
     out = tmp_path / f"run_{mode}"
