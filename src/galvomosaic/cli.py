@@ -30,7 +30,6 @@ from .compose import (
     compute_overlaps,
     derive_seams,
     overlaps_by_tile,
-    rasterize,
 )
 from .config import load_run_config, regions_from_file
 from .correction import (
@@ -41,7 +40,7 @@ from .correction import (
     linear_weight_field,
 )
 from .errors import ConfigError, GalvoMosaicError, UndefinedCnrError
-from .geometry import TilePlacement, fields_dict, placement_table
+from .geometry import TilePlacement, check_json, fields_dict, placement_table
 from .metrics import (
     MetricsReport,
     RegionKind,
@@ -77,16 +76,29 @@ def _resolve_mode(args: argparse.Namespace) -> tuple[str, bool]:
     return correction, feather
 
 
+def _read_reference(path: Path, manifest: DatasetManifest) -> np.ndarray:
+    """A reference frame as floats; one whose size is not the tile size
+    raises :class:`~galvomosaic.pgm.ImageFormatError`."""
+    counts = pgm.read_pgm(path)
+    scan = manifest.run.scan
+    if counts.shape != (scan.tile_height, scan.tile_width):
+        raise pgm.ImageFormatError(
+            f"{path}: reference frame is {counts.shape[1]}x{counts.shape[0]}, "
+            f"expected {scan.tile_width}x{scan.tile_height}"
+        )
+    return pgm.to_unit(counts)
+
+
 def _build_fits(manifest: DatasetManifest, dataset: Path, correction: str):
     if correction == "off":
         return []
     run = manifest.run
-    bright = pgm.to_unit(pgm.read_pgm(dataset / manifest.ref_bright_path))
+    bright = _read_reference(dataset / manifest.ref_bright_path, manifest)
     if correction == "two-point":
         refs = ReferencePair(
             bright_frame=bright,
             l_bright=run.bright_level,
-            dark_frame=pgm.to_unit(pgm.read_pgm(dataset / manifest.ref_dark_path)),
+            dark_frame=_read_reference(dataset / manifest.ref_dark_path, manifest),
             l_dark=run.dark_level,
         )
     fits = []
@@ -129,10 +141,9 @@ def _corrected_tiles(
         tile = pgm.to_unit(counts)
         if fits:
             tile = apply_roi_corrections(tile, fits)
-        x, y = rasterize(p)
         for k in by_tile.get(key, ()):
             rect = overlaps[k].rect
-            samples = tile[rect.y0 - y:rect.y1 - y, rect.x0 - x:rect.x1 - x]
+            samples = tile[rect.y0 - p.y:rect.y1 - p.y, rect.x0 - p.x:rect.x1 - p.x]
             if key == overlaps[k].tile_a:
                 pending[k] = samples.copy()
             else:
@@ -197,10 +208,7 @@ def cmd_stitch(args: argparse.Namespace) -> int:
             "compose": "feathered" if feather else "raw",
             "correction": correction,
         },
-        "placements": [
-            {**fields_dict(p), "x": x, "y": y}
-            for p, (x, y) in zip(placements, map(rasterize, placements))
-        ],
+        "placements": [fields_dict(p) for p in placements],
         "seams": [fields_dict(s) for s in seams],
         "mae_per_overlap": [[pair, value] for pair, value in mae_entries],
         "mae_mean": None if math.isnan(mae_mean) else mae_mean,
@@ -221,12 +229,19 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     mosaic = pgm.UnitView(pgm.map_pgm(args.mosaic))
     try:
         sidecar = json.loads(Path(args.sidecar).read_text(encoding="ascii"))
-        seams = [SeamLine.from_dict(s) for s in sidecar["seams"]]
-        mae_entries = [(pair, value) for pair, value in sidecar["mae_per_overlap"]]
-        mae_mean = sidecar["mae_mean"]
+        seams = [SeamLine.from_dict(s, f"seams[{k}].") for k, s in enumerate(sidecar["seams"])]
+        mae_entries = [
+            (check_json(pair, (str,), f"mae_per_overlap[{k}][0]"),
+             check_json(value, (float, int), f"mae_per_overlap[{k}][1]"))
+            for k, (pair, value) in enumerate(sidecar["mae_per_overlap"])
+        ]
+        mae_mean = check_json(sidecar["mae_mean"], (float, int, type(None)), "mae_mean")
         if not args.regions:
-            regions = [RegionSpec.from_dict(r) for r in sidecar.get("regions", [])]
-    except (KeyError, TypeError, ValueError) as exc:
+            regions = [
+                RegionSpec.from_dict(r, f"regions[{k}].")
+                for k, r in enumerate(sidecar.get("regions", []))
+            ]
+    except (KeyError, TypeError, ValueError, GalvoMosaicError) as exc:
         raise GalvoMosaicError(f"malformed sidecar {args.sidecar}: {exc}") from exc
 
     if args.regions:

@@ -1,11 +1,11 @@
 """Global canvas composition from placed tiles.
 
-Placements are rasterized to integer pixel offsets (round half away
-from zero) and tiles are written onto the canvas in row-major
-acquisition order.  Raw mode overwrites, so later tiles win inside
-overlaps and the overwrite boundaries define the seam lines.
-Feathered mode gives each tile a weight map that is 1 in its interior
-and ramps linearly to 0 across every tile edge that lies inside an
+Each tile is written at its placement's integer pixel offset ``(x, y)``
+(rounded in :mod:`~galvomosaic.geometry`), in row-major acquisition
+order.  Raw mode overwrites, so later tiles win inside overlaps and the
+overwrite boundaries define the seam lines.  Feathered mode weights
+each tile by a row ramp times a column ramp, 1 in its interior and
+falling linearly to 0 across every tile edge that lies inside an
 overlap with a grid neighbor, the ramp spanning that overlap's width;
 the canvas accumulates weight*value and weight and finalizes by
 division.  For two tiles with complementary ramps the result is exactly
@@ -14,8 +14,8 @@ meet fall out of the same normalization.
 
 Composition is a single pass that holds only a row band: the canvas
 rows that a later tile can still touch.  A row is finished once it lies
-above the smallest rasterized ``y`` of every later tile; finished rows
-are finalized and handed to a ``sink`` in raster order, so memory grows
+above the smallest ``y`` of every later tile; finished rows are
+finalized and handed to a ``sink`` in raster order, so memory grows
 with canvas width times band height, not with canvas area.  The band
 height follows from the placements (one tile height for an untilted
 grid).  Without a sink the finished rows are gathered into the returned
@@ -24,7 +24,6 @@ grid).  Without a sink the finished rows are gathered into the returned
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Sequence
@@ -33,24 +32,12 @@ import numpy as np
 
 from .correction import RectROI
 from .errors import CompositionError, DimensionMismatchError
-from .geometry import TilePlacement
+from .geometry import TilePlacement, check_json
 
 
 class Axis(Enum):
     HORIZONTAL = "horizontal"
     VERTICAL = "vertical"
-
-
-def round_half_away(x: float) -> int:
-    """Round to nearest integer, ties away from zero."""
-    if x >= 0.0:
-        return int(math.floor(x + 0.5))
-    return int(math.ceil(x - 0.5))
-
-
-def rasterize(placement: TilePlacement) -> tuple[int, int]:
-    """Integer (x, y) canvas offset of a placement."""
-    return round_half_away(placement.dx), round_half_away(placement.dy)
 
 
 # sink(row, rows): ``rows`` are finished canvas rows starting at canvas
@@ -90,7 +77,7 @@ class MosaicCanvas:
 
 @dataclass(frozen=True)
 class OverlapRegion:
-    """Intersection of two grid-adjacent tiles' rasterized bounding boxes."""
+    """Intersection of two grid-adjacent tiles' pixel boxes."""
 
     tile_a: tuple[int, int]
     tile_b: tuple[int, int]
@@ -112,19 +99,23 @@ class SeamLine:
     stop: int
 
     @classmethod
-    def from_dict(cls, d: dict) -> "SeamLine":
-        """Inverse of ``fields_dict(seam)``, the form ``sidecar.json`` stores."""
+    def from_dict(cls, d: dict, prefix: str = "") -> "SeamLine":
+        """Inverse of ``fields_dict(seam)``, the form ``sidecar.json`` stores;
+        a position, start or stop that is not a JSON integer is named with
+        ``prefix`` before it."""
+        for name in ("position", "start", "stop"):
+            check_json(d[name], (int,), prefix + name)
         return cls(**{**d, "orientation": Axis(d["orientation"])})
 
 
 def canvas_dims(
     placements: Sequence[TilePlacement], tile_width: int, tile_height: int
 ) -> tuple[int, int]:
-    """Canvas size enclosing every rasterized tile box."""
+    """Canvas size enclosing every tile's pixel box."""
     if not placements:
         raise CompositionError("cannot size a canvas from zero placements")
-    xs = [rasterize(p)[0] for p in placements]
-    ys = [rasterize(p)[1] for p in placements]
+    xs = [p.x for p in placements]
+    ys = [p.y for p in placements]
     if min(xs) < 0 or min(ys) < 0:
         raise CompositionError(
             "placements must be origin-shifted (negative offsets found)"
@@ -142,12 +133,10 @@ def _by_index(placements: Sequence[TilePlacement]) -> dict[tuple[int, int], Tile
 def _box_intersection(
     pa: TilePlacement, pb: TilePlacement, tile_width: int, tile_height: int
 ) -> RectROI | None:
-    xa, ya = rasterize(pa)
-    xb, yb = rasterize(pb)
-    x0 = max(xa, xb)
-    y0 = max(ya, yb)
-    x1 = min(xa, xb) + tile_width
-    y1 = min(ya, yb) + tile_height
+    x0 = max(pa.x, pb.x)
+    y0 = max(pa.y, pb.y)
+    x1 = min(pa.x, pb.x) + tile_width
+    y1 = min(pa.y, pb.y) + tile_height
     if x1 <= x0 or y1 <= y0:
         return None
     return RectROI(x0=x0, y0=y0, width=x1 - x0, height=y1 - y0)
@@ -165,21 +154,13 @@ def compute_overlaps(
     table = _by_index(placements)
     overlaps: list[OverlapRegion] = []
     for p in placements:
-        i, j = p.row, p.col
-        right = table.get((i, j + 1))
-        if right is not None:
-            rect = _box_intersection(p, right, tile_width, tile_height)
+        for axis, (di, dj) in ((Axis.HORIZONTAL, (0, 1)), (Axis.VERTICAL, (1, 0))):
+            later = table.get((p.row + di, p.col + dj))
+            rect = None if later is None else _box_intersection(p, later, tile_width, tile_height)
             if rect is not None:
-                overlaps.append(
-                    OverlapRegion(tile_a=(i, j), tile_b=(i, j + 1), rect=rect, axis=Axis.HORIZONTAL)
-                )
-        below = table.get((i + 1, j))
-        if below is not None:
-            rect = _box_intersection(p, below, tile_width, tile_height)
-            if rect is not None:
-                overlaps.append(
-                    OverlapRegion(tile_a=(i, j), tile_b=(i + 1, j), rect=rect, axis=Axis.VERTICAL)
-                )
+                overlaps.append(OverlapRegion(
+                    tile_a=(p.row, p.col), tile_b=(later.row, later.col), rect=rect, axis=axis
+                ))
     return overlaps
 
 
@@ -217,23 +198,22 @@ def tile_weight_map(
     tile_width: int,
     tile_height: int,
     overlaps: Sequence[OverlapRegion],
-) -> np.ndarray:
-    """Separable feathering weights for one tile given its overlaps."""
-    i, j = index
+) -> tuple[np.ndarray, np.ndarray]:
+    """Separable feathering weights ``(wy, wx)`` of one tile: pixel (r, c)
+    weighs ``wy[r] * wx[c]``.  Overlaps of other tiles are ignored."""
     wx = np.ones(tile_width, dtype=np.float64)
     wy = np.ones(tile_height, dtype=np.float64)
     for ov in overlaps:
+        if index not in (ov.tile_a, ov.tile_b):
+            continue
+        # The pair's later tile ramps its left or top edge, the earlier
+        # tile its right or bottom edge.
+        later = index == ov.tile_b
         if ov.axis is Axis.HORIZONTAL:
-            if ov.tile_b == (i, j):  # neighbor on the left: ramp the left edge
-                wx *= _edge_ramp(tile_width, ov.rect.width, from_start=True)
-            elif ov.tile_a == (i, j):  # neighbor on the right
-                wx *= _edge_ramp(tile_width, ov.rect.width, from_start=False)
+            wx *= _edge_ramp(tile_width, ov.rect.width, from_start=later)
         else:
-            if ov.tile_b == (i, j):  # neighbor above: ramp the top edge
-                wy *= _edge_ramp(tile_height, ov.rect.height, from_start=True)
-            elif ov.tile_a == (i, j):  # neighbor below
-                wy *= _edge_ramp(tile_height, ov.rect.height, from_start=False)
-    return wy[:, None] * wx[None, :]
+            wy *= _edge_ramp(tile_height, ov.rect.height, from_start=later)
+    return wy, wx
 
 
 def _iter_tiles(
@@ -302,15 +282,20 @@ class _RowBand:
             yield start, slice(offset, offset + n)
             start += n
 
-    def add(self, tile: np.ndarray, weights: np.ndarray | None, x: int, y: int) -> None:
+    def add(self, tile: np.ndarray, weights: tuple[np.ndarray, np.ndarray] | None,
+            x: int, y: int) -> None:
+        """Overwrite with ``tile`` at (x, y), or accumulate it with weights ``(wy, wx)``."""
         cols = slice(x, x + tile.shape[1])
         for row, buf in self._runs(y, y + tile.shape[0]):
             part = slice(row - y, row - y + buf.stop - buf.start)
             if weights is None:
                 self.value[buf, cols] = tile[part]
             else:
-                self.value[buf, cols] += tile[part] * weights[part]
-                self.weight[buf, cols] += weights[part]
+                wy, wx = weights
+                w = wy[part, None] * wx
+                self.weight[buf, cols] += w
+                w *= tile[part]
+                self.value[buf, cols] += w
 
     def emit(self, stop: int, sink: RowSink) -> None:
         """Finalize canvas rows done..stop-1 and pass them to ``sink`` in order."""
@@ -334,13 +319,12 @@ def _compose(
     placements: Sequence[TilePlacement],
     tile_width: int,
     tile_height: int,
-    weight_map: Callable[[TilePlacement], np.ndarray] | None,
+    weight_map: Callable[[TilePlacement], tuple[np.ndarray, np.ndarray]] | None,
     sink: RowSink | None,
 ) -> MosaicCanvas:
     width, height = canvas_dims(placements, tile_width, tile_height)
-    boxes = [rasterize(p) for p in placements]
-    finished, depth = _band_schedule([y for _, y in boxes], tile_height, height)
-    canvas = MosaicCanvas(width, height, tile_width, tile_height, boxes)
+    finished, depth = _band_schedule([p.y for p in placements], tile_height, height)
+    canvas = MosaicCanvas(width, height, tile_width, tile_height, [(p.x, p.y) for p in placements])
     if sink is None:
         gathered = canvas.rows = np.empty((height, width), dtype=np.float64)
 
@@ -348,9 +332,9 @@ def _compose(
             gathered[row:row + rows.shape[0]] = rows
 
     band = _RowBand(width, depth, feathered=weight_map is not None)
-    for (tile, placement), (x, y), stop in zip(_iter_tiles(tiles, placements), boxes, finished):
+    for (tile, p), stop in zip(_iter_tiles(tiles, placements), finished):
         _check_tile_shape(tile, tile_width, tile_height)
-        band.add(tile, None if weight_map is None else weight_map(placement), x, y)
+        band.add(tile, None if weight_map is None else weight_map(p), p.x, p.y)
         band.emit(stop, sink)
     return canvas
 
@@ -388,13 +372,13 @@ def compose_feathered(
     """
     by_tile = overlaps_by_tile(overlaps)
 
-    def weight_map(placement: TilePlacement) -> np.ndarray:
+    def weight_map(placement: TilePlacement) -> tuple[np.ndarray, np.ndarray]:
         index = (placement.row, placement.col)
         own = [overlaps[k] for k in by_tile.get(index, ())]
-        weights = tile_weight_map(index, tile_width, tile_height, own)
-        if not (weights > 0.0).all():
+        wy, wx = tile_weight_map(index, tile_width, tile_height, own)
+        if not ((wy > 0.0).all() and (wx > 0.0).all()):
             raise CompositionError(f"tile {index} has pixels of zero weight")
-        return weights
+        return wy, wx
 
     return _compose(tiles, placements, tile_width, tile_height, weight_map, sink)
 
@@ -413,23 +397,22 @@ def derive_seams(
     seams: list[SeamLine] = []
     for ov in overlaps:
         later = table[ov.tile_b]
-        x, y = rasterize(later)
         if ov.axis is Axis.HORIZONTAL:
-            if ov.rect.x0 <= x < ov.rect.x1:
+            if ov.rect.x0 <= later.x < ov.rect.x1:
                 seams.append(
                     SeamLine(
                         orientation=Axis.VERTICAL,
-                        position=x,
+                        position=later.x,
                         start=ov.rect.y0,
                         stop=ov.rect.y1,
                     )
                 )
         else:
-            if ov.rect.y0 <= y < ov.rect.y1:
+            if ov.rect.y0 <= later.y < ov.rect.y1:
                 seams.append(
                     SeamLine(
                         orientation=Axis.HORIZONTAL,
-                        position=y,
+                        position=later.y,
                         start=ov.rect.x0,
                         stop=ov.rect.x1,
                     )

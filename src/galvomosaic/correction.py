@@ -25,7 +25,7 @@ those units.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -35,6 +35,7 @@ from .errors import (
     InvalidReferenceError,
     WeightInvariantError,
 )
+from .geometry import check_json
 
 EPSILON_DEFAULT = 1e-6
 BAND_PX_DEFAULT = 50
@@ -54,6 +55,15 @@ class RectROI:
             raise DimensionMismatchError(f"ROI corner must be nonnegative: {self}")
         if self.width < 1 or self.height < 1:
             raise DimensionMismatchError(f"ROI size must be positive: {self}")
+
+    @classmethod
+    def from_dict(cls, d: dict, prefix: str = "") -> "RectROI":
+        """Inverse of ``fields_dict(rect)``, the form the JSON files store.
+
+        Each field must be a JSON integer; an error names ``prefix`` plus
+        the field, e.g. ``rois[0].x0``.
+        """
+        return cls(**{f.name: check_json(d[f.name], (int,), prefix + f.name) for f in fields(cls)})
 
     @property
     def x1(self) -> int:

@@ -15,8 +15,8 @@ columns coincide with the linear ones when ``v0 = amplitude =
 (n_cols-1)*dv_x/2`` (the defaults).  The ``alpha`` terms compensate a
 systematic tilt of the scan axes and apply to both strategies.
 
-Offsets stay real-valued here; rounding to integer pixels is the
-composition stage's job.
+A :class:`TilePlacement` rounds its offset to the integer canvas
+offset ``(x, y)`` once, when it is made; every later stage reads that.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import math
 import numbers
 import types
 import typing
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum, EnumMeta
 
 from .errors import ConfigError, DegenerateGridError, IndexRangeError
@@ -70,6 +70,20 @@ def check_fields(spec, prefix: str = "") -> None:
             raise ConfigError(f"key {prefix + name!r}: expected {kind.__name__}, got {value!r}")
         if kind is float and not math.isfinite(value):
             raise ConfigError(f"{prefix + name} must be finite, got {value}")
+
+
+def check_json(value, kinds: tuple[type, ...], key: str):
+    """``value``, read from JSON, if its type is exactly one of ``kinds``;
+    otherwise :class:`ConfigError` naming ``key``.
+
+    Parsed JSON holds only exact ``int``, ``float``, ``str``, ``bool``,
+    ``list``, ``dict`` and ``None``, so an exact type test also keeps a
+    bool out of an ``int`` field.
+    """
+    if type(value) not in kinds:
+        names = " or ".join("null" if kind is type(None) else kind.__name__ for kind in kinds)
+        raise ConfigError(f"key {key!r}: expected {names}, got {value!r}")
+    return value
 
 
 @functools.lru_cache(maxsize=None)
@@ -147,14 +161,28 @@ class ScanConfig:
         return v0, amplitude
 
 
+def round_half_away(x: float) -> int:
+    """Round to nearest integer, ties away from zero."""
+    if x >= 0.0:
+        return int(math.floor(x + 0.5))
+    return int(math.ceil(x - 0.5))
+
+
 @dataclass(frozen=True)
 class TilePlacement:
-    """Global pixel offset of the tile acquired at grid indices (row, col)."""
+    """Offset ``(dx, dy)`` of the tile acquired at grid indices (row, col),
+    and ``(x, y)``, the same rounded half away from zero."""
 
     row: int
     col: int
     dx: float
     dy: float
+    x: int = field(init=False)
+    y: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "x", round_half_away(self.dx))
+        object.__setattr__(self, "y", round_half_away(self.dy))
 
 
 def _check_indices(cfg: ScanConfig, i: int, j: int) -> None:

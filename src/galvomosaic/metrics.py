@@ -33,7 +33,7 @@ from .errors import (
     NoOverlapError,
     UndefinedCnrError,
 )
-from .geometry import fields_dict
+from .geometry import check_json, fields_dict
 
 
 @dataclass(frozen=True)
@@ -63,10 +63,10 @@ class RegionSpec:
         return {"name": self.name, "kind": self.kind.value, **fields_dict(self.rect)}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "RegionSpec":
-        """Inverse of :meth:`to_dict`."""
-        rect = RectROI(x0=d["x0"], y0=d["y0"], width=d["width"], height=d["height"])
-        return cls(name=d["name"], rect=rect, kind=RegionKind(d["kind"]))
+    def from_dict(cls, d: dict, prefix: str = "") -> "RegionSpec":
+        """Inverse of :meth:`to_dict`; errors name ``prefix`` plus the key."""
+        name = check_json(d["name"], (str,), prefix + "name")
+        return cls(name=name, rect=RectROI.from_dict(d, prefix), kind=RegionKind(d["kind"]))
 
 
 @dataclass

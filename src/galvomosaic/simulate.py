@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from . import pgm
-from .compose import canvas_dims, rasterize
+from .compose import canvas_dims
 from .correction import BAND_PX_DEFAULT, EPSILON_DEFAULT, RectROI
 from .errors import ConfigError, CoverageError, DimensionMismatchError, GalvoMosaicError
 from .geometry import (
@@ -263,12 +263,11 @@ def _crop(
     """
     h, w = src.shape
     if not subpixel:
-        x, y = rasterize(p)
-        if x < 0 or y < 0 or x + tw > w or y + th > h:
+        if p.x < 0 or p.y < 0 or p.x + tw > w or p.y + th > h:
             raise CoverageError(
-                f"tile ({p.row}, {p.col}) at ({x}, {y}) exceeds truth bounds {w}x{h}"
+                f"tile ({p.row}, {p.col}) at ({p.x}, {p.y}) exceeds truth bounds {w}x{h}"
             )
-        return to_float(src[y:y + th, x:x + tw])
+        return to_float(src[p.y:p.y + th, p.x:p.x + tw])
     ix, iy = math.floor(p.dx), math.floor(p.dy)
     fx, fy = p.dx - ix, p.dy - iy
     if ix < 0 or iy < 0 or ix + tw + (fx > 0) > w or iy + th + (fy > 0) > h:
@@ -443,7 +442,9 @@ class DatasetManifest:
     the 16-bit grid and the metric regions resolved.  The ``target_*``
     settings are not recorded, so a loaded manifest's ``run`` holds their
     defaults.  Loading runs :meth:`validate`, which applies the checks a
-    config gets, so a manifest holds no value a config could not.
+    config gets, so a manifest holds no value a config could not, and
+    then requires that :meth:`to_json` writes back exactly what was read,
+    so a manifest holds no key, and no copy of a value, that is not used.
     """
 
     run: RunConfig
@@ -454,16 +455,17 @@ class DatasetManifest:
     total_s: float
 
     def validate(self) -> None:
-        """:meth:`RunConfig.validate`, then: every grid coordinate appears
-        exactly once and every path is a plain file name."""
+        """:meth:`RunConfig.validate` and the type of ``total_s``, then: every
+        grid coordinate appears exactly once and every path is a plain file name."""
         self.run.validate()
+        check_fields(self)
         if not isinstance(self.tiles, list):
             raise GalvoMosaicError(
                 f"manifest key 'tiles': expected a list, got {type(self.tiles).__name__}"
             )
         for k, t in enumerate(self.tiles):
             if not (
-                isinstance(t, dict) and isinstance(t.get("row"), int) and isinstance(t.get("col"), int)
+                isinstance(t, dict) and type(t.get("row")) is int and type(t.get("col")) is int
             ):
                 raise GalvoMosaicError(
                     f"manifest key 'tiles[{k}]': expected an object with integer "
@@ -494,10 +496,14 @@ class DatasetManifest:
             )
 
     def to_json(self) -> str:
+        return json.dumps(self._payload(), indent=2) + "\n"
+
+    def _payload(self) -> dict:
+        """The JSON object :meth:`to_json` writes."""
         run = self.run
-        payload = {
+        return {
             "scan": fields_dict(run.scan),
-            "tiles": self.tiles,
+            "tiles": [{"row": t["row"], "col": t["col"], "path": t["path"]} for t in self.tiles],
             "truth": self.truth_path,
             "degradation": fields_dict(run.degradation),
             "subpixel": run.subpixel,
@@ -519,7 +525,6 @@ class DatasetManifest:
                 "total_s": self.total_s,
             },
         }
-        return json.dumps(payload, indent=2) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "DatasetManifest":
@@ -528,7 +533,7 @@ class DatasetManifest:
             scan, reference = payload["scan"], payload["reference"]
             run = RunConfig(
                 scan=ScanConfig(**{**scan, "strategy": ScanStrategy(scan["strategy"])}),
-                rois=[RectROI(**r) for r in payload["rois"]],
+                rois=[RectROI.from_dict(r, f"rois[{k}].") for k, r in enumerate(payload["rois"])],
                 degradation=DegradationSpec(**payload["degradation"]),
                 epsilon=payload["correction"]["epsilon"],
                 band_px=payload["correction"]["band_px"],
@@ -536,7 +541,9 @@ class DatasetManifest:
                 dark_level=reference["dark_level"],
                 subpixel=payload["subpixel"],
                 per_frame_ms=payload["timing"]["per_frame_ms"],
-                regions=[RegionSpec.from_dict(r) for r in payload["regions"]],
+                regions=[
+                    RegionSpec.from_dict(r, f"regions[{k}].") for k, r in enumerate(payload["regions"])
+                ],
             )
             manifest = cls(
                 run=run,
@@ -549,7 +556,34 @@ class DatasetManifest:
             manifest.validate()
         except (KeyError, TypeError, ValueError) as exc:
             raise GalvoMosaicError(f"malformed manifest: {exc}") from exc
+        written = manifest._payload()
+        if written != payload:
+            raise GalvoMosaicError(f"manifest {_first_difference(written, payload)}")
         return manifest
+
+
+def _first_difference(written, read, key: str = "") -> str | None:
+    """Where ``read`` first departs from ``written``, naming the key path."""
+    if isinstance(written, dict) and isinstance(read, dict):
+        for name in {**written, **read}:
+            sub = f"{key}.{name}" if key else name
+            if name not in read:
+                return f"key {sub!r} is missing"
+            if name not in written:
+                return f"key {sub!r} is unknown"
+            found = _first_difference(written[name], read[name], sub)
+            if found:
+                return found
+        return None
+    if isinstance(written, list) and isinstance(read, list) and len(written) == len(read):
+        for k, (w, r) in enumerate(zip(written, read)):
+            found = _first_difference(w, r, f"{key}[{k}]")
+            if found:
+                return found
+        return None
+    if written != read:
+        return f"key {key!r}: {read!r} disagrees with {written!r}, the value the other keys give"
+    return None
 
 
 def _plain_file_name(value) -> bool:

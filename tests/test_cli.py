@@ -260,6 +260,8 @@ class TestStitch:
             pytest.param(("subpixel",), "no", "'subpixel'", id="subpixel_str"),
             pytest.param(("rois", 0, "x0"), 5.0, "'rois[0].x0'", id="roi_float"),
             pytest.param(("regions", 0, "width"), 4.5, "'regions[0].width'", id="region_float"),
+            pytest.param(("rois", 0, "x0"), "5", "'rois[0].x0'", id="roi_str"),
+            pytest.param(("regions", 0, "y0"), "5", "'regions[0].y0'", id="region_str"),
             pytest.param(("timing", "per_frame_ms"), 1.0, "'per_frame_ms'", id="frame_below_settle"),
         ],
     )
@@ -273,6 +275,57 @@ class TestStitch:
         parent[path[-1]] = value
         err = self._stitch_fails_cleanly(tmp_path, dataset, manifest, capsys)
         assert key in err, err
+
+    # Each edit leaves a manifest that the writer would never write: the
+    # reader must not drop a key, ignore a copy or fill in a default.
+    @pytest.mark.parametrize(
+        "edit, key",
+        [
+            pytest.param(lambda m: m.update(epsilonn=1e-6), "'epsilonn' is unknown", id="top_level"),
+            pytest.param(
+                lambda m: m["reference"].update(level=0.9), "'reference.level' is unknown",
+                id="reference",
+            ),
+            pytest.param(
+                lambda m: m["correction"].update(eps=0.1), "'correction.eps' is unknown",
+                id="correction",
+            ),
+            pytest.param(
+                lambda m: m["timing"].update(settle=1), "'timing.settle' is unknown", id="timing",
+            ),
+            pytest.param(
+                lambda m: m["tiles"][2].update(gain=1.0), "'tiles[2].gain' is unknown", id="tile",
+            ),
+            pytest.param(lambda m: m["tiles"][0].update(row=False), "'tiles[0]'", id="tile_bool"),
+            pytest.param(
+                lambda m: m["timing"].update(settle_ms=999), "'timing.settle_ms': 999 disagrees",
+                id="settle_ms_copy",
+            ),
+            pytest.param(lambda m: m["scan"].pop("alpha_x"), "'scan.alpha_x' is missing",
+                         id="scan_default"),
+            pytest.param(lambda m: m["timing"].update(total_s="x"), "'total_s'", id="total_s_str"),
+        ],
+    )
+    def test_manifest_reads_back_only_what_it_writes(self, tmp_path, capsys, edit, key):
+        dataset = tmp_path / "quick"
+        assert run("simulate", "--config", QUICK_CFG, "--out", dataset) == 0
+        manifest = json.loads((dataset / "manifest.json").read_text())
+        edit(manifest)
+        err = self._stitch_fails_cleanly(tmp_path, dataset, manifest, capsys)
+        assert key in err, err
+
+    @pytest.mark.parametrize("size", [100, 40], ids=["padded", "cut"])
+    def test_reference_frame_of_wrong_size_is_named(self, tmp_path, dataset, capsys, size):
+        for name in ("ref_bright.pgm", "ref_dark.pgm"):
+            frame = pgm.read_pgm(dataset / name)
+            resized = np.zeros((size, size), dtype=np.uint16)
+            n = min(size, 80)
+            resized[:n, :n] = frame[:n, :n]
+            pgm.write_pgm(dataset / name, resized)
+        manifest = json.loads((dataset / "manifest.json").read_text())
+        err = self._stitch_fails_cleanly(tmp_path, dataset, manifest, capsys)
+        expected = f"{dataset / 'ref_bright.pgm'}: reference frame is {size}x{size}, expected 80x80"
+        assert expected in err, err
 
 
 class TestEvaluate:
@@ -346,6 +399,40 @@ class TestEvaluate:
         assert code == 1
         err = capsys.readouterr().err
         assert "malformed sidecar" in err and "x0" in err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize(
+        "edit, key",
+        [
+            pytest.param(lambda s: s["regions"][0].update(x0=5.5), "'regions[0].x0'",
+                         id="region_float"),
+            pytest.param(lambda s: s["regions"][1].update(x0="5"), "'regions[1].x0'",
+                         id="region_str"),
+            pytest.param(lambda s: s["seams"][0].update(position="5"), "'seams[0].position'",
+                         id="seam_str"),
+            pytest.param(lambda s: s["seams"][3].update(stop=7.0), "'seams[3].stop'",
+                         id="seam_float"),
+            pytest.param(lambda s: s.update(mae_mean="x"), "'mae_mean'", id="mae_mean_str"),
+            pytest.param(lambda s: s.update(mae_mean=[1]), "'mae_mean'", id="mae_mean_list"),
+            pytest.param(lambda s: s["mae_per_overlap"][0].__setitem__(1, "x"),
+                         "'mae_per_overlap[0][1]'", id="mae_value_str"),
+            pytest.param(lambda s: s["mae_per_overlap"][4].__setitem__(0, 3),
+                         "'mae_per_overlap[4][0]'", id="mae_pair_int"),
+        ],
+    )
+    def test_sidecar_value_of_wrong_type_is_named(self, tmp_path, stitched, capsys, edit, key):
+        sidecar = json.loads((stitched / "sidecar.json").read_text())
+        edit(sidecar)
+        bad = tmp_path / "bad_sidecar.json"
+        bad.write_text(json.dumps(sidecar))
+        capsys.readouterr()
+        code = run(
+            "evaluate", "--mosaic", stitched / "mosaic.pgm",
+            "--sidecar", bad, "--out", tmp_path / "r",
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"malformed sidecar {bad}: key {key}" in err and "Traceback" not in err, err
         assert not (tmp_path / "r").exists()
 
     def test_unknown_region_key_rejected(self, tmp_path, stitched, capsys):

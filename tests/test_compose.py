@@ -10,12 +10,16 @@ from galvomosaic.compose import (
     compose_raw,
     compute_overlaps,
     derive_seams,
-    rasterize,
-    round_half_away,
     tile_weight_map,
 )
 from galvomosaic.errors import CompositionError, DimensionMismatchError
-from galvomosaic.geometry import ScanConfig, ScanStrategy, TilePlacement, placement_table
+from galvomosaic.geometry import (
+    ScanConfig,
+    ScanStrategy,
+    TilePlacement,
+    placement_table,
+    round_half_away,
+)
 
 
 def grid_cfg(**overrides) -> ScanConfig:
@@ -168,8 +172,8 @@ class TestComposeFeathered:
     def test_two_tile_weights_partition_unity(self):
         placements = [place(0, 0, 0, 0), place(0, 1, 12, 0)]
         overlaps = compute_overlaps(placements, 20, 20)
-        w_left = tile_weight_map((0, 0), 20, 20, overlaps)
-        w_right = tile_weight_map((0, 1), 20, 20, overlaps)
+        w_left = np.outer(*tile_weight_map((0, 0), 20, 20, overlaps))
+        w_right = np.outer(*tile_weight_map((0, 1), 20, 20, overlaps))
         # overlap spans canvas columns 12..19: left tile cols 12..19,
         # right tile cols 0..7
         total = w_left[:, 12:20] + w_right[:, 0:8]
@@ -198,7 +202,7 @@ class TestComposeFeathered:
         covered = canvas.covered()
         # every placed pixel carries weight, so it finalizes to the tile value
         for p in table:
-            x, y = rasterize(p)
+            x, y = p.x, p.y
             assert covered[y:y + 60, x:x + 60].all()
         final = canvas.finalize()
         assert np.allclose(final[covered], 0.5, rtol=0, atol=1e-15)

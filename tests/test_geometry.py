@@ -10,6 +10,8 @@ from galvomosaic.errors import ConfigError, DegenerateGridError, IndexRangeError
 from galvomosaic.geometry import (
     ScanConfig,
     ScanStrategy,
+    TilePlacement,
+    fields_dict,
     linear_offset,
     placement_table,
     sinusoidal_offset,
@@ -140,6 +142,15 @@ class TestPlacementTable:
         assert [(p.row, p.col) for p in table] == [
             (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2),
         ]
+
+    def test_placement_carries_its_rounded_pixel_offset(self):
+        p = TilePlacement(row=1, col=2, dx=442.5, dy=-0.5)
+        assert (p.x, p.y) == (443, -1)
+        # The sidecar's placement record, in its key order.
+        assert fields_dict(p) == {"row": 1, "col": 2, "dx": 442.5, "dy": -0.5, "x": 443, "y": -1}
+        assert list(fields_dict(p)) == ["row", "col", "dx", "dy", "x", "y"]
+        table = placement_table(calib_cfg())
+        assert {(p.x, p.y) for p in table if p.row == 0 and p.col == 9} == {(3980, 0)}
 
 
 class TestValidation:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from galvomosaic import pgm
-from galvomosaic.compose import compose_feathered, compose_raw, compute_overlaps, rasterize
+from galvomosaic.compose import compose_feathered, compose_raw, compute_overlaps
 from galvomosaic.correction import RectROI, ReferencePair, correct_roi, fit_two_point
 from galvomosaic.errors import ConfigError, CoverageError, GalvoMosaicError
 from galvomosaic.geometry import ScanConfig, ScanStrategy, placement_table
@@ -121,7 +121,7 @@ class TestExtractTiles:
         truth = np.random.default_rng(2).uniform(0, 1, size=(300, 300))
         tiles = extract_tiles(truth, cfg)
         for tile, placement in zip(tiles, placement_table(cfg)):
-            x, y = rasterize(placement)
+            x, y = placement.x, placement.y
             assert np.array_equal(tile.data, truth[y:y + TILE_H, x:x + TILE_W])
 
     def test_undersized_truth_reports_required_dims(self):

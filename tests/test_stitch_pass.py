@@ -8,7 +8,7 @@ import pytest
 
 from galvomosaic import pgm
 from galvomosaic.cli import main
-from galvomosaic.compose import canvas_dims, compute_overlaps, rasterize, tile_weight_map
+from galvomosaic.compose import canvas_dims, compute_overlaps, tile_weight_map
 from galvomosaic.correction import (
     ReferencePair,
     apply_roi_corrections,
@@ -106,10 +106,10 @@ def oracle_pgm(dataset: Path, mode: str) -> bytes:
     weight = np.zeros((height, width))
     for p in placements:
         tile = pgm.to_unit(pgm.read_pgm(paths[(p.row, p.col)]))
-        x, y = rasterize(p)
+        x, y = p.x, p.y
         box = np.s_[y:y + th, x:x + tw]
         if mode == "processed":
-            w = tile_weight_map((p.row, p.col), tw, th, overlaps)
+            w = np.outer(*tile_weight_map((p.row, p.col), tw, th, overlaps))
             value[box] += apply_roi_corrections(tile, fits) * w
             weight[box] += w
         else:
@@ -148,7 +148,7 @@ def leaves_whole_rows_uncovered(boxes, tile):
 def test_mosaic_matches_full_canvas_oracle(tmp_path, name, cfg_text, geometry, mode):
     dataset = simulate(tmp_path, name, cfg_text)
     scan = load_manifest(dataset).run.scan
-    boxes = {(p.row, p.col): rasterize(p) for p in placement_table(scan)}
+    boxes = {(p.row, p.col): (p.x, p.y) for p in placement_table(scan)}
     assert geometry(boxes, scan.tile_height)
     out = tmp_path / f"run_{mode}"
     assert run("stitch", "--dataset", dataset, "--out", out, "--mode", mode) == 0
