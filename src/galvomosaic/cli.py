@@ -40,7 +40,7 @@ from .correction import (
     linear_weight_field,
 )
 from .errors import ConfigError, GalvoMosaicError, UndefinedCnrError
-from .geometry import TilePlacement, check_json, fields_dict, placement_table
+from .geometry import TilePlacement, check_json, dumps_indented, fields_dict, placement_table
 from .metrics import (
     MetricsReport,
     RegionKind,
@@ -79,14 +79,14 @@ def _resolve_mode(args: argparse.Namespace) -> tuple[str, bool]:
 def _read_reference(path: Path, manifest: DatasetManifest) -> np.ndarray:
     """A reference frame as floats; one whose size is not the tile size
     raises :class:`~galvomosaic.pgm.ImageFormatError`."""
-    counts = pgm.read_pgm(path)
+    frame = pgm.read_pgm_unit(path)
     scan = manifest.run.scan
-    if counts.shape != (scan.tile_height, scan.tile_width):
+    if frame.shape != (scan.tile_height, scan.tile_width):
         raise pgm.ImageFormatError(
-            f"{path}: reference frame is {counts.shape[1]}x{counts.shape[0]}, "
+            f"{path}: reference frame is {frame.shape[1]}x{frame.shape[0]}, "
             f"expected {scan.tile_width}x{scan.tile_height}"
         )
-    return pgm.to_unit(counts)
+    return frame
 
 
 def _build_fits(manifest: DatasetManifest, dataset: Path, correction: str):
@@ -121,6 +121,9 @@ def _corrected_tiles(
 ):
     """Read and correct each tile once, in placement order, and yield it.
 
+    Each tile is decoded straight to float64 and corrected in place, so
+    the yielded array is the only tile-sized one.
+
     As a tile arrives, ``mae[k]`` is filled for every overlap k it closes
     (its left and top pairs); the earlier tile's overlap samples are the
     only part of it kept until then.  A tile whose dimensions differ from
@@ -132,15 +135,14 @@ def _corrected_tiles(
     pending: dict[int, np.ndarray] = {}
     for p in placements:
         key = (p.row, p.col)
-        counts = pgm.read_pgm(paths[key])
-        if counts.shape != expected:
+        tile = pgm.read_pgm_unit(paths[key])
+        if tile.shape != expected:
             raise pgm.ImageFormatError(
                 f"{paths[key]}: tile ({p.row}, {p.col}) is "
-                f"{counts.shape[1]}x{counts.shape[0]}, expected {expected[1]}x{expected[0]}"
+                f"{tile.shape[1]}x{tile.shape[0]}, expected {expected[1]}x{expected[0]}"
             )
-        tile = pgm.to_unit(counts)
         if fits:
-            tile = apply_roi_corrections(tile, fits)
+            apply_roi_corrections(tile, fits)
         for k in by_tile.get(key, ()):
             rect = overlaps[k].rect
             samples = tile[rect.y0 - p.y:rect.y1 - p.y, rect.x0 - p.x:rect.x1 - p.x]
@@ -149,6 +151,8 @@ def _corrected_tiles(
             else:
                 mae[k] = normalized_mae(pending.pop(k), samples)
         yield tile
+        # Hold no tile while the next one is read.
+        tile = samples = None
 
 
 def cmd_stitch(args: argparse.Namespace) -> int:
@@ -182,7 +186,8 @@ def cmd_stitch(args: argparse.Namespace) -> int:
         f.write(pgm.pgm_header(width, height))
 
         def write_rows(row: int, rows: np.ndarray) -> None:
-            f.write(pgm.to_u16(rows).astype(">u2").tobytes())
+            # The band's rows are encoded in place; it zeroes them next.
+            f.write(pgm.scale_to_counts(rows).astype(">u2"))
 
         if feather:
             compose_feathered(
@@ -216,7 +221,7 @@ def cmd_stitch(args: argparse.Namespace) -> int:
         "regions": [r.to_dict() for r in manifest.run.regions],
     }
     with pgm.replacing(out / "sidecar.json") as f:
-        f.write((json.dumps(sidecar, indent=2) + "\n").encode("ascii"))
+        f.write((dumps_indented(sidecar) + "\n").encode("ascii"))
     print(
         f"wrote {out / 'mosaic.pgm'} ({width}x{height}, "
         f"correction={correction}, feather={'on' if feather else 'off'})"
@@ -226,7 +231,7 @@ def cmd_stitch(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     # The metrics convert only the region rows and seam lines they index.
-    mosaic = pgm.UnitView(pgm.map_pgm(args.mosaic))
+    mosaic = pgm.UnitView.mapped(args.mosaic)
     try:
         sidecar = json.loads(Path(args.sidecar).read_text(encoding="ascii"))
         seams = [SeamLine.from_dict(s, f"seams[{k}].") for k, s in enumerate(sidecar["seams"])]

@@ -7,8 +7,8 @@ overwrite boundaries define the seam lines.  Feathered mode weights
 each tile by a row ramp times a column ramp, 1 in its interior and
 falling linearly to 0 across every tile edge that lies inside an
 overlap with a grid neighbor, the ramp spanning that overlap's width;
-the canvas accumulates weight*value and weight and finalizes by
-division.  For two tiles with complementary ramps the result is exactly
+the canvas accumulates weight*value and finalizes by division by the
+weight sums.  For two tiles with complementary ramps the result is exactly
 the classic two-image seam feather; corner regions where four tiles
 meet fall out of the same normalization.
 
@@ -20,6 +20,12 @@ with canvas width times band height, not with canvas area.  The band
 height follows from the placements (one tile height for an untilted
 grid).  Without a sink the finished rows are gathered into the returned
 :class:`MosaicCanvas`.
+
+Both modes hold one float64 value band, width x depth x 8 B.  Feathered
+mode keeps no weight band: a weight sum is a function of the placements
+and ramps alone, so it is rebuilt for each block of ``BLOCK_ROWS``
+finished rows in one scratch array (width x 64 x 8 B) just before the
+division.  Rows reach the sink in blocks of at most ``BLOCK_ROWS``.
 """
 
 from __future__ import annotations
@@ -42,7 +48,9 @@ class Axis(Enum):
 
 # sink(row, rows): ``rows`` are finished canvas rows starting at canvas
 # row ``row``, float intensities with 0 where no tile lies.  The array is
-# reused once the call returns, so a sink must consume or copy it.
+# a view of the band: the sink may overwrite it (e.g. encode it in
+# place), and it is zeroed and reused once the call returns, so a sink
+# must consume or copy it.
 RowSink = Callable[[int, np.ndarray], None]
 
 
@@ -216,20 +224,11 @@ def tile_weight_map(
     return wy, wx
 
 
-def _iter_tiles(
-    tiles: Iterable[np.ndarray], placements: Sequence[TilePlacement]
-):
-    it = iter(tiles)
-    for k, placement in enumerate(placements):
-        try:
-            tile = next(it)
-        except StopIteration:
-            raise CompositionError(
-                f"{k} tiles supplied for {len(placements)} placements"
-            ) from None
-        yield np.asarray(tile, dtype=np.float64), placement
-    if next(it, None) is not None:
-        raise CompositionError(f"more tiles supplied than {len(placements)} placements")
+def _next_tile(it, k: int, n: int) -> np.ndarray:
+    try:
+        return np.asarray(next(it), dtype=np.float64)
+    except StopIteration:
+        raise CompositionError(f"{k} tiles supplied for {n} placements") from None
 
 
 def _check_tile_shape(tile: np.ndarray, tile_width: int, tile_height: int) -> None:
@@ -259,26 +258,40 @@ def _band_schedule(
     return finished, depth
 
 
+# Canvas rows handled at once by the band: the height of the feathered
+# weight scratch, of each band add's product and of each block a sink gets.
+BLOCK_ROWS = 64
+
+
 class _RowBand:
     """Accumulators for the canvas rows that tiles can still touch.
 
     A ring of ``depth`` buffer rows: canvas row r lives in buffer row
     r % depth.  Rows above ``done`` have been emitted and their buffer
-    rows zeroed for reuse.  Raw mode keeps values only; feathered mode
-    also keeps weight sums.
+    rows zeroed for reuse.  Both modes keep values only.  Feathered mode
+    also keeps the placement and ramps of each ``live`` tile, one whose
+    rows are not all emitted yet, and rebuilds the weight sums of each
+    block of rows it emits from them, in one reused scratch array.  Each
+    weight product ``wy[rows, None] * wx`` is formed in one reused
+    tile-wide buffer.
     """
 
-    def __init__(self, width: int, depth: int, feathered: bool):
+    def __init__(self, width: int, depth: int, tile_width: int, feathered: bool):
         self.depth = depth
         self.value = np.zeros((depth, width), dtype=np.float64)
-        self.weight = np.zeros((depth, width), dtype=np.float64) if feathered else None
+        self.weight = self.product = None
+        if feathered:
+            self.weight = np.empty((min(BLOCK_ROWS, depth), width))
+            self.product = np.empty((min(BLOCK_ROWS, depth), tile_width))
+        self.live: list[tuple[int, int, np.ndarray, np.ndarray]] = []
         self.done = 0
 
     def _runs(self, start: int, stop: int):
-        """(canvas row, buffer slice) runs covering canvas rows start..stop-1."""
+        """(canvas row, buffer slice) runs of at most BLOCK_ROWS rows
+        covering canvas rows start..stop-1."""
         while start < stop:
             offset = start % self.depth
-            n = min(stop - start, self.depth - offset)
+            n = min(stop - start, self.depth - offset, BLOCK_ROWS)
             yield start, slice(offset, offset + n)
             start += n
 
@@ -292,26 +305,46 @@ class _RowBand:
                 self.value[buf, cols] = tile[part]
             else:
                 wy, wx = weights
-                w = wy[part, None] * wx
-                self.weight[buf, cols] += w
+                w = self.product[:buf.stop - buf.start]
+                np.multiply(wy[part, None], wx, out=w)
                 w *= tile[part]
                 self.value[buf, cols] += w
+        if weights is not None:
+            self.live.append((x, y, *weights))
+
+    def _weight_sums(self, start: int, stop: int) -> np.ndarray:
+        """Weight sums of canvas rows start..stop-1 (at most BLOCK_ROWS).
+
+        Every live tile adds ``wy * wx`` over its rows in the block, in
+        placement order: the same additions, in the same order, as a
+        whole-canvas weight array built tile by tile.
+        """
+        weight = self.weight[:stop - start]
+        weight[...] = 0.0
+        product = self.product
+        for x, y, wy, wx in self.live:
+            lo = start if start > y else y
+            hi = stop if stop < y + wy.size else y + wy.size
+            if lo < hi:
+                part = product[:hi - lo]
+                np.multiply(wy[lo - y:hi - y, None], wx, out=part)
+                weight[lo - start:hi - start, x:x + wx.size] += part
+        return weight
 
     def emit(self, stop: int, sink: RowSink) -> None:
         """Finalize canvas rows done..stop-1 and pass them to ``sink`` in order."""
         for row, buf in self._runs(self.done, stop):
             value = self.value[buf]
-            if self.weight is None:
-                sink(row, value)
-            else:
+            if self.weight is not None:
                 # In place: value is 0 wherever weight is, since every
                 # tile pixel carries a weight > 0.
-                weight = self.weight[buf]
+                weight = self._weight_sums(row, row + value.shape[0])
                 np.divide(value, weight, out=value, where=weight > 0.0)
-                sink(row, value)
-                weight[...] = 0.0
+            sink(row, value)
             value[...] = 0.0
-        self.done = max(self.done, stop)
+        if stop > self.done:
+            self.done = stop
+            self.live = [t for t in self.live if t[1] + t[2].size > stop]
 
 
 def _compose(
@@ -331,11 +364,17 @@ def _compose(
         def sink(row: int, rows: np.ndarray) -> None:
             gathered[row:row + rows.shape[0]] = rows
 
-    band = _RowBand(width, depth, feathered=weight_map is not None)
-    for (tile, p), stop in zip(_iter_tiles(tiles, placements), finished):
+    band = _RowBand(width, depth, tile_width, feathered=weight_map is not None)
+    it = iter(tiles)
+    for k, (p, stop) in enumerate(zip(placements, finished)):
+        tile = _next_tile(it, k, len(placements))
         _check_tile_shape(tile, tile_width, tile_height)
         band.add(tile, None if weight_map is None else weight_map(p), p.x, p.y)
         band.emit(stop, sink)
+        # Hold no tile while the next one is made.
+        del tile
+    if next(it, None) is not None:
+        raise CompositionError(f"more tiles supplied than {len(placements)} placements")
     return canvas
 
 
@@ -350,7 +389,8 @@ def compose_raw(
     """Overwrite composition in row-major acquisition order.
 
     Tiles are consumed one at a time.  With ``sink``, finished rows go to
-    it in raster order; without, they are gathered for ``finalize()``.
+    it in raster order, in blocks it may overwrite (they are zeroed and
+    reused after the call); without, they are gathered for ``finalize()``.
     """
     return _compose(tiles, placements, tile_width, tile_height, None, sink)
 
@@ -368,7 +408,9 @@ def compose_feathered(
 
     Every pixel of every tile must carry positive weight, so every
     touched canvas pixel is covered.  ``sink`` works as in
-    :func:`compose_raw`.
+    :func:`compose_raw`.  The rows in flight take one value band (canvas
+    width x band depth x 8 B) plus one weight block (canvas width x
+    ``BLOCK_ROWS`` x 8 B).
     """
     by_tile = overlaps_by_tile(overlaps)
 

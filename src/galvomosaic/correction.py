@@ -31,6 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DimensionMismatchError,
     InvalidReferenceError,
     WeightInvariantError,
@@ -60,10 +61,17 @@ class RectROI:
     def from_dict(cls, d: dict, prefix: str = "") -> "RectROI":
         """Inverse of ``fields_dict(rect)``, the form the JSON files store.
 
-        Each field must be a JSON integer; an error names ``prefix`` plus
-        the field, e.g. ``rois[0].x0``.
+        Each field must be a JSON integer, the corner nonnegative and the
+        size positive; an error names ``prefix`` plus the field, e.g.
+        ``rois[0].x0``.
         """
-        return cls(**{f.name: check_json(d[f.name], (int,), prefix + f.name) for f in fields(cls)})
+        values = {}
+        for f in fields(cls):
+            value = values[f.name] = check_json(d[f.name], (int,), prefix + f.name)
+            least = 0 if f.name in ("x0", "y0") else 1
+            if value < least:
+                raise ConfigError(f"key {prefix + f.name!r}: must be at least {least}, got {value}")
+        return cls(**values)
 
     @property
     def x1(self) -> int:
@@ -205,17 +213,10 @@ def linear_weight_field(roi: RectROI, band_px: int = BAND_PX_DEFAULT) -> WeightF
     return WeightField(weights=weights, band_px=band_px)
 
 
-def feather_roi(
+def _blend_into(
     tile: np.ndarray, corrected: np.ndarray, w: WeightField, roi: RectROI
-) -> np.ndarray:
-    """Blend corrected ROI values back into the tile.
-
-    Output pixel = I + W * (I_corr - I), i.e. the convex combination
-    W*I_corr + (1-W)*I written so W*0 residuals stay bit-exact; the ROI
-    result is clamped to [0, 1] before storage.  Pixels outside the ROI
-    are returned untouched.
-    """
-    tile = np.asarray(tile, dtype=np.float64)
+) -> None:
+    """Write the feathered blend into the ROI of the float64 ``tile``."""
     roi.check_within(tile.shape)
     if corrected.shape != (roi.height, roi.width):
         raise DimensionMismatchError(
@@ -225,15 +226,27 @@ def feather_roi(
         raise DimensionMismatchError(
             f"weight shape {w.weights.shape} does not match ROI {roi.height}x{roi.width}"
         )
-    out = tile.copy()
-    rows, cols = roi.slices()
-    patch = out[rows, cols]
+    patch = tile[roi.slices()]
     blended = patch + w.weights * (corrected - patch)
     # Pin the W = 1 endpoint: a + 1*(b - a) can round away from b.
     full = w.weights == 1.0
     if full.any():
         blended = np.where(full, corrected, blended)
-    out[rows, cols] = np.clip(blended, 0.0, 1.0)
+    np.clip(blended, 0.0, 1.0, out=patch)
+
+
+def feather_roi(
+    tile: np.ndarray, corrected: np.ndarray, w: WeightField, roi: RectROI
+) -> np.ndarray:
+    """Blend corrected ROI values back into a copy of the tile.
+
+    Output pixel = I + W * (I_corr - I), i.e. the convex combination
+    W*I_corr + (1-W)*I written so W*0 residuals stay bit-exact; the ROI
+    result is clamped to [0, 1] before storage.  Pixels outside the ROI
+    are returned untouched, and ``tile`` itself is never written.
+    """
+    out = np.array(tile, dtype=np.float64)
+    _blend_into(out, corrected, w, roi)
     return out
 
 
@@ -241,9 +254,13 @@ def apply_roi_corrections(
     tile: np.ndarray,
     fits: Sequence[tuple[ResponseModel, RectROI, WeightField]],
 ) -> np.ndarray:
-    """Correct and feather each (model, ROI, weights) triple in turn."""
+    """Correct and feather each (model, ROI, weights) triple in turn, in place.
+
+    A float64 ``tile`` is overwritten inside its ROIs and returned; any
+    other input is converted to a new float64 array first.  Only ROI-sized
+    temporaries are made, the same values :func:`feather_roi` gives.
+    """
     out = np.asarray(tile, dtype=np.float64)
     for model, roi, weights in fits:
-        corrected = correct_roi(out, model, roi)
-        out = feather_roi(out, corrected, weights, roi)
+        _blend_into(out, correct_roi(out, model, roi), weights, roi)
     return out

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import json
 import math
 import numbers
 import types
@@ -84,6 +85,91 @@ def check_json(value, kinds: tuple[type, ...], key: str):
         names = " or ".join("null" if kind is type(None) else kind.__name__ for kind in kinds)
         raise ConfigError(f"key {key!r}: expected {names}, got {value!r}")
     return value
+
+
+_CONTAINERS = (dict, list, tuple)
+
+
+@functools.lru_cache(maxsize=None)
+def _flat_encoder(level: int):
+    """Encoder of a container that holds no container, ``level`` deep.
+
+    Without ``indent``, :mod:`json` encodes in C; the item separator
+    carries the newline and the indent of the items one level down.
+    """
+    separator = ",\n" + "  " * (level + 1)
+    if json.encoder.c_make_encoder is None:
+        return json.JSONEncoder(separators=(separator, ": ")).encode
+    encode = json.encoder.c_make_encoder(
+        None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii, None,
+        ": ", separator, False, False, True,
+    )
+    return lambda value: "".join(encode(value, 0))
+
+
+def _json_key(key) -> str:
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (bool, int, float)):
+        return json.dumps(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _is_flat(value) -> bool:
+    for member in value.values() if isinstance(value, dict) else value:
+        if isinstance(member, _CONTAINERS):
+            return False
+    return True
+
+
+def _rows_of_one_kind(value) -> bool:
+    """Whether every member of the list ``value`` is a nonempty container
+    holding no container, all dicts or all lists."""
+    kind = dict if isinstance(value[0], dict) else (list, tuple)
+    return all(member and isinstance(member, kind) and _is_flat(member) for member in value)
+
+
+def _indented(value, level: int) -> str:
+    # A raw newline never appears inside encoded JSON text, so in what the
+    # flat encoders return the separators hold the only newlines.
+    is_dict = isinstance(value, dict)
+    if not value or not (is_dict or isinstance(value, (list, tuple))):
+        return _flat_encoder(level)(value)
+    open_, close = "{}" if is_dict else "[]"
+    pad, inner = "  " * level, "  " * (level + 1)
+    if _is_flat(value):
+        return open_ + "\n" + inner + _flat_encoder(level)(value)[1:-1] + "\n" + pad + close
+    if not is_dict and _rows_of_one_kind(value):
+        # One call encodes the whole list.  Its members' closing and
+        # opening brackets meet a separator only between two members, and
+        # there the member indent is put back.
+        row_open, row_close = "{}" if isinstance(value[0], dict) else "[]"
+        deeper = "\n" + "  " * (level + 2)
+        text = _flat_encoder(level + 1)(value)[2:-2].replace(
+            row_close + "," + deeper + row_open,
+            "\n" + inner + row_close + ",\n" + inner + row_open + deeper,
+        )
+        return (open_ + "\n" + inner + row_open + deeper + text + "\n" + inner + row_close
+                + "\n" + pad + close)
+    separator = ",\n" + inner
+    if is_dict:
+        body = separator.join(
+            json.encoder.encode_basestring_ascii(_json_key(k)) + ": " + _indented(v, level + 1)
+            for k, v in value.items()
+        )
+    else:
+        body = separator.join(_indented(v, level + 1) for v in value)
+    return open_ + "\n" + inner + body + "\n" + pad + close
+
+
+def dumps_indented(value) -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, in less time.
+
+    ``indent`` makes :mod:`json` fall back to its pure-Python encoder;
+    here every container that holds no container is encoded by the C
+    encoder, with the indented item separator.
+    """
+    return _indented(value, 0)
 
 
 @functools.lru_cache(maxsize=None)

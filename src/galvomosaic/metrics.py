@@ -17,7 +17,6 @@ each seam, and convert only those to float64.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -27,13 +26,14 @@ import numpy as np
 from .compose import Axis, SeamLine
 from .correction import RectROI
 from .errors import (
+    ConfigError,
     DegenerateFitError,
     DimensionMismatchError,
     IndexRangeError,
     NoOverlapError,
     UndefinedCnrError,
 )
-from .geometry import check_json, fields_dict
+from .geometry import check_json, dumps_indented, fields_dict
 
 
 @dataclass(frozen=True)
@@ -48,6 +48,9 @@ class RegionKind(Enum):
     SIGNAL = "signal"
     BRIGHT_BACKGROUND = "bright_background"
     DARK_BACKGROUND = "dark_background"
+
+
+_KINDS = {kind.value: kind for kind in RegionKind}
 
 
 @dataclass(frozen=True)
@@ -66,7 +69,13 @@ class RegionSpec:
     def from_dict(cls, d: dict, prefix: str = "") -> "RegionSpec":
         """Inverse of :meth:`to_dict`; errors name ``prefix`` plus the key."""
         name = check_json(d["name"], (str,), prefix + "name")
-        return cls(name=name, rect=RectROI.from_dict(d, prefix), kind=RegionKind(d["kind"]))
+        kind = check_json(d["kind"], (str,), prefix + "kind")
+        if kind not in _KINDS:
+            raise ConfigError(
+                f"key {prefix + 'kind'!r}: expected one of {', '.join(map(repr, _KINDS))}, "
+                f"got {kind!r}"
+            )
+        return cls(name=name, rect=RectROI.from_dict(d, prefix), kind=_KINDS[kind])
 
 
 @dataclass
@@ -89,7 +98,7 @@ class MetricsReport:
             "dark_std": _jsonable(self.dark_std),
             "mean_seam_jump": _jsonable(self.mean_seam_jump),
         }
-        return json.dumps(payload, indent=2) + "\n"
+        return dumps_indented(payload) + "\n"
 
     def to_text(self) -> str:
         lines = [
@@ -195,6 +204,10 @@ def region_std(canvas, region: RegionSpec) -> float:
     return _population_std(values)
 
 
+# Canvas rows per read of the vertical seam lines.
+SEAM_BLOCK_ROWS = 256
+
+
 def mean_seam_jump(canvas, seams: Sequence[SeamLine]) -> float:
     """Mean |intensity difference| across all seam-straddling pixel pairs.
 
@@ -202,7 +215,9 @@ def mean_seam_jump(canvas, seams: Sequence[SeamLine]) -> float:
     row y in its extent; horizontal seams are the transpose.  The mean is
     over all pairs of all seams pooled together.  Each seam line is read
     once: seams sharing an orientation and position take their slices
-    of one difference array spanning all their extents.
+    of one difference array spanning all their extents.  Vertical lines
+    are read in blocks of ``SEAM_BLOCK_ROWS`` rows, so a memory-mapped
+    canvas is never touched over more than one block at a time.
     """
     if not seams:
         raise NoOverlapError("no seams to measure")
@@ -226,14 +241,28 @@ def mean_seam_jump(canvas, seams: Sequence[SeamLine]) -> float:
         lines[key] = (min(start, seam.start), max(stop, seam.stop))
 
     diffs: dict[tuple[Axis, int], np.ndarray] = {}
+    vertical: list[tuple[int, int, int]] = []
     for (orientation, position), (start, stop) in lines.items():
-        span = slice(start, stop)
         if orientation is Axis.VERTICAL:
-            pair = np.asarray(canvas[span, position - 1:position + 1], dtype=np.float64)
-            diffs[orientation, position] = np.abs(pair[:, 1] - pair[:, 0])
+            diffs[orientation, position] = np.empty(stop - start)
+            vertical.append((position, start, stop))
         else:
-            pair = np.asarray(canvas[position - 1:position + 1, span], dtype=np.float64)
+            pair = np.asarray(canvas[position - 1:position + 1, start:stop], dtype=np.float64)
             diffs[orientation, position] = np.abs(pair[1] - pair[0])
+    # Vertical lines are read together, one block of rows at a time: one
+    # index per block takes the column pair of every line crossing it.
+    for top in range(0, height, SEAM_BLOCK_ROWS):
+        bottom = min(top + SEAM_BLOCK_ROWS, height)
+        crossing = [line for line in vertical if line[1] < bottom and line[2] > top]
+        if not crossing:
+            continue
+        cols = [c for position, _, _ in crossing for c in (position - 1, position)]
+        block = np.asarray(canvas[top:bottom, np.array(cols)], dtype=np.float64)
+        for k, (position, start, stop) in enumerate(crossing):
+            lo, hi = max(start, top), min(stop, bottom)
+            pair = block[lo - top:hi - top, 2 * k:2 * k + 2]
+            out = diffs[Axis.VERTICAL, position][lo - start:hi - start]
+            np.abs(pair[:, 1] - pair[:, 0], out=out)
 
     total = 0.0
     count = 0

@@ -2,6 +2,9 @@
 
 Pipeline images are stored as unsigned 16-bit and processed internally
 as float64 in [0, 1]; ``to_unit`` / ``to_u16`` convert between the two.
+:func:`read_pgm_unit` decodes a file's big-endian samples straight to
+float64 and :func:`scale_to_counts` encodes a float array in place, so
+neither direction needs an intermediate uint16 copy.
 """
 
 from __future__ import annotations
@@ -27,19 +30,25 @@ def to_unit(img: np.ndarray) -> np.ndarray:
     return np.divide(img, MAXVAL, dtype=np.float64)
 
 
-def to_u16(img: np.ndarray) -> np.ndarray:
-    """Float intensities -> uint16 counts, clamped to [0, 1], round half up.
+def scale_to_counts(img: np.ndarray) -> np.ndarray:
+    """Float64 intensities -> integral float64 counts, in place; returns ``img``.
 
-    Inputs are nonnegative after the clamp, so round-half-away-from-zero
-    reduces to floor(x + 0.5).  The arithmetic runs in place on one
-    float64 copy, so ``img`` itself is never written.
+    Clamps to [0, 1], scales by 65535 and rounds half up.  Inputs are
+    nonnegative after the clamp, so round-half-away-from-zero reduces to
+    floor(x + 0.5).  The result converts exactly to any 16-bit unsigned
+    dtype, e.g. ``img.astype(">u2")`` for a PGM raster.
     """
-    scaled = np.array(img, dtype=np.float64)
-    np.clip(scaled, 0.0, 1.0, out=scaled)
-    scaled *= MAXVAL
-    scaled += 0.5
-    np.floor(scaled, out=scaled)
-    return scaled.astype(np.uint16)
+    np.clip(img, 0.0, 1.0, out=img)
+    img *= MAXVAL
+    img += 0.5
+    np.floor(img, out=img)
+    return img
+
+
+def to_u16(img: np.ndarray) -> np.ndarray:
+    """Float intensities -> uint16 counts, as :func:`scale_to_counts` on a
+    float64 copy, so ``img`` itself is never written."""
+    return scale_to_counts(np.array(img, dtype=np.float64)).astype(np.uint16)
 
 
 def pgm_header(width: int, height: int) -> bytes:
@@ -124,13 +133,35 @@ def _raster_layout(path, data) -> tuple[int, int, int]:
     return h, w, pos
 
 
-def read_pgm(path: str | os.PathLike) -> np.ndarray:
-    """Read a binary PGM (P5) with maxval 65535 into a uint16 array."""
+def _read_raster(path: str | os.PathLike) -> np.ndarray:
+    """Read-only big-endian u16 view of a binary PGM's raster, read whole."""
     with open(path, "rb") as f:
         data = f.read()
     h, w, pos = _raster_layout(path, data)
-    raster = data[pos:pos + 2 * h * w]
-    return np.frombuffer(raster, dtype=">u2").reshape(h, w).astype(np.uint16)
+    return np.frombuffer(data, dtype=">u2", count=h * w, offset=pos).reshape(h, w)
+
+
+def read_pgm(path: str | os.PathLike) -> np.ndarray:
+    """Read a binary PGM (P5) with maxval 65535 into a uint16 array."""
+    return _read_raster(path).astype(np.uint16)
+
+
+def read_pgm_unit(path: str | os.PathLike) -> np.ndarray:
+    """Read a binary PGM (P5) straight into float64 intensities in [0, 1].
+
+    Equal to ``to_unit(read_pgm(path))`` bit for bit, without the uint16
+    array in between.
+    """
+    return to_unit(_read_raster(path))
+
+
+def _map(path: str | os.PathLike) -> tuple[mmap.mmap, np.ndarray]:
+    with open(path, "rb") as f:
+        if os.fstat(f.fileno()).st_size == 0:
+            raise ImageFormatError(f"{path}: not a binary PGM (P5) file")
+        data = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+    h, w, pos = _raster_layout(path, data)
+    return data, np.frombuffer(data, dtype=">u2", count=h * w, offset=pos).reshape(h, w)
 
 
 def map_pgm(path: str | os.PathLike) -> np.ndarray:
@@ -139,12 +170,7 @@ def map_pgm(path: str | os.PathLike) -> np.ndarray:
     Same header checks as :func:`read_pgm`; only the pixels that are
     indexed are ever read from disk.
     """
-    with open(path, "rb") as f:
-        if os.fstat(f.fileno()).st_size == 0:
-            raise ImageFormatError(f"{path}: not a binary PGM (P5) file")
-        data = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
-    h, w, pos = _raster_layout(path, data)
-    return np.frombuffer(data, dtype=">u2", count=h * w, offset=pos).reshape(h, w)
+    return _map(path)[1]
 
 
 class UnitView:
@@ -152,12 +178,27 @@ class UnitView:
 
     ``view[key]`` is ``to_unit(counts[key])``: only the indexed block is
     converted, so a metric that reads a few rows of a memory-mapped
-    mosaic never holds the whole float canvas.
+    mosaic never holds the whole float canvas.  A view made by
+    :meth:`mapped` also releases the file pages each index mapped in, so
+    the pages a metric reads do not pile up in the resident set.
     """
 
-    def __init__(self, counts: np.ndarray):
+    def __init__(self, counts: np.ndarray, mapping: mmap.mmap | None = None):
         self.counts = counts
         self.shape = counts.shape
+        self._mapping = mapping
+
+    @classmethod
+    def mapped(cls, path: str | os.PathLike) -> "UnitView":
+        """View of the PGM at ``path``, memory-mapped as by :func:`map_pgm`;
+        pages are released only where the platform has ``MADV_DONTNEED``."""
+        mapping, counts = _map(path)
+        return cls(counts, mapping if hasattr(mmap, "MADV_DONTNEED") else None)
 
     def __getitem__(self, key) -> np.ndarray:
-        return to_unit(self.counts[key])
+        out = to_unit(self.counts[key])
+        if self._mapping is not None:
+            # The pages stay in the page cache; only this process's
+            # mapping of them is dropped, and a later index maps them again.
+            self._mapping.madvise(mmap.MADV_DONTNEED)
+        return out

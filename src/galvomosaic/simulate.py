@@ -43,6 +43,7 @@ from .geometry import (
     ScanStrategy,
     TilePlacement,
     check_fields,
+    dumps_indented,
     fields_dict,
     placement_table,
 )
@@ -496,7 +497,7 @@ class DatasetManifest:
             )
 
     def to_json(self) -> str:
-        return json.dumps(self._payload(), indent=2) + "\n"
+        return dumps_indented(self._payload()) + "\n"
 
     def _payload(self) -> dict:
         """The JSON object :meth:`to_json` writes."""

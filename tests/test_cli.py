@@ -263,6 +263,12 @@ class TestStitch:
             pytest.param(("rois", 0, "x0"), "5", "'rois[0].x0'", id="roi_str"),
             pytest.param(("regions", 0, "y0"), "5", "'regions[0].y0'", id="region_str"),
             pytest.param(("timing", "per_frame_ms"), 1.0, "'per_frame_ms'", id="frame_below_settle"),
+            pytest.param(("rois", 0, "x0"), -1, "key 'rois[0].x0': must be at least 0",
+                         id="roi_negative"),
+            pytest.param(("regions", 0, "width"), 0, "key 'regions[0].width': must be at least 1",
+                         id="region_empty"),
+            pytest.param(("regions", 0, "kind"), "nope", "key 'regions[0].kind'",
+                         id="region_kind"),
         ],
     )
     def test_manifest_values_checked_like_config(self, tmp_path, capsys, path, value, key):
@@ -418,6 +424,14 @@ class TestEvaluate:
                          "'mae_per_overlap[0][1]'", id="mae_value_str"),
             pytest.param(lambda s: s["mae_per_overlap"][4].__setitem__(0, 3),
                          "'mae_per_overlap[4][0]'", id="mae_pair_int"),
+            pytest.param(lambda s: s["regions"][0].update(x0=-3),
+                         "'regions[0].x0': must be at least 0", id="region_negative"),
+            pytest.param(lambda s: s["regions"][2].update(height=0),
+                         "'regions[2].height': must be at least 1", id="region_empty"),
+            pytest.param(lambda s: s["regions"][1].update(kind="nope"), "'regions[1].kind'",
+                         id="region_kind"),
+            pytest.param(lambda s: s["regions"][1].update(kind=3), "'regions[1].kind'",
+                         id="region_kind_int"),
         ],
     )
     def test_sidecar_value_of_wrong_type_is_named(self, tmp_path, stitched, capsys, edit, key):

@@ -1,9 +1,15 @@
 """Canvas composition: dims, overlaps, raw/feathered modes, seams."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from galvomosaic.compose import (
+    BLOCK_ROWS,
     Axis,
     canvas_dims,
     compose_feathered,
@@ -259,6 +265,105 @@ class TestRowSink:
         final = compose_raw([tile], [place(0, 0, 0, 7)], 10, 10).finalize()
         assert final.shape == (17, 10)
         assert np.all(final[:7] == 0.0) and np.all(final[7:] == 0.5)
+
+
+def full_canvas_feathered(tiles, placements, overlaps, tile_width, tile_height):
+    """Reference feathering: whole-canvas value and weight sums, then one division."""
+    width, height = canvas_dims(placements, tile_width, tile_height)
+    value = np.zeros((height, width))
+    weight = np.zeros((height, width))
+    for tile, p in zip(tiles, placements):
+        w = np.outer(*tile_weight_map((p.row, p.col), tile_width, tile_height, overlaps))
+        box = np.s_[p.y:p.y + tile_height, p.x:p.x + tile_width]
+        weight[box] += w
+        value[box] += w * tile
+    final = np.zeros((height, width))
+    np.divide(value, weight, out=final, where=weight > 0.0)
+    return final
+
+
+@st.composite
+def feathered_grids(draw):
+    """Grid placements: untilted, tilted or sinusoidal columns, with
+    sub-pixel offsets, steps up to past the tile (gaps), 1xN and Nx1."""
+    n_rows, n_cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    th = draw(st.sampled_from([1, 5, 23, BLOCK_ROWS - 1, BLOCK_ROWS + 9, 2 * BLOCK_ROWS + 3]))
+    tw = draw(st.integers(1, 24))
+    step_x = draw(st.floats(0.3, 1.3)) * tw
+    step_y = draw(st.floats(0.3, 1.3)) * th
+    tilted = draw(st.booleans())
+    alpha_x = draw(st.floats(-0.4, 0.4)) * tw if tilted else 0.0
+    alpha_y = draw(st.floats(-0.4, 0.4)) * th if tilted else 0.0
+    sinusoidal = draw(st.booleans()) and n_cols > 2
+    xs = []
+    for j in range(n_cols):
+        if sinusoidal:
+            half = (n_cols - 1) * step_x / 2
+            xs.append(half + half * math.sin(j * math.pi / (n_cols - 1) - math.pi / 2))
+        else:
+            xs.append(j * step_x)
+    raw = [(i, j, xs[j] + alpha_x * i, i * step_y + alpha_y * j)
+           for i in range(n_rows) for j in range(n_cols)]
+    # Shift so the lowest rounded offset is 0 on both axes.
+    x0 = min(dx for _, _, dx, _ in raw)
+    y0 = min(dy for _, _, _, dy in raw)
+    placements = [place(i, j, dx - x0, dy - y0) for i, j, dx, dy in raw]
+    shift_x = min(p.x for p in placements)
+    shift_y = min(p.y for p in placements)
+    placements = [place(p.row, p.col, p.dx - shift_x, p.dy - shift_y) for p in placements]
+    seed = draw(st.integers(0, 2**32 - 1))
+    return placements, tw, th, seed
+
+
+class TestOneValueBand:
+    @settings(max_examples=80, deadline=None)
+    @given(feathered_grids())
+    def test_feathered_is_bit_equal_to_full_canvas_weights(self, grid):
+        placements, tw, th, seed = grid
+        rng = np.random.default_rng(seed)
+        tiles = [rng.uniform(0.0, 1.0, size=(th, tw)) for _ in placements]
+        overlaps = compute_overlaps(placements, tw, th)
+        expected = full_canvas_feathered(tiles, placements, overlaps, tw, th)
+        gathered = compose_feathered(tiles, placements, overlaps, tw, th).finalize()
+        assert np.array_equal(gathered, expected)
+        blocks = []
+
+        def sink(row, rows):
+            assert rows.shape[0] <= BLOCK_ROWS
+            blocks.append(rows.copy())
+            rows[...] = -1.0  # a sink may overwrite what it gets
+
+        originals = [t.copy() for t in tiles]
+        compose_feathered(iter(tiles), placements, overlaps, tw, th, sink=sink)
+        assert np.array_equal(np.concatenate(blocks), expected)
+        assert all(np.array_equal(t, u) for t, u in zip(tiles, originals))
+
+    @staticmethod
+    def _peak(n_rows: int, tile: int, n_cols: int = 6):
+        placements = [place(i, j, 0.75 * tile * j, 0.7 * tile * i)
+                      for i in range(n_rows) for j in range(n_cols)]
+        overlaps = compute_overlaps(placements, tile, tile)
+        rng = np.random.default_rng(2)
+        tiles = (rng.uniform(0.0, 1.0, size=(tile, tile)) for _ in placements)
+        tracemalloc.start()
+        try:
+            canvas = compose_feathered(tiles, placements, overlaps, tile, tile,
+                                       sink=lambda row, rows: None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak, canvas.width
+
+    def test_peak_is_one_value_band_not_two(self):
+        tile = 256
+        peaks = {}
+        for n_rows in (6, 12):
+            peaks[n_rows], width = self._peak(n_rows, tile)
+        # An untilted grid's band is one tile high.
+        band = width * tile * 8
+        scratch = width * min(BLOCK_ROWS, tile) * 8
+        assert peaks[12] <= 1.25 * peaks[6], peaks
+        assert band < peaks[6] < band + 2 * tile * tile * 8 + scratch, (peaks, band)
 
 
 class TestDeriveSeams:

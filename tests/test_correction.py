@@ -280,7 +280,7 @@ def test_apply_roi_corrections_handles_multiple_rois():
             epsilon=0.0,
         )
         fits.append((model, roi, linear_weight_field(roi, band_px=5)))
-    out = apply_roi_corrections(tile, fits)
+    out = apply_roi_corrections(tile.copy(), fits)
     mask = np.ones(TILE, dtype=bool)
     for roi in rois:
         rows, cols = roi.slices()
@@ -288,3 +288,34 @@ def test_apply_roi_corrections_handles_multiple_rois():
         # deep interior got the full halving
         assert np.allclose(out[rows, cols][10:-10, 10:-10], tile[rows, cols][10:-10, 10:-10] / 2)
     assert np.array_equal(out[mask], tile[mask])
+
+
+def test_apply_roi_corrections_corrects_in_place_like_feather_roi():
+    rng = np.random.default_rng(21)
+    tile = rng.uniform(0.0, 1.0, size=TILE)
+    # Overlapping ROIs: the second corrects what the first blended.
+    rois = [RectROI(5, 10, 60, 50), RectROI(40, 30, 70, 60)]
+    fits = []
+    for k, roi in enumerate(rois):
+        shape = (roi.height, roi.width)
+        model = ResponseModel(
+            gain=rng.uniform(0.5, 2.0, size=shape),
+            offset=rng.uniform(-0.1, 0.1, size=shape),
+            epsilon=1e-6,
+        )
+        fits.append((model, roi, linear_weight_field(roi, band_px=4 + k)))
+    expected = tile.copy()
+    for model, roi, weights in fits:
+        expected = feather_roi(expected, correct_roi(expected, model, roi), weights, roi)
+    before = tile.copy()
+    out = apply_roi_corrections(tile, fits)
+    assert out is tile
+    assert np.array_equal(tile, expected)
+    outside = np.ones(TILE, dtype=bool)
+    for roi in rois:
+        outside[roi.slices()] = False
+    assert np.array_equal(tile[outside], before[outside])
+    # Input of another dtype is converted, never written.
+    counts = np.full(TILE, 3, dtype=np.uint16)
+    converted = apply_roi_corrections(counts, fits)
+    assert converted.dtype == np.float64 and np.all(counts == 3)

@@ -36,6 +36,28 @@ def test_pgm_roundtrip(tmp_path):
     assert np.array_equal(pgm.read_pgm(path), img.T)
 
 
+def test_read_pgm_unit_decodes_straight_to_the_unit_floats(tmp_path):
+    rng = np.random.default_rng(12)
+    img = rng.integers(0, 65536, size=(29, 47), dtype=np.uint16)
+    img[0, :3] = (0, 1, 65535)
+    path = tmp_path / "img.pgm"
+    path.write_bytes(b"P5\n# comment\n47 29\n65535\n" + img.astype(">u2").tobytes() + b"tail")
+    unit = pgm.read_pgm_unit(path)
+    assert unit.dtype == np.float64 and unit.flags.writeable and unit.flags.c_contiguous
+    assert np.array_equal(unit, pgm.to_unit(pgm.read_pgm(path)))
+
+
+def test_scale_to_counts_encodes_in_place_like_to_u16():
+    rng = np.random.default_rng(13)
+    values = rng.uniform(-0.25, 1.25, size=(17, 31))
+    values[0, :4] = (0.5 / 65535, 1.5 / 65535, np.nextafter(1.0, 0.0), 1.0)
+    expected = pgm.to_u16(values)
+    out = pgm.scale_to_counts(values)
+    assert out is values
+    assert np.array_equal(values.astype(">u2"), expected)
+    assert np.array_equal(values, expected)
+
+
 def test_pgm_header_comments_are_skipped(tmp_path):
     img = np.arange(6, dtype=np.uint16).reshape(2, 3)
     path = tmp_path / "img.pgm"
@@ -82,9 +104,15 @@ def test_map_pgm_is_a_read_only_view_of_the_raster(tmp_path):
     view = pgm.UnitView(mapped)
     assert view.shape == (23, 41)
     assert np.array_equal(view[3:9, 5:7], pgm.to_unit(img)[3:9, 5:7])
+    # A view that releases its pages after each index reads the same values.
+    released = pgm.UnitView.mapped(path)
+    for key in (np.s_[3:9, 5:7], np.s_[:, [0, 40, 7]], np.s_[22]):
+        assert np.array_equal(released[key], pgm.to_unit(img)[key])
 
 
-@pytest.mark.parametrize("reader", [pgm.read_pgm, pgm.map_pgm])
+@pytest.mark.parametrize(
+    "reader", [pgm.read_pgm, pgm.map_pgm, pgm.read_pgm_unit, pgm.UnitView.mapped]
+)
 @pytest.mark.parametrize(
     "raw, message",
     [
