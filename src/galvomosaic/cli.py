@@ -231,7 +231,7 @@ def cmd_stitch(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     # The metrics convert only the region rows and seam lines they index.
-    mosaic = pgm.UnitView.mapped(args.mosaic)
+    mosaic = pgm.UnitView(args.mosaic)
     try:
         sidecar = json.loads(Path(args.sidecar).read_text(encoding="ascii"))
         seams = [SeamLine.from_dict(s, f"seams[{k}].") for k, s in enumerate(sidecar["seams"])]

@@ -25,7 +25,10 @@ Both modes hold one float64 value band, width x depth x 8 B.  Feathered
 mode keeps no weight band: a weight sum is a function of the placements
 and ramps alone, so it is rebuilt for each block of ``BLOCK_ROWS``
 finished rows in one scratch array (width x 64 x 8 B) just before the
-division.  Rows reach the sink in blocks of at most ``BLOCK_ROWS``.
+division.  Tiles whose overlaps agree in axis, extent and side share
+one pair of ramps, and a weight product made for one tile's rows is
+reused by the next tile that asks for the same rows of the same ramps.
+Rows reach the sink in blocks of at most ``BLOCK_ROWS``.
 """
 
 from __future__ import annotations
@@ -259,7 +262,8 @@ def _band_schedule(
 
 
 # Canvas rows handled at once by the band: the height of the feathered
-# weight scratch, of each band add's product and of each block a sink gets.
+# weight scratch, of each feathered add's product and of each block a
+# sink gets.
 BLOCK_ROWS = 64
 
 
@@ -271,46 +275,58 @@ class _RowBand:
     rows zeroed for reuse.  Both modes keep values only.  Feathered mode
     also keeps the placement and ramps of each ``live`` tile, one whose
     rows are not all emitted yet, and rebuilds the weight sums of each
-    block of rows it emits from them, in one reused scratch array.  Each
-    weight product ``wy[rows, None] * wx`` is formed in one reused
-    tile-wide buffer.
+    block of rows it emits from them, in one reused scratch array.
+    Weight products ``wy[rows, None] * wx`` are formed in one reused
+    tile-wide buffer, which keeps the last product made: tiles handed
+    the same ramp objects over the same rows reuse it.
     """
 
     def __init__(self, width: int, depth: int, tile_width: int, feathered: bool):
         self.depth = depth
         self.value = np.zeros((depth, width), dtype=np.float64)
-        self.weight = self.product = None
+        self.weight = self.product = self.scaled = None
         if feathered:
-            self.weight = np.empty((min(BLOCK_ROWS, depth), width))
-            self.product = np.empty((min(BLOCK_ROWS, depth), tile_width))
-        self.live: list[tuple[int, int, np.ndarray, np.ndarray]] = []
+            rows = min(BLOCK_ROWS, depth)
+            self.weight = np.empty((rows, width))
+            self.product = np.empty((rows, tile_width))
+            self.scaled = np.empty((rows, tile_width))
+        self.made: tuple | None = None
+        self.live: list[tuple[int, int, tuple[np.ndarray, np.ndarray]]] = []
         self.done = 0
 
-    def _runs(self, start: int, stop: int):
-        """(canvas row, buffer slice) runs of at most BLOCK_ROWS rows
+    def _runs(self, start: int, stop: int, limit: int):
+        """(canvas row, buffer slice) runs of at most ``limit`` rows
         covering canvas rows start..stop-1."""
         while start < stop:
             offset = start % self.depth
-            n = min(stop - start, self.depth - offset, BLOCK_ROWS)
+            n = min(stop - start, self.depth - offset, limit)
             yield start, slice(offset, offset + n)
             start += n
+
+    def _product(self, weights: tuple[np.ndarray, np.ndarray], lo: int, hi: int) -> np.ndarray:
+        """``wy[lo:hi, None] * wx`` of ``weights = (wy, wx)``, in the product buffer."""
+        made = self.made
+        part = self.product[:hi - lo]
+        if made is None or made[0] is not weights or made[1] != lo or made[2] != hi:
+            wy, wx = weights
+            np.multiply(wy[lo:hi, None], wx, out=part)
+            self.made = (weights, lo, hi)
+        return part
 
     def add(self, tile: np.ndarray, weights: tuple[np.ndarray, np.ndarray] | None,
             x: int, y: int) -> None:
         """Overwrite with ``tile`` at (x, y), or accumulate it with weights ``(wy, wx)``."""
         cols = slice(x, x + tile.shape[1])
-        for row, buf in self._runs(y, y + tile.shape[0]):
-            part = slice(row - y, row - y + buf.stop - buf.start)
-            if weights is None:
-                self.value[buf, cols] = tile[part]
-            else:
-                wy, wx = weights
-                w = self.product[:buf.stop - buf.start]
-                np.multiply(wy[part, None], wx, out=w)
-                w *= tile[part]
-                self.value[buf, cols] += w
-        if weights is not None:
-            self.live.append((x, y, *weights))
+        if weights is None:
+            for row, buf in self._runs(y, y + tile.shape[0], self.depth):
+                self.value[buf, cols] = tile[row - y:row - y + buf.stop - buf.start]
+            return
+        for row, buf in self._runs(y, y + tile.shape[0], BLOCK_ROWS):
+            lo, hi = row - y, row - y + buf.stop - buf.start
+            scaled = self.scaled[:hi - lo]
+            np.multiply(self._product(weights, lo, hi), tile[lo:hi], out=scaled)
+            self.value[buf, cols] += scaled
+        self.live.append((x, y, weights))
 
     def _weight_sums(self, start: int, stop: int) -> np.ndarray:
         """Weight sums of canvas rows start..stop-1 (at most BLOCK_ROWS).
@@ -321,19 +337,19 @@ class _RowBand:
         """
         weight = self.weight[:stop - start]
         weight[...] = 0.0
-        product = self.product
-        for x, y, wy, wx in self.live:
+        for x, y, weights in self.live:
+            end = y + weights[0].size
             lo = start if start > y else y
-            hi = stop if stop < y + wy.size else y + wy.size
+            hi = stop if stop < end else end
             if lo < hi:
-                part = product[:hi - lo]
-                np.multiply(wy[lo - y:hi - y, None], wx, out=part)
-                weight[lo - start:hi - start, x:x + wx.size] += part
+                weight[lo - start:hi - start, x:x + weights[1].size] += self._product(
+                    weights, lo - y, hi - y
+                )
         return weight
 
     def emit(self, stop: int, sink: RowSink) -> None:
         """Finalize canvas rows done..stop-1 and pass them to ``sink`` in order."""
-        for row, buf in self._runs(self.done, stop):
+        for row, buf in self._runs(self.done, stop, BLOCK_ROWS):
             value = self.value[buf]
             if self.weight is not None:
                 # In place: value is 0 wherever weight is, since every
@@ -344,7 +360,7 @@ class _RowBand:
             value[...] = 0.0
         if stop > self.done:
             self.done = stop
-            self.live = [t for t in self.live if t[1] + t[2].size > stop]
+            self.live = [t for t in self.live if t[1] + t[2][0].size > stop]
 
 
 def _compose(
@@ -410,17 +426,30 @@ def compose_feathered(
     touched canvas pixel is covered.  ``sink`` works as in
     :func:`compose_raw`.  The rows in flight take one value band (canvas
     width x band depth x 8 B) plus one weight block (canvas width x
-    ``BLOCK_ROWS`` x 8 B).
+    ``BLOCK_ROWS`` x 8 B) and two product buffers (tile width x
+    ``BLOCK_ROWS`` x 8 B each).
     """
     by_tile = overlaps_by_tile(overlaps)
+
+    # The ramps follow from the axis, extent and side of each own overlap,
+    # so tiles alike in those share one checked (wy, wx), and the band
+    # reuses its products.
+    shared: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
     def weight_map(placement: TilePlacement) -> tuple[np.ndarray, np.ndarray]:
         index = (placement.row, placement.col)
         own = [overlaps[k] for k in by_tile.get(index, ())]
-        wy, wx = tile_weight_map(index, tile_width, tile_height, own)
-        if not ((wy > 0.0).all() and (wx > 0.0).all()):
-            raise CompositionError(f"tile {index} has pixels of zero weight")
-        return wy, wx
+        key = tuple(
+            (ov.rect.width, True, index == ov.tile_b) if ov.axis is Axis.HORIZONTAL
+            else (ov.rect.height, False, index == ov.tile_b)
+            for ov in own
+        )
+        if key not in shared:
+            wy, wx = tile_weight_map(index, tile_width, tile_height, own)
+            if not ((wy > 0.0).all() and (wx > 0.0).all()):
+                raise CompositionError(f"tile {index} has pixels of zero weight")
+            shared[key] = wy, wx
+        return shared[key]
 
     return _compose(tiles, placements, tile_width, tile_height, weight_map, sink)
 

@@ -97,14 +97,7 @@ def _flat_encoder(level: int):
     Without ``indent``, :mod:`json` encodes in C; the item separator
     carries the newline and the indent of the items one level down.
     """
-    separator = ",\n" + "  " * (level + 1)
-    if json.encoder.c_make_encoder is None:
-        return json.JSONEncoder(separators=(separator, ": ")).encode
-    encode = json.encoder.c_make_encoder(
-        None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii, None,
-        ": ", separator, False, False, True,
-    )
-    return lambda value: "".join(encode(value, 0))
+    return json.JSONEncoder(separators=(",\n" + "  " * (level + 1), ": ")).encode
 
 
 def _json_key(key) -> str:

@@ -4,7 +4,8 @@ Pipeline images are stored as unsigned 16-bit and processed internally
 as float64 in [0, 1]; ``to_unit`` / ``to_u16`` convert between the two.
 :func:`read_pgm_unit` decodes a file's big-endian samples straight to
 float64 and :func:`scale_to_counts` encodes a float array in place, so
-neither direction needs an intermediate uint16 copy.
+neither direction needs an intermediate uint16 copy.  :class:`UnitView`
+memory-maps a PGM and converts only what it is indexed with.
 """
 
 from __future__ import annotations
@@ -155,50 +156,42 @@ def read_pgm_unit(path: str | os.PathLike) -> np.ndarray:
     return to_unit(_read_raster(path))
 
 
-def _map(path: str | os.PathLike) -> tuple[mmap.mmap, np.ndarray]:
-    with open(path, "rb") as f:
-        if os.fstat(f.fileno()).st_size == 0:
-            raise ImageFormatError(f"{path}: not a binary PGM (P5) file")
-        data = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
-    h, w, pos = _raster_layout(path, data)
-    return data, np.frombuffer(data, dtype=">u2", count=h * w, offset=pos).reshape(h, w)
-
-
-def map_pgm(path: str | os.PathLike) -> np.ndarray:
-    """Memory-map a binary PGM (P5) as a read-only big-endian u16 array.
-
-    Same header checks as :func:`read_pgm`; only the pixels that are
-    indexed are ever read from disk.
-    """
-    return _map(path)[1]
-
-
 class UnitView:
-    """float64 intensities in [0, 1] of a u16 counts array, converted per index.
+    """float64 intensities in [0, 1] of a memory-mapped binary PGM, converted per index.
 
-    ``view[key]`` is ``to_unit(counts[key])``: only the indexed block is
-    converted, so a metric that reads a few rows of a memory-mapped
-    mosaic never holds the whole float canvas.  A view made by
-    :meth:`mapped` also releases the file pages each index mapped in, so
-    the pages a metric reads do not pile up in the resident set.
+    Same header checks as :func:`read_pgm`.  ``view[key]`` is
+    ``to_unit(counts[key])`` of the file's read-only big-endian u16
+    ``counts``: only the indexed block is read and converted, so a metric
+    that reads a few rows of a mosaic never holds the whole float canvas.
+    Where the platform has ``MADV_DONTNEED``, each index then releases the
+    mapped pages of the rows it read, so the pages a metric reads do not
+    pile up in the resident set; they stay in the page cache.  A key
+    selects its rows with a slice or an int.
     """
 
-    def __init__(self, counts: np.ndarray, mapping: mmap.mmap | None = None):
-        self.counts = counts
-        self.shape = counts.shape
-        self._mapping = mapping
-
-    @classmethod
-    def mapped(cls, path: str | os.PathLike) -> "UnitView":
-        """View of the PGM at ``path``, memory-mapped as by :func:`map_pgm`;
-        pages are released only where the platform has ``MADV_DONTNEED``."""
-        mapping, counts = _map(path)
-        return cls(counts, mapping if hasattr(mmap, "MADV_DONTNEED") else None)
+    def __init__(self, path: str | os.PathLike):
+        with open(path, "rb") as f:
+            if os.fstat(f.fileno()).st_size == 0:
+                raise ImageFormatError(f"{path}: not a binary PGM (P5) file")
+            self._mapping = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+        h, w, self._offset = _raster_layout(path, self._mapping)
+        self.counts = np.frombuffer(
+            self._mapping, dtype=">u2", count=h * w, offset=self._offset
+        ).reshape(h, w)
+        self.shape = self.counts.shape
 
     def __getitem__(self, key) -> np.ndarray:
         out = to_unit(self.counts[key])
-        if self._mapping is not None:
-            # The pages stay in the page cache; only this process's
-            # mapping of them is dropped, and a later index maps them again.
-            self._mapping.madvise(mmap.MADV_DONTNEED)
+        rows = range(self.shape[0])[key[0] if isinstance(key, tuple) else key]
+        if isinstance(rows, int):
+            rows = range(rows, rows + 1)
+        if rows and hasattr(mmap, "MADV_DONTNEED"):
+            # From the page holding the first row read to the end of the
+            # last; a page it shares with an unread row is mapped in again
+            # when that row is read.
+            row_bytes = 2 * self.shape[1]
+            start = self._offset + min(rows[0], rows[-1]) * row_bytes
+            stop = self._offset + (max(rows[0], rows[-1]) + 1) * row_bytes
+            start -= start % mmap.PAGESIZE
+            self._mapping.madvise(mmap.MADV_DONTNEED, start, stop - start)
         return out

@@ -338,6 +338,20 @@ class TestOneValueBand:
         assert np.array_equal(np.concatenate(blocks), expected)
         assert all(np.array_equal(t, u) for t, u in zip(tiles, originals))
 
+    @pytest.mark.parametrize(
+        "n_rows, n_cols, step_x, step_y, tw, th",
+        [(6, 1, 0, 12, 9, 70), (1, 6, 4, 0, 7, 5), (5, 5, 6, 50, 8, 90), (7, 3, 5, 20, 9, 64)],
+    )
+    def test_tiles_sharing_ramps_reuse_products_exactly(self, n_rows, n_cols, step_x, step_y, tw, th):
+        # Integer steps give every interior tile the same ramps, so the
+        # band reuses products across tiles, rows and blocks.
+        placements = [place(i, j, step_x * j, step_y * i) for i in range(n_rows) for j in range(n_cols)]
+        rng = np.random.default_rng(n_rows * n_cols)
+        tiles = [rng.uniform(0.0, 1.0, size=(th, tw)) for _ in placements]
+        overlaps = compute_overlaps(placements, tw, th)
+        expected = full_canvas_feathered(tiles, placements, overlaps, tw, th)
+        assert np.array_equal(compose_feathered(tiles, placements, overlaps, tw, th).finalize(), expected)
+
     @staticmethod
     def _peak(n_rows: int, tile: int, n_cols: int = 6):
         placements = [place(i, j, 0.75 * tile * j, 0.7 * tile * i)

@@ -296,7 +296,7 @@ def mapped_and_whole(tmp_path, height, width, seed):
     counts = np.random.default_rng(seed).integers(0, 65536, size=(height, width), dtype=np.uint16)
     path = tmp_path / "mosaic.pgm"
     pgm.write_pgm(path, counts)
-    return pgm.UnitView(pgm.map_pgm(path)), pgm.to_unit(pgm.read_pgm(path))
+    return pgm.UnitView(path), pgm.to_unit(pgm.read_pgm(path))
 
 
 class TestMappedView:

@@ -97,21 +97,20 @@ def test_map_pgm_is_a_read_only_view_of_the_raster(tmp_path):
     img = rng.integers(0, 65536, size=(23, 41), dtype=np.uint16)
     path = tmp_path / "img.pgm"
     path.write_bytes(b"P5\n# comment\n41 23\n65535\n" + img.astype(">u2").tobytes() + b"tail")
-    mapped = pgm.map_pgm(path)
-    assert type(mapped) is np.ndarray and mapped.dtype == np.dtype(">u2")
-    assert not mapped.flags.writeable
-    assert np.array_equal(mapped, img)
-    view = pgm.UnitView(mapped)
+    view = pgm.UnitView(path)
+    assert type(view.counts) is np.ndarray and view.counts.dtype == np.dtype(">u2")
+    assert not view.counts.flags.writeable
+    assert np.array_equal(view.counts, img)
     assert view.shape == (23, 41)
-    assert np.array_equal(view[3:9, 5:7], pgm.to_unit(img)[3:9, 5:7])
-    # A view that releases its pages after each index reads the same values.
-    released = pgm.UnitView.mapped(path)
-    for key in (np.s_[3:9, 5:7], np.s_[:, [0, 40, 7]], np.s_[22]):
-        assert np.array_equal(released[key], pgm.to_unit(img)[key])
+    # Each index releases the pages it read; reading again maps them back.
+    for key in (np.s_[3:9, 5:7], np.s_[:, [0, 40, 7]], np.s_[22], np.s_[-1], np.s_[20:2:-3, 1],
+                np.s_[5:5], np.s_[3:9, 5:7]):
+        assert np.array_equal(view[key], pgm.to_unit(img)[key])
 
 
 @pytest.mark.parametrize(
-    "reader", [pgm.read_pgm, pgm.map_pgm, pgm.read_pgm_unit, pgm.UnitView.mapped]
+    "reader",
+    [pgm.read_pgm, pgm.read_pgm_unit, pytest.param(pgm.UnitView, id="map_pgm")],
 )
 @pytest.mark.parametrize(
     "raw, message",
