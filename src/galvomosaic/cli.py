@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +41,7 @@ from .correction import (
     linear_weight_field,
 )
 from .errors import ConfigError, GalvoMosaicError, UndefinedCnrError
-from .geometry import TilePlacement, check_json, dumps_indented, fields_dict, placement_table
+from .geometry import TilePlacement, placement_table
 from .metrics import (
     MetricsReport,
     RegionKind,
@@ -50,6 +51,7 @@ from .metrics import (
     normalized_mae,
     region_std,
 )
+from .records import dumps_indented, fields_dict, read
 from .simulate import DatasetManifest, load_manifest, write_dataset
 
 
@@ -197,13 +199,8 @@ def cmd_stitch(args: argparse.Namespace) -> int:
             compose_raw(tiles, placements, scan.tile_width, scan.tile_height, sink=write_rows)
 
     # One consistency value per grid-adjacent overlapping pair.
-    mae_entries: list[tuple[str, float]] = []
-    degenerate_pairs: list[str] = []
-    for ov, (value, _, degenerate) in zip(overlaps, mae):
-        pair = f"({ov.tile_a[0]},{ov.tile_a[1]})-({ov.tile_b[0]},{ov.tile_b[1]})"
-        mae_entries.append((pair, value))
-        if degenerate:
-            degenerate_pairs.append(pair)
+    pairs = [f"({ov.tile_a[0]},{ov.tile_a[1]})-({ov.tile_b[0]},{ov.tile_b[1]})" for ov in overlaps]
+    mae_entries = [(pair, value) for pair, (value, _, _) in zip(pairs, mae)]
     mae_mean = float(np.mean([v for _, v in mae_entries])) if mae_entries else math.nan
 
     sidecar = {
@@ -215,10 +212,10 @@ def cmd_stitch(args: argparse.Namespace) -> int:
         },
         "placements": [fields_dict(p) for p in placements],
         "seams": [fields_dict(s) for s in seams],
-        "mae_per_overlap": [[pair, value] for pair, value in mae_entries],
+        "mae_per_overlap": mae_entries,
         "mae_mean": None if math.isnan(mae_mean) else mae_mean,
-        "mae_degenerate_pairs": degenerate_pairs,
-        "regions": [r.to_dict() for r in manifest.run.regions],
+        "mae_degenerate_pairs": [p for p, (_, _, degenerate) in zip(pairs, mae) if degenerate],
+        "regions": [fields_dict(r) for r in manifest.run.regions],
     }
     with pgm.replacing(out / "sidecar.json") as f:
         f.write((dumps_indented(sidecar) + "\n").encode("ascii"))
@@ -229,28 +226,26 @@ def cmd_stitch(args: argparse.Namespace) -> int:
     return 0
 
 
+@dataclass(frozen=True)
+class _SidecarInputs:
+    """The keys of ``sidecar.json`` that ``evaluate`` reads; it skips the others."""
+
+    seams: list[SeamLine]
+    mae_per_overlap: list[tuple[str, float]]
+    mae_mean: float | None
+    regions: list[RegionSpec]
+
+
 def cmd_evaluate(args: argparse.Namespace) -> int:
     # The metrics convert only the region rows and seam lines they index.
     mosaic = pgm.UnitView(args.mosaic)
     try:
-        sidecar = json.loads(Path(args.sidecar).read_text(encoding="ascii"))
-        seams = [SeamLine.from_dict(s, f"seams[{k}].") for k, s in enumerate(sidecar["seams"])]
-        mae_entries = [
-            (check_json(pair, (str,), f"mae_per_overlap[{k}][0]"),
-             check_json(value, (float, int), f"mae_per_overlap[{k}][1]"))
-            for k, (pair, value) in enumerate(sidecar["mae_per_overlap"])
-        ]
-        mae_mean = check_json(sidecar["mae_mean"], (float, int, type(None)), "mae_mean")
-        if not args.regions:
-            regions = [
-                RegionSpec.from_dict(r, f"regions[{k}].")
-                for k, r in enumerate(sidecar.get("regions", []))
-            ]
-    except (KeyError, TypeError, ValueError, GalvoMosaicError) as exc:
+        sidecar = read(_SidecarInputs, json.loads(Path(args.sidecar).read_text(encoding="ascii")),
+                       extra_keys=True)
+    except (ValueError, GalvoMosaicError) as exc:
         raise GalvoMosaicError(f"malformed sidecar {args.sidecar}: {exc}") from exc
 
-    if args.regions:
-        regions = regions_from_file(args.regions)
+    regions = regions_from_file(args.regions) if args.regions else sidecar.regions
     by_kind = {r.kind: r for r in regions}
     signal = by_kind.get(RegionKind.SIGNAL)
     bright = by_kind.get(RegionKind.BRIGHT_BACKGROUND)
@@ -267,12 +262,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         print(f"warning: CNR degenerate: {exc}", file=sys.stderr)
 
     report = MetricsReport(
-        mae_per_overlap=mae_entries,
-        mae_mean=math.nan if mae_mean is None else float(mae_mean),
+        mae_per_overlap=sidecar.mae_per_overlap,
+        mae_mean=math.nan if sidecar.mae_mean is None else float(sidecar.mae_mean),
         cnr=cnr_value,
         bright_std=region_std(mosaic, bright),
         dark_std=region_std(mosaic, dark),
-        mean_seam_jump=mean_seam_jump(mosaic, seams) if seams else 0.0,
+        mean_seam_jump=mean_seam_jump(mosaic, sidecar.seams) if sidecar.seams else 0.0,
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

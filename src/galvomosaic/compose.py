@@ -41,7 +41,7 @@ import numpy as np
 
 from .correction import RectROI
 from .errors import CompositionError, DimensionMismatchError
-from .geometry import TilePlacement, check_json
+from .geometry import TilePlacement
 
 
 class Axis(Enum):
@@ -108,15 +108,6 @@ class SeamLine:
     position: int
     start: int
     stop: int
-
-    @classmethod
-    def from_dict(cls, d: dict, prefix: str = "") -> "SeamLine":
-        """Inverse of ``fields_dict(seam)``, the form ``sidecar.json`` stores;
-        a position, start or stop that is not a JSON integer is named with
-        ``prefix`` before it."""
-        for name in ("position", "start", "stop"):
-            check_json(d[name], (int,), prefix + name)
-        return cls(**{**d, "orientation": Axis(d["orientation"])})
 
 
 def canvas_dims(

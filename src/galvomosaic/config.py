@@ -25,8 +25,9 @@ from pathlib import Path
 
 from .correction import RectROI
 from .errors import ConfigError, DimensionMismatchError
-from .geometry import ScanConfig, ScanStrategy, scalar_fields
+from .geometry import ScanConfig, ScanStrategy
 from .metrics import RegionKind, RegionSpec
+from .records import field_table
 from .simulate import DegradationSpec, RunConfig
 
 _REGION_KINDS = {
@@ -41,7 +42,7 @@ _ALIASES = {"rng_seed": "seed"}
 CONFIG_KEYS = frozenset(
     _ALIASES.get(name, name)
     for cls in (ScanConfig, DegradationSpec, RunConfig)
-    for name, _, _ in scalar_fields(cls)
+    for name, *_ in field_table(cls).scalars
 ) | {"rois"} | set(_REGION_KINDS)
 
 
@@ -86,13 +87,9 @@ def parse_kv(text: str, known) -> dict[str, str]:
 
 
 def _convert(key: str, value: str, kind: type):
-    """``value`` read as a ``kind``: int, float, bool or an enum."""
+    """``value`` as a ``kind`` (int, float, bool or enum); validate names a non-member."""
     if isinstance(kind, EnumMeta):
-        try:
-            return kind(value.lower())
-        except ValueError:
-            choices = "|".join(member.value for member in kind)
-            raise ConfigError(f"key {key!r}: expected {choices}, got {value!r}") from None
+        return kind._value2member_map_.get(value.lower(), value)
     try:
         if kind is bool:
             lowered = value.lower()
@@ -108,7 +105,7 @@ def _convert(key: str, value: str, kind: type):
 
 def _from_kv(cls, kv: dict[str, str], **given):
     """A ``cls`` whose fields not in ``given`` are read from their keys in ``kv``."""
-    kinds = {name: kind for name, kind, _ in scalar_fields(cls)}
+    kinds = {name: kind for name, kind, *_ in field_table(cls).scalars}
     values = dict(given)
     for f in fields(cls):
         if f.name in given:

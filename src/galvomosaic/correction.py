@@ -25,18 +25,12 @@ those units.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DimensionMismatchError,
-    InvalidReferenceError,
-    WeightInvariantError,
-)
-from .geometry import check_json
+from .errors import DimensionMismatchError, InvalidReferenceError, WeightInvariantError
 
 EPSILON_DEFAULT = 1e-6
 BAND_PX_DEFAULT = 50
@@ -46,32 +40,16 @@ BAND_PX_DEFAULT = 50
 class RectROI:
     """Axis-aligned pixel rectangle: top-left corner plus size."""
 
-    x0: int
-    y0: int
-    width: int
-    height: int
+    x0: int = field(metadata={"least": 0})
+    y0: int = field(metadata={"least": 0})
+    width: int = field(metadata={"least": 1})
+    height: int = field(metadata={"least": 1})
 
     def __post_init__(self) -> None:
         if self.x0 < 0 or self.y0 < 0:
             raise DimensionMismatchError(f"ROI corner must be nonnegative: {self}")
         if self.width < 1 or self.height < 1:
             raise DimensionMismatchError(f"ROI size must be positive: {self}")
-
-    @classmethod
-    def from_dict(cls, d: dict, prefix: str = "") -> "RectROI":
-        """Inverse of ``fields_dict(rect)``, the form the JSON files store.
-
-        Each field must be a JSON integer, the corner nonnegative and the
-        size positive; an error names ``prefix`` plus the field, e.g.
-        ``rois[0].x0``.
-        """
-        values = {}
-        for f in fields(cls):
-            value = values[f.name] = check_json(d[f.name], (int,), prefix + f.name)
-            least = 0 if f.name in ("x0", "y0") else 1
-            if value < least:
-                raise ConfigError(f"key {prefix + f.name!r}: must be at least {least}, got {value}")
-        return cls(**values)
 
     @property
     def x1(self) -> int:

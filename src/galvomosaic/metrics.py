@@ -17,7 +17,7 @@ each seam, and convert only those to float64.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
@@ -26,14 +26,13 @@ import numpy as np
 from .compose import Axis, SeamLine
 from .correction import RectROI
 from .errors import (
-    ConfigError,
     DegenerateFitError,
     DimensionMismatchError,
     IndexRangeError,
     NoOverlapError,
     UndefinedCnrError,
 )
-from .geometry import check_json, dumps_indented, fields_dict
+from .records import INLINE, dumps_indented, fields_dict
 
 
 @dataclass(frozen=True)
@@ -50,32 +49,13 @@ class RegionKind(Enum):
     DARK_BACKGROUND = "dark_background"
 
 
-_KINDS = {kind.value: kind for kind in RegionKind}
-
-
 @dataclass(frozen=True)
 class RegionSpec:
     """Named measurement rectangle in global mosaic coordinates."""
 
     name: str
-    rect: RectROI
+    rect: RectROI = field(metadata=INLINE)
     kind: RegionKind
-
-    def to_dict(self) -> dict:
-        """The region as stored in ``manifest.json`` and ``sidecar.json``."""
-        return {"name": self.name, "kind": self.kind.value, **fields_dict(self.rect)}
-
-    @classmethod
-    def from_dict(cls, d: dict, prefix: str = "") -> "RegionSpec":
-        """Inverse of :meth:`to_dict`; errors name ``prefix`` plus the key."""
-        name = check_json(d["name"], (str,), prefix + "name")
-        kind = check_json(d["kind"], (str,), prefix + "kind")
-        if kind not in _KINDS:
-            raise ConfigError(
-                f"key {prefix + 'kind'!r}: expected one of {', '.join(map(repr, _KINDS))}, "
-                f"got {kind!r}"
-            )
-        return cls(name=name, rect=RectROI.from_dict(d, prefix), kind=_KINDS[kind])
 
 
 @dataclass
@@ -90,32 +70,14 @@ class MetricsReport:
     mean_seam_jump: float
 
     def to_json(self) -> str:
-        payload = {
-            "mae_per_overlap": [[pair, value] for pair, value in self.mae_per_overlap],
-            "mae_mean": _jsonable(self.mae_mean),
-            "cnr": _jsonable(self.cnr),
-            "bright_std": _jsonable(self.bright_std),
-            "dark_std": _jsonable(self.dark_std),
-            "mean_seam_jump": _jsonable(self.mean_seam_jump),
-        }
+        # JSON has no NaN literal; a degenerate metric (v != v) is written as null.
+        payload = {k: None if v != v else v for k, v in fields_dict(self).items()}
         return dumps_indented(payload) + "\n"
 
     def to_text(self) -> str:
-        lines = [
-            f"mae_mean = {self.mae_mean!r}",
-            f"cnr = {self.cnr!r}",
-            f"bright_std = {self.bright_std!r}",
-            f"dark_std = {self.dark_std!r}",
-            f"mean_seam_jump = {self.mean_seam_jump!r}",
-        ]
-        for pair, value in self.mae_per_overlap:
-            lines.append(f"mae_per_overlap[{pair}] = {value!r}")
+        lines = [f"{k} = {v!r}" for k, v in fields_dict(self).items() if k != "mae_per_overlap"]
+        lines += [f"mae_per_overlap[{pair}] = {value!r}" for pair, value in self.mae_per_overlap]
         return "\n".join(lines) + "\n"
-
-
-def _jsonable(x: float):
-    # JSON has no NaN literal; degenerate metrics serialize as null.
-    return None if isinstance(x, float) and np.isnan(x) else x
 
 
 def fit_affine(samples_i: np.ndarray, samples_j: np.ndarray) -> AffineFit:

@@ -38,16 +38,11 @@ from . import pgm
 from .compose import canvas_dims
 from .correction import BAND_PX_DEFAULT, EPSILON_DEFAULT, RectROI
 from .errors import ConfigError, CoverageError, DimensionMismatchError, GalvoMosaicError
-from .geometry import (
-    ScanConfig,
-    ScanStrategy,
-    TilePlacement,
-    check_fields,
-    dumps_indented,
-    fields_dict,
-    placement_table,
-)
+from .geometry import ScanConfig, TilePlacement, placement_table
 from .metrics import RegionKind, RegionSpec
+from .records import (
+    INLINE, UNRECORDED, check_fields, dumps_indented, fields_dict, group, read, ungroup,
+)
 
 DARK_SHADE = 0.02
 
@@ -64,18 +59,14 @@ class DegradationSpec:
 
     vignette_min: float = 1.0
     corner_offset: float = 0.0
-    gain_jitter: float = 0.0
-    noise_sigma: float = 0.0
+    gain_jitter: float = field(default=0.0, metadata={"least": 0})
+    noise_sigma: float = field(default=0.0, metadata={"least": 0})
     rng_seed: int = 0
 
     def validate(self) -> None:
         check_fields(self)
         if not 0.0 < self.vignette_min <= 1.0:
             raise ConfigError(f"vignette_min must be in (0, 1], got {self.vignette_min}")
-        if self.gain_jitter < 0.0:
-            raise ConfigError(f"gain_jitter must be >= 0, got {self.gain_jitter}")
-        if self.noise_sigma < 0.0:
-            raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
 
 
 @dataclass
@@ -91,17 +82,18 @@ class RunConfig:
     scan: ScanConfig
     rois: list[RectROI]
     degradation: DegradationSpec = field(default_factory=DegradationSpec)
-    epsilon: float = EPSILON_DEFAULT
-    band_px: int = BAND_PX_DEFAULT
+    epsilon: float = field(default=EPSILON_DEFAULT, metadata={"least": 0})
+    band_px: int = field(default=BAND_PX_DEFAULT, metadata={"least": 1})
     bright_level: float = 0.9
     dark_level: float = 0.0
     subpixel: bool = False
     per_frame_ms: float = 60.5
-    target_pattern: TargetPattern = TargetPattern.USAF_LIKE
-    target_value: float = 0.9
-    target_pitch: int = 32
-    target_width: int | None = None
-    target_height: int | None = None
+    # The target_* settings shape only the simulated target; no manifest records them.
+    target_pattern: TargetPattern = field(default=TargetPattern.USAF_LIKE, metadata=UNRECORDED)
+    target_value: float = field(default=0.9, metadata=UNRECORDED)
+    target_pitch: int = field(default=32, metadata=UNRECORDED)
+    target_width: int | None = field(default=None, metadata=UNRECORDED)
+    target_height: int | None = field(default=None, metadata=UNRECORDED)
     regions: list[RegionSpec] | None = None
 
     def validate(self) -> None:
@@ -122,10 +114,6 @@ class RunConfig:
                 f"key 'per_frame_ms': {self.per_frame_ms} ms must cover the settling period "
                 f"({self.scan.settle_ms} ms)"
             )
-        if self.band_px < 1:
-            raise ConfigError(f"key 'band_px': must be >= 1, got {self.band_px}")
-        if self.epsilon < 0:
-            raise ConfigError(f"key 'epsilon': must be >= 0, got {self.epsilon}")
         # The levels are stored on the 16-bit grid, where the stitcher
         # needs them to stay apart.
         if not snap_level(self.bright_level) > snap_level(self.dark_level):
@@ -435,20 +423,31 @@ def tile_filename(row: int, col: int, n_rows: int, n_cols: int) -> str:
     return f"tile_r{row:0{digits}d}_c{col:0{digits}d}.pgm"
 
 
+# The JSON layout of ``manifest.json``: each key holds a key of the
+# manifest's flat record (its fields and those of its run), or a group of
+# them.  ``timing.settle_ms`` repeats ``scan.settle_ms``.
+_LAYOUT = {
+    "scan": "scan", "tiles": "tiles", "truth": "truth_path", "degradation": "degradation",
+    "subpixel": "subpixel", "rois": "rois", "regions": "regions",
+    "reference": {"bright": "ref_bright_path", "dark": "ref_dark_path",
+                  "bright_level": "bright_level", "dark_level": "dark_level"},
+    "correction": {"epsilon": "epsilon", "band_px": "band_px"},
+    "timing": {"settle_ms": "settle_ms", "per_frame_ms": "per_frame_ms", "total_s": "total_s"},
+}
+
+
 @dataclass
 class DatasetManifest:
     """Everything needed to reproduce and stitch one emitted dataset.
 
     ``run`` is the run's settings with the reference levels snapped to
-    the 16-bit grid and the metric regions resolved.  The ``target_*``
-    settings are not recorded, so a loaded manifest's ``run`` holds their
-    defaults.  Loading runs :meth:`validate`, which applies the checks a
-    config gets, so a manifest holds no value a config could not, and
-    then requires that :meth:`to_json` writes back exactly what was read,
-    so a manifest holds no key, and no copy of a value, that is not used.
+    the 16-bit grid and the metric regions resolved; a loaded one holds
+    the defaults of the unrecorded ``target_*`` settings.  Loading reads
+    every other key exactly, checks the copy of ``settle_ms``, and runs
+    :meth:`validate`, the checks a config gets.
     """
 
-    run: RunConfig
+    run: RunConfig = field(metadata=INLINE)
     tiles: list[dict]
     truth_path: str
     ref_bright_path: str
@@ -456,18 +455,13 @@ class DatasetManifest:
     total_s: float
 
     def validate(self) -> None:
-        """:meth:`RunConfig.validate` and the type of ``total_s``, then: every
-        grid coordinate appears exactly once and every path is a plain file name."""
+        """:meth:`RunConfig.validate`, then: the regions are resolved, every grid
+        coordinate appears exactly once and every path is a plain file name."""
         self.run.validate()
-        check_fields(self)
-        if not isinstance(self.tiles, list):
-            raise GalvoMosaicError(
-                f"manifest key 'tiles': expected a list, got {type(self.tiles).__name__}"
-            )
+        if self.run.regions is None:
+            raise ConfigError("manifest key 'regions': expected a list, got None")
         for k, t in enumerate(self.tiles):
-            if not (
-                isinstance(t, dict) and type(t.get("row")) is int and type(t.get("col")) is int
-            ):
+            if not (type(t.get("row")) is int and type(t.get("col")) is int):
                 raise GalvoMosaicError(
                     f"manifest key 'tiles[{k}]': expected an object with integer "
                     f"row and col, got {t!r}"
@@ -477,11 +471,11 @@ class DatasetManifest:
                     f"manifest key 'tiles[{k}].path' of tile ({t['row']}, {t['col']}): "
                     f"expected a plain file name, got {t.get('path')!r}"
                 )
-        for key, value in (
-            ("truth", self.truth_path),
-            ("reference.bright", self.ref_bright_path),
-            ("reference.dark", self.ref_dark_path),
-        ):
+            if len(t) != 3:  # row, col and path
+                unknown = min(set(t) - {"row", "col", "path"})
+                raise GalvoMosaicError(f"manifest key 'tiles[{k}].{unknown}' is unknown")
+        for key, value in (("truth", self.truth_path), ("reference.bright", self.ref_bright_path),
+                           ("reference.dark", self.ref_dark_path)):
             if not _plain_file_name(value):
                 raise GalvoMosaicError(
                     f"manifest key {key!r}: expected a plain file name, got {value!r}"
@@ -490,110 +484,39 @@ class DatasetManifest:
         seen = {(t["row"], t["col"]) for t in self.tiles}
         expected = {(i, j) for i in range(scan.n_rows) for j in range(scan.n_cols)}
         if len(self.tiles) != len(expected) or seen != expected:
-            missing = sorted(expected - seen)
-            extra = sorted(seen - expected)
             raise GalvoMosaicError(
-                f"manifest tile list inconsistent: missing {missing}, unexpected {extra}"
+                f"manifest tile list inconsistent: missing {sorted(expected - seen)}, "
+                f"unexpected {sorted(seen - expected)}"
             )
 
     def to_json(self) -> str:
-        return dumps_indented(self._payload()) + "\n"
-
-    def _payload(self) -> dict:
-        """The JSON object :meth:`to_json` writes."""
-        run = self.run
-        return {
-            "scan": fields_dict(run.scan),
-            "tiles": [{"row": t["row"], "col": t["col"], "path": t["path"]} for t in self.tiles],
-            "truth": self.truth_path,
-            "degradation": fields_dict(run.degradation),
-            "subpixel": run.subpixel,
-            "rois": [fields_dict(r) for r in run.rois],
-            "regions": [r.to_dict() for r in run.regions],
-            "reference": {
-                "bright": self.ref_bright_path,
-                "dark": self.ref_dark_path,
-                "bright_level": run.bright_level,
-                "dark_level": run.dark_level,
-            },
-            "correction": {
-                "epsilon": run.epsilon,
-                "band_px": run.band_px,
-            },
-            "timing": {
-                "settle_ms": run.scan.settle_ms,
-                "per_frame_ms": run.per_frame_ms,
-                "total_s": self.total_s,
-            },
-        }
+        flat = {**fields_dict(self), "settle_ms": self.run.scan.settle_ms}
+        return dumps_indented(group(flat, _LAYOUT)) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "DatasetManifest":
         try:
-            payload = json.loads(text)
-            scan, reference = payload["scan"], payload["reference"]
-            run = RunConfig(
-                scan=ScanConfig(**{**scan, "strategy": ScanStrategy(scan["strategy"])}),
-                rois=[RectROI.from_dict(r, f"rois[{k}].") for k, r in enumerate(payload["rois"])],
-                degradation=DegradationSpec(**payload["degradation"]),
-                epsilon=payload["correction"]["epsilon"],
-                band_px=payload["correction"]["band_px"],
-                bright_level=reference["bright_level"],
-                dark_level=reference["dark_level"],
-                subpixel=payload["subpixel"],
-                per_frame_ms=payload["timing"]["per_frame_ms"],
-                regions=[
-                    RegionSpec.from_dict(r, f"regions[{k}].") for k, r in enumerate(payload["regions"])
-                ],
-            )
-            manifest = cls(
-                run=run,
-                tiles=payload["tiles"],
-                truth_path=payload["truth"],
-                ref_bright_path=reference["bright"],
-                ref_dark_path=reference["dark"],
-                total_s=payload["timing"]["total_s"],
-            )
-            manifest.validate()
-        except (KeyError, TypeError, ValueError) as exc:
+            flat = ungroup(json.loads(text), _LAYOUT)
+            settle_ms = flat.pop("settle_ms")
+            manifest = read(cls, flat)
+        except ValueError as exc:
             raise GalvoMosaicError(f"malformed manifest: {exc}") from exc
-        written = manifest._payload()
-        if written != payload:
-            raise GalvoMosaicError(f"manifest {_first_difference(written, payload)}")
+        except ConfigError as exc:
+            raise ConfigError(f"manifest {exc}") from None
+        manifest.validate()
+        written = manifest.run.scan.settle_ms
+        if settle_ms != written:
+            raise GalvoMosaicError(
+                f"manifest key 'timing.settle_ms': {settle_ms!r} disagrees with {written!r}, "
+                "the value the other keys give"
+            )
         return manifest
-
-
-def _first_difference(written, read, key: str = "") -> str | None:
-    """Where ``read`` first departs from ``written``, naming the key path."""
-    if isinstance(written, dict) and isinstance(read, dict):
-        for name in {**written, **read}:
-            sub = f"{key}.{name}" if key else name
-            if name not in read:
-                return f"key {sub!r} is missing"
-            if name not in written:
-                return f"key {sub!r} is unknown"
-            found = _first_difference(written[name], read[name], sub)
-            if found:
-                return found
-        return None
-    if isinstance(written, list) and isinstance(read, list) and len(written) == len(read):
-        for k, (w, r) in enumerate(zip(written, read)):
-            found = _first_difference(w, r, f"{key}[{k}]")
-            if found:
-                return found
-        return None
-    if written != read:
-        return f"key {key!r}: {read!r} disagrees with {written!r}, the value the other keys give"
-    return None
 
 
 def _plain_file_name(value) -> bool:
     """Whether a manifest path names a file in the dataset directory itself."""
-    return (
-        isinstance(value, str)
-        and os.path.basename(value) == value
-        and value not in ("", ".", "..")
-    )
+    named = isinstance(value, str) and value not in ("", ".", "..")
+    return named and os.path.basename(value) == value
 
 
 def snap_level(level: float) -> float:

@@ -269,6 +269,10 @@ class TestStitch:
                          id="region_empty"),
             pytest.param(("regions", 0, "kind"), "nope", "key 'regions[0].kind'",
                          id="region_kind"),
+            pytest.param(("scan", "strategy"), 5, "key 'scan.strategy'", id="strategy_int"),
+            pytest.param(("scan", "strategy"), "sine", "key 'scan.strategy'", id="strategy_str"),
+            pytest.param(("scan",), [1], "key 'scan'", id="scan_list"),
+            pytest.param(("scan", "s_x"), 10**400, "scan.s_x must be finite", id="s_x_huge_int"),
         ],
     )
     def test_manifest_values_checked_like_config(self, tmp_path, capsys, path, value, key):
@@ -310,6 +314,12 @@ class TestStitch:
             pytest.param(lambda m: m["scan"].pop("alpha_x"), "'scan.alpha_x' is missing",
                          id="scan_default"),
             pytest.param(lambda m: m["timing"].update(total_s="x"), "'total_s'", id="total_s_str"),
+            pytest.param(lambda m: m["degradation"].update(foo=1),
+                         "'degradation.foo' is unknown", id="degradation_unknown"),
+            pytest.param(lambda m: m["scan"].pop("n_rows"), "'scan.n_rows' is missing",
+                         id="scan_required"),
+            pytest.param(lambda m: m["rois"][0].pop("x0"), "'rois[0].x0' is missing",
+                         id="roi_missing"),
         ],
     )
     def test_manifest_reads_back_only_what_it_writes(self, tmp_path, capsys, edit, key):
@@ -432,6 +442,20 @@ class TestEvaluate:
                          id="region_kind"),
             pytest.param(lambda s: s["regions"][1].update(kind=3), "'regions[1].kind'",
                          id="region_kind_int"),
+            pytest.param(lambda s: s.update(seams={}), "'seams'", id="seams_object"),
+            pytest.param(lambda s: s.update(mae_per_overlap={}), "'mae_per_overlap'",
+                         id="mae_object"),
+            pytest.param(lambda s: s["regions"][0].update(extra=1), "'regions[0].extra' is unknown",
+                         id="region_unknown_key"),
+            pytest.param(lambda s: s["seams"][0].update(extra=1), "'seams[0].extra' is unknown",
+                         id="seam_unknown_key"),
+            pytest.param(lambda s: s["seams"][0].update(orientation="diag"),
+                         "'seams[0].orientation'", id="seam_orientation"),
+            pytest.param(lambda s: s["regions"][0].pop("kind"), "'regions[0].kind' is missing",
+                         id="region_kind_missing"),
+            pytest.param(lambda s: s["mae_per_overlap"][0].append(1.0), "'mae_per_overlap[0]'",
+                         id="mae_triple"),
+            pytest.param(lambda s: s.pop("regions"), "'regions' is missing", id="regions_missing"),
         ],
     )
     def test_sidecar_value_of_wrong_type_is_named(self, tmp_path, stitched, capsys, edit, key):

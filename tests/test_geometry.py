@@ -1,6 +1,5 @@
 """Scan geometry: offsets, sinusoidal voltages, placement tables."""
 
-import json
 import math
 
 import pytest
@@ -12,14 +11,13 @@ from galvomosaic.geometry import (
     ScanConfig,
     ScanStrategy,
     TilePlacement,
-    dumps_indented,
-    fields_dict,
     linear_offset,
     placement_table,
     sinusoidal_offset,
     sinusoidal_voltage,
     tile_offset,
 )
+from galvomosaic.records import fields_dict
 
 # Calibration constants used throughout: dv = 1.1 V, s_x = 402 px/V,
 # s_y = 468 px/V, alpha = (16, -16) px, 10x10 grid of 1000x1000 tiles.
@@ -277,50 +275,3 @@ def test_endpoint_equivalence_under_default_sine_params():
         last_lin = linear_offset(lin, 0, n_cols - 1).dx
         last_sin = sinusoidal_offset(sin, 0, n_cols - 1).dx
         assert last_sin == pytest.approx(last_lin, abs=1e-9)
-
-
-json_scalars = (
-    st.none()
-    | st.booleans()
-    | st.integers(-(2**70), 2**70)
-    | st.floats(allow_nan=True, allow_infinity=True)
-    | st.text()
-)
-json_keys = st.text() | st.integers(-5, 5) | st.floats(allow_nan=True) | st.booleans() | st.none()
-json_values = st.recursive(
-    json_scalars,
-    lambda children: st.lists(children, max_size=4)
-    | st.tuples(children, children)
-    | st.dictionaries(json_keys, children, max_size=4),
-    max_leaves=30,
-)
-# Lists of flat containers, as the sidecar's placements, seams and MAE
-# pairs are; strings full of brackets, commas and newlines.
-bracket_text = st.text(alphabet="{}[],:\n\" \\ab\u00e9")
-flat_members = st.one_of(json_scalars, bracket_text)
-json_rows = st.lists(
-    st.dictionaries(st.text() | bracket_text, flat_members, max_size=3)
-    | st.lists(flat_members, max_size=3)
-    | st.tuples(flat_members, flat_members),
-    max_size=5,
-)
-
-
-@settings(max_examples=200)
-@given(json_values | json_rows | st.dictionaries(st.text(), json_rows, max_size=3))
-def test_dumps_indented_is_json_dumps_indent_2(value):
-    assert dumps_indented(value) == json.dumps(value, indent=2)
-
-
-def test_dumps_indented_edge_cases():
-    deep = [1]
-    for k in range(40):
-        deep = {f"k{k}": deep, "x": []} if k % 2 else [deep, {}, "\u00e9\n\"q\""]
-    for value in (
-        deep, {}, [], [[]], {"": {}}, [float("nan"), float("inf"), -float("inf"), -0.0],
-        {"caf\u00e9 \u2603 \U0001f600": {"\x00\t": [None, True]}},
-        {1: [2], 2.5: {}, None: [], False: {"a": 1}},
-    ):
-        assert dumps_indented(value) == json.dumps(value, indent=2)
-    with pytest.raises(TypeError):
-        dumps_indented({(1, 2): [1]})
