@@ -36,7 +36,6 @@ from .config import load_run_config, regions_from_file
 from .correction import (
     ReferencePair,
     apply_roi_corrections,
-    fit_bright_only,
     fit_two_point,
     linear_weight_field,
 )
@@ -92,25 +91,21 @@ def _read_reference(path: Path, manifest: DatasetManifest) -> np.ndarray:
 
 
 def _build_fits(manifest: DatasetManifest, dataset: Path, correction: str):
+    """(model, ROI, weights) per ROI; bright-only is the two-point fit
+    with an all-zero dark frame at level 0."""
     if correction == "off":
         return []
     run = manifest.run
     bright = _read_reference(dataset / manifest.ref_bright_path, manifest)
     if correction == "two-point":
-        refs = ReferencePair(
-            bright_frame=bright,
-            l_bright=run.bright_level,
-            dark_frame=_read_reference(dataset / manifest.ref_dark_path, manifest),
-            l_dark=run.dark_level,
-        )
-    fits = []
-    for roi in run.rois:
-        if correction == "two-point":
-            model = fit_two_point(refs, roi, eps=run.epsilon)
-        else:
-            model = fit_bright_only(bright, run.bright_level, roi, eps=run.epsilon)
-        fits.append((model, roi, linear_weight_field(roi, run.band_px)))
-    return fits
+        dark = _read_reference(dataset / manifest.ref_dark_path, manifest)
+        refs = ReferencePair(bright, run.bright_level, dark, run.dark_level)
+    else:
+        refs = ReferencePair(bright, run.bright_level, np.zeros_like(bright), 0.0)
+    return [
+        (fit_two_point(refs, roi, eps=run.epsilon), roi, linear_weight_field(roi, run.band_px))
+        for roi in run.rois
+    ]
 
 
 def _corrected_tiles(

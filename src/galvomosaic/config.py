@@ -24,10 +24,10 @@ from enum import EnumMeta
 from pathlib import Path
 
 from .correction import RectROI
-from .errors import ConfigError, DimensionMismatchError
+from .errors import ConfigError
 from .geometry import ScanConfig, ScanStrategy
 from .metrics import RegionKind, RegionSpec
-from .records import field_table
+from .records import check_fields, field_table
 from .simulate import DegradationSpec, RunConfig
 
 _REGION_KINDS = {
@@ -119,14 +119,16 @@ def _from_kv(cls, kv: dict[str, str], **given):
 
 
 def parse_rect(key: str, value: str) -> RectROI:
+    """The rectangle that ``value``, "x0,y0,width,height", holds; errors name ``key``."""
     parts = [p.strip() for p in value.split(",")]
     if len(parts) != 4:
         raise ConfigError(f"key {key!r}: expected 'x0,y0,width,height', got {value!r}")
     try:
-        x0, y0, w, h = (int(p) for p in parts)
-        return RectROI(x0=x0, y0=y0, width=w, height=h)
-    except (ValueError, DimensionMismatchError) as exc:
+        rect = RectROI(*(int(p) for p in parts))
+    except ValueError as exc:
         raise ConfigError(f"key {key!r}: bad rectangle {value!r}: {exc}") from exc
+    check_fields(rect, f"{key}.")
+    return rect
 
 
 def regions_from_kv(kv: dict[str, str]) -> list[RegionSpec]:
@@ -159,7 +161,8 @@ def load_run_config(
         kv["seed"] = str(seed_override)
     scan = _from_kv(ScanConfig, kv)
     if "rois" in kv:
-        rois = [parse_rect("rois", part) for part in kv["rois"].split(";") if part.strip()]
+        parts = [part for part in kv["rois"].split(";") if part.strip()]
+        rois = [parse_rect(f"rois[{k}]", part) for k, part in enumerate(parts)]
         if not rois:
             raise ConfigError("key 'rois': no rectangles given")
     else:

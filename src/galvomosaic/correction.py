@@ -13,11 +13,11 @@ dark reference frames (levels L_b > L_d) determine gain and offset:
     o = I_d - g * L_d
 
 and a frame is corrected by inverting the model, I_corr = (I - o) /
-(g + eps).  When only a bright-field deviation exists the model
-degenerates to gain-only: g = I_b / (L_b + eps), o = 0.  Corrected
-values are blended back into the frame with a weight field that ramps
-linearly from 0 at the ROI boundary to 1 past a transition band, which
-hides the ROI outline.
+(g + eps).  When only a bright-field deviation exists the model is
+gain-only, g = I_b / (L_b + eps), o = 0: the same two-point fit with an
+all-zero dark frame at level 0.  Corrected values are blended back into
+the frame with a weight field that ramps linearly from 0 at the ROI
+boundary to 1 past a transition band, which hides the ROI outline.
 
 All intensities here are floats in [0, 1]; eps defaults to 1e-6 in
 those units.
@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidReferenceError, WeightInvariantError
+from .errors import DimensionMismatchError, InvalidReferenceError
 
 EPSILON_DEFAULT = 1e-6
 BAND_PX_DEFAULT = 50
@@ -38,18 +38,16 @@ BAND_PX_DEFAULT = 50
 
 @dataclass(frozen=True)
 class RectROI:
-    """Axis-aligned pixel rectangle: top-left corner plus size."""
+    """Axis-aligned pixel rectangle: top-left corner plus size.
+
+    The field metadata holds the bounds, which :func:`~galvomosaic.records.check_fields`
+    and the JSON reader apply.
+    """
 
     x0: int = field(metadata={"least": 0})
     y0: int = field(metadata={"least": 0})
     width: int = field(metadata={"least": 1})
     height: int = field(metadata={"least": 1})
-
-    def __post_init__(self) -> None:
-        if self.x0 < 0 or self.y0 < 0:
-            raise DimensionMismatchError(f"ROI corner must be nonnegative: {self}")
-        if self.width < 1 or self.height < 1:
-            raise DimensionMismatchError(f"ROI size must be positive: {self}")
 
     @property
     def x1(self) -> int:
@@ -69,7 +67,8 @@ class RectROI:
         h, w = shape
         if self.x1 > w or self.y1 > h:
             raise DimensionMismatchError(
-                f"ROI {self} exceeds array bounds {w}x{h}"
+                f"rectangle {self.x0},{self.y0},{self.width},{self.height} "
+                f"exceeds array bounds {w}x{h}"
             )
 
 
@@ -117,22 +116,9 @@ class ResponseModel:
         if not (np.all(np.isfinite(self.gain)) and np.all(np.isfinite(self.offset))):
             raise InvalidReferenceError("response model contains non-finite entries")
 
-
-@dataclass(frozen=True)
-class WeightField:
-    """ROI-shaped blending weights in [0, 1] with a linear edge band."""
-
-    weights: np.ndarray
-    band_px: int
-
-    def __post_init__(self) -> None:
-        w = self.weights
-        if w.size and (w.min() < 0.0 or w.max() > 1.0):
-            raise WeightInvariantError(
-                f"weights outside [0, 1]: min={w.min()}, max={w.max()}"
-            )
-        if self.band_px < 1:
-            raise WeightInvariantError(f"band_px must be >= 1, got {self.band_px}")
+    def invert(self, values: np.ndarray) -> np.ndarray:
+        """ROI-shaped ``values`` with the model inverted: (I - o) / (g + eps)."""
+        return (values - self.offset) / (self.gain + self.epsilon)
 
 
 def fit_two_point(
@@ -153,13 +139,9 @@ def fit_two_point(
 def fit_bright_only(
     bright: np.ndarray, l_bright: float, roi: RectROI, eps: float = EPSILON_DEFAULT
 ) -> ResponseModel:
-    """Gain-only fit from a bright reference; offset is identically zero."""
-    if l_bright + eps == 0.0:
-        raise InvalidReferenceError(f"l_bright + eps must be nonzero, got {l_bright} + {eps}")
-    roi.check_within(np.asarray(bright).shape)
-    rows, cols = roi.slices()
-    gain = np.asarray(bright, dtype=np.float64)[rows, cols] / (l_bright + eps)
-    return ResponseModel(gain=gain, offset=np.zeros_like(gain), epsilon=eps)
+    """Gain-only fit: the two-point fit with an all-zero dark frame at level 0."""
+    refs = ReferencePair(bright, l_bright, np.zeros_like(bright, dtype=np.float64), 0.0)
+    return fit_two_point(refs, roi, eps)
 
 
 def correct_roi(tile: np.ndarray, model: ResponseModel, roi: RectROI) -> np.ndarray:
@@ -169,13 +151,11 @@ def correct_roi(tile: np.ndarray, model: ResponseModel, roi: RectROI) -> np.ndar
         raise DimensionMismatchError(
             f"model shape {model.gain.shape} does not match ROI {roi.height}x{roi.width}"
         )
-    rows, cols = roi.slices()
-    patch = np.asarray(tile, dtype=np.float64)[rows, cols]
-    return (patch - model.offset) / (model.gain + model.epsilon)
+    return model.invert(np.asarray(tile, dtype=np.float64)[roi.slices()])
 
 
-def linear_weight_field(roi: RectROI, band_px: int = BAND_PX_DEFAULT) -> WeightField:
-    """Weights that rise linearly from the ROI boundary over ``band_px``.
+def linear_weight_field(roi: RectROI, band_px: int = BAND_PX_DEFAULT) -> np.ndarray:
+    """ROI-shaped weights that rise linearly from the ROI boundary over ``band_px``.
 
     A pixel at L-inf-style distance d from the nearest ROI edge (the min
     over the four per-edge distances) gets min(d / band_px, 1), so the
@@ -187,58 +167,31 @@ def linear_weight_field(roi: RectROI, band_px: int = BAND_PX_DEFAULT) -> WeightF
     dist_x = np.minimum(x, roi.width - 1 - x)
     dist_y = np.minimum(y, roi.height - 1 - y)
     dist = np.minimum(dist_y[:, None], dist_x[None, :])
-    weights = np.minimum(dist / float(band_px), 1.0)
-    return WeightField(weights=weights, band_px=band_px)
-
-
-def _blend_into(
-    tile: np.ndarray, corrected: np.ndarray, w: WeightField, roi: RectROI
-) -> None:
-    """Write the feathered blend into the ROI of the float64 ``tile``."""
-    roi.check_within(tile.shape)
-    if corrected.shape != (roi.height, roi.width):
-        raise DimensionMismatchError(
-            f"corrected shape {corrected.shape} does not match ROI {roi.height}x{roi.width}"
-        )
-    if w.weights.shape != corrected.shape:
-        raise DimensionMismatchError(
-            f"weight shape {w.weights.shape} does not match ROI {roi.height}x{roi.width}"
-        )
-    patch = tile[roi.slices()]
-    blended = patch + w.weights * (corrected - patch)
-    # Pin the W = 1 endpoint: a + 1*(b - a) can round away from b.
-    full = w.weights == 1.0
-    if full.any():
-        blended = np.where(full, corrected, blended)
-    np.clip(blended, 0.0, 1.0, out=patch)
-
-
-def feather_roi(
-    tile: np.ndarray, corrected: np.ndarray, w: WeightField, roi: RectROI
-) -> np.ndarray:
-    """Blend corrected ROI values back into a copy of the tile.
-
-    Output pixel = I + W * (I_corr - I), i.e. the convex combination
-    W*I_corr + (1-W)*I written so W*0 residuals stay bit-exact; the ROI
-    result is clamped to [0, 1] before storage.  Pixels outside the ROI
-    are returned untouched, and ``tile`` itself is never written.
-    """
-    out = np.array(tile, dtype=np.float64)
-    _blend_into(out, corrected, w, roi)
-    return out
+    return np.minimum(dist / float(band_px), 1.0)
 
 
 def apply_roi_corrections(
     tile: np.ndarray,
-    fits: Sequence[tuple[ResponseModel, RectROI, WeightField]],
+    fits: Sequence[tuple[ResponseModel, RectROI, np.ndarray]],
 ) -> np.ndarray:
     """Correct and feather each (model, ROI, weights) triple in turn, in place.
 
-    A float64 ``tile`` is overwritten inside its ROIs and returned; any
-    other input is converted to a new float64 array first.  Only ROI-sized
-    temporaries are made, the same values :func:`feather_roi` gives.
+    Inside each ROI the model is inverted and blended back as
+    I + W * (I_corr - I), the convex combination W*I_corr + (1-W)*I
+    written so W = 0 leaves I bit-exact; W = 1 gives I_corr exactly.
+    The result is clamped to [0, 1].  A float64 ``tile`` is overwritten
+    inside its ROIs and returned; any other input is converted to a new
+    float64 array first.  The fits are taken as built: each ROI lies in
+    the tile and each model and weight array has the ROI's shape.
     """
     out = np.asarray(tile, dtype=np.float64)
     for model, roi, weights in fits:
-        _blend_into(out, correct_roi(out, model, roi), weights, roi)
+        patch = out[roi.slices()]
+        corrected = model.invert(patch)
+        blended = patch + weights * (corrected - patch)
+        # Pin the W = 1 endpoint: a + 1*(b - a) can round away from b.
+        full = weights == 1.0
+        if full.any():
+            blended = np.where(full, corrected, blended)
+        np.clip(blended, 0.0, 1.0, out=patch)
     return out

@@ -30,10 +30,6 @@ class InvalidReferenceError(GalvoMosaicError):
     """Reference frames or levels unusable for response fitting."""
 
 
-class WeightInvariantError(GalvoMosaicError):
-    """A blending weight left the [0, 1] range."""
-
-
 class CoverageError(GalvoMosaicError):
     """A tile placement falls outside the available ground-truth image."""
 

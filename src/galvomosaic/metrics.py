@@ -133,7 +133,12 @@ def _region_values(canvas, region: RegionSpec) -> np.ndarray:
     # Convert the region's full-width rows, then slice the columns: the
     # values keep the row stride of the full canvas, so numpy reduces
     # them in the same order as over a view of a whole float canvas.
-    region.rect.check_within(canvas.shape)
+    try:
+        region.rect.check_within(canvas.shape)
+    except DimensionMismatchError as exc:
+        raise DimensionMismatchError(
+            f"region {region.name!r} lies outside the mosaic: {exc}"
+        ) from None
     rows, cols = region.rect.slices()
     return np.asarray(canvas[rows], dtype=np.float64)[:, cols]
 

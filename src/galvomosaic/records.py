@@ -4,8 +4,9 @@ A record is a dataclass whose fields are annotated ``int``, ``float``,
 ``bool``, ``str``, an enum, a record, ``list[T]``, ``tuple[T, U]``,
 ``dict`` (any JSON object) or ``T | None``.  Its JSON object holds each
 field under its name, in order, enums as their values.  Field metadata
-``INLINE`` puts a record field's keys in the enclosing object, after its
-own keys; ``UNRECORDED`` leaves a field out, to read back as its default;
+``{"json": key}`` stores a field under ``key`` instead; ``INLINE`` puts a
+record field's keys in the enclosing object, after its own keys;
+``UNRECORDED`` leaves a field out, to read back as its default;
 ``{"least": n}`` bounds a number from below.
 
 :func:`fields_dict` is the one writer and :func:`read` the one reader.
@@ -140,9 +141,9 @@ def _writer(kind):
 def field_table(cls) -> types.SimpleNamespace:
     """The fields of record class ``cls``, worked out once: ``scalars`` holds
     ``(name, T, takes None, least)`` per field of an ``int``, ``float``, ``bool``,
-    ``str`` or enum type ``T``; ``reads`` and ``writes`` ``(name, reader or writer)``
-    per field stored under its own key; ``inline`` ``(name, record class)`` per
-    INLINE field; ``keys`` the keys of the JSON object."""
+    ``str`` or enum type ``T``; ``reads`` and ``writes`` ``(name, key, reader or
+    writer)`` per field stored under a key of its own; ``inline`` ``(name, record
+    class)`` per INLINE field; ``keys`` the keys of the JSON object."""
     table = types.SimpleNamespace(scalars=[], reads=[], writes=[], inline=[])
     hints = typing.get_type_hints(cls)
     for f in dataclasses.fields(cls):
@@ -150,16 +151,16 @@ def field_table(cls) -> types.SimpleNamespace:
         optional = typing.get_origin(kind) is types.UnionType and type(None) in args
         if optional:
             kind = next(a for a in args if a is not type(None))
-        least, stored = f.metadata.get("least"), f.metadata.get("json", "key")
+        least, stored = f.metadata.get("least"), f.metadata.get("json", f.name)
         if kind in _ADMITS or isinstance(kind, EnumMeta):
             table.scalars.append((f.name, kind, optional, least))
         if stored == "inline":
             table.inline.append((f.name, kind))
         elif stored:
-            table.writes.append((f.name, _writer(kind)))
+            table.writes.append((f.name, stored, _writer(kind)))
             if f.init:
-                table.reads.append((f.name, _reader(kind, optional, least)))
-    table.keys = [name for name, _ in table.reads]
+                table.reads.append((f.name, stored, _reader(kind, optional, least)))
+    table.keys = [key for _, key, _ in table.reads]
     table.keys += [key for _, kind in table.inline for key in field_table(kind).keys]
     table.key_set = frozenset(table.keys)
     return table
@@ -183,10 +184,10 @@ def _read_record(cls, value, extra_keys: bool = False):
     ):
         _check_keys(table.keys, value, extra_keys)
     try:
-        for name, read in table.reads:
-            fields[name] = read(value[name])
+        for name, key, read in table.reads:
+            fields[name] = read(value[key])
     except _Misfit as misfit:
-        misfit.keys.append(name)
+        misfit.keys.append(key)
         raise
     for name, kind in table.inline:
         fields[name] = _read_record(kind, value, extra_keys=True)
@@ -205,9 +206,9 @@ def read(cls, value, extra_keys: bool = False):
 def fields_dict(spec) -> dict:
     """The JSON form of record ``spec``."""
     table, out = field_table(type(spec)), {}
-    for name, write in table.writes:
+    for name, key, write in table.writes:
         value = getattr(spec, name)
-        out[name] = write(value) if write and value is not None else value
+        out[key] = write(value) if write and value is not None else value
     for name, _ in table.inline:
         out.update(fields_dict(getattr(spec, name)))
     return out

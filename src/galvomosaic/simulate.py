@@ -425,11 +425,12 @@ def tile_filename(row: int, col: int, n_rows: int, n_cols: int) -> str:
 
 # The JSON layout of ``manifest.json``: each key holds a key of the
 # manifest's flat record (its fields and those of its run), or a group of
-# them.  ``timing.settle_ms`` repeats ``scan.settle_ms``.
+# them.  ``timing.settle_ms`` repeats ``scan.settle_ms``, and ``timing.total_s``
+# is :func:`timing_report` of the scan and ``per_frame_ms``.
 _LAYOUT = {
-    "scan": "scan", "tiles": "tiles", "truth": "truth_path", "degradation": "degradation",
+    "scan": "scan", "tiles": "tiles", "truth": "truth", "degradation": "degradation",
     "subpixel": "subpixel", "rois": "rois", "regions": "regions",
-    "reference": {"bright": "ref_bright_path", "dark": "ref_dark_path",
+    "reference": {"bright": "reference.bright", "dark": "reference.dark",
                   "bright_level": "bright_level", "dark_level": "dark_level"},
     "correction": {"epsilon": "epsilon", "band_px": "band_px"},
     "timing": {"settle_ms": "settle_ms", "per_frame_ms": "per_frame_ms", "total_s": "total_s"},
@@ -443,15 +444,17 @@ class DatasetManifest:
     ``run`` is the run's settings with the reference levels snapped to
     the 16-bit grid and the metric regions resolved; a loaded one holds
     the defaults of the unrecorded ``target_*`` settings.  Loading reads
-    every other key exactly, checks the copy of ``settle_ms``, and runs
-    :meth:`validate`, the checks a config gets.
+    every other key exactly, runs :meth:`validate`, the checks a config
+    gets, and checks the copy of ``settle_ms`` and ``total_s`` against the
+    values the scan and ``per_frame_ms`` give.
     """
 
     run: RunConfig = field(metadata=INLINE)
     tiles: list[dict]
-    truth_path: str
-    ref_bright_path: str
-    ref_dark_path: str
+    # The file names are recorded under their keys in the file.
+    truth_path: str = field(metadata={"json": "truth"})
+    ref_bright_path: str = field(metadata={"json": "reference.bright"})
+    ref_dark_path: str = field(metadata={"json": "reference.dark"})
     total_s: float
 
     def validate(self) -> None:
@@ -504,12 +507,16 @@ class DatasetManifest:
         except ConfigError as exc:
             raise ConfigError(f"manifest {exc}") from None
         manifest.validate()
-        written = manifest.run.scan.settle_ms
-        if settle_ms != written:
-            raise GalvoMosaicError(
-                f"manifest key 'timing.settle_ms': {settle_ms!r} disagrees with {written!r}, "
-                "the value the other keys give"
-            )
+        run = manifest.run
+        for key, given, written in (
+            ("timing.settle_ms", settle_ms, run.scan.settle_ms),
+            ("timing.total_s", manifest.total_s, timing_report(run.scan, run.per_frame_ms)),
+        ):
+            if given != written:
+                raise GalvoMosaicError(
+                    f"manifest key {key!r}: {given!r} disagrees with {written!r}, "
+                    "the value the other keys give"
+                )
         return manifest
 
 

@@ -92,6 +92,12 @@ class TestSimulate:
                 "bright_level = 1.5\ndark_level = 1.2\n", "bright_level", "must be > dark_level",
                 id="both_clamp_to_one",
             ),
+            pytest.param("rois = 0,0,0,5\n", "'rois[0].width'", "must be at least 1, got 0",
+                         id="roi_empty"),
+            pytest.param("rois = -1,0,5,5\n", "'rois[0].x0'", "must be at least 0, got -1",
+                         id="roi_negative"),
+            pytest.param("rois = 0,50,30,30; 0,0,5,-2\n", "'rois[1].height'",
+                         "must be at least 1, got -2", id="second_roi_negative"),
         ],
     )
     def test_bad_run_float_names_key(self, tmp_path, capsys, lines, key, message):
@@ -273,6 +279,11 @@ class TestStitch:
             pytest.param(("scan", "strategy"), "sine", "key 'scan.strategy'", id="strategy_str"),
             pytest.param(("scan",), [1], "key 'scan'", id="scan_list"),
             pytest.param(("scan", "s_x"), 10**400, "scan.s_x must be finite", id="s_x_huge_int"),
+            pytest.param(("truth",), 5, "key 'truth': expected str, got 5", id="truth_int"),
+            pytest.param(("reference", "bright"), 5, "key 'reference.bright': expected str",
+                         id="ref_bright_int"),
+            pytest.param(("reference", "dark"), None, "key 'reference.dark': expected str",
+                         id="ref_dark_null"),
         ],
     )
     def test_manifest_values_checked_like_config(self, tmp_path, capsys, path, value, key):
@@ -314,6 +325,10 @@ class TestStitch:
             pytest.param(lambda m: m["scan"].pop("alpha_x"), "'scan.alpha_x' is missing",
                          id="scan_default"),
             pytest.param(lambda m: m["timing"].update(total_s="x"), "'total_s'", id="total_s_str"),
+            pytest.param(
+                lambda m: m["timing"].update(total_s=-123.0),
+                "'timing.total_s': -123.0 disagrees with 6.05", id="total_s_copy",
+            ),
             pytest.param(lambda m: m["degradation"].update(foo=1),
                          "'degradation.foo' is unknown", id="degradation_unknown"),
             pytest.param(lambda m: m["scan"].pop("n_rows"), "'scan.n_rows' is missing",
@@ -504,6 +519,36 @@ class TestEvaluate:
         )
         assert code != 0
         assert "exceeds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "signal, message",
+        [
+            pytest.param("{x},0,20,20", "region 'signal' lies outside the mosaic: rectangle "
+                         "{x},0,20,20 exceeds array bounds {width}x{height}", id="outside"),
+            pytest.param("0,0,0,5", "key 'region_signal.width': must be at least 1, got 0",
+                         id="empty"),
+            pytest.param("-1,0,5,5", "key 'region_signal.x0': must be at least 0, got -1",
+                         id="negative"),
+        ],
+    )
+    def test_bad_region_names_region_and_bound(self, tmp_path, stitched, capsys, signal, message):
+        canvas = json.loads((stitched / "sidecar.json").read_text())["canvas"]
+        sizes = {"x": canvas["width"] - 10, **canvas}
+        regions = tmp_path / "regions.cfg"
+        regions.write_text(
+            f"region_signal = {signal.format(**sizes)}\n"
+            "region_bright = 60,0,50,50\n"
+            "region_dark = 0,60,50,50\n"
+        )
+        code = run(
+            "evaluate", "--mosaic", stitched / "mosaic.pgm",
+            "--sidecar", stitched / "sidecar.json",
+            "--regions", regions, "--out", tmp_path / "r",
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert message.format(**sizes) in err and "Traceback" not in err, err
+        assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize(
         "damage",

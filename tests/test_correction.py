@@ -9,19 +9,13 @@ from galvomosaic.correction import (
     RectROI,
     ReferencePair,
     ResponseModel,
-    WeightField,
     apply_roi_corrections,
     correct_roi,
-    feather_roi,
     fit_bright_only,
     fit_two_point,
     linear_weight_field,
 )
-from galvomosaic.errors import (
-    DimensionMismatchError,
-    InvalidReferenceError,
-    WeightInvariantError,
-)
+from galvomosaic.errors import DimensionMismatchError, InvalidReferenceError
 
 TILE = (100, 120)  # (height, width)
 ROI = RectROI(x0=10, y0=20, width=60, height=50)
@@ -29,6 +23,21 @@ ROI = RectROI(x0=10, y0=20, width=60, height=50)
 
 def constant_frame(value, shape=TILE):
     return np.full(shape, float(value))
+
+
+def constant_model(gain, offset=0.0, eps=0.0, roi=ROI):
+    shape = (roi.height, roi.width)
+    return ResponseModel(gain=np.full(shape, gain), offset=np.full(shape, offset), epsilon=eps)
+
+
+def feather_roi(tile, corrected, weights, roi):
+    """Oracle: a copy of ``tile`` whose ROI holds I + W * (I_corr - I), or
+    I_corr where W = 1, clamped to [0, 1]."""
+    out = np.array(tile, dtype=np.float64)
+    patch = out[roi.slices()]
+    blended = np.where(weights == 1.0, corrected, patch + weights * (corrected - patch))
+    out[roi.slices()] = np.clip(blended, 0.0, 1.0)
+    return out
 
 
 class TestFitTwoPoint:
@@ -120,6 +129,21 @@ class TestFitBrightOnly:
         with pytest.raises(InvalidReferenceError):
             fit_bright_only(constant_frame(0.0), 0.0, ROI, eps=0.0)
 
+    @pytest.mark.parametrize("eps", [1e-6, 0.0, 0.3])
+    def test_is_the_two_point_fit_with_a_zero_dark_frame(self, eps):
+        # Gain-only means g = I_b / (L_b + eps) and o = +0.0 exactly; the
+        # two-point fit with an all-zero dark frame at level 0 gives the
+        # same bytes.
+        rng = np.random.default_rng(8)
+        bright = rng.uniform(0.0, 1.0, size=TILE)
+        l_bright = 0.9
+        gain_only = bright[ROI.slices()] / (l_bright + eps)
+        refs = ReferencePair(bright, l_bright, np.zeros_like(bright), 0.0)
+        for model in (fit_two_point(refs, ROI, eps=eps), fit_bright_only(bright, l_bright, ROI, eps)):
+            assert model.gain.tobytes() == gain_only.tobytes()
+            assert model.offset.tobytes() == np.zeros_like(gain_only).tobytes()
+            assert model.epsilon == eps
+
 
 class TestCorrectRoi:
     def test_identity_model_is_bit_exact(self):
@@ -162,86 +186,80 @@ class TestCorrectRoi:
 
 class TestWeightField:
     def test_values_bounded_and_boundary_zero(self):
-        field = linear_weight_field(ROI, band_px=10)
-        w = field.weights
+        w = linear_weight_field(ROI, band_px=10)
         assert w.shape == (ROI.height, ROI.width)
         assert w.min() == 0.0 and w.max() == 1.0
         assert np.all(w[0, :] == 0.0) and np.all(w[-1, :] == 0.0)
         assert np.all(w[:, 0] == 0.0) and np.all(w[:, -1] == 0.0)
 
     def test_interior_beyond_band_is_one(self):
-        field = linear_weight_field(ROI, band_px=10)
-        assert np.all(field.weights[10:-10, 10:-10] == 1.0)
+        w = linear_weight_field(ROI, band_px=10)
+        assert np.all(w[10:-10, 10:-10] == 1.0)
 
     def test_adjacent_difference_bounded_by_band_slope(self):
-        field = linear_weight_field(ROI, band_px=7)
-        w = field.weights
+        w = linear_weight_field(ROI, band_px=7)
         bound = 1.0 / 7 + 1e-12
         assert np.abs(np.diff(w, axis=0)).max() <= bound
         assert np.abs(np.diff(w, axis=1)).max() <= bound
 
-    def test_rejects_out_of_range_weights(self):
-        with pytest.raises(WeightInvariantError):
-            WeightField(weights=np.array([[1.5]]), band_px=5)
-
 
 class TestFeatherRoi:
+    """The blend of :func:`apply_roi_corrections`, one ROI at a time."""
+
     def setup_method(self):
         rng = np.random.default_rng(5)
         self.tile = rng.uniform(0.1, 0.9, size=TILE)
-        self.corrected = rng.uniform(0.1, 0.9, size=(ROI.height, ROI.width))
-
-    def _field(self, value):
-        return WeightField(
-            weights=np.full((ROI.height, ROI.width), float(value)), band_px=1
+        shape = (ROI.height, ROI.width)
+        self.model = ResponseModel(
+            gain=rng.uniform(0.5, 2.0, size=shape),
+            offset=rng.uniform(-0.1, 0.1, size=shape),
+            epsilon=1e-6,
         )
 
+    def _apply(self, model, weights):
+        """(corrected tile, the ROI's inverted values) for one fit."""
+        if np.ndim(weights) == 0:
+            weights = np.full((ROI.height, ROI.width), float(weights))
+        corrected = correct_roi(self.tile, model, ROI)
+        out = apply_roi_corrections(self.tile.copy(), [(model, ROI, weights)])
+        assert np.array_equal(out, feather_roi(self.tile, corrected, weights, ROI))
+        return out, corrected
+
     def test_full_weight_returns_corrected(self):
-        out = feather_roi(self.tile, self.corrected, self._field(1.0), ROI)
-        rows, cols = ROI.slices()
-        assert np.array_equal(out[rows, cols], self.corrected)
+        out, corrected = self._apply(constant_model(1.25, 0.05), 1.0)
+        assert np.array_equal(out[ROI.slices()], corrected)
 
     def test_zero_weight_returns_original(self):
-        out = feather_roi(self.tile, self.corrected, self._field(0.0), ROI)
+        out, _ = self._apply(self.model, 0.0)
         assert np.array_equal(out, self.tile)
 
     def test_midpoint_blend(self):
-        tile = constant_frame(100.0 / 65535)
-        corrected = np.full((ROI.height, ROI.width), 200.0 / 65535)
-        out = feather_roi(tile, corrected, self._field(0.5), ROI)
-        rows, cols = ROI.slices()
-        assert np.allclose(out[rows, cols], 150.0 / 65535)
+        self.tile = constant_frame(100.0 / 65535)
+        out, _ = self._apply(constant_model(0.5), 0.5)
+        assert np.allclose(out[ROI.slices()], 150.0 / 65535)
 
     def test_outside_roi_untouched(self):
-        out = feather_roi(self.tile, self.corrected, self._field(0.7), ROI)
+        out, _ = self._apply(self.model, 0.7)
         mask = np.ones(TILE, dtype=bool)
-        rows, cols = ROI.slices()
-        mask[rows, cols] = False
+        mask[ROI.slices()] = False
         assert np.array_equal(out[mask], self.tile[mask])
 
     def test_output_between_original_and_corrected(self):
-        field = linear_weight_field(ROI, band_px=9)
-        out = feather_roi(self.tile, self.corrected, field, ROI)
-        rows, cols = ROI.slices()
-        lo = np.minimum(self.tile[rows, cols], self.corrected)
-        hi = np.maximum(self.tile[rows, cols], self.corrected)
-        assert np.all(out[rows, cols] >= lo - 1e-15)
-        assert np.all(out[rows, cols] <= hi + 1e-15)
+        out, corrected = self._apply(constant_model(1.3, -0.05), linear_weight_field(ROI, 9))
+        patch = self.tile[ROI.slices()]
+        lo = np.minimum(patch, corrected)
+        hi = np.maximum(patch, corrected)
+        assert np.all(out[ROI.slices()] >= lo - 1e-15)
+        assert np.all(out[ROI.slices()] <= hi + 1e-15)
 
     def test_clamps_overshoot(self):
-        corrected = np.full((ROI.height, ROI.width), 1.7)
-        out = feather_roi(self.tile, corrected, self._field(1.0), ROI)
-        rows, cols = ROI.slices()
-        assert out[rows, cols].max() == 1.0
+        # Gain 0.5 doubles every value, so the brighter pixels pass 1.
+        out, corrected = self._apply(constant_model(0.5), 1.0)
+        assert corrected.max() > 1.0
+        assert out[ROI.slices()].max() == 1.0
 
     def test_identity_correction_is_bit_exact_through_both_stages(self):
-        model = ResponseModel(
-            gain=np.ones((ROI.height, ROI.width)),
-            offset=np.zeros((ROI.height, ROI.width)),
-            epsilon=0.0,
-        )
-        corrected = correct_roi(self.tile, model, ROI)
-        out = feather_roi(self.tile, corrected, linear_weight_field(ROI, 13), ROI)
+        out, _ = self._apply(constant_model(1.0), linear_weight_field(ROI, 13))
         assert np.array_equal(out, self.tile)
 
 
@@ -258,12 +276,7 @@ def test_forward_model_round_trip(gain, offset, level):
     truth = np.full((12, 16), level)
     eps = 1e-6
     degraded = gain * truth + offset
-    model = ResponseModel(
-        gain=np.full((12, 16), gain),
-        offset=np.full((12, 16), offset),
-        epsilon=eps,
-    )
-    recovered = correct_roi(degraded, model, roi)
+    recovered = correct_roi(degraded, constant_model(gain, offset, eps, roi), roi)
     tol = abs(eps * level / gain) + 1e-12
     assert np.all(np.abs(recovered - truth) <= tol)
 
@@ -272,14 +285,7 @@ def test_apply_roi_corrections_handles_multiple_rois():
     rng = np.random.default_rng(9)
     tile = rng.uniform(0.2, 0.8, size=TILE)
     rois = [RectROI(0, 60, 30, 40), RectROI(90, 60, 30, 40)]
-    fits = []
-    for roi in rois:
-        model = ResponseModel(
-            gain=np.full((roi.height, roi.width), 2.0),
-            offset=np.zeros((roi.height, roi.width)),
-            epsilon=0.0,
-        )
-        fits.append((model, roi, linear_weight_field(roi, band_px=5)))
+    fits = [(constant_model(2.0, roi=roi), roi, linear_weight_field(roi, band_px=5)) for roi in rois]
     out = apply_roi_corrections(tile.copy(), fits)
     mask = np.ones(TILE, dtype=bool)
     for roi in rois:
@@ -306,7 +312,8 @@ def test_apply_roi_corrections_corrects_in_place_like_feather_roi():
         fits.append((model, roi, linear_weight_field(roi, band_px=4 + k)))
     expected = tile.copy()
     for model, roi, weights in fits:
-        expected = feather_roi(expected, correct_roi(expected, model, roi), weights, roi)
+        patch = expected[roi.slices()]
+        expected = feather_roi(expected, (patch - model.offset) / (model.gain + 1e-6), weights, roi)
     before = tile.copy()
     out = apply_roi_corrections(tile, fits)
     assert out is tile
