@@ -46,6 +46,7 @@ from .metrics import (
     RegionKind,
     RegionSpec,
     cnr,
+    MaeWorkspace,
     mean_seam_jump,
     normalized_mae,
     region_std,
@@ -112,44 +113,67 @@ def _corrected_tiles(
     dataset: Path,
     manifest: DatasetManifest,
     fits,
+    feather: bool,
     placements: list[TilePlacement],
     overlaps: list[OverlapRegion],
     mae: list,
 ):
-    """Read and correct each tile once, in placement order, and yield it.
+    """Read each tile once, in placement order, and yield it for composing.
 
-    Each tile is decoded straight to float64 and corrected in place, so
-    the yielded array is the only tile-sized one.
+    A tile is read as its uint16 counts.  It is decoded to float64 only
+    when it is corrected or feathered, into one tile buffer reused for
+    every tile, and corrected there in place; otherwise the counts
+    themselves are yielded, and raw composition keeps them as counts.
 
     As a tile arrives, ``mae[k]`` is filled for every overlap k it closes
-    (its left and top pairs); the earlier tile's overlap samples are the
-    only part of it kept until then.  A tile whose dimensions differ from
-    the manifest's raises :class:`~galvomosaic.pgm.ImageFormatError`.
+    (its left and top pairs).  Until then the earlier tile keeps only
+    its overlap samples, as uint16 counts (2 B/px).  When the partner
+    arrives, both windows are decoded into one MAE workspace sized to
+    the largest overlap, and in corrected modes the earlier window is
+    corrected again where an ROI reaches into it.  Decoding and
+    correcting are elementwise, so the MAE sees the same float64 values
+    as on whole corrected tiles.  A tile whose dimensions differ from the
+    manifest's raises :class:`~galvomosaic.pgm.ImageFormatError`.
     """
     paths = {(t["row"], t["col"]): dataset / t["path"] for t in manifest.tiles}
     expected = (manifest.run.scan.tile_height, manifest.run.scan.tile_width)
     by_tile = overlaps_by_tile(overlaps)
-    pending: dict[int, np.ndarray] = {}
+    work = MaeWorkspace(max((ov.rect.width * ov.rect.height for ov in overlaps), default=0))
+    unit = np.empty(expected) if fits or feather else None
+    # overlap index -> (counts, window origin in the earlier tile)
+    pending: dict[int, tuple[np.ndarray, tuple[int, int]]] = {}
     for p in placements:
         key = (p.row, p.col)
-        tile = pgm.read_pgm_unit(paths[key])
-        if tile.shape != expected:
+        counts = pgm.read_counts(paths[key])
+        if counts.shape != expected:
             raise pgm.ImageFormatError(
                 f"{paths[key]}: tile ({p.row}, {p.col}) is "
-                f"{tile.shape[1]}x{tile.shape[0]}, expected {expected[1]}x{expected[0]}"
+                f"{counts.shape[1]}x{counts.shape[0]}, expected {expected[1]}x{expected[0]}"
             )
-        if fits:
-            apply_roi_corrections(tile, fits)
+        if unit is not None:
+            pgm.to_unit(counts, out=unit)
+            if fits:
+                apply_roi_corrections(unit, fits)
         for k in by_tile.get(key, ()):
             rect = overlaps[k].rect
-            samples = tile[rect.y0 - p.y:rect.y1 - p.y, rect.x0 - p.x:rect.x1 - p.x]
+            origin = (rect.y0 - p.y, rect.x0 - p.x)
+            window = np.s_[origin[0]:origin[0] + rect.height, origin[1]:origin[1] + rect.width]
             if key == overlaps[k].tile_a:
-                pending[k] = samples.copy()
+                pending[k] = counts[window].copy(), origin
+                continue
+            earlier, earlier_origin = pending.pop(k)
+            x, y = work.samples(earlier.shape)
+            pgm.to_unit(earlier, out=x)
+            if fits:
+                apply_roi_corrections(x, fits, earlier_origin)
+            if unit is None:
+                pgm.to_unit(counts[window], out=y)
             else:
-                mae[k] = normalized_mae(pending.pop(k), samples)
-        yield tile
-        # Hold no tile while the next one is read.
-        tile = samples = None
+                y[...] = unit[window]
+            mae[k] = normalized_mae(x, y, work)
+        yield counts if unit is None else unit
+        # Hold no tile counts while the next one is read.
+        counts = None
 
 
 def cmd_stitch(args: argparse.Namespace) -> int:
@@ -176,15 +200,18 @@ def cmd_stitch(args: argparse.Namespace) -> int:
     # (on corrected-but-unblended tiles) is taken as it arrives, and the
     # finished mosaic rows are encoded and appended to the PGM.
     mae: list = [None] * len(overlaps)
-    tiles = _corrected_tiles(dataset, manifest, fits, placements, overlaps, mae)
+    tiles = _corrected_tiles(dataset, manifest, fits, feather, placements, overlaps, mae)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with pgm.replacing(out / "mosaic.pgm") as f:
         f.write(pgm.pgm_header(width, height))
 
         def write_rows(row: int, rows: np.ndarray) -> None:
-            # The band's rows are encoded in place; it zeroes them next.
-            f.write(pgm.scale_to_counts(rows).astype(">u2"))
+            # Raw counts are written as they are; float rows are encoded
+            # in place, and the band zeroes them next.
+            if rows.dtype.kind == "f":
+                rows = pgm.scale_to_counts(rows)
+            f.write(rows.astype(">u2", copy=False))
 
         if feather:
             compose_feathered(

@@ -21,13 +21,16 @@ height follows from the placements (one tile height for an untilted
 grid).  Without a sink the finished rows are gathered into the returned
 :class:`MosaicCanvas`.
 
-Both modes hold one float64 value band, width x depth x 8 B.  Feathered
-mode keeps no weight band: a weight sum is a function of the placements
-and ramps alone, so it is rebuilt for each block of ``BLOCK_ROWS``
-finished rows in one scratch array (width x 64 x 8 B) just before the
-division.  Tiles whose overlaps agree in axis, extent and side share
-one pair of ramps, and a weight product made for one tile's rows is
-reused by the next tile that asks for the same rows of the same ramps.
+Both modes hold one value band, width x depth, in the dtype of the
+tiles: raw composition of uint16 counts keeps a uint16 band (2 B/px)
+and hands the sink the counts as they are, every other composition a
+float64 band (8 B/px).  Feathered mode keeps no weight band: a weight
+sum is a function of the placements and ramps alone, so it is rebuilt
+for each block of ``BLOCK_ROWS`` finished rows in one scratch array
+(width x 64 x 8 B) just before the division.  Tiles whose overlaps
+agree in axis, extent and side share one pair of ramps, and the band
+keeps the last two weight products it made, one tile wide and 64 rows
+high, for the next tile that asks for the same rows of the same ramps.
 Rows reach the sink in blocks of at most ``BLOCK_ROWS``.
 """
 
@@ -50,10 +53,11 @@ class Axis(Enum):
 
 
 # sink(row, rows): ``rows`` are finished canvas rows starting at canvas
-# row ``row``, float intensities with 0 where no tile lies.  The array is
-# a view of the band: the sink may overwrite it (e.g. encode it in
-# place), and it is zeroed and reused once the call returns, so a sink
-# must consume or copy it.
+# row ``row``, 0 where no tile lies: uint16 counts when uint16 tiles are
+# composed raw, float64 intensities otherwise.  The array is a view of
+# the band: the sink may overwrite it (e.g. encode it in place), and it
+# is zeroed and reused once the call returns, so a sink must consume or
+# copy it.
 RowSink = Callable[[int, np.ndarray], None]
 
 
@@ -80,7 +84,7 @@ class MosaicCanvas:
         return mask
 
     def finalize(self) -> np.ndarray:
-        """Per-pixel intensity of the gathered canvas, 0 where uncovered."""
+        """The gathered canvas in the band's dtype, 0 where uncovered."""
         if self.rows is None:
             raise CompositionError("canvas rows went to a sink and were not gathered")
         return self.rows.copy()
@@ -218,11 +222,16 @@ def tile_weight_map(
     return wy, wx
 
 
-def _next_tile(it, k: int, n: int) -> np.ndarray:
+def _next_tile(it, k: int, n: int, raw: bool) -> np.ndarray:
+    """The next tile as it is if it holds uint16 counts (of either byte
+    order) and is composed raw, else as float64."""
     try:
-        return np.asarray(next(it), dtype=np.float64)
+        tile = np.asarray(next(it))
     except StopIteration:
         raise CompositionError(f"{k} tiles supplied for {n} placements") from None
+    if raw and tile.dtype.kind == "u" and tile.dtype.itemsize == 2:
+        return tile
+    return np.asarray(tile, dtype=np.float64)
 
 
 def _check_tile_shape(tile: np.ndarray, tile_width: int, tile_height: int) -> None:
@@ -258,6 +267,12 @@ def _band_schedule(
 BLOCK_ROWS = 64
 
 
+def _weight_product(weights: tuple[np.ndarray, np.ndarray], lo: int, hi: int,
+                    out: np.ndarray) -> np.ndarray:
+    wy, wx = weights
+    return np.multiply(wy[lo:hi, None], wx, out=out)
+
+
 class _RowBand:
     """Accumulators for the canvas rows that tiles can still touch.
 
@@ -267,21 +282,27 @@ class _RowBand:
     also keeps the placement and ramps of each ``live`` tile, one whose
     rows are not all emitted yet, and rebuilds the weight sums of each
     block of rows it emits from them, in one reused scratch array.
-    Weight products ``wy[rows, None] * wx`` are formed in one reused
-    tile-wide buffer, which keeps the last product made: tiles handed
-    the same ramp objects over the same rows reuse it.
+    Weight products ``wy[rows, None] * wx`` are formed in two reused
+    tile-wide slots, each keeping the product it holds: tiles handed the
+    same ramp objects over the same rows reuse it, and a miss overwrites
+    the slot used less recently.
     """
 
-    def __init__(self, width: int, depth: int, tile_width: int, feathered: bool):
+    def __init__(self, width: int, depth: int, tile_width: int, feathered: bool,
+                 dtype: np.dtype):
         self.depth = depth
-        self.value = np.zeros((depth, width), dtype=np.float64)
-        self.weight = self.product = self.scaled = None
+        self.value = np.zeros((depth, width), dtype=dtype)
+        self.weight = self.products = None
         if feathered:
             rows = min(BLOCK_ROWS, depth)
+            # Also the scratch of each add's weighted tile rows: adds and
+            # emits never overlap.
             self.weight = np.empty((rows, width))
-            self.product = np.empty((rows, tile_width))
-            self.scaled = np.empty((rows, tile_width))
-        self.made: tuple | None = None
+            self.products = np.empty((2, rows, tile_width))
+        # (weights, lo, hi) held by each product slot; ``recent`` is the
+        # slot used last.
+        self.made: list[tuple | None] = [None, None]
+        self.recent = 0
         self.live: list[tuple[int, int, tuple[np.ndarray, np.ndarray]]] = []
         self.done = 0
 
@@ -295,14 +316,15 @@ class _RowBand:
             start += n
 
     def _product(self, weights: tuple[np.ndarray, np.ndarray], lo: int, hi: int) -> np.ndarray:
-        """``wy[lo:hi, None] * wx`` of ``weights = (wy, wx)``, in the product buffer."""
-        made = self.made
-        part = self.product[:hi - lo]
-        if made is None or made[0] is not weights or made[1] != lo or made[2] != hi:
-            wy, wx = weights
-            np.multiply(wy[lo:hi, None], wx, out=part)
-            self.made = (weights, lo, hi)
-        return part
+        """``wy[lo:hi, None] * wx`` of ``weights = (wy, wx)``, in a product slot."""
+        for slot in (self.recent, 1 - self.recent):
+            made = self.made[slot]
+            if made is not None and made[0] is weights and made[1] == lo and made[2] == hi:
+                self.recent = slot
+                return self.products[slot, :hi - lo]
+        slot = self.recent = 1 - self.recent
+        self.made[slot] = (weights, lo, hi)
+        return _weight_product(weights, lo, hi, self.products[slot, :hi - lo])
 
     def add(self, tile: np.ndarray, weights: tuple[np.ndarray, np.ndarray] | None,
             x: int, y: int) -> None:
@@ -314,7 +336,7 @@ class _RowBand:
             return
         for row, buf in self._runs(y, y + tile.shape[0], BLOCK_ROWS):
             lo, hi = row - y, row - y + buf.stop - buf.start
-            scaled = self.scaled[:hi - lo]
+            scaled = self.weight.reshape(-1)[:tile[lo:hi].size].reshape(hi - lo, -1)
             np.multiply(self._product(weights, lo, hi), tile[lo:hi], out=scaled)
             self.value[buf, cols] += scaled
         self.live.append((x, y, weights))
@@ -365,18 +387,25 @@ def _compose(
     width, height = canvas_dims(placements, tile_width, tile_height)
     finished, depth = _band_schedule([p.y for p in placements], tile_height, height)
     canvas = MosaicCanvas(width, height, tile_width, tile_height, [(p.x, p.y) for p in placements])
-    if sink is None:
-        gathered = canvas.rows = np.empty((height, width), dtype=np.float64)
-
-        def sink(row: int, rows: np.ndarray) -> None:
-            gathered[row:row + rows.shape[0]] = rows
-
-    band = _RowBand(width, depth, tile_width, feathered=weight_map is not None)
+    raw = weight_map is None
+    band = None
     it = iter(tiles)
     for k, (p, stop) in enumerate(zip(placements, finished)):
-        tile = _next_tile(it, k, len(placements))
+        tile = _next_tile(it, k, len(placements), raw)
         _check_tile_shape(tile, tile_width, tile_height)
-        band.add(tile, None if weight_map is None else weight_map(p), p.x, p.y)
+        if band is None:
+            # The first tile sets the band's dtype.
+            band = _RowBand(width, depth, tile_width, not raw, tile.dtype)
+            if sink is None:
+                gathered = canvas.rows = np.empty((height, width), dtype=tile.dtype)
+
+                def sink(row: int, rows: np.ndarray) -> None:
+                    gathered[row:row + rows.shape[0]] = rows
+        elif tile.dtype != band.value.dtype:
+            raise CompositionError(
+                f"tile {k} holds {tile.dtype}, the band {band.value.dtype} of the first tile"
+            )
+        band.add(tile, None if raw else weight_map(p), p.x, p.y)
         band.emit(stop, sink)
         # Hold no tile while the next one is made.
         del tile
@@ -398,6 +427,11 @@ def compose_raw(
     Tiles are consumed one at a time.  With ``sink``, finished rows go to
     it in raster order, in blocks it may overwrite (they are zeroed and
     reused after the call); without, they are gathered for ``finalize()``.
+    uint16 tiles, native or big-endian, are placed as counts in a band
+    of their dtype (canvas width x band depth x 2 B) and reach the sink
+    as such rows; tiles of any other dtype are converted to float64 and
+    take a float64 band (x 8 B).  All tiles must give the first tile's
+    band dtype.
     """
     return _compose(tiles, placements, tile_width, tile_height, None, sink)
 
@@ -415,10 +449,10 @@ def compose_feathered(
 
     Every pixel of every tile must carry positive weight, so every
     touched canvas pixel is covered.  ``sink`` works as in
-    :func:`compose_raw`.  The rows in flight take one value band (canvas
-    width x band depth x 8 B) plus one weight block (canvas width x
-    ``BLOCK_ROWS`` x 8 B) and two product buffers (tile width x
-    ``BLOCK_ROWS`` x 8 B each).
+    :func:`compose_raw`, with every tile converted to float64.  The rows
+    in flight take one float64 value band (canvas width x band depth x
+    8 B) plus one weight block (canvas width x ``BLOCK_ROWS`` x 8 B) and
+    two weight-product slots (tile width x ``BLOCK_ROWS`` x 8 B each).
     """
     by_tile = overlaps_by_tile(overlaps)
 

@@ -26,6 +26,7 @@ those units.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -116,9 +117,19 @@ class ResponseModel:
         if not (np.all(np.isfinite(self.gain)) and np.all(np.isfinite(self.offset))):
             raise InvalidReferenceError("response model contains non-finite entries")
 
-    def invert(self, values: np.ndarray) -> np.ndarray:
-        """ROI-shaped ``values`` with the model inverted: (I - o) / (g + eps)."""
-        return (values - self.offset) / (self.gain + self.epsilon)
+    @cached_property
+    def _denominator(self) -> np.ndarray:
+        return self.gain + self.epsilon
+
+    def invert(self, values: np.ndarray, part=np.s_[:, :]) -> np.ndarray:
+        """``values`` with the model inverted: (I - o) / (g + eps), in a new array.
+
+        ``values`` has the shape of ``gain[part]``, the ROI's own pixels
+        by default.
+        """
+        out = np.subtract(values, self.offset[part])
+        out /= self._denominator[part]
+        return out
 
 
 def fit_two_point(
@@ -173,6 +184,7 @@ def linear_weight_field(roi: RectROI, band_px: int = BAND_PX_DEFAULT) -> np.ndar
 def apply_roi_corrections(
     tile: np.ndarray,
     fits: Sequence[tuple[ResponseModel, RectROI, np.ndarray]],
+    origin: tuple[int, int] = (0, 0),
 ) -> np.ndarray:
     """Correct and feather each (model, ROI, weights) triple in turn, in place.
 
@@ -181,17 +193,31 @@ def apply_roi_corrections(
     written so W = 0 leaves I bit-exact; W = 1 gives I_corr exactly.
     The result is clamped to [0, 1].  A float64 ``tile`` is overwritten
     inside its ROIs and returned; any other input is converted to a new
-    float64 array first.  The fits are taken as built: each ROI lies in
-    the tile and each model and weight array has the ROI's shape.
+    float64 array first.  The fits are taken as built: each model and
+    weight array has the ROI's shape.
+
+    ``tile`` may be a window of a frame whose top-left pixel is frame
+    pixel ``origin`` (row, col); each ROI, in frame pixels, is then
+    corrected where it lies inside the window.  Every step is
+    elementwise, so a window comes out bit-equal to the same window of
+    the corrected frame.
     """
     out = np.asarray(tile, dtype=np.float64)
+    top, left = origin
+    bottom, right = top + out.shape[0], left + out.shape[1]
     for model, roi, weights in fits:
-        patch = out[roi.slices()]
-        corrected = model.invert(patch)
-        blended = patch + weights * (corrected - patch)
+        y0, y1 = max(roi.y0, top), min(roi.y1, bottom)
+        x0, x1 = max(roi.x0, left), min(roi.x1, right)
+        if y0 >= y1 or x0 >= x1:
+            continue
+        part = np.s_[y0 - roi.y0:y1 - roi.y0, x0 - roi.x0:x1 - roi.x0]
+        patch = out[y0 - top:y1 - top, x0 - left:x1 - left]
+        corrected = model.invert(patch, part)
+        weights = weights[part]
+        blended = np.subtract(corrected, patch)
+        blended *= weights
+        blended += patch
         # Pin the W = 1 endpoint: a + 1*(b - a) can round away from b.
-        full = weights == 1.0
-        if full.any():
-            blended = np.where(full, corrected, blended)
+        np.copyto(blended, corrected, where=weights == 1.0)
         np.clip(blended, 0.0, 1.0, out=patch)
     return out

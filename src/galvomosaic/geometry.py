@@ -29,6 +29,15 @@ from .errors import ConfigError, DegenerateGridError, IndexRangeError
 from .records import check_fields
 
 
+# The largest scan accepted.  Both limits are checked from the config
+# arithmetic alone, before any placement list or array is made: the tile
+# count bounds the placement list and the dataset's files, and the canvas
+# area bounds what simulate holds of the target (2 B per canvas pixel, so
+# 2 GiB at the limit) and the width of every stitch row band.
+MAX_TILES = 2**20
+MAX_CANVAS_PIXELS = 2**30
+
+
 class ScanStrategy(Enum):
     LINEAR = "linear"
     SINUSOIDAL = "sinusoidal"
@@ -70,6 +79,35 @@ class ScanConfig:
             _, amplitude = self.sine_params()
             if amplitude < 0:
                 raise ConfigError(f"amplitude must be >= 0, got {amplitude}")
+        self._check_size()
+
+    def _check_size(self) -> None:
+        """Raise :class:`ConfigError` for a scan over :data:`MAX_TILES` or
+        :data:`MAX_CANVAS_PIXELS`, from the four corner tiles alone.
+
+        Each offset is monotone in the row index and in the column index,
+        so the corner tiles hold its extremes and span the canvas.
+        """
+        if self.n_rows * self.n_cols > MAX_TILES:
+            raise ConfigError(
+                f"keys 'n_rows' and 'n_cols': {self.n_rows} x {self.n_cols} tiles, "
+                f"over the limit of {MAX_TILES}"
+            )
+        corners = [tile_offset(self, i, j)
+                   for i in (0, self.n_rows - 1) for j in (0, self.n_cols - 1)]
+        width = max(p.dx for p in corners) - min(p.dx for p in corners) + self.tile_width
+        height = max(p.dy for p in corners) - min(p.dy for p in corners) + self.tile_height
+        if not width * height <= MAX_CANVAS_PIXELS:
+            if width < height:
+                keys = "'n_rows', 'dv_y', 's_y', 'alpha_y', 'tile_height'"
+            elif self.strategy is ScanStrategy.SINUSOIDAL:
+                keys = "'n_cols', 'dv_x', 'amplitude', 's_x', 'alpha_x', 'tile_width'"
+            else:
+                keys = "'n_cols', 'dv_x', 's_x', 'alpha_x', 'tile_width'"
+            raise ConfigError(
+                f"keys {keys}: the scan spans a canvas of {width:.6g} x {height:.6g} px, "
+                f"over the limit of {MAX_CANVAS_PIXELS} px"
+            )
 
     def sine_params(self) -> tuple[float, float]:
         """Resolved ``(v0, amplitude)`` with span-matching defaults."""

@@ -80,47 +80,97 @@ class MetricsReport:
         return "\n".join(lines) + "\n"
 
 
-def fit_affine(samples_i: np.ndarray, samples_j: np.ndarray) -> AffineFit:
-    """Closed-form OLS of samples_j against samples_i."""
+class MaeWorkspace:
+    """Float64 buffers that :func:`normalized_mae` reuses for every
+    overlap of at most ``size`` samples.
+
+    :meth:`samples` hands out the two sample arrays of one overlap, to be
+    filled in place; the fit's two temporaries take two more rows.  A
+    stitch makes one workspace for its largest overlap, so no overlap
+    faults in fresh pages for its temporaries.
+    """
+
+    def __init__(self, size: int):
+        # Rows start on 64-byte boundaries, like fresh arrays of that size.
+        self._rows = np.empty((4, -(-size // 8) * 8))
+
+    def samples(self, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+        """Two contiguous float64 arrays of ``shape``, for samples i and j."""
+        n = shape[0] * shape[1]
+        return self._rows[0, :n].reshape(shape), self._rows[1, :n].reshape(shape)
+
+    def scratch(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        return self._rows[2, :n], self._rows[3, :n]
+
+
+def _mean(values: np.ndarray) -> np.float64:
+    """``np.mean`` of 1D float64 ``values``: the same pairwise sum and
+    division, without its per-call overhead (thousands of small overlaps)."""
+    return np.add.reduce(values) / values.size
+
+
+def _flat_samples(samples_i, samples_j) -> tuple[np.ndarray, np.ndarray]:
+    """Both samples as 1D float64 arrays; contiguous float64 input is not copied."""
     x = np.asarray(samples_i, dtype=np.float64).ravel()
     y = np.asarray(samples_j, dtype=np.float64).ravel()
     if x.size != y.size:
         raise DimensionMismatchError(
             f"sample lengths differ: {x.size} vs {y.size}"
         )
+    return x, y
+
+
+def fit_affine(
+    samples_i: np.ndarray, samples_j: np.ndarray, work: MaeWorkspace | None = None
+) -> AffineFit:
+    """Closed-form OLS of samples_j against samples_i.
+
+    The centred samples go to ``work``'s scratch rows, or to a new
+    workspace sized to the samples.
+    """
+    x, y = _flat_samples(samples_i, samples_j)
     if x.size < 2:
         raise DegenerateFitError(f"need at least 2 sample pairs, got {x.size}")
-    x_mean = x.mean()
-    y_mean = y.mean()
-    dx = x - x_mean
+    dx, dy = (work or MaeWorkspace(x.size)).scratch(x.size)
+    x_mean = _mean(x)
+    y_mean = _mean(y)
+    np.subtract(x, x_mean, out=dx)
     sxx = float(np.dot(dx, dx))
     if sxx == 0.0:
         raise DegenerateFitError("predictor samples are constant; slope undefined")
-    a = float(np.dot(dx, y - y_mean)) / sxx
+    np.subtract(y, y_mean, out=dy)
+    a = float(np.dot(dx, dy)) / sxx
     b = float(y_mean - a * x_mean)
     return AffineFit(a=a, b=b)
 
 
 def normalized_mae(
-    samples_i: np.ndarray, samples_j: np.ndarray
+    samples_i: np.ndarray, samples_j: np.ndarray, work: MaeWorkspace | None = None
 ) -> tuple[float, AffineFit, bool]:
     """Affine-normalized MAE plus the fit used and a degeneracy flag.
 
     Constant predictor samples make the slope undefined; the fallback is
-    a = 1 with b = mean(I_j) - mean(I_i) and the flag set.
+    a = 1 with b = mean(I_j) - mean(I_i) and the flag set.  Samples of
+    any shape are flattened in row-major order; those filled into
+    ``work.samples`` are used where they lie.  The temporaries go to
+    ``work``, or to a new workspace sized to the samples.
     """
-    x = np.asarray(samples_i, dtype=np.float64).ravel()
-    y = np.asarray(samples_j, dtype=np.float64).ravel()
+    x, y = _flat_samples(samples_i, samples_j)
     if x.size == 0:
         raise NoOverlapError("empty overlap sample")
+    work = work or MaeWorkspace(x.size)
     degenerate = False
     try:
-        fit = fit_affine(x, y)
+        fit = fit_affine(x, y, work)
     except DegenerateFitError:
-        fit = AffineFit(a=1.0, b=float(y.mean() - x.mean()))
+        fit = AffineFit(a=1.0, b=float(_mean(y) - _mean(x)))
         degenerate = True
-    mae = float(np.mean(np.abs(y - (fit.a * x + fit.b))))
-    return mae, fit, degenerate
+    residual, _ = work.scratch(x.size)
+    np.multiply(x, fit.a, out=residual)
+    residual += fit.b
+    np.subtract(y, residual, out=residual)
+    np.abs(residual, out=residual)
+    return float(_mean(residual)), fit, degenerate
 
 
 def overlap_mae(samples_i: np.ndarray, samples_j: np.ndarray) -> float:

@@ -2,9 +2,10 @@
 
 Pipeline images are stored as unsigned 16-bit and processed internally
 as float64 in [0, 1]; ``to_unit`` / ``to_u16`` convert between the two.
-:func:`read_pgm_unit` decodes a file's big-endian samples straight to
-float64 and :func:`scale_to_counts` encodes a float array in place, so
-neither direction needs an intermediate uint16 copy.  :class:`UnitView`
+:func:`read_counts` gives a file's big-endian samples as read,
+:func:`read_pgm_unit` decodes them straight to float64 and
+:func:`scale_to_counts` encodes a float array in place, so neither
+direction needs an intermediate native uint16 copy.  :class:`UnitView`
 memory-maps a PGM and converts only what it is indexed with.
 """
 
@@ -26,9 +27,12 @@ class ImageFormatError(GalvoMosaicError):
     """Unreadable or unsupported image file."""
 
 
-def to_unit(img: np.ndarray) -> np.ndarray:
-    """uint16 counts -> float64 intensities in [0, 1]."""
-    return np.divide(img, MAXVAL, dtype=np.float64)
+def to_unit(img: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """uint16 counts -> float64 intensities in [0, 1], into ``out`` if given.
+
+    ``scale_to_counts`` maps the result back to the same counts, exactly.
+    """
+    return np.divide(img, MAXVAL, out=out, dtype=np.float64)
 
 
 def scale_to_counts(img: np.ndarray) -> np.ndarray:
@@ -134,8 +138,8 @@ def _raster_layout(path, data) -> tuple[int, int, int]:
     return h, w, pos
 
 
-def _read_raster(path: str | os.PathLike) -> np.ndarray:
-    """Read-only big-endian u16 view of a binary PGM's raster, read whole."""
+def read_counts(path: str | os.PathLike) -> np.ndarray:
+    """A binary PGM's raster as read: a read-only big-endian uint16 array."""
     with open(path, "rb") as f:
         data = f.read()
     h, w, pos = _raster_layout(path, data)
@@ -144,7 +148,7 @@ def _read_raster(path: str | os.PathLike) -> np.ndarray:
 
 def read_pgm(path: str | os.PathLike) -> np.ndarray:
     """Read a binary PGM (P5) with maxval 65535 into a uint16 array."""
-    return _read_raster(path).astype(np.uint16)
+    return read_counts(path).astype(np.uint16)
 
 
 def read_pgm_unit(path: str | os.PathLike) -> np.ndarray:
@@ -153,7 +157,7 @@ def read_pgm_unit(path: str | os.PathLike) -> np.ndarray:
     Equal to ``to_unit(read_pgm(path))`` bit for bit, without the uint16
     array in between.
     """
-    return to_unit(_read_raster(path))
+    return to_unit(read_counts(path))
 
 
 class UnitView:

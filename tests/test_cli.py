@@ -98,6 +98,8 @@ class TestSimulate:
                          id="roi_negative"),
             pytest.param("rois = 0,50,30,30; 0,0,5,-2\n", "'rois[1].height'",
                          "must be at least 1, got -2", id="second_roi_negative"),
+            pytest.param("dv_x = 1e9\n", "'dv_x'", "over the limit of 1073741824 px",
+                         id="canvas_over_the_limit"),
         ],
     )
     def test_bad_run_float_names_key(self, tmp_path, capsys, lines, key, message):
@@ -284,6 +286,7 @@ class TestStitch:
                          id="ref_bright_int"),
             pytest.param(("reference", "dark"), None, "key 'reference.dark': expected str",
                          id="ref_dark_null"),
+            pytest.param(("scan", "dv_x"), 1e9, "'dv_x'", id="canvas_over_the_limit"),
         ],
     )
     def test_manifest_values_checked_like_config(self, tmp_path, capsys, path, value, key):

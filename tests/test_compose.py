@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from galvomosaic import compose
 from galvomosaic.compose import (
     BLOCK_ROWS,
     Axis,
@@ -19,6 +20,7 @@ from galvomosaic.compose import (
     tile_weight_map,
 )
 from galvomosaic.errors import CompositionError, DimensionMismatchError
+from galvomosaic.pgm import to_u16, to_unit
 from galvomosaic.geometry import (
     ScanConfig,
     ScanStrategy,
@@ -138,6 +140,28 @@ class TestComposeRaw:
     def test_wrong_tile_shape_rejected(self):
         with pytest.raises(DimensionMismatchError):
             compose_raw([np.zeros((5, 5))], [place(0, 0, 0, 0)], 10, 10)
+
+    @pytest.mark.parametrize("dtype", ["<u2", ">u2"])
+    def test_counts_stay_counts_in_a_two_byte_band(self, dtype):
+        rng = np.random.default_rng(8)
+        counts = [rng.integers(0, 65536, size=(20, 30)).astype(dtype) for _ in range(6)]
+        placements = [place(i, j, 19.6 * j, 13 * i + 3.5 * j) for i in range(2) for j in range(3)]
+        floats = compose_raw([to_unit(c) for c in counts], placements, 30, 20).finalize()
+        blocks = []
+        canvas = compose_raw(iter(counts), placements, 30, 20,
+                             sink=lambda row, rows: blocks.append(rows.copy()))
+        assert {b.dtype for b in blocks} == {np.dtype(dtype)}
+        gathered = np.concatenate(blocks)
+        assert gathered.shape == (canvas.height, canvas.width)
+        assert np.array_equal(gathered, to_u16(floats))
+        # Feathering converts counts to float64 values, as any other dtype.
+        feathered = compose_feathered(counts, placements, [], 30, 20).finalize()
+        assert feathered.dtype == np.float64
+
+    def test_tiles_of_two_band_dtypes_rejected(self):
+        counts = np.zeros((10, 10), dtype=np.uint16)
+        with pytest.raises(CompositionError, match="tile 1 holds float64"):
+            compose_raw([counts, np.zeros((10, 10))], [place(0, 0, 0, 0), place(0, 1, 5, 0)], 10, 10)
 
 
 class TestComposeFeathered:
@@ -337,6 +361,23 @@ class TestOneValueBand:
         compose_feathered(iter(tiles), placements, overlaps, tw, th, sink=sink)
         assert np.array_equal(np.concatenate(blocks), expected)
         assert all(np.array_equal(t, u) for t, u in zip(tiles, originals))
+
+    def test_second_product_slot_serves_the_next_tile(self, monkeypatch):
+        # A 1x6 row of 80-row tiles: every add asks for two runs, rows 0-64
+        # and 64-80.  The first, the interior and the last tiles have three
+        # ramp pairs, so the adds make 3 x 2 products and the two emitted
+        # blocks 3 x 2 more.  With one slot each interior add remade both
+        # of its runs: 18 products.
+        made = []
+        original = compose._weight_product
+        monkeypatch.setattr(compose, "_weight_product",
+                            lambda *args: made.append(args[1:3]) or original(*args))
+        placements = [place(0, j, 35 * j, 0) for j in range(6)]
+        overlaps = compute_overlaps(placements, 80, 80)
+        tiles = np.random.default_rng(5).uniform(0.0, 1.0, size=(6, 80, 80))
+        final = compose_feathered(iter(tiles), placements, overlaps, 80, 80).finalize()
+        assert len(made) == 12, made
+        assert np.array_equal(final, full_canvas_feathered(list(tiles), placements, overlaps, 80, 80))
 
     @pytest.mark.parametrize(
         "n_rows, n_cols, step_x, step_y, tw, th",

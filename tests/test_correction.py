@@ -326,3 +326,46 @@ def test_apply_roi_corrections_corrects_in_place_like_feather_roi():
     counts = np.full(TILE, 3, dtype=np.uint16)
     converted = apply_roi_corrections(counts, fits)
     assert converted.dtype == np.float64 and np.all(counts == 3)
+
+
+@st.composite
+def windowed_corrections(draw):
+    """A frame, ROIs with random models and weight fields (some weights
+    exactly 1), and a window whose ROIs lie inside, across or outside it."""
+    h, w = draw(st.integers(4, 40)), draw(st.integers(4, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    fits = []
+    for _ in range(draw(st.integers(1, 3))):
+        x0, y0 = draw(st.integers(0, w - 1)), draw(st.integers(0, h - 1))
+        roi = RectROI(x0, y0, draw(st.integers(1, w - x0)), draw(st.integers(1, h - y0)))
+        shape = (roi.height, roi.width)
+        model = ResponseModel(gain=rng.uniform(0.3, 2.0, shape),
+                              offset=rng.uniform(-0.2, 0.2, shape), epsilon=1e-6)
+        fits.append((model, roi, linear_weight_field(roi, draw(st.integers(1, 6)))))
+    top, left = draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))
+    bottom, right = draw(st.integers(top + 1, h)), draw(st.integers(left + 1, w))
+    frame = rng.uniform(-0.1, 1.1, (h, w))
+    return frame, fits, (top, bottom, left, right)
+
+
+@settings(max_examples=200, deadline=None)
+@given(windowed_corrections())
+def test_window_correction_is_bit_equal_to_the_frame_slice(case):
+    frame, fits, (top, bottom, left, right) = case
+    expected = apply_roi_corrections(frame.copy(), fits)[top:bottom, left:right]
+    window = frame[top:bottom, left:right].copy()
+    assert apply_roi_corrections(window, fits, (top, left)) is window
+    assert np.array_equal(window, expected)
+
+
+def test_window_correction_covers_inside_partial_and_outside_rois():
+    frame = np.random.default_rng(4).uniform(0.0, 1.0, TILE)
+    rois = [RectROI(30, 30, 10, 10), RectROI(0, 0, 40, 40), RectROI(100, 80, 20, 20)]
+    fits = [(constant_model(2.0, roi=roi), roi, linear_weight_field(roi, band_px=3)) for roi in rois]
+    top, left = 25, 20
+    window = frame[top:top + 30, left:left + 40].copy()
+    apply_roi_corrections(window, fits, (top, left))
+    whole = apply_roi_corrections(frame.copy(), fits)
+    assert np.array_equal(window, whole[top:top + 30, left:left + 40])
+    # The third ROI lies outside the window and leaves it untouched.
+    assert not np.array_equal(whole[80:, 100:], frame[80:, 100:])

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from galvomosaic.errors import ConfigError, DegenerateGridError, IndexRangeError
 from galvomosaic.geometry import (
+    MAX_CANVAS_PIXELS,
+    MAX_TILES,
     ScanConfig,
     ScanStrategy,
     TilePlacement,
@@ -166,6 +168,41 @@ class TestValidation:
         cfg = calib_cfg(strategy=ScanStrategy.SINUSOIDAL, amplitude=-1.0)
         with pytest.raises(ConfigError):
             cfg.validate()
+
+    def test_tile_count_over_the_limit_is_named_before_any_placement(self):
+        # Only the check runs: 10**10 placements must never be built.
+        with pytest.raises(ConfigError, match="'n_rows' and 'n_cols': 100000 x 100000 tiles"):
+            calib_cfg(n_rows=100000, n_cols=100000).validate()
+
+    @pytest.mark.parametrize(
+        "overrides, keys",
+        [
+            (dict(dv_x=1e9), "'dv_x'"),
+            (dict(dv_x=1e300), "'dv_x'"),
+            (dict(alpha_y=1e9), "'alpha_y'"),
+            (dict(strategy=ScanStrategy.SINUSOIDAL, amplitude=1e9), "'amplitude'"),
+            (dict(n_rows=1, n_cols=1, tile_width=2**15, tile_height=2**15 + 1), "'tile_height'"),
+        ],
+    )
+    def test_canvas_over_the_limit_names_its_axis_keys(self, overrides, keys):
+        with pytest.raises(ConfigError, match=f"{keys}.*over the limit of {MAX_CANVAS_PIXELS} px"):
+            calib_cfg(**overrides).validate()
+
+    def test_canvas_at_the_limit_is_accepted(self):
+        calib_cfg(n_rows=1, n_cols=1, tile_width=2**15, tile_height=2**15).validate()
+        assert MAX_CANVAS_PIXELS == 2**30 and MAX_TILES == 2**20
+
+    @pytest.mark.parametrize("strategy", list(ScanStrategy))
+    def test_corner_tiles_span_the_placements(self, strategy):
+        # The size check reads the four corners; every other tile lies
+        # between them.
+        cfg = calib_cfg(strategy=strategy, alpha_x=23.5, alpha_y=-17.25)
+        table = placement_table(cfg)
+        corners = [p for p in table if p.row in (0, 9) and p.col in (0, 9)]
+        for attr in ("dx", "dy"):
+            values = [getattr(p, attr) for p in table]
+            ends = [getattr(p, attr) for p in corners]
+            assert (min(values), max(values)) == (min(ends), max(ends))
 
     def test_tile_offset_dispatches_on_strategy(self):
         lin = tile_offset(calib_cfg(), 0, 3)

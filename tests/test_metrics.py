@@ -18,6 +18,7 @@ from galvomosaic.errors import (
 )
 from galvomosaic.geometry import ScanConfig, ScanStrategy, placement_table
 from galvomosaic.metrics import (
+    MaeWorkspace,
     RegionKind,
     RegionSpec,
     cnr,
@@ -123,6 +124,44 @@ class TestOverlapMae:
     def test_empty_overlap_rejected(self):
         with pytest.raises(NoOverlapError):
             overlap_mae(np.array([]), np.array([]))
+
+
+def mae_with_fresh_temporaries(samples_i, samples_j):
+    """The normalized MAE written with fresh numpy temporaries and ``np.mean``,
+    the reference whose bits the workspace version must keep."""
+    x = np.asarray(samples_i, dtype=np.float64).ravel()
+    y = np.asarray(samples_j, dtype=np.float64).ravel()
+    dx = x - x.mean()
+    sxx = float(np.dot(dx, dx))
+    if sxx == 0.0 or x.size < 2:
+        a, b = 1.0, float(y.mean() - x.mean())
+    else:
+        a = float(np.dot(dx, y - y.mean())) / sxx
+        b = float(y.mean() - a * x.mean())
+    return float(np.mean(np.abs(y - (a * x + b)))), a, b
+
+
+class TestMaeWorkspace:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 70), st.integers(1, 70), st.integers(0, 2**32 - 1), st.booleans())
+    def test_reused_workspace_keeps_every_bit(self, h, w, seed, flat):
+        # One workspace sized for the largest overlap serves every smaller
+        # one; strided windows and samples filled in place give the same bits.
+        rng = np.random.default_rng(seed)
+        frame_i = rng.uniform(0.0, 1.0, (h + 3, w + 5))
+        frame_j = 0.8 * frame_i + rng.normal(0.0, 0.01, frame_i.shape)
+        if flat:
+            frame_i[...] = 0.25
+        window_i, window_j = frame_i[1:h + 1, 2:w + 2], frame_j[2:h + 2, 3:w + 3]
+        expected = mae_with_fresh_temporaries(window_i, window_j)
+        work = MaeWorkspace(80 * 80)
+        x, y = work.samples((h, w))
+        x[...], y[...] = window_i, window_j
+        for got in (normalized_mae(window_i, window_j), normalized_mae(x, y, work),
+                    normalized_mae(window_i, window_j, work)):
+            mae, fit, degenerate = got
+            assert (mae, fit.a, fit.b) == expected
+            assert degenerate == (flat or h * w < 2)
 
 
 class TestCnr:

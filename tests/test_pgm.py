@@ -12,6 +12,25 @@ def test_u16_unit_roundtrip_is_exact():
     assert np.array_equal(pgm.to_u16(pgm.to_unit(counts)), counts)
 
 
+def test_every_count_survives_decode_and_encode_exactly():
+    # Raw stitch writes tile counts as they are, where it once wrote
+    # scale_to_counts(to_unit(counts)): the two agree for all 65,536 counts.
+    counts = np.arange(65536, dtype=np.uint16)
+    unit = np.empty(counts.shape)
+    assert pgm.to_unit(counts, out=unit) is unit
+    assert np.array_equal(unit, pgm.to_unit(counts))
+    assert np.array_equal(pgm.scale_to_counts(unit), counts)
+
+
+def test_read_counts_is_the_big_endian_raster(tmp_path):
+    img = np.arange(12, dtype=np.uint16).reshape(3, 4) * 5000
+    path = tmp_path / "img.pgm"
+    pgm.write_pgm(path, img)
+    counts = pgm.read_counts(path)
+    assert counts.dtype == np.dtype(">u2") and not counts.flags.writeable
+    assert np.array_equal(counts, img)
+
+
 def test_to_u16_clamps_and_rounds_half_up():
     values = np.array([[-0.5, 0.0, 1.5 / 65535, 1.0, 2.0]])
     assert pgm.to_u16(values).tolist() == [[0, 0, 2, 65535, 65535]]

@@ -3,7 +3,7 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from galvomosaic.compose import Axis, SeamLine
@@ -54,6 +54,13 @@ def run_configs(draw) -> RunConfig:
         tile_height=tile_height,
         settle_ms=settle_ms,
     )
+    try:
+        scan.validate()
+    except ConfigError as exc:
+        # Spans of up to 4 x 1000 x 1e4 px can pass geometry's canvas
+        # limit; such a scan is rejected as a config error, not a record.
+        assume("over the limit" not in str(exc))
+        raise
     regions = draw(st.none() | st.lists(
         st.builds(
             RegionSpec, name=st.text(max_size=8), rect=rects(10_000, 10_000),

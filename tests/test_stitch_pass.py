@@ -1,5 +1,6 @@
 """The single-pass stitch: band depth against a full-canvas oracle, memory, atomic outputs."""
 
+import json
 import tracemalloc
 from pathlib import Path
 
@@ -12,10 +13,12 @@ from galvomosaic.compose import canvas_dims, compute_overlaps, tile_weight_map
 from galvomosaic.correction import (
     ReferencePair,
     apply_roi_corrections,
+    fit_bright_only,
     fit_two_point,
     linear_weight_field,
 )
 from galvomosaic.geometry import placement_table
+from galvomosaic.metrics import normalized_mae
 from galvomosaic.simulate import load_manifest
 
 QUICK_CFG = (Path(__file__).resolve().parents[1] / "configs" / "quick.cfg").read_text()
@@ -76,11 +79,24 @@ def simulate(tmp_path: Path, name: str, cfg_text: str) -> Path:
     return dataset
 
 
-def oracle_pgm(dataset: Path, mode: str) -> bytes:
-    """The expected mosaic.pgm, from full-canvas value and weight sums.
+# Test id -> (correction, feather, stitch arguments).
+STITCH_MODES = {
+    "raw": ("off", False, ["--mode", "raw"]),
+    "processed": ("two-point", True, ["--mode", "processed"]),
+    "raw-two-point": ("two-point", False, ["--mode", "raw", "--correction", "two-point"]),
+    "processed-uncorrected": ("off", True, ["--mode", "processed", "--correction", "off"]),
+    "raw-bright-only": ("bright-only", False, ["--mode", "raw", "--correction", "bright-only"]),
+    "processed-bright-only": ("bright-only", True,
+                              ["--mode", "processed", "--correction", "bright-only"]),
+}
 
-    Processed mode is two-point correction plus feathering, with each
-    tile's weights taken from the whole overlap list.
+
+def oracle(dataset: Path, correction: str, feather: bool):
+    """The expected mosaic.pgm bytes and ``mae_per_overlap`` values.
+
+    The mosaic comes from full-canvas value and weight sums, with each
+    tile's weights taken from the whole overlap list.  Each MAE is
+    ``normalized_mae`` on slices of the two whole corrected float tiles.
     """
     manifest = load_manifest(dataset)
     scan = manifest.run.scan
@@ -89,28 +105,29 @@ def oracle_pgm(dataset: Path, mode: str) -> bytes:
     overlaps = compute_overlaps(placements, tw, th)
     width, height = canvas_dims(placements, tw, th)
     fits = []
-    if mode == "processed":
-        refs = ReferencePair(
-            bright_frame=pgm.to_unit(pgm.read_pgm(dataset / manifest.ref_bright_path)),
-            l_bright=manifest.run.bright_level,
-            dark_frame=pgm.to_unit(pgm.read_pgm(dataset / manifest.ref_dark_path)),
-            l_dark=manifest.run.dark_level,
-        )
-        fits = [
-            (fit_two_point(refs, roi, eps=manifest.run.epsilon), roi,
-             linear_weight_field(roi, manifest.run.band_px))
-            for roi in manifest.run.rois
-        ]
+    if correction != "off":
+        bright = pgm.to_unit(pgm.read_pgm(dataset / manifest.ref_bright_path))
+        dark = pgm.to_unit(pgm.read_pgm(dataset / manifest.ref_dark_path))
+        for roi in manifest.run.rois:
+            if correction == "two-point":
+                refs = ReferencePair(bright, manifest.run.bright_level, dark, manifest.run.dark_level)
+                model = fit_two_point(refs, roi, eps=manifest.run.epsilon)
+            else:
+                model = fit_bright_only(bright, manifest.run.bright_level, roi,
+                                        eps=manifest.run.epsilon)
+            fits.append((model, roi, linear_weight_field(roi, manifest.run.band_px)))
     paths = {(t["row"], t["col"]): dataset / t["path"] for t in manifest.tiles}
     value = np.zeros((height, width))
     weight = np.zeros((height, width))
+    tiles = {}
     for p in placements:
-        tile = pgm.to_unit(pgm.read_pgm(paths[(p.row, p.col)]))
-        x, y = p.x, p.y
-        box = np.s_[y:y + th, x:x + tw]
-        if mode == "processed":
+        tile = tiles[p.row, p.col] = apply_roi_corrections(
+            pgm.to_unit(pgm.read_pgm(paths[(p.row, p.col)])), fits
+        )
+        box = np.s_[p.y:p.y + th, p.x:p.x + tw]
+        if feather:
             w = np.outer(*tile_weight_map((p.row, p.col), tw, th, overlaps))
-            value[box] += apply_roi_corrections(tile, fits) * w
+            value[box] += tile * w
             weight[box] += w
         else:
             value[box] = tile
@@ -118,7 +135,15 @@ def oracle_pgm(dataset: Path, mode: str) -> bytes:
     final = np.zeros((height, width))
     np.divide(value, weight, out=final, where=weight > 0.0)
     header = b"P5\n%d %d\n65535\n" % (width, height)
-    return header + pgm.to_u16(final).astype(">u2").tobytes()
+    boxes = {(p.row, p.col): (p.x, p.y) for p in placements}
+    mae = []
+    for ov in overlaps:
+        pair = []
+        for index in (ov.tile_a, ov.tile_b):
+            x, y = boxes[index]
+            pair.append(tiles[index][ov.rect.y0 - y:ov.rect.y1 - y, ov.rect.x0 - x:ov.rect.x1 - x])
+        mae.append(normalized_mae(*pair)[0])
+    return header + pgm.to_u16(final).astype(">u2").tobytes(), mae
 
 
 def overlaps_two_columns_over(boxes, tile):
@@ -136,7 +161,7 @@ def leaves_whole_rows_uncovered(boxes, tile):
     return len(rows) < max(rows) + 1
 
 
-@pytest.mark.parametrize("mode", ["raw", "processed"])
+@pytest.mark.parametrize("mode", list(STITCH_MODES))
 @pytest.mark.parametrize(
     "name, cfg_text, geometry",
     [
@@ -150,9 +175,16 @@ def test_mosaic_matches_full_canvas_oracle(tmp_path, name, cfg_text, geometry, m
     scan = load_manifest(dataset).run.scan
     boxes = {(p.row, p.col): (p.x, p.y) for p in placement_table(scan)}
     assert geometry(boxes, scan.tile_height)
+    correction, feather, argv = STITCH_MODES[mode]
     out = tmp_path / f"run_{mode}"
-    assert run("stitch", "--dataset", dataset, "--out", out, "--mode", mode) == 0
-    assert (out / "mosaic.pgm").read_bytes() == oracle_pgm(dataset, mode)
+    assert run("stitch", "--dataset", dataset, "--out", out, *argv) == 0
+    mosaic, mae = oracle(dataset, correction, feather)
+    assert (out / "mosaic.pgm").read_bytes() == mosaic
+    sidecar = json.loads((out / "sidecar.json").read_text())
+    assert sidecar["mode"] == {"compose": "feathered" if feather else "raw",
+                               "correction": correction}
+    # Bit for bit: JSON floats round-trip exactly.
+    assert [value for _, value in sidecar["mae_per_overlap"]] == mae
 
 
 def _grid_cfg(n_rows: int) -> str:
@@ -176,6 +208,37 @@ def test_stitch_memory_does_not_grow_with_grid_rows(tmp_path):
             tracemalloc.stop()
         assert code == 0
     assert peaks[16] <= 1.25 * peaks[8], peaks
+
+
+def test_raw_stitch_holds_counts_not_floats(tmp_path):
+    # Raw stitch keeps tiles as uint16 counts: a 2 B/px row band, the
+    # pending overlap samples of one grid row at 2 B/px, one MAE workspace
+    # (four float64 rows of the largest overlap) and one tile's counts.
+    # The same pass with float64 band and samples needs about twice this.
+    dataset = simulate(tmp_path, "rows8", _grid_cfg(8))
+    scan = load_manifest(dataset).run.scan
+    placements = placement_table(scan)
+    overlaps = compute_overlaps(placements, scan.tile_width, scan.tile_height)
+    width, _ = canvas_dims(placements, scan.tile_width, scan.tile_height)
+    assert len({p.y for p in placements if p.row == 0}) == 1  # untilted: one tile-high band
+    band = width * scan.tile_height * 2
+    areas = [ov.rect.width * ov.rect.height for ov in overlaps]
+    pending = 2 * (sum(a for a, ov in zip(areas, overlaps) if ov.tile_a[0] == 0) + max(areas))
+    workspace = 4 * max(areas) * 8
+    tile = scan.tile_width * scan.tile_height * 2
+    # The run's own Python objects: manifest, placements, sidecar text.
+    objects = 256 * 1024
+    args = ("stitch", "--dataset", dataset, "--out", tmp_path / "run", "--mode", "raw")
+    assert run(*args) == 0  # imports and caches are in place before tracing
+    tracemalloc.start()
+    try:
+        code = run(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < band + pending + workspace + tile + objects, (
+        peak, band, pending, workspace, tile)
 
 
 def test_failed_stitch_keeps_earlier_outputs(tmp_path, capsys):
