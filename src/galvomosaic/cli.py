@@ -42,11 +42,11 @@ from .correction import (
 from .errors import ConfigError, GalvoMosaicError, UndefinedCnrError
 from .geometry import TilePlacement, placement_table
 from .metrics import (
+    MaeWorkspace,
     MetricsReport,
     RegionKind,
     RegionSpec,
     cnr,
-    MaeWorkspace,
     mean_seam_jump,
     normalized_mae,
     region_std,

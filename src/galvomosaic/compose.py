@@ -336,7 +336,8 @@ class _RowBand:
             return
         for row, buf in self._runs(y, y + tile.shape[0], BLOCK_ROWS):
             lo, hi = row - y, row - y + buf.stop - buf.start
-            scaled = self.weight.reshape(-1)[:tile[lo:hi].size].reshape(hi - lo, -1)
+            # The leading, contiguous part of the weight block.
+            scaled = self.weight.reshape(-1)[:(hi - lo) * tile.shape[1]].reshape(hi - lo, -1)
             np.multiply(self._product(weights, lo, hi), tile[lo:hi], out=scaled)
             self.value[buf, cols] += scaled
         self.live.append((x, y, weights))

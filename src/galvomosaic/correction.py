@@ -35,6 +35,8 @@ from .errors import DimensionMismatchError, InvalidReferenceError
 
 EPSILON_DEFAULT = 1e-6
 BAND_PX_DEFAULT = 50
+# ROI rows that apply_roi_corrections corrects at once.
+_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -121,13 +123,15 @@ class ResponseModel:
     def _denominator(self) -> np.ndarray:
         return self.gain + self.epsilon
 
-    def invert(self, values: np.ndarray, part=np.s_[:, :]) -> np.ndarray:
-        """``values`` with the model inverted: (I - o) / (g + eps), in a new array.
+    def invert(self, values: np.ndarray, part=np.s_[:, :], out: np.ndarray | None = None
+               ) -> np.ndarray:
+        """``values`` with the model inverted: (I - o) / (g + eps), into ``out``
+        or a new array.
 
         ``values`` has the shape of ``gain[part]``, the ROI's own pixels
         by default.
         """
-        out = np.subtract(values, self.offset[part])
+        out = np.subtract(values, self.offset[part], out=out)
         out /= self._denominator[part]
         return out
 
@@ -210,14 +214,21 @@ def apply_roi_corrections(
         x0, x1 = max(roi.x0, left), min(roi.x1, right)
         if y0 >= y1 or x0 >= x1:
             continue
-        part = np.s_[y0 - roi.y0:y1 - roi.y0, x0 - roi.x0:x1 - roi.x0]
-        patch = out[y0 - top:y1 - top, x0 - left:x1 - left]
-        corrected = model.invert(patch, part)
-        weights = weights[part]
-        blended = np.subtract(corrected, patch)
-        blended *= weights
-        blended += patch
-        # Pin the W = 1 endpoint: a + 1*(b - a) can round away from b.
-        np.copyto(blended, corrected, where=weights == 1.0)
-        np.clip(blended, 0.0, 1.0, out=patch)
+        # Blocks of rows, so that each step's temporaries stay in cache.
+        shape = (min(_BLOCK_ROWS, y1 - y0), x1 - x0)
+        corrected, blended = np.empty(shape), np.empty(shape)
+        full = np.empty(shape, dtype=bool)
+        cols = slice(x0 - roi.x0, x1 - roi.x0)
+        for y in range(y0, y1, _BLOCK_ROWS):
+            n = min(_BLOCK_ROWS, y1 - y)
+            patch = out[y - top:y - top + n, x0 - left:x1 - left]
+            part = (slice(y - roi.y0, y - roi.y0 + n), cols)
+            c = model.invert(patch, part, out=corrected[:n])
+            w = weights[part]
+            b = np.subtract(c, patch, out=blended[:n])
+            b *= w
+            b += patch
+            # Pin the W = 1 endpoint: a + 1*(b - a) can round away from b.
+            np.copyto(b, c, where=np.equal(w, 1.0, out=full[:n]))
+            np.clip(b, 0.0, 1.0, out=patch)
     return out

@@ -91,15 +91,14 @@ class MaeWorkspace:
     """
 
     def __init__(self, size: int):
-        # Rows start on 64-byte boundaries, like fresh arrays of that size.
-        self._rows = np.empty((4, -(-size // 8) * 8))
+        self._rows = np.empty((4, size))
 
     def samples(self, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
         """Two contiguous float64 arrays of ``shape``, for samples i and j."""
         n = shape[0] * shape[1]
         return self._rows[0, :n].reshape(shape), self._rows[1, :n].reshape(shape)
 
-    def scratch(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+    def _scratch(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         return self._rows[2, :n], self._rows[3, :n]
 
 
@@ -131,7 +130,7 @@ def fit_affine(
     x, y = _flat_samples(samples_i, samples_j)
     if x.size < 2:
         raise DegenerateFitError(f"need at least 2 sample pairs, got {x.size}")
-    dx, dy = (work or MaeWorkspace(x.size)).scratch(x.size)
+    dx, dy = (work or MaeWorkspace(x.size))._scratch(x.size)
     x_mean = _mean(x)
     y_mean = _mean(y)
     np.subtract(x, x_mean, out=dx)
@@ -165,7 +164,7 @@ def normalized_mae(
     except DegenerateFitError:
         fit = AffineFit(a=1.0, b=float(_mean(y) - _mean(x)))
         degenerate = True
-    residual, _ = work.scratch(x.size)
+    residual, _ = work._scratch(x.size)
     np.multiply(x, fit.a, out=residual)
     residual += fit.b
     np.subtract(y, residual, out=residual)
