@@ -216,7 +216,7 @@ def apply_roi_corrections(
             continue
         # Blocks of rows, so that each step's temporaries stay in cache.
         shape = (min(_BLOCK_ROWS, y1 - y0), x1 - x0)
-        corrected, blended = np.empty(shape), np.empty(shape)
+        corrected, blended = np.empty((2, *shape))
         full = np.empty(shape, dtype=bool)
         cols = slice(x0 - roi.x0, x1 - roi.x0)
         for y in range(y0, y1, _BLOCK_ROWS):
@@ -230,5 +230,5 @@ def apply_roi_corrections(
             b += patch
             # Pin the W = 1 endpoint: a + 1*(b - a) can round away from b.
             np.copyto(b, c, where=np.equal(w, 1.0, out=full[:n]))
-            np.clip(b, 0.0, 1.0, out=patch)
+            b.clip(0.0, 1.0, out=patch)
     return out
