@@ -26,7 +26,6 @@ those units.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -119,10 +118,6 @@ class ResponseModel:
         if not (np.all(np.isfinite(self.gain)) and np.all(np.isfinite(self.offset))):
             raise InvalidReferenceError("response model contains non-finite entries")
 
-    @cached_property
-    def _denominator(self) -> np.ndarray:
-        return self.gain + self.epsilon
-
     def invert(self, values: np.ndarray, part=np.s_[:, :], out: np.ndarray | None = None
                ) -> np.ndarray:
         """``values`` with the model inverted: (I - o) / (g + eps), into ``out``
@@ -132,7 +127,7 @@ class ResponseModel:
         by default.
         """
         out = np.subtract(values, self.offset[part], out=out)
-        out /= self._denominator[part]
+        out /= self.gain[part] + self.epsilon
         return out
 
 
