@@ -278,10 +278,11 @@ class _RowBand:
 
     A ring of ``depth`` buffer rows: canvas row r lives in buffer row
     r % depth.  Rows above ``done`` have been emitted and their buffer
-    rows zeroed for reuse.  Both modes keep values only.  Feathered mode
-    also keeps the placement and ramps of each ``live`` tile, one whose
-    rows are not all emitted yet, and rebuilds the weight sums of each
-    block of rows it emits from them, in one reused scratch array.
+    rows zeroed for reuse.  Both modes keep values only, in the band's
+    dtype.  Feathered mode also keeps the placement and ramps of each
+    ``live`` tile, one whose rows are not all emitted yet, and rebuilds
+    the weight sums of each block of rows it emits from them, in one
+    reused scratch array.
     Weight products ``wy[rows, None] * wx`` are formed in two reused
     tile-wide slots, each keeping the product it holds: tiles handed the
     same ramp objects over the same rows reuse it, and a miss overwrites

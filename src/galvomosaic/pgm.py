@@ -79,11 +79,12 @@ def replacing(path: Path):
 
 
 def write_pgm(path: str | os.PathLike, img: np.ndarray) -> None:
-    """Write a 2D uint16 array as binary PGM (P5), big-endian samples."""
+    """Write a 2D uint16 array of either byte order as binary PGM (P5),
+    big-endian samples."""
     arr = np.asarray(img)
     if arr.ndim != 2:
         raise ImageFormatError(f"expected a 2D array, got shape {arr.shape}")
-    if arr.dtype != np.uint16:
+    if arr.dtype.kind != "u" or arr.dtype.itemsize != 2:
         raise ImageFormatError(f"expected uint16 data, got {arr.dtype}")
     h, w = arr.shape
     with open(path, "wb") as f:

@@ -29,6 +29,9 @@ def test_read_counts_is_the_big_endian_raster(tmp_path):
     counts = pgm.read_counts(path)
     assert counts.dtype == np.dtype(">u2") and not counts.flags.writeable
     assert np.array_equal(counts, img)
+    copy = tmp_path / "copy.pgm"
+    pgm.write_pgm(copy, counts)
+    assert copy.read_bytes() == path.read_bytes()
 
 
 def test_to_u16_clamps_and_rounds_half_up():
