@@ -11,7 +11,7 @@ straddling each geometric seam line.
 The canvas of a quality metric is a 2D array or any object with a
 ``shape`` whose indexing returns the indexed block as an array, such as
 :class:`~galvomosaic.pgm.UnitView` over a memory-mapped mosaic.  The
-metrics index only the rows of each region and the two pixel lines of
+metrics index only the pixels of each region and the two pixel lines of
 each seam, and convert only those to float64.
 """
 
@@ -33,6 +33,9 @@ from .errors import (
     UndefinedCnrError,
 )
 from .records import INLINE, dumps_indented, fields_dict
+
+# Canvas rows per read of a region or of the vertical seam lines.
+_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -179,17 +182,24 @@ def overlap_mae(samples_i: np.ndarray, samples_j: np.ndarray) -> float:
 
 
 def _region_values(canvas, region: RegionSpec) -> np.ndarray:
-    # Convert the region's full-width rows, then slice the columns: the
-    # values keep the row stride of the full canvas, so numpy reduces
-    # them in the same order as over a view of a whole float canvas.
+    # Convert only the region's columns, _BLOCK_ROWS rows per read, into
+    # rows one value longer than the region.  Like a view of a whole float
+    # canvas, the values are then not contiguous, so numpy reduces them
+    # through the same buffered loop in the same order.  A region as wide
+    # as the canvas is contiguous in such a view, and so it is here.
     try:
         region.rect.check_within(canvas.shape)
     except DimensionMismatchError as exc:
         raise DimensionMismatchError(
             f"region {region.name!r} lies outside the mosaic: {exc}"
         ) from None
-    rows, cols = region.rect.slices()
-    return np.asarray(canvas[rows], dtype=np.float64)[:, cols]
+    rect = region.rect
+    pad = 1 if rect.width < canvas.shape[1] else 0
+    values = np.empty((rect.height, rect.width + pad))[:, :rect.width]
+    for top in range(0, rect.height, _BLOCK_ROWS):
+        bottom = min(top + _BLOCK_ROWS, rect.height)
+        values[top:bottom] = canvas[rect.y0 + top:rect.y0 + bottom, rect.x0:rect.x1]
+    return values
 
 
 def _population_std(values: np.ndarray) -> float:
@@ -220,10 +230,6 @@ def region_std(canvas, region: RegionSpec) -> float:
     return _population_std(values)
 
 
-# Canvas rows per read of the vertical seam lines.
-SEAM_BLOCK_ROWS = 256
-
-
 def mean_seam_jump(canvas, seams: Sequence[SeamLine]) -> float:
     """Mean |intensity difference| across all seam-straddling pixel pairs.
 
@@ -232,7 +238,7 @@ def mean_seam_jump(canvas, seams: Sequence[SeamLine]) -> float:
     over all pairs of all seams pooled together.  Each seam line is read
     once: seams sharing an orientation and position take their slices
     of one difference array spanning all their extents.  Vertical lines
-    are read in blocks of ``SEAM_BLOCK_ROWS`` rows, so a memory-mapped
+    are read in blocks of ``_BLOCK_ROWS`` rows, so a memory-mapped
     canvas is never touched over more than one block at a time.
     """
     if not seams:
@@ -267,8 +273,8 @@ def mean_seam_jump(canvas, seams: Sequence[SeamLine]) -> float:
             diffs[orientation, position] = np.abs(pair[1] - pair[0])
     # Vertical lines are read together, one block of rows at a time: one
     # index per block takes the column pair of every line crossing it.
-    for top in range(0, height, SEAM_BLOCK_ROWS):
-        bottom = min(top + SEAM_BLOCK_ROWS, height)
+    for top in range(0, height, _BLOCK_ROWS):
+        bottom = min(top + _BLOCK_ROWS, height)
         crossing = [line for line in vertical if line[1] < bottom and line[2] > top]
         if not crossing:
             continue

@@ -80,7 +80,7 @@ def replacing(path: Path):
 
 def write_pgm(path: str | os.PathLike, img: np.ndarray) -> None:
     """Write a 2D uint16 array of either byte order as binary PGM (P5),
-    big-endian samples."""
+    big-endian samples; C-contiguous big-endian input is written as it is."""
     arr = np.asarray(img)
     if arr.ndim != 2:
         raise ImageFormatError(f"expected a 2D array, got shape {arr.shape}")
@@ -89,7 +89,7 @@ def write_pgm(path: str | os.PathLike, img: np.ndarray) -> None:
     h, w = arr.shape
     with open(path, "wb") as f:
         f.write(pgm_header(w, h))
-        f.write(arr.astype(">u2", order="C"))
+        f.write(arr.astype(">u2", order="C", copy=False))
 
 
 def _raster_layout(path, data) -> tuple[int, int, int]:

@@ -14,12 +14,14 @@ Everything is seed-deterministic: tile (i, j) draws from a generator
 seeded by (rng_seed, 0, i, j), references from (rng_seed, 1, k), so the
 output is independent of evaluation order.
 
-:func:`write_dataset` streams: the target is held once, as 16-bit counts
-(2 B per canvas pixel), and each tile is cut, degraded, encoded and
-written in placement order before the next one is cut, so memory grows
-with the canvas at 2 B/px plus a few tile-sized buffers.  One helper
-thread draws the gain jitter and noise of the next tile from that tile's
-own generator while the current one is finished and written.
+:func:`write_dataset` streams: the target is held as its description
+(two counts and a list of dark rectangles), and each tile's window of it
+is drawn, degraded, encoded and written in placement order before the
+next one is drawn; ``truth.pgm`` is drawn and written in blocks of rows.
+Memory is a few tile-sized buffers, whatever the canvas size.  One
+helper thread draws the gain jitter and noise of the next tile from that
+tile's own generator, into the one of two reused buffers the current
+tile does not use, while the current one is finished and written.
 """
 
 from __future__ import annotations
@@ -45,6 +47,8 @@ from .records import (
 )
 
 DARK_SHADE = 0.02
+# Target rows per block written to ``truth.pgm``.
+_TRUTH_BLOCK_ROWS = 64
 
 
 class TargetPattern(Enum):
@@ -151,9 +155,16 @@ def _usaf_layout(width: int, height: int) -> dict[str, RectROI]:
     }
 
 
-def _draw_bar_groups(img: np.ndarray, dark: np.ndarray) -> None:
-    height, width = img.shape
-    # Vertical-bar groups of halving pitch, side by side.
+def _bar_layout(width: int, height: int) -> list[list[RectROI]]:
+    """Dark bars of the USAF-like target's six bar groups, one list per group.
+
+    Three groups of vertical bars of halving pitch (64/32/16 px) stand side
+    by side; three groups of horizontal bars (48/24/12 px) are stacked
+    below.  A pitch is clamped to [4, half the group size].  Each bar
+    starts a period of twice the pitch, and the last one is cut at the
+    group edge.  A group that does not fit the target is left out.
+    """
+    groups = []
     x0 = int(width * 0.55)
     y0, y1 = int(height * 0.45), int(height * 0.62)
     group_w = int(width * 0.11)
@@ -161,12 +172,11 @@ def _draw_bar_groups(img: np.ndarray, dark: np.ndarray) -> None:
         pitch = max(4, min(pitch, group_w // 2))
         gx0 = x0 + k * (group_w + group_w // 4)
         gx1 = min(gx0 + group_w, width)
-        if gx0 >= gx1 or y0 >= y1:
-            continue
-        x = np.arange(gx0, gx1)
-        dark_cols = x[(x - gx0) // pitch % 2 == 0]
-        img[y0:y1, dark_cols] = dark
-    # Horizontal-bar groups stacked below.
+        if gx0 < gx1 and y0 < y1:
+            groups.append([
+                RectROI(x0=x, y0=y0, width=min(pitch, gx1 - x), height=y1 - y0)
+                for x in range(gx0, gx1, 2 * pitch)
+            ])
     hx0, hx1 = int(width * 0.20), int(width * 0.45)
     hy0 = int(height * 0.76)
     group_h = int(height * 0.05)
@@ -174,40 +184,59 @@ def _draw_bar_groups(img: np.ndarray, dark: np.ndarray) -> None:
         pitch = max(4, min(pitch, group_h // 2))
         gy0 = hy0 + k * (group_h + group_h // 4)
         gy1 = min(gy0 + group_h, height)
-        if gy0 >= gy1 or hx0 >= hx1:
-            continue
-        y = np.arange(gy0, gy1)
-        dark_rows = y[(y - gy0) // pitch % 2 == 0]
-        img[dark_rows, hx0:hx1] = dark
+        if gy0 < gy1 and hx0 < hx1:
+            groups.append([
+                RectROI(x0=hx0, y0=y, width=hx1 - hx0, height=min(pitch, gy1 - y))
+                for y in range(gy0, gy1, 2 * pitch)
+            ])
+    return groups
 
 
-def _target_counts(
-    width: int, height: int, pattern: TargetPattern, value: float, pitch: int
-) -> np.ndarray:
-    """:func:`make_target` as uint16 counts, the form the target is stored in."""
-    if width < 1 or height < 1:
-        raise ConfigError(f"target dims must be positive, got {width}x{height}")
-    bright = pgm.to_u16(np.array(value))
-    dark = pgm.to_u16(np.array(DARK_SHADE))
-    if pattern is TargetPattern.UNIFORM:
-        img = np.full((height, width), bright, dtype=np.uint16)
-    elif pattern is TargetPattern.BARS:
-        if pitch < 1:
-            raise ConfigError(f"bar pitch must be >= 1, got {pitch}")
-        img = np.full((height, width), bright, dtype=np.uint16)
-        x = np.arange(width)
-        img[:, (x // pitch) % 2 == 0] = dark
-    elif pattern is TargetPattern.USAF_LIKE:
-        img = np.full((height, width), bright, dtype=np.uint16)
-        layout = _usaf_layout(width, height)
-        rows, cols = layout["signal"].slices()
-        img[rows, cols] = dark
-        rows, cols = layout["dark"].slices()
-        img[rows, cols] = dark
-        _draw_bar_groups(img, dark)
-    else:  # pragma: no cover - enum is closed
-        raise ConfigError(f"unknown target pattern {pattern}")
-    return img
+class _Target:
+    """The uint16 counts of a synthetic target, drawn one window at a time.
+
+    The target is a bright field with dark column stripes (BARS) or dark
+    rectangles (USAF_LIKE: the signal block, the dark region and every
+    bar) on it.  ``target[rows, cols]``, two slices of step 1, draws the
+    window as a new array: the bright count, then the stripes and the
+    part of each rectangle that meets the window.  No array of the whole
+    target is held.
+    """
+
+    def __init__(
+        self, width: int, height: int, pattern: TargetPattern, value: float, pitch: int
+    ):
+        if width < 1 or height < 1:
+            raise ConfigError(f"target dims must be positive, got {width}x{height}")
+        self.shape = (height, width)
+        self.bright = pgm.to_u16(np.array(value))
+        self.dark = pgm.to_u16(np.array(DARK_SHADE))
+        self.pitch = 0
+        rects: list[RectROI] = []
+        if pattern is TargetPattern.BARS:
+            if pitch < 1:
+                raise ConfigError(f"bar pitch must be >= 1, got {pitch}")
+            self.pitch = pitch
+        elif pattern is TargetPattern.USAF_LIKE:
+            layout = _usaf_layout(width, height)
+            rects = [layout["signal"], layout["dark"]]
+            rects += [bar for group in _bar_layout(width, height) for bar in group]
+        # Edges of each dark rectangle: top, bottom, left, right.
+        self._rects = [(r.y0, r.y1, r.x0, r.x1) for r in rects]
+
+    def __getitem__(self, key: tuple[slice, slice]) -> np.ndarray:
+        top, bottom, _ = key[0].indices(self.shape[0])
+        left, right, _ = key[1].indices(self.shape[1])
+        out = np.empty((max(bottom - top, 0), max(right - left, 0)), dtype=np.uint16)
+        if self.pitch:
+            x = np.arange(left, right)
+            out[:] = np.where(x // self.pitch % 2 == 0, self.dark, self.bright)
+        else:
+            out.fill(self.bright)
+        for y0, y1, x0, x1 in self._rects:
+            if y0 < bottom and top < y1 and x0 < right and left < x1:
+                out[max(y0 - top, 0):y1 - top, max(x0 - left, 0):x1 - left] = self.dark
+        return out
 
 
 def make_target(
@@ -225,7 +254,7 @@ def make_target(
     bright and dark measurement regions, and bar groups of decreasing
     pitch (see :func:`target_regions` for the region rectangles).
     """
-    return pgm.to_unit(_target_counts(width, height, pattern, value, pitch))
+    return pgm.to_unit(_Target(width, height, pattern, value, pitch)[:, :])
 
 
 def target_regions(width: int, height: int, pattern: TargetPattern) -> list[RegionSpec]:
@@ -241,14 +270,18 @@ def target_regions(width: int, height: int, pattern: TargetPattern) -> list[Regi
 
 
 def _crop(
-    src: np.ndarray, to_float, p: TilePlacement, tw: int, th: int, subpixel: bool
+    src: np.ndarray, to_float, p: TilePlacement, tw: int, th: int, subpixel: bool,
+    out: np.ndarray | None = None, term: np.ndarray | None = None,
 ) -> np.ndarray:
     """One tile-sized float64 sample of ``src`` at placement ``p``.
 
-    ``to_float`` turns a window of ``src`` into a new float64 array, so
-    only the window the tile needs is converted.  An integer crop takes
-    the rounded offset; a subpixel crop interpolates bilinearly at the
-    exact one, from a window one pixel wider and taller where needed.
+    ``to_float`` turns a window of ``src`` into a float64 array that the
+    caller does not read again, so only the window the tile needs is
+    converted.  An integer crop takes the rounded offset and is that
+    array.  A subpixel crop interpolates bilinearly at the exact offset,
+    from a window one pixel wider and taller where needed, into ``out``
+    with each later term in ``term`` (th x tw float64 buffers; new arrays
+    where not given).
     """
     h, w = src.shape
     if not subpixel:
@@ -264,13 +297,13 @@ def _crop(
             f"subpixel placement ({p.dx}, {p.dy}) exceeds truth bounds {w}x{h}"
         )
     win = to_float(src[iy:iy + th + (fy > 0), ix:ix + tw + (fx > 0)])
-    out = (1 - fy) * (1 - fx) * win[:th, :tw]
+    out = np.multiply(win[:th, :tw], (1 - fy) * (1 - fx), out=out)
     if fx > 0:
-        out += (1 - fy) * fx * win[:th, 1:]
+        out += np.multiply(win[:th, 1:], (1 - fy) * fx, out=term)
     if fy > 0:
-        out += fy * (1 - fx) * win[1:, :tw]
+        out += np.multiply(win[1:, :tw], fy * (1 - fx), out=term)
     if fx > 0 and fy > 0:
-        out += fy * fx * win[1:, 1:]
+        out += np.multiply(win[1:, 1:], fy * fx, out=term)
     return out
 
 
@@ -339,21 +372,30 @@ def _field(
     return vignette, offset
 
 
-def _noise(rng: np.random.Generator, sigma: float, shape: tuple[int, int]):
-    return rng.normal(0.0, sigma, shape) if sigma > 0.0 else None
+def _noise(rng: np.random.Generator, sigma: float, shape: tuple[int, int], out=None):
+    """Gaussian noise of ``shape``, into ``out`` if given; None when ``sigma`` is 0.
+
+    Standard normal draws scaled in place: the bits of
+    ``rng.normal(0.0, sigma, shape)`` without a second array.
+    """
+    if not sigma > 0.0:
+        return None
+    noise = rng.standard_normal(shape) if out is None else rng.standard_normal(out=out)
+    noise *= sigma
+    return noise
 
 
-def _tile_draws(spec: DegradationSpec, row: int, col: int, shape: tuple[int, int]):
+def _tile_draws(spec: DegradationSpec, row: int, col: int, shape: tuple[int, int], out=None):
     """Gain jitter and noise (None when ``noise_sigma`` is 0) of tile (row, col).
 
-    Drawn from the tile's own generator, uniform first, then normal.
-    :func:`write_dataset` runs this on its look-ahead thread, so it calls
-    numpy only: a traced package function there would share the span
-    stack of the main thread.
+    Drawn from the tile's own generator, uniform first, then normal; the
+    noise goes to ``out`` if given.  :func:`write_dataset` runs this on
+    its look-ahead thread, so it calls numpy only: a traced package
+    function there would share the span stack of the main thread.
     """
     rng = np.random.default_rng([spec.rng_seed, 0, row, col])
     jitter = rng.uniform(1.0 - spec.gain_jitter, 1.0 + spec.gain_jitter)
-    return jitter, _noise(rng, spec.noise_sigma, shape)
+    return jitter, _noise(rng, spec.noise_sigma, shape, out)
 
 
 def _finish(img: np.ndarray, offset: np.ndarray, noise) -> np.ndarray:
@@ -537,7 +579,9 @@ def write_dataset(out_dir: str | os.PathLike, run: RunConfig) -> DatasetManifest
     The ground truth defaults to exactly the canvas footprint of the
     scan.  Reference levels are snapped onto the 16-bit grid before use
     so the stored reference frames encode them exactly.  Every input is
-    checked before the first file is written.  Tiles are written one at
+    checked before the first file is written.  No array of the whole
+    target is made: ``truth.pgm`` is drawn in blocks of rows and each
+    tile from its own window of the target.  Tiles are written one at
     a time, in placement order, and ``manifest.json`` is the commit
     point: an earlier one is removed first and the new one is put in
     place whole, last, so a dataset with a manifest is complete.
@@ -552,7 +596,7 @@ def write_dataset(out_dir: str | os.PathLike, run: RunConfig) -> DatasetManifest
             f"target {width}x{height} smaller than required canvas {need_w}x{need_h}"
         )
 
-    counts = _target_counts(width, height, run.target_pattern, run.target_value, run.target_pitch)
+    target = _Target(width, height, run.target_pattern, run.target_value, run.target_pitch)
     run = replace(
         run,
         bright_level=snap_level(run.bright_level),
@@ -576,31 +620,52 @@ def write_dataset(out_dir: str | os.PathLike, run: RunConfig) -> DatasetManifest
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "manifest.json").unlink(missing_ok=True)
-    pgm.write_pgm(out / "truth.pgm", counts)
+    with open(out / "truth.pgm", "wb") as f:
+        f.write(pgm.pgm_header(width, height))
+        for top in range(0, height, _TRUTH_BLOCK_ROWS):
+            f.write(target[top:top + _TRUTH_BLOCK_ROWS, :].astype(">u2"))
+    # Each reference and tile is a float buffer of this function's own,
+    # so it is encoded in place.
     for which, (name, level) in enumerate(
         (("ref_bright.pgm", run.bright_level), ("ref_dark.pgm", run.dark_level))
     ):
-        ref = pgm.to_u16(_reference(degradation, which, level, vignette, offset))
-        pgm.write_pgm(out / name, ref)
+        ref = _reference(degradation, which, level, vignette, offset)
+        pgm.write_pgm(out / name, pgm.scale_to_counts(ref).astype(">u2"))
+        del ref
 
-    # The helper thread draws tile k + 1 while tile k is finished here;
-    # one draw in flight bounds the noise held to two tiles.  Imported
-    # here so that stitch and evaluate do not pay for it.
+    # The helper thread draws tile k + 1 into noise buffer (k + 1) % 2
+    # while tile k is finished here with buffer k % 2; one draw in flight
+    # bounds the noise held to these two.  Imported here so that stitch
+    # and evaluate do not pay for it.
     from concurrent.futures import ThreadPoolExecutor
+
+    buffers = [None, None]
+    if degradation.noise_sigma > 0.0:
+        buffers = [np.empty((th, tw)), np.empty((th, tw))]
+    # Every tile's window of the target is decoded into one buffer; an
+    # integer crop is finished there in place, a subpixel one in the two
+    # buffers of its sample and interpolation terms.
+    window = np.empty((th + subpixel) * (tw + subpixel))
+    sample, term = (np.empty((th, tw)), np.empty((th, tw))) if subpixel else (None, None)
+
+    def decode(counts: np.ndarray) -> np.ndarray:
+        return pgm.to_unit(counts, out=window[:counts.size].reshape(counts.shape))
 
     with ThreadPoolExecutor(max_workers=1) as ahead:
         first = placements[0]
-        draws = ahead.submit(_tile_draws, degradation, first.row, first.col, (th, tw))
+        draws = ahead.submit(_tile_draws, degradation, first.row, first.col, (th, tw), buffers[0])
         for k, p in enumerate(placements):
             jitter, noise = draws.result()
             if k + 1 < len(placements):
                 q = placements[k + 1]
-                draws = ahead.submit(_tile_draws, degradation, q.row, q.col, (th, tw))
+                draws = ahead.submit(
+                    _tile_draws, degradation, q.row, q.col, (th, tw), buffers[(k + 1) % 2]
+                )
             img = _degrade_tile(
-                _crop(counts, pgm.to_unit, p, tw, th, subpixel), vignette, offset, jitter, noise
+                _crop(target, decode, p, tw, th, subpixel, sample, term),
+                vignette, offset, jitter, noise,
             )
-            pgm.write_pgm(out / names[k], pgm.to_u16(img))
-            del img, noise
+            pgm.write_pgm(out / names[k], pgm.scale_to_counts(img).astype(">u2"))
 
     with pgm.replacing(out / "manifest.json") as f:
         f.write(manifest.to_json().encode("ascii"))

@@ -28,6 +28,7 @@ from galvomosaic.metrics import (
     overlap_mae,
     region_std,
 )
+from galvomosaic.metrics import _region_values
 
 # ---------------------------------------------------------------------------
 # Brute-force oracles: plain-Python reimplementations on lists, using fsum,
@@ -400,3 +401,61 @@ class TestMappedView:
         for canvas in (view, whole):
             with pytest.raises(IndexRangeError, match="horizontal seam at y=25"):
                 mean_seam_jump(canvas, seams)
+
+
+# ---------------------------------------------------------------------------
+# Region values decoded column by column against the full-width decode
+
+
+def full_width_values(canvas, r):
+    """The region's full-width canvas rows as float64, then its columns."""
+    rows, cols = r.rect.slices()
+    return np.asarray(canvas[rows], dtype=np.float64)[:, cols]
+
+
+def stat_bits(values):
+    stats = (values.mean(), values.std(), values.min(), values.max())
+    return [np.float64(v).tobytes() for v in stats]
+
+
+@st.composite
+def canvas_regions(draw):
+    # Taller than one 256-row read, and regions of every kind of extent.
+    height, width = draw(st.integers(1, 600)), draw(st.integers(1, 300))
+    kind = draw(st.sampled_from(["any", "full_width", "one_row", "one_column"]))
+    x0 = 0 if kind == "full_width" else draw(st.integers(0, width - 1))
+    y0 = draw(st.integers(0, height - 1))
+    w = {"full_width": width, "one_column": 1}.get(kind) or draw(st.integers(1, width - x0))
+    h = 1 if kind == "one_row" else draw(st.integers(1, height - y0))
+    return height, width, region("r", x0, y0, w, h), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(canvas_regions())
+def test_region_values_match_full_width_decode(case):
+    height, width, r, seed = case
+    counts = np.random.default_rng(seed).integers(0, 65536, size=(height, width), dtype=np.uint16)
+    canvas = pgm.to_unit(counts)
+    values = _region_values(canvas, r)
+    expected = full_width_values(canvas, r)
+    assert np.array_equal(values, expected)
+    assert stat_bits(values) == stat_bits(expected)
+
+
+def test_regions_larger_than_one_numpy_buffer_match_full_width_decode():
+    # A contiguous decode changes the mean's last bit for some regions of
+    # more than 8192 values, the size of numpy's reduction buffer.
+    rng = np.random.default_rng(12)
+    canvas = pgm.to_unit(rng.integers(0, 65536, size=(600, 300), dtype=np.uint16))
+    for _ in range(60):
+        w, h = int(rng.integers(40, 299)), int(rng.integers(210, 600))
+        x0, y0 = int(rng.integers(0, 300 - w)), int(rng.integers(0, 600 - h + 1))
+        r = region("r", x0, y0, w, h)
+        assert stat_bits(_region_values(canvas, r)) == stat_bits(full_width_values(canvas, r))
+
+
+def test_mapped_region_values_match_full_width_decode(tmp_path):
+    view, whole = mapped_and_whole(tmp_path, 700, 331, seed=9)
+    for r in (region("tall", 17, 3, 120, 690), region("full", 0, 200, 331, 300),
+              region("row", 5, 699, 300, 1), region("column", 330, 0, 1, 700)):
+        assert stat_bits(_region_values(view, r)) == stat_bits(full_width_values(whole, r)), r.name

@@ -1,5 +1,7 @@
 """16-bit image I/O round trips and format validation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,20 @@ def test_read_counts_is_the_big_endian_raster(tmp_path):
     copy = tmp_path / "copy.pgm"
     pgm.write_pgm(copy, counts)
     assert copy.read_bytes() == path.read_bytes()
+
+
+def test_big_endian_raster_is_written_without_a_copy(tmp_path):
+    counts = np.random.default_rng(3).integers(0, 65536, size=(500, 400), dtype=np.uint16)
+    big_endian = counts.astype(">u2")
+    tracemalloc.start()
+    try:
+        pgm.write_pgm(tmp_path / "be.pgm", big_endian)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < big_endian.nbytes // 4, peak
+    pgm.write_pgm(tmp_path / "native.pgm", counts)
+    assert (tmp_path / "be.pgm").read_bytes() == (tmp_path / "native.pgm").read_bytes()
 
 
 def test_to_u16_clamps_and_rounds_half_up():

@@ -1,11 +1,14 @@
 """Synthetic dataset generation and its round-trip guarantees."""
 
 import dataclasses
+import sys
 import threading
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from galvomosaic import pgm
 from galvomosaic.compose import compose_feathered, compose_raw, compute_overlaps
@@ -14,6 +17,7 @@ from galvomosaic.errors import ConfigError, CoverageError, GalvoMosaicError
 from galvomosaic.geometry import ScanConfig, ScanStrategy, placement_table
 from galvomosaic.metrics import RegionKind, RegionSpec
 from galvomosaic.simulate import (
+    DARK_SHADE,
     DatasetManifest,
     DegradationSpec,
     RunConfig,
@@ -30,6 +34,7 @@ from galvomosaic.simulate import (
     vignette_field,
     write_dataset,
 )
+from galvomosaic.simulate import _bar_layout, _noise, _Target, _tile_draws, _usaf_layout
 
 TILE_W = TILE_H = 80
 
@@ -80,6 +85,155 @@ class TestMakeTarget:
     def test_values_sit_on_16bit_grid(self):
         img = make_target(33, 21, TargetPattern.USAF_LIKE, value=0.9)
         assert np.array_equal(img, np.round(img * 65535) / 65535)
+
+
+# The whole-canvas drawer the window view replaced, kept as its oracle.
+def whole_target_counts(width, height, pattern, value, pitch):
+    bright = pgm.to_u16(np.array(value))
+    dark = pgm.to_u16(np.array(DARK_SHADE))
+    img = np.full((height, width), bright, dtype=np.uint16)
+    if pattern is TargetPattern.BARS:
+        x = np.arange(width)
+        img[:, (x // pitch) % 2 == 0] = dark
+    elif pattern is TargetPattern.USAF_LIKE:
+        layout = _usaf_layout(width, height)
+        for name in ("signal", "dark"):
+            rows, cols = layout[name].slices()
+            img[rows, cols] = dark
+        x0 = int(width * 0.55)
+        y0, y1 = int(height * 0.45), int(height * 0.62)
+        group_w = int(width * 0.11)
+        for k, bar_pitch in enumerate((64, 32, 16)):
+            bar_pitch = max(4, min(bar_pitch, group_w // 2))
+            gx0 = x0 + k * (group_w + group_w // 4)
+            gx1 = min(gx0 + group_w, width)
+            if gx0 >= gx1 or y0 >= y1:
+                continue
+            x = np.arange(gx0, gx1)
+            img[y0:y1, x[(x - gx0) // bar_pitch % 2 == 0]] = dark
+        hx0, hx1 = int(width * 0.20), int(width * 0.45)
+        hy0 = int(height * 0.76)
+        group_h = int(height * 0.05)
+        for k, bar_pitch in enumerate((48, 24, 12)):
+            bar_pitch = max(4, min(bar_pitch, group_h // 2))
+            gy0 = hy0 + k * (group_h + group_h // 4)
+            gy1 = min(gy0 + group_h, height)
+            if gy0 >= gy1 or hx0 >= hx1:
+                continue
+            y = np.arange(gy0, gy1)
+            img[y[(y - gy0) // bar_pitch % 2 == 0], hx0:hx1] = dark
+    return img
+
+
+def target_edges(width, height, pattern, pitch):
+    """Column and row positions where the target changes, each with its neighbours."""
+    xs, ys = {0, width}, {0, height}
+    if pattern is TargetPattern.BARS:
+        xs |= set(range(0, width, pitch))
+    elif pattern is TargetPattern.USAF_LIKE:
+        layout = _usaf_layout(width, height)
+        rects = [layout["signal"], layout["dark"], *sum(_bar_layout(width, height), [])]
+        for r in rects:
+            xs |= {r.x0, r.x1}
+            ys |= {r.y0, r.y1}
+    near = lambda edges, n: sorted({min(max(e + d, 0), n) for e in edges for d in (-1, 0, 1)})
+    return near(xs, width), near(ys, height)
+
+
+@st.composite
+def target_windows(draw):
+    pattern = draw(st.sampled_from(list(TargetPattern)))
+    # Small canvases clamp the region sizes and the bar pitches.
+    width = draw(st.integers(1, 700))
+    height = draw(st.integers(1, 700))
+    pitch = draw(st.integers(1, 40))
+    value = draw(st.floats(0.0, 1.0))
+    xs, ys = target_edges(width, height, pattern, pitch)
+    windows = []
+    for _ in range(8):
+        left, right = sorted(draw(st.sampled_from(xs) | st.integers(0, width)) for _ in range(2))
+        top, bottom = sorted(draw(st.sampled_from(ys) | st.integers(0, height)) for _ in range(2))
+        windows.append((top, bottom, left, right))
+    return width, height, pattern, value, pitch, windows
+
+
+class TestTargetWindows:
+    @settings(max_examples=150, deadline=None)
+    @given(target_windows())
+    def test_window_equals_whole_canvas_window(self, case):
+        width, height, pattern, value, pitch, windows = case
+        whole = whole_target_counts(width, height, pattern, value, pitch)
+        target = _Target(width, height, pattern, value, pitch)
+        assert target.shape == whole.shape
+        assert np.array_equal(target[:, :], whole)
+        for top, bottom, left, right in windows:
+            window = target[top:bottom, left:right]
+            assert window.dtype == np.uint16
+            assert np.array_equal(window, whole[top:bottom, left:right])
+
+    def test_full_scan_canvas(self):
+        width, height = 4980, 5633
+        whole = whole_target_counts(width, height, TargetPattern.USAF_LIKE, 0.9, 32)
+        target = _Target(width, height, TargetPattern.USAF_LIKE, 0.9, 32)
+        for top in range(0, height, 997):
+            for left in range(0, width, 701):
+                assert np.array_equal(
+                    target[top:top + 1000, left:left + 1000],
+                    whole[top:top + 1000, left:left + 1000],
+                ), (top, left)
+
+    def test_bar_layout_groups(self):
+        groups = _bar_layout(4980, 5633)
+        assert len(groups) == 6
+        # Bar widths of the vertical groups, heights of the horizontal ones.
+        assert [g[0].width for g in groups[:3]] == [64, 32, 16]
+        assert [g[0].height for g in groups[3:]] == [48, 24, 12]
+        for group in groups[:3]:
+            period = 2 * group[0].width
+            assert [b.x0 - group[0].x0 for b in group] == [period * k for k in range(len(group))]
+
+    def test_bad_target_rejected(self):
+        with pytest.raises(ConfigError, match="dims must be positive"):
+            _Target(0, 5, TargetPattern.UNIFORM, 0.5, 8)
+        with pytest.raises(ConfigError, match="pitch must be >= 1"):
+            make_target(5, 5, TargetPattern.BARS, pitch=0)
+
+
+class TestNoiseDraws:
+    @pytest.mark.parametrize("seed", [0, 7, 2**31 - 1])
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 17), (80, 80), (200, 130)])
+    def test_buffer_draw_has_the_bits_of_normal(self, seed, shape):
+        sigma = 0.002 * (1 + seed % 5)
+        expected = np.random.default_rng([seed, 0, 1, 2]).normal(0.0, sigma, shape)
+        fresh = _noise(np.random.default_rng([seed, 0, 1, 2]), sigma, shape)
+        buffer = np.full(shape, np.nan)
+        drawn = _noise(np.random.default_rng([seed, 0, 1, 2]), sigma, shape, buffer)
+        assert drawn is buffer
+        assert fresh.tobytes() == expected.tobytes()
+        assert drawn.tobytes() == expected.tobytes()
+
+    def test_zero_sigma_draws_no_noise(self):
+        spec = DegradationSpec(gain_jitter=0.05, rng_seed=4)
+        jitter, noise = _tile_draws(spec, 1, 2, (8, 8), np.zeros((8, 8)))
+        assert noise is None
+        rng = np.random.default_rng([4, 0, 1, 2])
+        assert jitter == rng.uniform(0.95, 1.05)
+
+    def test_zero_sigma_dataset_tiles_are_target_crops(self, tmp_path):
+        cfg = small_cfg()
+        manifest = write_dataset(tmp_path, RunConfig(cfg, [], identity_spec(rng_seed=3)))
+        truth = pgm.read_pgm(tmp_path / "truth.pgm")
+        for p, entry in zip(placement_table(cfg), manifest.tiles):
+            tile = pgm.read_pgm(tmp_path / entry["path"])
+            assert np.array_equal(tile, truth[p.y:p.y + TILE_H, p.x:p.x + TILE_W])
+
+    def test_degrade_returns_arrays_of_its_own(self):
+        tiles = extract_tiles(make_target(200, 200, TargetPattern.USAF_LIKE), small_cfg())
+        degraded, bright, dark = degrade(tiles, identity_spec(noise_sigma=0.01, rng_seed=2), [])
+        arrays = [t.data for t in tiles] + [t.data for t in degraded] + [bright, dark]
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)
 
 
 class TestExtractTiles:
@@ -408,6 +562,23 @@ class TestStreamingWriteDataset:
         for name, data in expected.items():
             assert np.array_equal(pgm.read_pgm(tmp_path / name), pgm.to_u16(data)), name
 
+    def test_reused_noise_buffers_under_fast_thread_switching(self, tmp_path):
+        # The helper thread fills one noise buffer while the main thread
+        # reads the other; switching threads every microsecond must not
+        # let a draw reach the tile before or after its own.
+        cfg, spec, _ = STREAM_CASES["linear_noise"]
+        cfg = dataclasses.replace(cfg, n_rows=4, n_cols=4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            manifest = write_dataset(tmp_path, RunConfig(cfg, STREAM_ROIS, spec))
+        finally:
+            sys.setswitchinterval(interval)
+        truth = make_target(*required_truth_dims(cfg), TargetPattern.USAF_LIKE)
+        tiles, _, _ = degrade(extract_tiles(truth, cfg), spec, STREAM_ROIS)
+        for tile, entry in zip(tiles, manifest.tiles):
+            assert np.array_equal(pgm.read_pgm(tmp_path / entry["path"]), pgm.to_u16(tile.data))
+
     def test_memory_scales_with_canvas_counts(self, tmp_path):
         # 200 px tiles on 175 px steps; a 16x8 grid doubles the canvas of an 8x8 one
         spec = DegradationSpec(
@@ -429,6 +600,32 @@ class TestStreamingWriteDataset:
                 tracemalloc.stop()
             assert peak <= 4 * width * height * 2 + 8 * tile_buffer, (n_rows, peak)
 
+    def test_memory_does_not_grow_with_canvas(self, tmp_path):
+        # The grids of test_memory_scales_with_canvas_counts: the 16x8 one
+        # has twice the canvas, 8 MB of counts, yet both stay within a few
+        # tile buffers (vignette, offset, two noise buffers, the tile, its
+        # window and its encoding).
+        spec = DegradationSpec(
+            vignette_min=0.85, corner_offset=0.05, gain_jitter=0.05, noise_sigma=0.002, rng_seed=1
+        )
+        tile_buffer = 200 * 200 * 8
+        # Imports made by the first call are not counted.
+        write_dataset(tmp_path / "warm", RunConfig(small_cfg(n_rows=1, n_cols=2), [], spec))
+        for n_rows in (8, 16):
+            for subpixel in (False, True):
+                cfg = ScanConfig(
+                    n_rows=n_rows, n_cols=8, dv_x=1.0, dv_y=1.0, s_x=175.0, s_y=175.0,
+                    tile_width=200, tile_height=200,
+                )
+                tracemalloc.start()
+                try:
+                    rc = RunConfig(cfg, [RectROI(0, 120, 80, 80)], spec, subpixel=subpixel)
+                    write_dataset(tmp_path / f"rows{n_rows}_{subpixel}", rc)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak <= 9 * tile_buffer, (n_rows, subpixel, peak)
+
     def test_encode_and_write_stay_on_main_thread(self, tmp_path, monkeypatch):
         calls = []
 
@@ -438,12 +635,13 @@ class TestStreamingWriteDataset:
                 return func(*args, **kwargs)
             return wrapper
 
-        for name in ("to_u16", "write_pgm"):
+        for name in ("scale_to_counts", "write_pgm"):
             monkeypatch.setattr(pgm, name, recorded(getattr(pgm, name)))
         write_dataset(
             tmp_path, RunConfig(small_cfg(), [], identity_spec(gain_jitter=0.05, noise_sigma=0.01))
         )
-        assert sum(name == "write_pgm" for name, _ in calls) == 3 + 9
+        # truth.pgm is written in blocks of rows, without write_pgm.
+        assert sum(name == "write_pgm" for name, _ in calls) == 2 + 9
         assert {ident for _, ident in calls} == {threading.main_thread().ident}
 
     def test_failed_rewrite_leaves_no_manifest(self, tmp_path, monkeypatch):
