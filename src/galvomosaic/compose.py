@@ -28,10 +28,10 @@ float64 band (8 B/px).  Feathered mode keeps no weight band: a weight
 sum is a function of the placements and ramps alone, so it is rebuilt
 for each block of ``BLOCK_ROWS`` finished rows in one scratch array
 (width x 64 x 8 B) just before the division.  Tiles whose overlaps
-agree in axis, extent and side share one pair of ramps, and the band
-keeps the last two weight products it made, one tile wide and 64 rows
-high, for the next tile that asks for the same rows of the same ramps.
-Rows reach the sink in blocks of at most ``BLOCK_ROWS``.
+agree in axis, extent and side share one pair of ramps; each weight
+product ``wy * wx`` is formed where it is used, at most ``BLOCK_ROWS``
+rows at a time.  Rows reach the sink in blocks of at most
+``BLOCK_ROWS``.
 """
 
 from __future__ import annotations
@@ -267,12 +267,6 @@ def _band_schedule(
 BLOCK_ROWS = 64
 
 
-def _weight_product(weights: tuple[np.ndarray, np.ndarray], lo: int, hi: int,
-                    out: np.ndarray) -> np.ndarray:
-    wy, wx = weights
-    return np.multiply(wy[lo:hi, None], wx, out=out)
-
-
 class _RowBand:
     """Accumulators for the canvas rows that tiles can still touch.
 
@@ -283,27 +277,12 @@ class _RowBand:
     ``live`` tile, one whose rows are not all emitted yet, and rebuilds
     the weight sums of each block of rows it emits from them, in one
     reused scratch array.
-    Weight products ``wy[rows, None] * wx`` are formed in two reused
-    tile-wide slots, each keeping the product it holds: tiles handed the
-    same ramp objects over the same rows reuse it, and a miss overwrites
-    the slot used less recently.
     """
 
-    def __init__(self, width: int, depth: int, tile_width: int, feathered: bool,
-                 dtype: np.dtype):
+    def __init__(self, width: int, depth: int, feathered: bool, dtype: np.dtype):
         self.depth = depth
         self.value = np.zeros((depth, width), dtype=dtype)
-        self.weight = self.products = None
-        if feathered:
-            rows = min(BLOCK_ROWS, depth)
-            # Also the scratch of each add's weighted tile rows: adds and
-            # emits never overlap.
-            self.weight = np.empty((rows, width))
-            self.products = np.empty((2, rows, tile_width))
-        # (weights, lo, hi) held by each product slot; ``recent`` is the
-        # slot used last.
-        self.made: list[tuple | None] = [None, None]
-        self.recent = 0
+        self.weight = np.empty((min(BLOCK_ROWS, depth), width)) if feathered else None
         self.live: list[tuple[int, int, tuple[np.ndarray, np.ndarray]]] = []
         self.done = 0
 
@@ -316,17 +295,6 @@ class _RowBand:
             yield start, slice(offset, offset + n)
             start += n
 
-    def _product(self, weights: tuple[np.ndarray, np.ndarray], lo: int, hi: int) -> np.ndarray:
-        """``wy[lo:hi, None] * wx`` of ``weights = (wy, wx)``, in a product slot."""
-        for slot in (self.recent, 1 - self.recent):
-            made = self.made[slot]
-            if made is not None and made[0] is weights and made[1] == lo and made[2] == hi:
-                self.recent = slot
-                return self.products[slot, :hi - lo]
-        slot = self.recent = 1 - self.recent
-        self.made[slot] = (weights, lo, hi)
-        return _weight_product(weights, lo, hi, self.products[slot, :hi - lo])
-
     def add(self, tile: np.ndarray, weights: tuple[np.ndarray, np.ndarray] | None,
             x: int, y: int) -> None:
         """Overwrite with ``tile`` at (x, y), or accumulate it with weights ``(wy, wx)``."""
@@ -335,12 +303,12 @@ class _RowBand:
             for row, buf in self._runs(y, y + tile.shape[0], self.depth):
                 self.value[buf, cols] = tile[row - y:row - y + buf.stop - buf.start]
             return
+        wy, wx = weights
         for row, buf in self._runs(y, y + tile.shape[0], BLOCK_ROWS):
             lo, hi = row - y, row - y + buf.stop - buf.start
-            # The leading, contiguous part of the weight block.
-            scaled = self.weight.reshape(-1)[:(hi - lo) * tile.shape[1]].reshape(hi - lo, -1)
-            np.multiply(self._product(weights, lo, hi), tile[lo:hi], out=scaled)
-            self.value[buf, cols] += scaled
+            # Left to right: wy * wx is formed before it scales the tile,
+            # the rounding of a whole-canvas weight array.
+            self.value[buf, cols] += wy[lo:hi, None] * wx * tile[lo:hi]
         self.live.append((x, y, weights))
 
     def _weight_sums(self, start: int, stop: int) -> np.ndarray:
@@ -352,14 +320,12 @@ class _RowBand:
         """
         weight = self.weight[:stop - start]
         weight[...] = 0.0
-        for x, y, weights in self.live:
-            end = y + weights[0].size
+        for x, y, (wy, wx) in self.live:
+            end = y + wy.size
             lo = start if start > y else y
             hi = stop if stop < end else end
             if lo < hi:
-                weight[lo - start:hi - start, x:x + weights[1].size] += self._product(
-                    weights, lo - y, hi - y
-                )
+                weight[lo - start:hi - start, x:x + wx.size] += wy[lo - y:hi - y, None] * wx
         return weight
 
     def emit(self, stop: int, sink: RowSink) -> None:
@@ -397,7 +363,7 @@ def _compose(
         _check_tile_shape(tile, tile_width, tile_height)
         if band is None:
             # The first tile sets the band's dtype.
-            band = _RowBand(width, depth, tile_width, not raw, tile.dtype)
+            band = _RowBand(width, depth, not raw, tile.dtype)
             if sink is None:
                 gathered = canvas.rows = np.empty((height, width), dtype=tile.dtype)
 
@@ -454,13 +420,12 @@ def compose_feathered(
     :func:`compose_raw`, with every tile converted to float64.  The rows
     in flight take one float64 value band (canvas width x band depth x
     8 B) plus one weight block (canvas width x ``BLOCK_ROWS`` x 8 B) and
-    two weight-product slots (tile width x ``BLOCK_ROWS`` x 8 B each).
+    the short-lived products of at most ``BLOCK_ROWS`` rows of a tile.
     """
     by_tile = overlaps_by_tile(overlaps)
 
     # The ramps follow from the axis, extent and side of each own overlap,
-    # so tiles alike in those share one checked (wy, wx), and the band
-    # reuses its products.
+    # so tiles alike in those share one checked (wy, wx).
     shared: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
     def weight_map(placement: TilePlacement) -> tuple[np.ndarray, np.ndarray]:

@@ -76,30 +76,26 @@ class RectROI:
 
 @dataclass(frozen=True)
 class ReferencePair:
-    """Bright/dark reference frames and their global brightness levels.
-
-    The dark frame is optional; when present both levels are required and
-    must satisfy ``l_bright > l_dark``.
+    """Bright/dark reference frames and their global brightness levels,
+    with ``l_bright > l_dark``.  A gain-only fit passes an all-zero dark
+    frame at level 0.
     """
 
     bright_frame: np.ndarray
     l_bright: float
-    dark_frame: np.ndarray | None = None
-    l_dark: float | None = None
+    dark_frame: np.ndarray
+    l_dark: float
 
     def __post_init__(self) -> None:
-        if self.dark_frame is not None:
-            if self.dark_frame.shape != self.bright_frame.shape:
-                raise DimensionMismatchError(
-                    f"reference frames differ in shape: "
-                    f"{self.bright_frame.shape} vs {self.dark_frame.shape}"
-                )
-            if self.l_dark is None:
-                raise InvalidReferenceError("l_dark required when dark_frame is given")
-            if not self.l_bright > self.l_dark:
-                raise InvalidReferenceError(
-                    f"need l_bright > l_dark, got {self.l_bright} <= {self.l_dark}"
-                )
+        if self.dark_frame.shape != self.bright_frame.shape:
+            raise DimensionMismatchError(
+                f"reference frames differ in shape: "
+                f"{self.bright_frame.shape} vs {self.dark_frame.shape}"
+            )
+        if not self.l_bright > self.l_dark:
+            raise InvalidReferenceError(
+                f"need l_bright > l_dark, got {self.l_bright} <= {self.l_dark}"
+            )
 
 
 @dataclass(frozen=True)
@@ -135,8 +131,6 @@ def fit_two_point(
     refs: ReferencePair, roi: RectROI, eps: float = EPSILON_DEFAULT
 ) -> ResponseModel:
     """Solve per-pixel gain/offset from a bright and a dark reference."""
-    if refs.dark_frame is None:
-        raise InvalidReferenceError("two-point fit needs a dark reference frame")
     roi.check_within(refs.bright_frame.shape)
     rows, cols = roi.slices()
     bright = np.asarray(refs.bright_frame, dtype=np.float64)[rows, cols]

@@ -597,16 +597,27 @@ def write_dataset(out_dir: str | os.PathLike, run: RunConfig) -> DatasetManifest
         )
 
     target = _Target(width, height, run.target_pattern, run.target_value, run.target_pitch)
+    given = run.regions
     run = replace(
         run,
         bright_level=snap_level(run.bright_level),
         dark_level=snap_level(run.dark_level),
-        regions=run.regions if run.regions is not None
-        else target_regions(width, height, run.target_pattern),
+        regions=given if given is not None else target_regions(width, height, run.target_pattern),
     )
     tw, th = scan.tile_width, scan.tile_height
-    vignette, offset = _field(degradation, run.rois, th, tw)
     placements = placement_table(scan)
+    # The mosaic is the scan's canvas, however large the target: every
+    # region must lie on it for evaluate to measure it.
+    mosaic_w, mosaic_h = canvas_dims(placements, tw, th)
+    for region in run.regions:
+        try:
+            region.rect.check_within((mosaic_h, mosaic_w))
+        except DimensionMismatchError as exc:
+            key = "'target_width'/'target_height'" if given is None else f"'region_{region.name}'"
+            raise ConfigError(
+                f"key {key}: region {region.name!r} lies outside the mosaic: {exc}"
+            ) from None
+    vignette, offset = _field(degradation, run.rois, th, tw)
     names = [tile_filename(p.row, p.col, scan.n_rows, scan.n_cols) for p in placements]
     manifest = DatasetManifest(
         run=run,

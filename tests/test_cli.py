@@ -100,6 +100,13 @@ class TestSimulate:
                          "must be at least 1, got -2", id="second_roi_negative"),
             pytest.param("dv_x = 1e9\n", "'dv_x'", "over the limit of 1073741824 px",
                          id="canvas_over_the_limit"),
+            pytest.param("target_width = 501\ntarget_height = 433\n",
+                         "'target_width'/'target_height'",
+                         "region 'bright' lies outside the mosaic: rectangle 260,51,175,77 "
+                         "exceeds array bounds 395x397", id="default_region_past_mosaic"),
+            pytest.param("region_signal = 390,0,20,20\n", "'region_signal'",
+                         "region 'signal' lies outside the mosaic: rectangle 390,0,20,20 "
+                         "exceeds array bounds 395x397", id="config_region_past_mosaic"),
         ],
     )
     def test_bad_run_float_names_key(self, tmp_path, capsys, lines, key, message):

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from galvomosaic import compose
 from galvomosaic.compose import (
     BLOCK_ROWS,
     Axis,
@@ -362,30 +361,14 @@ class TestOneValueBand:
         assert np.array_equal(np.concatenate(blocks), expected)
         assert all(np.array_equal(t, u) for t, u in zip(tiles, originals))
 
-    def test_second_product_slot_serves_the_next_tile(self, monkeypatch):
-        # A 1x6 row of 80-row tiles: every add asks for two runs, rows 0-64
-        # and 64-80.  The first, the interior and the last tiles have three
-        # ramp pairs, so the adds make 3 x 2 products and the two emitted
-        # blocks 3 x 2 more.  With one slot each interior add remade both
-        # of its runs: 18 products.
-        made = []
-        original = compose._weight_product
-        monkeypatch.setattr(compose, "_weight_product",
-                            lambda *args: made.append(args[1:3]) or original(*args))
-        placements = [place(0, j, 35 * j, 0) for j in range(6)]
-        overlaps = compute_overlaps(placements, 80, 80)
-        tiles = np.random.default_rng(5).uniform(0.0, 1.0, size=(6, 80, 80))
-        final = compose_feathered(iter(tiles), placements, overlaps, 80, 80).finalize()
-        assert len(made) == 12, made
-        assert np.array_equal(final, full_canvas_feathered(list(tiles), placements, overlaps, 80, 80))
-
     @pytest.mark.parametrize(
         "n_rows, n_cols, step_x, step_y, tw, th",
         [(6, 1, 0, 12, 9, 70), (1, 6, 4, 0, 7, 5), (5, 5, 6, 50, 8, 90), (7, 3, 5, 20, 9, 64)],
     )
     def test_tiles_sharing_ramps_reuse_products_exactly(self, n_rows, n_cols, step_x, step_y, tw, th):
-        # Integer steps give every interior tile the same ramps, so the
-        # band reuses products across tiles, rows and blocks.
+        # Integer steps give every interior tile the same ramps: tiles
+        # share one ramp pair, and each product of it is formed afresh
+        # for every tile, run and block.
         placements = [place(i, j, step_x * j, step_y * i) for i in range(n_rows) for j in range(n_cols)]
         rng = np.random.default_rng(n_rows * n_cols)
         tiles = [rng.uniform(0.0, 1.0, size=(th, tw)) for _ in placements]

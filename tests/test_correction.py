@@ -83,11 +83,6 @@ class TestFitTwoPoint:
             assert model.gain[yi, xi] == pytest.approx(gain_expected, rel=1e-15)
             assert model.offset[yi, xi] == pytest.approx(offset_expected, rel=1e-15)
 
-    def test_requires_dark_frame(self):
-        refs = ReferencePair(bright_frame=constant_frame(1.0), l_bright=1.0)
-        with pytest.raises(InvalidReferenceError):
-            fit_two_point(refs, ROI)
-
     def test_rejects_inverted_levels(self):
         with pytest.raises(InvalidReferenceError):
             ReferencePair(

@@ -1,12 +1,15 @@
-"""The README matches the package: its Library snippet and its config keys."""
+"""The README matches the package: its Library snippet and its config keys;
+and the package defines no name that only tests use."""
 
+import ast
 import re
 from pathlib import Path
 
 import galvomosaic
 from galvomosaic.config import CONFIG_KEYS
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_library_snippet_matches_package_exports():
@@ -26,3 +29,38 @@ def test_configuration_keys_match_loader():
     keys = [key for row in rows for key in re.findall(r"`(\w+)`", row.split("|")[2])]
     assert len(keys) == len(set(keys))
     assert set(keys) == CONFIG_KEYS
+
+
+def _names_used(tree: ast.AST) -> set[str]:
+    """Names a module's code refers to: names, attributes and imports (not strings)."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            used.update(alias.name for alias in node.names)
+    return used
+
+
+def test_every_module_level_name_has_a_use_outside_tests():
+    # A module-level def or class is used by the package's own code, named
+    # by the benchmark harness, or imported by the acceptance tests.
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "galvomosaic").glob("*.py"))}
+    bench = "\n".join(p.read_text(encoding="utf-8") for p in sorted((ROOT / "bench").glob("*.py")))
+    acceptance = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
+    used = set().union(*map(_names_used, trees.values())) | {
+        alias.name for node in ast.walk(acceptance)
+        if isinstance(node, ast.ImportFrom) for alias in node.names
+    }
+    unused = [
+        f"{path.name}: {node.name}"
+        for path, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name not in used
+        and not re.search(rf"\b{node.name}\b", bench)
+    ]
+    assert not unused, unused
