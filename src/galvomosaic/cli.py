@@ -16,7 +16,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -78,17 +78,20 @@ def _resolve_mode(args: argparse.Namespace) -> tuple[str, bool]:
     return correction, feather
 
 
-def _read_reference(path: Path, manifest: DatasetManifest) -> np.ndarray:
-    """A reference frame as floats; one whose size is not the tile size
-    raises :class:`~galvomosaic.pgm.ImageFormatError`."""
-    frame = pgm.read_pgm_unit(path)
-    scan = manifest.run.scan
-    if frame.shape != (scan.tile_height, scan.tile_width):
+def _check_shape(path, what: str, shape: tuple[int, int], expected: tuple[int, int]) -> None:
+    """Raise :class:`~galvomosaic.pgm.ImageFormatError` naming ``path`` and
+    ``what`` unless the image's (height, width) ``shape`` is ``expected``."""
+    if shape != expected:
         raise pgm.ImageFormatError(
-            f"{path}: reference frame is {frame.shape[1]}x{frame.shape[0]}, "
-            f"expected {scan.tile_width}x{scan.tile_height}"
+            f"{path}: {what} is {shape[1]}x{shape[0]}, expected {expected[1]}x{expected[0]}"
         )
-    return frame
+
+
+def _read_frame(path: Path, shape: tuple[int, int], what: str) -> np.ndarray:
+    """The counts of a tile or reference frame, checked to be of (height, width) ``shape``."""
+    counts = pgm.read_counts(path)
+    _check_shape(path, what, counts.shape, shape)
+    return counts
 
 
 def _build_fits(manifest: DatasetManifest, dataset: Path, correction: str):
@@ -97,9 +100,10 @@ def _build_fits(manifest: DatasetManifest, dataset: Path, correction: str):
     if correction == "off":
         return []
     run = manifest.run
-    bright = _read_reference(dataset / manifest.ref_bright_path, manifest)
+    shape = (run.scan.tile_height, run.scan.tile_width)
+    bright = pgm.to_unit(_read_frame(dataset / manifest.ref_bright_path, shape, "reference frame"))
     if correction == "two-point":
-        dark = _read_reference(dataset / manifest.ref_dark_path, manifest)
+        dark = pgm.to_unit(_read_frame(dataset / manifest.ref_dark_path, shape, "reference frame"))
         refs = ReferencePair(bright, run.bright_level, dark, run.dark_level)
     else:
         refs = ReferencePair(bright, run.bright_level, np.zeros_like(bright), 0.0)
@@ -144,12 +148,7 @@ def _corrected_tiles(
     pending: dict[int, tuple[np.ndarray, tuple[int, int]]] = {}
     for p in placements:
         key = (p.row, p.col)
-        counts = pgm.read_counts(paths[key])
-        if counts.shape != expected:
-            raise pgm.ImageFormatError(
-                f"{paths[key]}: tile ({p.row}, {p.col}) is "
-                f"{counts.shape[1]}x{counts.shape[0]}, expected {expected[1]}x{expected[0]}"
-            )
+        counts = _read_frame(paths[key], expected, f"tile ({p.row}, {p.col})")
         if unit is not None:
             pgm.to_unit(counts, out=unit)
             if fits:
@@ -174,6 +173,14 @@ def _corrected_tiles(
         yield counts if unit is None else unit
         # Hold no tile counts while the next one is read.
         counts = None
+
+
+@dataclass(frozen=True)
+class _Size:
+    """The ``canvas`` and ``tile`` keys of ``sidecar.json``, in pixels."""
+
+    width: int = field(metadata={"least": 1})
+    height: int = field(metadata={"least": 1})
 
 
 def cmd_stitch(args: argparse.Namespace) -> int:
@@ -226,8 +233,8 @@ def cmd_stitch(args: argparse.Namespace) -> int:
     mae_mean = float(np.mean([v for _, v in mae_entries])) if mae_entries else math.nan
 
     sidecar = {
-        "canvas": {"width": width, "height": height},
-        "tile": {"width": scan.tile_width, "height": scan.tile_height},
+        "canvas": fields_dict(_Size(width, height)),
+        "tile": fields_dict(_Size(scan.tile_width, scan.tile_height)),
         "mode": {
             "compose": "feathered" if feather else "raw",
             "correction": correction,
@@ -252,6 +259,7 @@ def cmd_stitch(args: argparse.Namespace) -> int:
 class _SidecarInputs:
     """The keys of ``sidecar.json`` that ``evaluate`` reads; it skips the others."""
 
+    canvas: _Size
     seams: list[SeamLine]
     mae_per_overlap: list[tuple[str, float]]
     mae_mean: float | None
@@ -266,6 +274,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                        extra_keys=True)
     except (ValueError, GalvoMosaicError) as exc:
         raise GalvoMosaicError(f"malformed sidecar {args.sidecar}: {exc}") from exc
+    canvas = sidecar.canvas
+    _check_shape(args.mosaic, "mosaic", mosaic.shape, (canvas.height, canvas.width))
 
     regions = regions_from_file(args.regions) if args.regions else sidecar.regions
     by_kind = {r.kind: r for r in regions}

@@ -32,7 +32,7 @@ from .records import check_fields
 # The largest scan accepted.  Both limits are checked from the config
 # arithmetic alone, before any placement list or array is made: the tile
 # count bounds the placement list and the dataset's files, and the canvas
-# area bounds what simulate holds of the target (2 B per canvas pixel, so
+# area bounds ``truth.pgm`` and ``mosaic.pgm`` (2 B per canvas pixel, so
 # 2 GiB at the limit) and the width of every stitch row band.
 MAX_TILES = 2**20
 MAX_CANVAS_PIXELS = 2**30

@@ -2,11 +2,11 @@
 
 Pipeline images are stored as unsigned 16-bit and processed internally
 as float64 in [0, 1]; ``to_unit`` / ``to_u16`` convert between the two.
-:func:`read_counts` gives a file's big-endian samples as read,
-:func:`read_pgm_unit` decodes them straight to float64 and
-:func:`scale_to_counts` encodes a float array in place, so neither
-direction needs an intermediate native uint16 copy.  :class:`UnitView`
-memory-maps a PGM and converts only what it is indexed with.
+:func:`read_counts` gives a file's big-endian samples as read, for
+``to_unit`` to decode straight to float64, and :func:`scale_to_counts`
+encodes a float array in place, so neither direction needs an
+intermediate native uint16 copy.  :class:`UnitView` memory-maps a PGM
+and converts only what it is indexed with.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import mmap
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,10 @@ import numpy as np
 from .errors import GalvoMosaicError
 
 MAXVAL = 65535
+# Header tokens and the gaps of whitespace and '#' comments to end of line
+# between them (pgm(5)); two patterns, so a token never starts in a comment.
+_GAP = re.compile(rb"(?:\s|#[^\n]*\n?)*")
+_TOKEN = re.compile(rb"\S+")
 
 
 class ImageFormatError(GalvoMosaicError):
@@ -95,32 +100,21 @@ def write_pgm(path: str | os.PathLike, img: np.ndarray) -> None:
 def _raster_layout(path, data) -> tuple[int, int, int]:
     """(height, width, raster offset) of the binary PGM held in ``data``.
 
-    ``data`` is any bytes-like object with ``find`` (``bytes`` or an
-    ``mmap``).  Checks the magic, skips ``#`` comments, requires maxval
-    65535 and a raster no shorter than the header says.
+    ``data`` is ``bytes`` or an ``mmap``.  Checks the magic, skips ``#``
+    comments, requires maxval 65535 and a raster no shorter than the
+    header says.
     """
     if data[:2] != b"P5":
         raise ImageFormatError(f"{path}: not a binary PGM (P5) file")
 
-    # Header = magic, width, height, maxval as whitespace-separated tokens,
-    # with '#' comments running to end of line.
     tokens: list[bytes] = []
     pos = 2
-    while len(tokens) < 3 and pos < len(data):
-        c = data[pos:pos + 1]
-        if c == b"#":
-            nl = data.find(b"\n", pos)
-            pos = len(data) if nl < 0 else nl + 1
-        elif c.isspace():
-            pos += 1
-        else:
-            end = pos
-            while end < len(data) and not data[end:end + 1].isspace():
-                end += 1
-            tokens.append(data[pos:end])
-            pos = end
-    if len(tokens) < 3:
-        raise ImageFormatError(f"{path}: truncated PGM header")
+    while len(tokens) < 3:
+        token = _TOKEN.match(data, _GAP.match(data, pos).end())
+        if token is None:
+            raise ImageFormatError(f"{path}: truncated PGM header")
+        tokens.append(token.group())
+        pos = token.end()
     try:
         w, h, maxval = (int(t) for t in tokens)
     except ValueError as exc:
@@ -150,15 +144,6 @@ def read_counts(path: str | os.PathLike) -> np.ndarray:
 def read_pgm(path: str | os.PathLike) -> np.ndarray:
     """Read a binary PGM (P5) with maxval 65535 into a uint16 array."""
     return read_counts(path).astype(np.uint16)
-
-
-def read_pgm_unit(path: str | os.PathLike) -> np.ndarray:
-    """Read a binary PGM (P5) straight into float64 intensities in [0, 1].
-
-    Equal to ``to_unit(read_pgm(path))`` bit for bit, without the uint16
-    array in between.
-    """
-    return to_unit(read_counts(path))
 
 
 class UnitView:

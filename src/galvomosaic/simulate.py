@@ -65,7 +65,7 @@ class DegradationSpec:
     corner_offset: float = 0.0
     gain_jitter: float = field(default=0.0, metadata={"least": 0})
     noise_sigma: float = field(default=0.0, metadata={"least": 0})
-    rng_seed: int = 0
+    rng_seed: int = field(default=0, metadata={"least": 0})
 
     def validate(self) -> None:
         check_fields(self)
@@ -278,24 +278,17 @@ def _crop(
     ``to_float`` turns a window of ``src`` into a float64 array that the
     caller does not read again, so only the window the tile needs is
     converted.  An integer crop takes the rounded offset and is that
-    array.  A subpixel crop interpolates bilinearly at the exact offset,
-    from a window one pixel wider and taller where needed, into ``out``
-    with each later term in ``term`` (th x tw float64 buffers; new arrays
-    where not given).
+    array; its window ends at ``p.x + tw``.  A subpixel crop interpolates
+    bilinearly at the exact offset, from a window that ends at
+    ``floor(p.dx) + tw + (fx > 0)``, which is ``ceil(p.dx) + tw``, into
+    ``out`` with each later term in ``term`` (th x tw float64 buffers; new
+    arrays where not given).  Likewise in y.  The callers check ``src``
+    against :func:`required_truth_dims`, the largest of these ends.
     """
-    h, w = src.shape
     if not subpixel:
-        if p.x < 0 or p.y < 0 or p.x + tw > w or p.y + th > h:
-            raise CoverageError(
-                f"tile ({p.row}, {p.col}) at ({p.x}, {p.y}) exceeds truth bounds {w}x{h}"
-            )
         return to_float(src[p.y:p.y + th, p.x:p.x + tw])
     ix, iy = math.floor(p.dx), math.floor(p.dy)
     fx, fy = p.dx - ix, p.dy - iy
-    if ix < 0 or iy < 0 or ix + tw + (fx > 0) > w or iy + th + (fy > 0) > h:
-        raise CoverageError(
-            f"subpixel placement ({p.dx}, {p.dy}) exceeds truth bounds {w}x{h}"
-        )
     win = to_float(src[iy:iy + th + (fy > 0), ix:ix + tw + (fx > 0)])
     out = np.multiply(win[:th, :tw], (1 - fy) * (1 - fx), out=out)
     if fx > 0:

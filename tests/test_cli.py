@@ -107,6 +107,8 @@ class TestSimulate:
             pytest.param("region_signal = 390,0,20,20\n", "'region_signal'",
                          "region 'signal' lies outside the mosaic: rectangle 390,0,20,20 "
                          "exceeds array bounds 395x397", id="config_region_past_mosaic"),
+            pytest.param("seed = -5\n", "'rng_seed'", "must be at least 0, got -5",
+                         id="seed_negative"),
         ],
     )
     def test_bad_run_float_names_key(self, tmp_path, capsys, lines, key, message):
@@ -294,6 +296,9 @@ class TestStitch:
             pytest.param(("reference", "dark"), None, "key 'reference.dark': expected str",
                          id="ref_dark_null"),
             pytest.param(("scan", "dv_x"), 1e9, "'dv_x'", id="canvas_over_the_limit"),
+            pytest.param(("degradation", "rng_seed"), -3,
+                         "manifest key 'degradation.rng_seed': must be at least 0, got -3",
+                         id="seed_negative"),
         ],
     )
     def test_manifest_values_checked_like_config(self, tmp_path, capsys, path, value, key):
@@ -419,6 +424,7 @@ class TestEvaluate:
             {"name": "dark", "kind": "dark_background", "x0": 0, "y0": 100, "width": 70, "height": 90},
         ]
         sidecar["regions"] = regions
+        sidecar["canvas"] = {"width": 300, "height": 300}
         sc_path.write_text(json.dumps(sidecar))
         rep = tmp_path / "repflat"
         code = run("evaluate", "--mosaic", flat_path, "--sidecar", sc_path, "--out", rep)
@@ -481,6 +487,8 @@ class TestEvaluate:
             pytest.param(lambda s: s["mae_per_overlap"][0].append(1.0), "'mae_per_overlap[0]'",
                          id="mae_triple"),
             pytest.param(lambda s: s.pop("regions"), "'regions' is missing", id="regions_missing"),
+            pytest.param(lambda s: s["canvas"].update(width=0),
+                         "'canvas.width': must be at least 1", id="canvas_empty"),
         ],
     )
     def test_sidecar_value_of_wrong_type_is_named(self, tmp_path, stitched, capsys, edit, key):
@@ -561,13 +569,18 @@ class TestEvaluate:
         assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize(
-        "damage",
+        "damage, message",
         [
-            pytest.param(lambda raw: raw[:-101], id="truncated"),
-            pytest.param(lambda raw: b"P5\n4 4\n255\n" + bytes(16), id="maxval_255"),
+            pytest.param(lambda raw: raw[:-101], "raster has", id="truncated"),
+            pytest.param(lambda raw: b"P5\n4 4\n255\n" + bytes(16), "expected maxval 65535",
+                         id="maxval_255"),
+            pytest.param(lambda raw: b"P5\n4 3\n65535\n" + bytes(24),
+                         "mosaic is 4x3, expected {width}x{height}", id="other_size"),
         ],
     )
-    def test_bad_mosaic_names_file_and_keeps_reports(self, tmp_path, stitched, capsys, damage):
+    def test_bad_mosaic_names_file_and_keeps_reports(
+        self, tmp_path, stitched, capsys, damage, message
+    ):
         rep = tmp_path / "rep"
         args = ["--sidecar", stitched / "sidecar.json", "--out", rep]
         assert run("evaluate", "--mosaic", stitched / "mosaic.pgm", *args) == 0
@@ -577,7 +590,8 @@ class TestEvaluate:
         bad.write_bytes(damage((stitched / "mosaic.pgm").read_bytes()))
         assert run("evaluate", "--mosaic", bad, *args) == 1
         err = capsys.readouterr().err
-        assert str(bad) in err and "Traceback" not in err
+        canvas = json.loads((stitched / "sidecar.json").read_text())["canvas"]
+        assert f"{bad}: {message.format(**canvas)}" in err and "Traceback" not in err, err
         assert {p.name: p.read_bytes() for p in rep.iterdir()} == before
         assert sorted(before) == ["report.json", "report.txt"]
 
@@ -595,12 +609,13 @@ class TestEvaluate:
             {"orientation": "vertical", "position": 300, "start": 0, "stop": 200},
             {"orientation": "horizontal", "position": 150, "start": 0, "stop": 600},
         ]
-        sidecar = tmp_path / "sidecar.json"
-        sidecar.write_text(json.dumps(
-            {"seams": seams, "regions": regions, "mae_per_overlap": [], "mae_mean": None}
-        ))
         peaks = []
         for height in (400, 800):
+            sidecar = tmp_path / f"sidecar_{height}.json"
+            sidecar.write_text(json.dumps({
+                "canvas": {"width": 600, "height": height}, "seams": seams, "regions": regions,
+                "mae_per_overlap": [], "mae_mean": None,
+            }))
             mosaic = tmp_path / f"mosaic_{height}.pgm"
             pgm.write_pgm(mosaic, rng.integers(0, 65536, size=(height, 600), dtype=np.uint16))
             tracemalloc.start()

@@ -1,9 +1,12 @@
 """16-bit image I/O round trips and format validation."""
 
+import mmap
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from galvomosaic import pgm
 
@@ -74,17 +77,6 @@ def test_pgm_roundtrip(tmp_path):
     assert np.array_equal(pgm.read_pgm(path), img.T)
 
 
-def test_read_pgm_unit_decodes_straight_to_the_unit_floats(tmp_path):
-    rng = np.random.default_rng(12)
-    img = rng.integers(0, 65536, size=(29, 47), dtype=np.uint16)
-    img[0, :3] = (0, 1, 65535)
-    path = tmp_path / "img.pgm"
-    path.write_bytes(b"P5\n# comment\n47 29\n65535\n" + img.astype(">u2").tobytes() + b"tail")
-    unit = pgm.read_pgm_unit(path)
-    assert unit.dtype == np.float64 and unit.flags.writeable and unit.flags.c_contiguous
-    assert np.array_equal(unit, pgm.to_unit(pgm.read_pgm(path)))
-
-
 def test_scale_to_counts_encodes_in_place_like_to_u16():
     rng = np.random.default_rng(13)
     values = rng.uniform(-0.25, 1.25, size=(17, 31))
@@ -148,7 +140,7 @@ def test_map_pgm_is_a_read_only_view_of_the_raster(tmp_path):
 
 @pytest.mark.parametrize(
     "reader",
-    [pgm.read_pgm, pgm.read_pgm_unit, pytest.param(pgm.UnitView, id="map_pgm")],
+    [pgm.read_pgm, pgm.read_counts, pytest.param(pgm.UnitView, id="map_pgm")],
 )
 @pytest.mark.parametrize(
     "raw, message",
@@ -168,3 +160,99 @@ def test_readers_reject_bad_files_naming_the_path(tmp_path, reader, raw, message
     with pytest.raises(pgm.ImageFormatError, match=message) as info:
         reader(path)
     assert str(path) in str(info.value)
+
+
+def _byte_loop_layout(path, data) -> tuple[int, int, int]:
+    """The header lexer ``pgm._raster_layout`` had before its two patterns,
+    byte by byte with ``bytes.isspace``: the oracle they must agree with."""
+    if data[:2] != b"P5":
+        raise pgm.ImageFormatError(f"{path}: not a binary PGM (P5) file")
+    tokens: list[bytes] = []
+    pos = 2
+    while len(tokens) < 3 and pos < len(data):
+        c = data[pos:pos + 1]
+        if c == b"#":
+            nl = data.find(b"\n", pos)
+            pos = len(data) if nl < 0 else nl + 1
+        elif c.isspace():
+            pos += 1
+        else:
+            end = pos
+            while end < len(data) and not data[end:end + 1].isspace():
+                end += 1
+            tokens.append(data[pos:end])
+            pos = end
+    if len(tokens) < 3:
+        raise pgm.ImageFormatError(f"{path}: truncated PGM header")
+    try:
+        w, h, maxval = (int(t) for t in tokens)
+    except ValueError as exc:
+        raise pgm.ImageFormatError(f"{path}: malformed PGM header") from exc
+    if w < 0 or h < 0:
+        raise pgm.ImageFormatError(f"{path}: malformed PGM header: size {w}x{h}")
+    if maxval != pgm.MAXVAL:
+        raise pgm.ImageFormatError(f"{path}: expected maxval {pgm.MAXVAL}, got {maxval}")
+    pos = min(pos + 1, len(data))
+    expected = w * h * 2
+    available = len(data) - pos
+    if available < expected:
+        raise pgm.ImageFormatError(f"{path}: raster has {available} bytes, expected {expected}")
+    return h, w, pos
+
+
+def _layout_or_message(layout, data):
+    try:
+        return layout("img.pgm", data)
+    except pgm.ImageFormatError as exc:
+        return str(exc)
+
+
+def _assert_lexers_agree(data: bytes) -> None:
+    expected = _layout_or_message(_byte_loop_layout, data)
+    assert _layout_or_message(pgm._raster_layout, data) == expected
+    if data:  # an mmap is never empty; UnitView rejects an empty file first
+        with mmap.mmap(-1, len(data)) as mapped:
+            mapped.write(data)
+            assert _layout_or_message(pgm._raster_layout, mapped) == expected
+
+
+_WHITESPACE = st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"])
+_COMMENT = st.builds(
+    lambda text, newline: b"#" + text.replace(b"\n", b"") + newline,
+    st.binary(max_size=6), st.sampled_from([b"", b"\n"]),
+)
+_GAP = st.lists(_WHITESPACE | _COMMENT, max_size=4).map(b"".join)
+_TOKEN = (
+    st.integers(-3, 70000).map(lambda n: str(n).encode())
+    | st.sampled_from([b"65535", b"+2", b"-0", b"1#2", b"2#", b"x", b"0x1", b"1_0", b"\xff"])
+    | st.binary(min_size=1, max_size=3)
+)
+
+
+@st.composite
+def pgm_headers(draw):
+    magic = draw(st.sampled_from([b"P5", b"P5", b"P2", b"P", b""]))
+    parts = [magic]
+    for token in draw(st.lists(_TOKEN, max_size=4)):
+        parts += [draw(_GAP), token]
+    parts += [draw(_GAP), draw(st.binary(max_size=12))]
+    return b"".join(parts)
+
+
+@settings(max_examples=500, deadline=None)
+@given(pgm_headers())
+@example(b"P5 1 1 #x")  # a token never starts inside a comment
+@example(b"P5 1 1 65535#x\n\x00\x00")
+@example(b"P5#c\n2\x0b1\x0c65535\r\x00\x01\x02\x03")
+def test_header_lexer_agrees_with_byte_loop(data):
+    _assert_lexers_agree(data)
+
+
+@pytest.mark.parametrize(
+    "header",
+    [b"P5\n# comment\n3 2\n# another\n65535\n", b"P5 3#x 2 65535 ", b"P5\t3\r\n2 65535\n"],
+)
+def test_header_lexer_agrees_on_every_prefix(header):
+    data = header + bytes(12)
+    for end in range(len(data) + 1):
+        _assert_lexers_agree(data[:end])

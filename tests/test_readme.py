@@ -1,11 +1,13 @@
-"""The README matches the package: its Library snippet and its config keys;
-and the package defines no name that only tests use."""
+"""The README matches the package: its Library snippet, its config keys and
+its lists of flag choices; and the package defines no name that only tests use."""
 
+import argparse
 import ast
 import re
 from pathlib import Path
 
 import galvomosaic
+from galvomosaic.cli import build_parser
 from galvomosaic.config import CONFIG_KEYS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -29,6 +31,19 @@ def test_configuration_keys_match_loader():
     keys = [key for row in rows for key in re.findall(r"`(\w+)`", row.split("|")[2])]
     assert len(keys) == len(set(keys))
     assert set(keys) == CONFIG_KEYS
+
+
+def test_flag_choice_lists_match_parser():
+    # Every `--flag a|b|c` in the README lists that option's choices, in order.
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    choices = {option: list(action.choices)
+               for sub in commands.choices.values() for action in sub._actions
+               if action.choices for option in action.option_strings}
+    lists = re.findall(r"`(--[\w-]+) ([\w-]+(?:\|[\w-]+)+)`", README.read_text(encoding="utf-8"))
+    assert {flag for flag, _ in lists} >= {"--mode", "--correction"}
+    for flag, listed in lists:
+        assert listed.split("|") == choices.get(flag), flag
 
 
 def _names_used(tree: ast.AST) -> set[str]:

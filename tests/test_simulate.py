@@ -34,7 +34,7 @@ from galvomosaic.simulate import (
     vignette_field,
     write_dataset,
 )
-from galvomosaic.simulate import _bar_layout, _noise, _Target, _tile_draws, _usaf_layout
+from galvomosaic.simulate import _bar_layout, _crop, _noise, _Target, _tile_draws, _usaf_layout
 
 TILE_W = TILE_H = 80
 
@@ -296,6 +296,53 @@ class TestExtractTiles:
         expected = (truth[0:30, 10:40] + truth[0:30, 11:41]) / 2
         assert np.allclose(exact[1].data, expected, atol=1e-12)
         assert not np.array_equal(exact[1].data, rounded[1].data)
+
+
+@st.composite
+def small_scans(draw):
+    strategy = draw(st.sampled_from(list(ScanStrategy)))
+    n_cols = draw(st.integers(2 if strategy is ScanStrategy.SINUSOIDAL else 1, 4))
+    step = st.floats(0.01, 0.2)
+    scale = st.floats(20.0, 400.0)
+    tilt = st.floats(-15.0, 15.0)
+    return ScanConfig(
+        n_rows=draw(st.integers(1, 3)), n_cols=n_cols, dv_x=draw(step), dv_y=draw(step),
+        s_x=draw(scale), s_y=draw(scale), alpha_x=draw(tilt), alpha_y=draw(tilt),
+        strategy=strategy, tile_width=draw(st.integers(4, 24)),
+        tile_height=draw(st.integers(4, 24)),
+    )
+
+
+class _WindowLog:
+    """Stands in for a target: records each window ``_crop`` reads, as
+    (top, bottom, left, right), and gives zeros of its size."""
+
+    def __init__(self):
+        self.windows = []
+
+    def __getitem__(self, key):
+        rows, cols = key
+        self.windows.append((rows.start, rows.stop, cols.start, cols.stop))
+        return np.zeros((rows.stop - rows.start, cols.stop - cols.start))
+
+
+class TestTruthCoverage:
+    @settings(max_examples=200, deadline=None)
+    @given(small_scans(), st.booleans())
+    def test_required_truth_dims_bound_every_crop_window(self, cfg, subpixel):
+        need_w, need_h = required_truth_dims(cfg, subpixel=subpixel)
+        log = _WindowLog()
+        for p in placement_table(cfg):
+            _crop(log, lambda window: window, p, cfg.tile_width, cfg.tile_height, subpixel)
+        tops, bottoms, lefts, rights = zip(*log.windows)
+        assert min(tops) >= 0 and min(lefts) >= 0
+        # The bound is the far edge of some window: no pixel more is needed.
+        assert (max(rights), max(bottoms)) == (need_w, need_h)
+        for w, h in ((need_w - 1, need_h), (need_w, need_h - 1)):
+            with pytest.raises(CoverageError, match=f"truth image {w}x{h} too small"):
+                extract_tiles(np.zeros((h, w)), cfg, subpixel=subpixel)
+        tiles = extract_tiles(np.zeros((need_h, need_w)), cfg, subpixel=subpixel)
+        assert all(t.data.shape == (cfg.tile_height, cfg.tile_width) for t in tiles)
 
 
 class TestVignette:
