@@ -7,7 +7,9 @@
 ``--mode raw`` turns correction and feathering off, ``--mode processed``
 turns both on; ``--correction`` and ``--feather`` override the mode's
 defaults independently so every raw/processed combination is reachable.
-All outputs are deterministic functions of the config and seed.
+All outputs are deterministic functions of the config and seed, for a
+given numpy and BLAS build and BLAS thread count: the overlap fits'
+``np.dot`` goes through BLAS, whose last bits depend on its threads.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import pgm
+from . import halves, pgm
 from .compose import (
     OverlapRegion,
     SeamLine,
@@ -113,6 +115,30 @@ def _build_fits(manifest: DatasetManifest, dataset: Path, correction: str):
     ]
 
 
+# The passes of stitch that run in row halves on two threads
+# (galvomosaic.halves).  The helper thread may not call a public function
+# such as pgm.to_unit, so these divide by MAXVAL as it does.
+
+
+def _decode(start: int, unit: np.ndarray, counts: np.ndarray) -> None:
+    np.divide(counts, pgm.MAXVAL, out=unit, dtype=np.float64)
+
+
+def _samples(start: int, x: np.ndarray, earlier: np.ndarray, y: np.ndarray,
+             later: np.ndarray) -> None:
+    """An overlap's samples: the earlier tile's counts decoded into ``x``,
+    the later tile's window decoded (counts) or copied (float64) into ``y``."""
+    np.divide(earlier, pgm.MAXVAL, out=x, dtype=np.float64)
+    if later.dtype.kind == "f":
+        y[...] = later
+    else:
+        np.divide(later, pgm.MAXVAL, out=y, dtype=np.float64)
+
+
+def _encode(start: int, counts: np.ndarray, rows: np.ndarray) -> None:
+    counts[...] = pgm.scale_to_counts(rows)
+
+
 def _corrected_tiles(
     dataset: Path,
     manifest: DatasetManifest,
@@ -150,7 +176,7 @@ def _corrected_tiles(
         key = (p.row, p.col)
         counts = _read_frame(paths[key], expected, f"tile ({p.row}, {p.col})")
         if unit is not None:
-            pgm.to_unit(counts, out=unit)
+            halves.run(_decode, (unit, counts))
             if fits:
                 apply_roi_corrections(unit, fits)
         for k in by_tile.get(key, ()):
@@ -162,14 +188,12 @@ def _corrected_tiles(
                 continue
             earlier, earlier_origin = pending.pop(k)
             x, y = work.samples(earlier.shape)
-            pgm.to_unit(earlier, out=x)
+            halves.run(_samples, (x, earlier, y, (counts if unit is None else unit)[window]))
             if fits:
                 apply_roi_corrections(x, fits, earlier_origin)
-            if unit is None:
-                pgm.to_unit(counts[window], out=y)
-            else:
-                y[...] = unit[window]
             mae[k] = normalized_mae(x, y, work)
+            # Hold an earlier tile's window no longer than its MAE needs it.
+            earlier = None
         yield counts if unit is None else unit
         # Hold no tile counts while the next one is read.
         counts = None
@@ -215,9 +239,11 @@ def cmd_stitch(args: argparse.Namespace) -> int:
 
         def write_rows(row: int, rows: np.ndarray) -> None:
             # Raw counts are written as they are; float rows are encoded
-            # in place, and the band zeroes them next.
+            # in place, in row halves, and the band zeroes them next.
             if rows.dtype.kind == "f":
-                rows = pgm.scale_to_counts(rows)
+                counts = np.empty(rows.shape, dtype=">u2")
+                halves.run(_encode, (counts, rows))
+                rows = counts
             f.write(rows.astype(">u2", copy=False))
 
         if feather:

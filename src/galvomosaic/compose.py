@@ -32,6 +32,13 @@ agree in axis, extent and side share one pair of ramps; each weight
 product ``wy * wx`` is formed where it is used, at most ``BLOCK_ROWS``
 rows at a time.  Rows reach the sink in blocks of at most
 ``BLOCK_ROWS``.
+
+Adding a tile to the band, and building the weight sums of an emitted
+block and dividing by them, run in two row halves when they cover at
+least ``halves.SPLIT_MIN`` elements, the second half on the helper
+thread of :mod:`~galvomosaic.halves`.  Each half forms its own weight
+products, of at most ``BLOCK_ROWS`` rows, so two of these short-lived
+products can be alive at once.
 """
 
 from __future__ import annotations
@@ -42,6 +49,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from . import halves
 from .correction import RectROI
 from .errors import CompositionError, DimensionMismatchError
 from .geometry import TilePlacement
@@ -298,27 +306,39 @@ class _RowBand:
     def add(self, tile: np.ndarray, weights: tuple[np.ndarray, np.ndarray] | None,
             x: int, y: int) -> None:
         """Overwrite with ``tile`` at (x, y), or accumulate it with weights ``(wy, wx)``."""
-        cols = slice(x, x + tile.shape[1])
+        halves.run(self._place, (tile,), x, y, weights)
+        if weights is not None:
+            self.live.append((x, y, weights))
+
+    def _place(self, start: int, rows: np.ndarray, x: int, y: int,
+               weights: tuple[np.ndarray, np.ndarray] | None) -> None:
+        """:meth:`add` for ``rows``, the tile's rows from ``start`` on.  The
+        two halves of a tile touch disjoint buffer rows, since the band is
+        at least a tile deep."""
+        cols = slice(x, x + rows.shape[1])
+        top = y + start
         if weights is None:
-            for row, buf in self._runs(y, y + tile.shape[0], self.depth):
-                self.value[buf, cols] = tile[row - y:row - y + buf.stop - buf.start]
+            for row, buf in self._runs(top, top + rows.shape[0], self.depth):
+                self.value[buf, cols] = rows[row - top:row - top + buf.stop - buf.start]
             return
         wy, wx = weights
-        for row, buf in self._runs(y, y + tile.shape[0], BLOCK_ROWS):
-            lo, hi = row - y, row - y + buf.stop - buf.start
+        for row, buf in self._runs(top, top + rows.shape[0], BLOCK_ROWS):
+            lo, hi = row - top, row - top + buf.stop - buf.start
             # Left to right: wy * wx is formed before it scales the tile,
             # the rounding of a whole-canvas weight array.
-            self.value[buf, cols] += wy[lo:hi, None] * wx * tile[lo:hi]
-        self.live.append((x, y, weights))
+            self.value[buf, cols] += wy[start + lo:start + hi, None] * wx * rows[lo:hi]
 
-    def _weight_sums(self, start: int, stop: int) -> np.ndarray:
-        """Weight sums of canvas rows start..stop-1 (at most BLOCK_ROWS).
+    def _normalize(self, first: int, value: np.ndarray, weight: np.ndarray, row: int) -> None:
+        """Divide ``value``, the band rows of canvas rows from ``row + first``
+        on, by their weight sums, built in ``weight`` (rows of the weight
+        scratch).
 
-        Every live tile adds ``wy * wx`` over its rows in the block, in
+        Every live tile adds ``wy * wx`` over its rows among them, in
         placement order: the same additions, in the same order, as a
         whole-canvas weight array built tile by tile.
         """
-        weight = self.weight[:stop - start]
+        start = row + first
+        stop = start + value.shape[0]
         weight[...] = 0.0
         for x, y, (wy, wx) in self.live:
             end = y + wy.size
@@ -326,17 +346,16 @@ class _RowBand:
             hi = stop if stop < end else end
             if lo < hi:
                 weight[lo - start:hi - start, x:x + wx.size] += wy[lo - y:hi - y, None] * wx
-        return weight
+        # In place: value is 0 wherever weight is, since every tile pixel
+        # carries a weight > 0.
+        np.divide(value, weight, out=value, where=weight > 0.0)
 
     def emit(self, stop: int, sink: RowSink) -> None:
         """Finalize canvas rows done..stop-1 and pass them to ``sink`` in order."""
         for row, buf in self._runs(self.done, stop, BLOCK_ROWS):
             value = self.value[buf]
             if self.weight is not None:
-                # In place: value is 0 wherever weight is, since every
-                # tile pixel carries a weight > 0.
-                weight = self._weight_sums(row, row + value.shape[0])
-                np.divide(value, weight, out=value, where=weight > 0.0)
+                halves.run(self._normalize, (value, self.weight[:len(value)]), row)
             sink(row, value)
             value[...] = 0.0
         if stop > self.done:
@@ -420,7 +439,8 @@ def compose_feathered(
     :func:`compose_raw`, with every tile converted to float64.  The rows
     in flight take one float64 value band (canvas width x band depth x
     8 B) plus one weight block (canvas width x ``BLOCK_ROWS`` x 8 B) and
-    the short-lived products of at most ``BLOCK_ROWS`` rows of a tile.
+    the short-lived products of at most ``BLOCK_ROWS`` rows of a tile,
+    one per row half when the add is split.
     """
     by_tile = overlaps_by_tile(overlaps)
 

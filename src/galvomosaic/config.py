@@ -168,12 +168,15 @@ def load_run_config(
     else:
         scan.validate()  # the default ROIs are cut to the tile size
         rois = default_rois(scan.strategy, scan.tile_width, scan.tile_height)
+    degradation = _from_kv(DegradationSpec, kv)
+    # Named by its config key here (``seed``), not by the field it sets.
+    check_fields(degradation, keys=_ALIASES)
     rc = _from_kv(
         RunConfig,
         kv,
         scan=scan,
         rois=rois,
-        degradation=_from_kv(DegradationSpec, kv),
+        degradation=degradation,
         regions=regions_from_kv(kv) or None,
     )
     rc.validate()

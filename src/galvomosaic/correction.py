@@ -30,6 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import halves
 from .errors import DimensionMismatchError, InvalidReferenceError
 
 EPSILON_DEFAULT = 1e-6
@@ -203,21 +204,32 @@ def apply_roi_corrections(
         x0, x1 = max(roi.x0, left), min(roi.x1, right)
         if y0 >= y1 or x0 >= x1:
             continue
-        # Blocks of rows, so that each step's temporaries stay in cache.
-        shape = (min(_BLOCK_ROWS, y1 - y0), x1 - x0)
-        corrected, blended = np.empty((2, *shape))
-        full = np.empty(shape, dtype=bool)
-        cols = slice(x0 - roi.x0, x1 - roi.x0)
-        for y in range(y0, y1, _BLOCK_ROWS):
-            n = min(_BLOCK_ROWS, y1 - y)
-            patch = out[y - top:y - top + n, x0 - left:x1 - left]
-            part = (slice(y - roi.y0, y - roi.y0 + n), cols)
-            c = model.invert(patch, part, out=corrected[:n])
-            w = weights[part]
-            b = np.subtract(c, patch, out=blended[:n])
-            b *= w
-            b += patch
-            # Pin the W = 1 endpoint: a + 1*(b - a) can round away from b.
-            np.copyto(b, c, where=np.equal(w, 1.0, out=full[:n]))
-            b.clip(0.0, 1.0, out=patch)
+        # The ROI's pixels in this window, in row halves when they are many.
+        patch = out[y0 - top:y1 - top, x0 - left:x1 - left]
+        halves.run(_blend, (patch,), model, weights, (y0 - roi.y0, x0 - roi.x0))
     return out
+
+
+def _blend(start: int, patch: np.ndarray, model: ResponseModel, weights: np.ndarray,
+           origin: tuple[int, int]) -> None:
+    """Correct and feather ``patch`` in place: pixels of one ROI, its
+    top-left pixel being ROI pixel ``(origin[0] + start, origin[1])``."""
+    # Blocks of rows, so that each step's temporaries stay in cache.
+    height, width = patch.shape
+    shape = (min(_BLOCK_ROWS, height), width)
+    corrected, blended = np.empty((2, *shape))
+    full = np.empty(shape, dtype=bool)
+    cols = slice(origin[1], origin[1] + width)
+    for r in range(0, height, _BLOCK_ROWS):
+        n = min(_BLOCK_ROWS, height - r)
+        rows = patch[r:r + n]
+        y = origin[0] + start + r
+        part_of_roi = (slice(y, y + n), cols)
+        c = model.invert(rows, part_of_roi, out=corrected[:n])
+        w = weights[part_of_roi]
+        b = np.subtract(c, rows, out=blended[:n])
+        b *= w
+        b += rows
+        # Pin the W = 1 endpoint: a + 1*(b - a) can round away from b.
+        np.copyto(b, c, where=np.equal(w, 1.0, out=full[:n]))
+        b.clip(0.0, 1.0, out=rows)

@@ -23,6 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import halves
 from .compose import Axis, SeamLine
 from .correction import RectROI
 from .errors import (
@@ -111,6 +112,26 @@ def _mean(values: np.ndarray) -> np.float64:
     return np.add.reduce(values) / values.size
 
 
+def _sums(start: int, x: np.ndarray, y: np.ndarray) -> tuple[np.float64, np.float64]:
+    return np.add.reduce(x), np.add.reduce(y)
+
+
+def _centre(start: int, dx: np.ndarray, x: np.ndarray, dy: np.ndarray, y: np.ndarray,
+            x_mean: np.float64, y_mean: np.float64) -> None:
+    np.subtract(x, x_mean, out=dx)
+    np.subtract(y, y_mean, out=dy)
+
+
+def _absolute_residual_sum(start: int, residual: np.ndarray, x: np.ndarray, y: np.ndarray,
+                           fit: AffineFit) -> np.float64:
+    """|y - (a*x + b)| into ``residual``, and its sum."""
+    np.multiply(x, fit.a, out=residual)
+    residual += fit.b
+    np.subtract(y, residual, out=residual)
+    np.abs(residual, out=residual)
+    return np.add.reduce(residual)
+
+
 def _flat_samples(samples_i, samples_j) -> tuple[np.ndarray, np.ndarray]:
     """Both samples as 1D float64 arrays; contiguous float64 input is not copied."""
     x = np.asarray(samples_i, dtype=np.float64).ravel()
@@ -134,13 +155,16 @@ def fit_affine(
     if x.size < 2:
         raise DegenerateFitError(f"need at least 2 sample pairs, got {x.size}")
     dx, dy = (work or MaeWorkspace(x.size))._scratch(x.size)
-    x_mean = _mean(x)
-    y_mean = _mean(y)
-    np.subtract(x, x_mean, out=dx)
+    # The means as _mean takes them, and the centred samples, each pass
+    # in halves on two threads when it is large.
+    x_sum, y_sum = halves.sums(_sums, (x, y))
+    x_mean, y_mean = x_sum / x.size, y_sum / y.size
+    halves.run(_centre, (dx, x, dy, y), x_mean, y_mean)
+    # Each dot product is taken whole, on this thread: numpy's dot has no
+    # split that keeps its bits.
     sxx = float(np.dot(dx, dx))
     if sxx == 0.0:
         raise DegenerateFitError("predictor samples are constant; slope undefined")
-    np.subtract(y, y_mean, out=dy)
     a = float(np.dot(dx, dy)) / sxx
     b = float(y_mean - a * x_mean)
     return AffineFit(a=a, b=b)
@@ -168,11 +192,9 @@ def normalized_mae(
         fit = AffineFit(a=1.0, b=float(_mean(y) - _mean(x)))
         degenerate = True
     residual, _ = work._scratch(x.size)
-    np.multiply(x, fit.a, out=residual)
-    residual += fit.b
-    np.subtract(y, residual, out=residual)
-    np.abs(residual, out=residual)
-    return float(_mean(residual)), fit, degenerate
+    # The mean absolute residual, as _mean of the residuals.
+    mae = halves.sums(_absolute_residual_sum, (residual, x, y), fit) / x.size
+    return float(mae), fit, degenerate
 
 
 def overlap_mae(samples_i: np.ndarray, samples_j: np.ndarray) -> float:

@@ -166,15 +166,17 @@ def field_table(cls) -> types.SimpleNamespace:
     return table
 
 
-def check_fields(spec, prefix: str = "") -> None:
-    """Raise :class:`ConfigError` naming, after ``prefix``, the first misfit scalar of ``spec``."""
+def check_fields(spec, prefix: str = "", keys: dict[str, str] | None = None) -> None:
+    """Raise :class:`ConfigError` naming, after ``prefix``, the first misfit
+    scalar of ``spec``: by ``keys[name]`` where ``keys`` has its field
+    name, else by the field name."""
     try:
         for name, kind, optional, least in field_table(type(spec)).scalars:
             value = getattr(spec, name)
             if value is not None or not optional:
                 _fit(kind, least, value)
     except _Misfit as misfit:
-        raise ConfigError(misfit.message(prefix + name)) from None
+        raise ConfigError(misfit.message(prefix + (keys or {}).get(name, name))) from None
 
 
 def _read_record(cls, value, extra_keys: bool = False):

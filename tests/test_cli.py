@@ -107,7 +107,7 @@ class TestSimulate:
             pytest.param("region_signal = 390,0,20,20\n", "'region_signal'",
                          "region 'signal' lies outside the mosaic: rectangle 390,0,20,20 "
                          "exceeds array bounds 395x397", id="config_region_past_mosaic"),
-            pytest.param("seed = -5\n", "'rng_seed'", "must be at least 0, got -5",
+            pytest.param("seed = -5\n", "key 'seed'", "must be at least 0, got -5",
                          id="seed_negative"),
         ],
     )
@@ -136,6 +136,18 @@ class TestSimulate:
         cfg.write_text(SMALL_CONFIG + "mystery_knob = 3\n")
         assert run("simulate", "--config", cfg, "--out", tmp_path / "ds") != 0
         assert "mystery_knob" in capsys.readouterr().err
+
+    def test_negative_seed_flag_names_the_config_key(self, tmp_path, capsys):
+        # --seed sets the config key `seed`; the error names that key, not
+        # the DegradationSpec field `rng_seed` behind it.
+        cfg = tmp_path / "ok.cfg"
+        cfg.write_text(SMALL_CONFIG)
+        out = tmp_path / "ds"
+        assert run("simulate", "--config", cfg, "--out", out, "--seed", "-1") == 1
+        err = capsys.readouterr().err
+        assert "key 'seed': must be at least 0, got -1" in err
+        assert "rng_seed" not in err
+        assert not out.exists()
 
     def test_identical_seed_gives_byte_identical_outputs(self, tmp_path, config_path):
         out_a = tmp_path / "a"
