@@ -117,22 +117,22 @@ def _build_fits(manifest: DatasetManifest, dataset: Path, correction: str):
 
 # The passes of stitch that run in row halves on two threads
 # (galvomosaic.halves).  The helper thread may not call a public function
-# such as pgm.to_unit, so these divide by MAXVAL as it does.
+# such as pgm.to_unit, so these decode with pgm._decode.
 
 
 def _decode(start: int, unit: np.ndarray, counts: np.ndarray) -> None:
-    np.divide(counts, pgm.MAXVAL, out=unit, dtype=np.float64)
+    pgm._decode(counts, unit)
 
 
 def _samples(start: int, x: np.ndarray, earlier: np.ndarray, y: np.ndarray,
              later: np.ndarray) -> None:
     """An overlap's samples: the earlier tile's counts decoded into ``x``,
     the later tile's window decoded (counts) or copied (float64) into ``y``."""
-    np.divide(earlier, pgm.MAXVAL, out=x, dtype=np.float64)
+    pgm._decode(earlier, x)
     if later.dtype.kind == "f":
         y[...] = later
     else:
-        np.divide(later, pgm.MAXVAL, out=y, dtype=np.float64)
+        pgm._decode(later, y)
 
 
 def _encode(start: int, counts: np.ndarray, rows: np.ndarray) -> None:

@@ -9,11 +9,8 @@ calls: rows ``0..cut`` on the calling thread and rows ``cut..n`` on a
 helper thread, and :func:`run` returns once both have finished.  A
 smaller pass runs as one call, ``fn(0, *arrays, *args)``, on the
 calling thread, so it costs one function call more than calling ``fn``
-directly.  The helper thread is started by the first split pass and
-then serves the process.  If the helper has not taken up the second
-half by the time the first is done (its core is busy elsewhere), the
-calling thread runs that half as well, rather than wait for a core that
-may not come back soon.
+directly.  The helper is a one-worker thread pool, made by the first
+split pass, that then serves the process.
 
 Splitting changes no bit of any result:
 
@@ -23,31 +20,38 @@ Splitting changes no bit of any result:
   contiguous 1-D float64 array of more than 128 elements, that is where
   numpy's pairwise summation makes its top split.  So in :func:`sums`,
   the two halves' ``np.add.reduce`` added together is ``np.add.reduce``
-  of the whole array, bit for bit.  ``np.dot`` has no such rule, and no
-  pass splits one.
+  of the whole array, bit for bit (``SPLIT_MIN`` is above 128).
+  ``np.dot`` has no such rule, and no pass splits one.
 
 A pass on the helper thread calls numpy and the package's private
 helpers only.  A public function there could be wrapped by a caller's
 tracer, which keeps one span stack for the main thread.  If either half
 raises, the error is raised once no half is running any more, so no
-half still writes to an array when its caller unwinds.  A caller that
-finds the helper busy (another thread's pass, or a pass started from
-inside a half) runs both halves itself, one after the other.
+half still writes to an array when its caller unwinds.  Each split pass
+waits on its own future, so a pass whose wait was interrupted leaves
+nothing that a later pass could mistake for its own result.  A caller
+that finds the helper busy (another thread's pass, or a pass started
+from inside a half) runs both halves itself, one after the other.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Callable, TypeVar
+from typing import TYPE_CHECKING, Callable, TypeVar
 
 import numpy as np
 
-# Elements a pass must cover to be split.
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
+
+# Elements a pass must cover to be split; more than 128 (see _cut).
 SPLIT_MIN = 1 << 17
-# numpy sums at most this many elements in one unrolled block, with no split.
-_PAIRWISE_BLOCK = 128
 
 T = TypeVar("T")
+
+# Held by the caller whose split pass is in flight.
+_busy = threading.Lock()
+_pool: ThreadPoolExecutor | None = None
 
 
 def _cut(n: int) -> int:
@@ -56,82 +60,31 @@ def _cut(n: int) -> int:
     return half - half % 8
 
 
-class _Helper:
-    """One daemon thread that runs one job at a time.
+def _both(here: Callable[[], T], there: Callable[[], T]) -> tuple[T, T]:
+    """``(here(), there())``, ``there`` run on the helper thread.
 
-    ``busy`` is held by the caller whose job is in flight.  ``_posted``
-    counts the jobs posted; a job is claimed by taking it out of
-    ``_job`` under ``_claim``, and ``_finished`` (held until then) is
-    released when the helper has run a job it claimed.
+    The caller holds ``_busy``.
     """
+    global _pool
+    if _pool is None:
+        # Imported here: concurrent.futures loads logging, a cost that a
+        # command which splits no pass (simulate, evaluate) need not pay.
+        from concurrent.futures import ThreadPoolExecutor
 
-    def __init__(self) -> None:
-        self.busy = threading.Lock()
-        self._claim = threading.Lock()
-        self._posted = threading.Semaphore(0)
-        self._finished = threading.Lock()
-        self._finished.acquire()
-        self._job: Callable | None = None
-        self._outcome: tuple | None = None
-        threading.Thread(target=self._serve, name="galvomosaic-halves", daemon=True).start()
-
-    def _serve(self) -> None:
-        while True:
-            self._posted.acquire()
-            with self._claim:
-                job, self._job = self._job, None
-            if job is None:  # the caller took it back
-                continue
-            try:
-                self._outcome = job(), None
-            except BaseException as exc:  # raised again by the caller in call()
-                self._outcome = None, exc
-            # Hold nothing of a finished pass while waiting for the next.
-            job = None
-            self._finished.release()
-
-    def call(self, here: Callable[[], T], there: Callable[[], T]) -> tuple[T, T]:
-        """``(here(), there())``, ``there`` run on the helper thread unless
-        the helper has not claimed it when ``here`` returns: then this
-        thread runs it, and never waits for a helper that has not started.
-
-        The caller holds ``busy``.
-        """
-        with self._claim:
-            self._job = there
-        self._posted.release()
-        try:
-            first = here()
-        finally:
-            with self._claim:
-                taken_back, self._job = self._job is not None, None
-            if not taken_back:
-                self._finished.acquire()
-                (second, error), self._outcome = self._outcome, None
-        if taken_back:
-            return first, there()
-        if error is not None:
-            raise error
-        return first, second
-
-
-_helper: _Helper | None = None
-_starting = threading.Lock()
-
-
-def _started() -> _Helper:
-    global _helper
-    with _starting:
-        if _helper is None:
-            _helper = _Helper()
-    return _helper
+        _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="galvomosaic-halves")
+    future = _pool.submit(there)
+    try:
+        first = here()
+    finally:
+        future.exception()  # returns once the helper's half has run
+    return first, future.result()
 
 
 def run(fn: Callable[..., T], arrays: tuple[np.ndarray, ...], *args) -> list[T]:
     """``[fn(0, *arrays, *args)]``, or, when ``arrays[0]`` holds at least
     ``SPLIT_MIN`` elements, ``[fn(0, *tops, *args), fn(cut, *bottoms, *args)]``
     with the rows ``0..cut`` and ``cut..`` of each array, the second call
-    made on the helper thread unless this thread gets to it first.
+    made on the helper thread unless another pass holds it.
 
     ``fn`` must give the same result however the rows are divided, and
     the two calls must write disjoint memory.
@@ -141,13 +94,12 @@ def run(fn: Callable[..., T], arrays: tuple[np.ndarray, ...], *args) -> list[T]:
         return [fn(0, *arrays, *args)]
     tops = [a[:cut] for a in arrays]
     bottoms = [a[cut:] for a in arrays]
-    helper = _started()
-    if not helper.busy.acquire(blocking=False):
+    if not _busy.acquire(blocking=False):
         return [fn(0, *tops, *args), fn(cut, *bottoms, *args)]
     try:
-        return list(helper.call(lambda: fn(0, *tops, *args), lambda: fn(cut, *bottoms, *args)))
+        return list(_both(lambda: fn(0, *tops, *args), lambda: fn(cut, *bottoms, *args)))
     finally:
-        helper.busy.release()
+        _busy.release()
 
 
 def sums(fn: Callable[..., T], arrays: tuple[np.ndarray, ...], *args) -> T:
@@ -157,6 +109,6 @@ def sums(fn: Callable[..., T], arrays: tuple[np.ndarray, ...], *args) -> T:
     arrays first.  Where :func:`run` splits the pass, the two halves' sums
     are added, giving the whole sums bit for bit (a tuple of sums comes
     back as an array)."""
-    if arrays[0].size < SPLIT_MIN or len(arrays[0]) <= _PAIRWISE_BLOCK:
+    if arrays[0].size < SPLIT_MIN:
         return fn(0, *arrays, *args)
     return np.add(*run(fn, arrays, *args))

@@ -37,7 +37,13 @@ def to_unit(img: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
     ``scale_to_counts`` maps the result back to the same counts, exactly.
     """
-    return np.divide(img, MAXVAL, out=out, dtype=np.float64)
+    return _decode(img, out)
+
+
+def _decode(counts: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """The rule of :func:`to_unit`, for callers that must not go through a
+    public name (stitch's helper thread, see :mod:`galvomosaic.halves`)."""
+    return np.divide(counts, MAXVAL, out=out, dtype=np.float64)
 
 
 def scale_to_counts(img: np.ndarray) -> np.ndarray:

@@ -5,6 +5,7 @@ import functools
 import sys
 import threading
 import time
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -58,7 +59,7 @@ def test_split_sum_is_add_reduce_bit_for_bit(size, seed, decades):
     values = rng.standard_normal(size) * 10.0 ** rng.integers(-decades, decades + 1, size)
     other = values[::-1].copy()
     saved = halves.SPLIT_MIN
-    halves.SPLIT_MIN = 0  # split every sum over 128 elements
+    halves.SPLIT_MIN = 129  # split every sum over 128 elements
     try:
         whole = halves.sums(lambda start, v: np.add.reduce(v), (values,))
         pair = halves.sums(lambda start, v, w: (np.add.reduce(v), np.add.reduce(w)),
@@ -84,7 +85,6 @@ def test_an_error_in_either_half_is_raised_after_both_finish():
 
     def slow_then_fail(start: int, block: np.ndarray) -> None:
         if start == 0:
-            time.sleep(0.05)  # long enough for the helper to take the bottom half
             raise ValueError("top half")
         time.sleep(0.2)
         finished.append(_rows_of(start, block))
@@ -96,7 +96,6 @@ def test_an_error_in_either_half_is_raised_after_both_finish():
     def fail_on_helper(start: int, block: np.ndarray) -> None:
         if threading.current_thread() is not threading.main_thread():
             raise ValueError("helper half")
-        time.sleep(0.05)
         finished.append(_rows_of(start, block))
 
     with pytest.raises(ValueError, match="helper half"):
@@ -106,29 +105,33 @@ def test_an_error_in_either_half_is_raised_after_both_finish():
     assert halves.run(_rows_of, (ROWS,)) == HALVES
 
 
-def test_caller_runs_a_half_the_helper_has_not_claimed():
-    # A helper whose core is away when a pass is posted: the caller runs
-    # both halves itself instead of waiting, and the stale post does not
-    # disturb the next pass, which the helper then takes.
-    class LateHelper(halves._Helper):
-        def _serve(self) -> None:
-            time.sleep(0.2)
-            super()._serve()
+def test_a_pass_whose_wait_was_interrupted_leaves_the_next_pass_its_own(monkeypatch):
+    # The caller's wait is interrupted (say by Ctrl-C) while the helper
+    # still runs its half.  The next pass must still return only once
+    # both of its own halves have run, not on the earlier half's finish.
+    release = threading.Event()
+    finished = []
 
-    helper = LateHelper()
-    ran_on = []
+    def held(start: int, block: np.ndarray) -> tuple[int, int]:
+        if start:
+            assert release.wait(timeout=30.0)
+        finished.append(start)
+        return _rows_of(start, block)
 
-    def half(name: str):
-        return lambda: ran_on.append((name, threading.current_thread())) or name
+    def interrupted(future, timeout=None):
+        raise KeyboardInterrupt
 
-    with helper.busy:
-        assert helper.call(half("top"), half("bottom")) == ("top", "bottom")
-    assert ran_on == [("top", threading.main_thread()), ("bottom", threading.main_thread())]
-    time.sleep(0.3)
-    ran_on.clear()
-    with helper.busy:
-        assert helper.call(lambda: time.sleep(0.05) or "top", half("bottom")) == ("top", "bottom")
-    assert [thread is threading.main_thread() for _, thread in ran_on] == [False]
+    with monkeypatch.context() as patch:
+        patch.setattr(Future, "exception", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            halves.run(held, (ROWS,))
+    assert finished == [0]
+    # The helper is still held in the first pass's half when this one waits.
+    timer = threading.Timer(0.1, release.set)
+    timer.start()
+    assert halves.run(held, (ROWS,)) == HALVES
+    assert sorted(finished) == [0, 0, 496, 496]
+    timer.join()
 
 
 def test_callers_on_several_threads_each_get_both_halves_once():
@@ -200,13 +203,13 @@ def _outputs(out: Path) -> dict[str, bytes]:
 def handoffs(monkeypatch):
     """Count the passes whose second half went to the helper thread."""
     count = [0]
-    call = halves._Helper.call
+    both = halves._both
 
-    def counted(self, here, there):
+    def counted(here, there):
         count[0] += 1
-        return call(self, here, there)
+        return both(here, there)
 
-    monkeypatch.setattr(halves._Helper, "call", counted)
+    monkeypatch.setattr(halves, "_both", counted)
     return count
 
 
@@ -239,8 +242,6 @@ def test_error_in_helper_half_fails_stitch_like_serial(datasets, tmp_path, monke
             on_main = threading.current_thread() is threading.main_thread()
             if img.ndim == 2 and on_main == thread_is_main:
                 raise CompositionError("encode failed")
-            if img.ndim == 2 and on_main:
-                time.sleep(0.02)  # so that the helper takes up the other half
             return encode(img)
         return scale_to_counts
 
