@@ -1,4 +1,5 @@
-"""Bulk array passes in two row halves, the second half on one helper thread.
+"""Work for two cores: bulk array passes in two row halves, and whole
+items claimed in turn, on the calling thread and one helper thread.
 
 Stitch is array work that a second core can share.  :func:`run` takes a
 pass ``fn`` over the rows of some arrays, all with the same number
@@ -9,8 +10,13 @@ calls: rows ``0..cut`` on the calling thread and rows ``cut..n`` on a
 helper thread, and :func:`run` returns once both have finished.  A
 smaller pass runs as one call, ``fn(0, *arrays, *args)``, on the
 calling thread, so it costs one function call more than calling ``fn``
-directly.  The helper is a one-worker thread pool, made by the first
-split pass, that then serves the process.
+directly.  Simulate's frames are independent items: :func:`each` runs
+``fn(k)`` for every item ``k``, and when an item covers at least
+``SPLIT_MIN`` elements the calling thread and the helper each claim the
+next unclaimed item and finish it whole, so a core taken by other work
+stalls one item, not every item.  The helper is a one-worker thread
+pool, made by the first call that uses it, that then serves the
+process.
 
 Splitting changes no bit of any result:
 
@@ -22,20 +28,25 @@ Splitting changes no bit of any result:
   the two halves' ``np.add.reduce`` added together is ``np.add.reduce``
   of the whole array, bit for bit (``SPLIT_MIN`` is above 128).
   ``np.dot`` has no such rule, and no pass splits one.
+- An item of :func:`each` is made whole by one thread; only the order in
+  which items finish varies.
 
-A pass on the helper thread calls numpy and the package's private
-helpers only.  A public function there could be wrapped by a caller's
-tracer, which keeps one span stack for the main thread.  If either half
-raises, the error is raised once no half is running any more, so no
-half still writes to an array when its caller unwinds.  Each split pass
-waits on its own future, so a pass whose wait was interrupted leaves
-nothing that a later pass could mistake for its own result.  A caller
-that finds the helper busy (another thread's pass, or a pass started
-from inside a half) runs both halves itself, one after the other.
+Work on the helper thread calls numpy and the package's private helpers
+only (and ``pgm.scale_to_counts`` and ``open``).  A public function
+there could be wrapped by a caller's tracer, which keeps one span stack
+for the main thread.  If either thread raises, the error is raised once
+neither runs any more work of that call, so no half still writes to an
+array when its caller unwinds, and no item is claimed after the error.
+Each call waits on its own future, so a call whose wait was interrupted
+leaves nothing that a later call could mistake for its own result.  A
+caller that finds the helper busy (another thread's call, or a call
+made from inside a half) does all the work itself, one piece after the
+other.
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
 from typing import TYPE_CHECKING, Callable, TypeVar
 
@@ -44,7 +55,8 @@ import numpy as np
 if TYPE_CHECKING:
     from concurrent.futures import ThreadPoolExecutor
 
-# Elements a pass must cover to be split; more than 128 (see _cut).
+# Elements a pass or an item must cover to be shared with the helper;
+# more than 128 (see _cut).
 SPLIT_MIN = 1 << 17
 
 T = TypeVar("T")
@@ -68,7 +80,7 @@ def _both(here: Callable[[], T], there: Callable[[], T]) -> tuple[T, T]:
     global _pool
     if _pool is None:
         # Imported here: concurrent.futures loads logging, a cost that a
-        # command which splits no pass (simulate, evaluate) need not pay.
+        # command which shares no work (evaluate, small frames) need not pay.
         from concurrent.futures import ThreadPoolExecutor
 
         _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="galvomosaic-halves")
@@ -112,3 +124,36 @@ def sums(fn: Callable[..., T], arrays: tuple[np.ndarray, ...], *args) -> T:
     if arrays[0].size < SPLIT_MIN:
         return fn(0, *arrays, *args)
     return np.add(*run(fn, arrays, *args))
+
+
+def each(fn: Callable[[int], object], n: int, size: int) -> None:
+    """``fn(0)``, ..., ``fn(n - 1)``, each called once, for items that each
+    cover ``size`` elements.
+
+    Below ``SPLIT_MIN`` the calling thread calls them in order.  From it
+    on, the calling thread and the helper each claim the next unclaimed
+    ``k`` and call ``fn(k)``, until none is left; the calls finish in no
+    fixed order.  An error in either thread stops both from claiming
+    another ``k``.
+    """
+    # next() of an itertools.count is one atomic step under the GIL.
+    claims = itertools.count()
+    stop = threading.Event()
+
+    def claim() -> None:
+        try:
+            for k in claims:
+                if k >= n or stop.is_set():
+                    return
+                fn(k)
+        except BaseException:
+            stop.set()
+            raise
+
+    if size < SPLIT_MIN or not _busy.acquire(blocking=False):
+        claim()
+        return
+    try:
+        _both(claim, claim)
+    finally:
+        _busy.release()

@@ -15,13 +15,16 @@ seeded by (rng_seed, 0, i, j), references from (rng_seed, 1, k), so the
 output is independent of evaluation order.
 
 :func:`write_dataset` streams: the target is held as its description
-(two counts and a list of dark rectangles), and each tile's window of it
-is drawn, degraded, encoded and written in placement order before the
-next one is drawn; ``truth.pgm`` is drawn and written in blocks of rows.
-Memory is a few tile-sized buffers, whatever the canvas size.  One
-helper thread draws the gain jitter and noise of the next tile from that
-tile's own generator, into the one of two reused buffers the current
-tile does not use, while the current one is finished and written.
+(two counts and a list of dark rectangles), and every file is made and
+written in blocks of 64 rows.  A frame's block is its rows of the target
+window (or of the reference level), degraded with those rows of the
+vignette and offset fields and the next noise draws of the frame's own
+generator, then encoded.  The generator's normal draws carry no state
+from one call to the next, so a frame drawn block by block has the bits
+of one drawn whole.  The two fields are the only frame-sized arrays.
+When a frame holds at least ``halves.SPLIT_MIN`` pixels, the calling
+thread and the package's helper thread (:func:`galvomosaic.halves.each`)
+each claim the next unwritten frame and write it whole.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import pgm
+from . import halves, pgm
 from .compose import canvas_dims
 from .correction import BAND_PX_DEFAULT, EPSILON_DEFAULT, RectROI
 from .errors import ConfigError, CoverageError, DimensionMismatchError, GalvoMosaicError
@@ -47,8 +50,8 @@ from .records import (
 )
 
 DARK_SHADE = 0.02
-# Target rows per block written to ``truth.pgm``.
-_TRUTH_BLOCK_ROWS = 64
+# Rows per block of every file write_dataset writes.
+_BLOCK_ROWS = 64
 
 
 class TargetPattern(Enum):
@@ -271,25 +274,28 @@ def target_regions(width: int, height: int, pattern: TargetPattern) -> list[Regi
 
 def _crop(
     src: np.ndarray, to_float, p: TilePlacement, tw: int, th: int, subpixel: bool,
-    out: np.ndarray | None = None, term: np.ndarray | None = None,
+    out: np.ndarray | None = None, term: np.ndarray | None = None, top: int = 0,
 ) -> np.ndarray:
-    """One tile-sized float64 sample of ``src`` at placement ``p``.
+    """Rows ``top..top + th`` of the tile-sized float64 sample of ``src`` at
+    placement ``p``.
 
     ``to_float`` turns a window of ``src`` into a float64 array that the
-    caller does not read again, so only the window the tile needs is
+    caller does not read again, so only the window the rows need is
     converted.  An integer crop takes the rounded offset and is that
     array; its window ends at ``p.x + tw``.  A subpixel crop interpolates
     bilinearly at the exact offset, from a window that ends at
     ``floor(p.dx) + tw + (fx > 0)``, which is ``ceil(p.dx) + tw``, into
     ``out`` with each later term in ``term`` (th x tw float64 buffers; new
-    arrays where not given).  Likewise in y.  The callers check ``src``
-    against :func:`required_truth_dims`, the largest of these ends.
+    arrays where not given).  Likewise in y.  Each pixel is worked out
+    from its own neighbours alone, so rows cut in blocks are the rows of
+    the whole sample, bit for bit.  The callers check ``src`` against
+    :func:`required_truth_dims`, the largest of these ends.
     """
     if not subpixel:
-        return to_float(src[p.y:p.y + th, p.x:p.x + tw])
+        return to_float(src[p.y + top:p.y + top + th, p.x:p.x + tw])
     ix, iy = math.floor(p.dx), math.floor(p.dy)
     fx, fy = p.dx - ix, p.dy - iy
-    win = to_float(src[iy:iy + th + (fy > 0), ix:ix + tw + (fx > 0)])
+    win = to_float(src[iy + top:iy + top + th + (fy > 0), ix:ix + tw + (fx > 0)])
     out = np.multiply(win[:th, :tw], (1 - fy) * (1 - fx), out=out)
     if fx > 0:
         out += np.multiply(win[:th, 1:], (1 - fy) * fx, out=term)
@@ -345,11 +351,14 @@ def vignette_field(height: int, width: int, vignette_min: float) -> np.ndarray:
     cy, cx = (height - 1) / 2.0, (width - 1) / 2.0
     y = np.arange(height, dtype=np.float64) - cy
     x = np.arange(width, dtype=np.float64) - cx
-    r2 = y[:, None] ** 2 + x[None, :] ** 2
     r2_corner = cy**2 + cx**2
     if r2_corner == 0.0:
         return np.ones((height, width), dtype=np.float64)
-    return 1.0 - (1.0 - vignette_min) * (r2 / r2_corner)
+    # 1 - (1 - vignette_min) * (r2 / r2_corner), in the one array of r2.
+    gain = y[:, None] ** 2 + x[None, :] ** 2
+    gain /= r2_corner
+    gain *= 1.0 - vignette_min
+    return np.subtract(1.0, gain, out=gain)
 
 
 def _field(
@@ -378,17 +387,27 @@ def _noise(rng: np.random.Generator, sigma: float, shape: tuple[int, int], out=N
     return noise
 
 
-def _tile_draws(spec: DegradationSpec, row: int, col: int, shape: tuple[int, int], out=None):
-    """Gain jitter and noise (None when ``noise_sigma`` is 0) of tile (row, col).
-
-    Drawn from the tile's own generator, uniform first, then normal; the
-    noise goes to ``out`` if given.  :func:`write_dataset` runs this on
-    its look-ahead thread, so it calls numpy only: a traced package
-    function there would share the span stack of the main thread.
-    """
+def _tile_rng(spec: DegradationSpec, row: int, col: int) -> tuple[float, np.random.Generator]:
+    """Gain jitter of tile (row, col), the first draw of the tile's own
+    generator, and that generator, whose normal draws are the tile's noise."""
     rng = np.random.default_rng([spec.rng_seed, 0, row, col])
-    jitter = rng.uniform(1.0 - spec.gain_jitter, 1.0 + spec.gain_jitter)
-    return jitter, _noise(rng, spec.noise_sigma, shape, out)
+    return rng.uniform(1.0 - spec.gain_jitter, 1.0 + spec.gain_jitter), rng
+
+
+def _reference_rng(spec: DegradationSpec, which: int) -> np.random.Generator:
+    """The generator of reference frame ``which`` (0 bright, 1 dark)."""
+    return np.random.default_rng([spec.rng_seed, 1, which])
+
+
+def _tile_draws(spec: DegradationSpec, row: int, col: int, shape: tuple[int, int]):
+    """Gain jitter and whole-frame noise (None when ``noise_sigma`` is 0) of
+    tile (row, col), as :func:`degrade` draws them.
+
+    :func:`write_dataset` draws the same noise from the same generator
+    one block of rows at a time (see :meth:`_Frames.write`).
+    """
+    jitter, rng = _tile_rng(spec, row, col)
+    return jitter, _noise(rng, spec.noise_sigma, shape)
 
 
 def _finish(img: np.ndarray, offset: np.ndarray, noise) -> np.ndarray:
@@ -409,8 +428,61 @@ def _degrade_tile(img, vignette, offset, jitter, noise) -> np.ndarray:
 
 def _reference(spec: DegradationSpec, which: int, level: float, vignette, offset) -> np.ndarray:
     """Uniform frame at ``level`` through the field effects, without jitter."""
-    rng = np.random.default_rng([spec.rng_seed, 1, which])
-    return _finish(vignette * level, offset, _noise(rng, spec.noise_sigma, vignette.shape))
+    noise = _noise(_reference_rng(spec, which), spec.noise_sigma, vignette.shape)
+    return _finish(vignette * level, offset, noise)
+
+
+@dataclass(frozen=True)
+class _Frames:
+    """What the frames of one dataset share; :meth:`write` writes one frame."""
+
+    target: _Target
+    vignette: np.ndarray
+    offset: np.ndarray
+    sigma: float
+    subpixel: bool
+    header: bytes
+
+    def write(
+        self, path: Path, rng: np.random.Generator, jitter: float, source: TilePlacement | float
+    ) -> None:
+        """Write to ``path`` the frame of ``source``: the target's tile at a
+        placement, or a uniform field at a level (a reference frame, whose
+        ``jitter`` is 1).
+
+        Each block of ``_BLOCK_ROWS`` rows is :func:`_degrade_tile` of those
+        rows of the clean frame, the fields and the next noise draws of
+        ``rng``, then encoded and written, so the file holds the bytes of
+        the whole-frame pipeline (``level * vignette`` is
+        ``vignette * level``; a gain of 1 changes no bit).  Either worker of
+        :func:`halves.each` runs this, so it calls numpy, private helpers,
+        ``pgm.scale_to_counts`` and ``open`` only.
+        """
+        th, tw = self.vignette.shape
+        rows = min(th, _BLOCK_ROWS)
+        block, term, noise = np.empty((rows, tw)), np.empty((rows, tw)), np.empty((rows, tw))
+        window = np.empty((rows + 1) * (tw + 1))
+
+        def decode(counts: np.ndarray) -> np.ndarray:
+            return pgm._decode(counts, window[:counts.size].reshape(counts.shape))
+
+        with open(path, "wb") as f:
+            f.write(self.header)
+            for top in range(0, th, rows):
+                n = min(rows, th - top)
+                if isinstance(source, TilePlacement):
+                    img = _crop(
+                        self.target, decode, source, tw, n, self.subpixel,
+                        block[:n], term[:n], top,
+                    )
+                else:
+                    img = block[:n]
+                    img.fill(source)
+                _degrade_tile(
+                    img, self.vignette[top:top + n], self.offset[top:top + n], jitter,
+                    _noise(rng, self.sigma, (n, tw), noise[:n]),
+                )
+                f.write(pgm.scale_to_counts(img).astype(">u2"))
 
 
 def degrade(
@@ -573,11 +645,15 @@ def write_dataset(out_dir: str | os.PathLike, run: RunConfig) -> DatasetManifest
     scan.  Reference levels are snapped onto the 16-bit grid before use
     so the stored reference frames encode them exactly.  Every input is
     checked before the first file is written.  No array of the whole
-    target is made: ``truth.pgm`` is drawn in blocks of rows and each
-    tile from its own window of the target.  Tiles are written one at
-    a time, in placement order, and ``manifest.json`` is the commit
-    point: an earlier one is removed first and the new one is put in
-    place whole, last, so a dataset with a manifest is complete.
+    target is made: ``truth.pgm`` is drawn in blocks of rows, and each
+    frame block by block, a tile from its own window of the target.
+    Frames of at least ``halves.SPLIT_MIN`` pixels are written by two
+    threads, each frame whole by one (:func:`galvomosaic.halves.each`);
+    smaller ones in order.  ``manifest.json`` is the commit point: an
+    earlier one is removed first and the new one is put in place whole,
+    last, once every frame is written, so a dataset with a manifest is
+    complete.  An error in either thread stops both from starting another
+    frame, and is raised once both have stopped.
     """
     run.validate()
     scan, degradation, subpixel = run.scan, run.degradation, run.subpixel
@@ -626,50 +702,24 @@ def write_dataset(out_dir: str | os.PathLike, run: RunConfig) -> DatasetManifest
     (out / "manifest.json").unlink(missing_ok=True)
     with open(out / "truth.pgm", "wb") as f:
         f.write(pgm.pgm_header(width, height))
-        for top in range(0, height, _TRUTH_BLOCK_ROWS):
-            f.write(target[top:top + _TRUTH_BLOCK_ROWS, :].astype(">u2"))
-    # Each reference and tile is a float buffer of this function's own,
-    # so it is encoded in place.
-    for which, (name, level) in enumerate(
-        (("ref_bright.pgm", run.bright_level), ("ref_dark.pgm", run.dark_level))
-    ):
-        ref = _reference(degradation, which, level, vignette, offset)
-        pgm.write_pgm(out / name, pgm.scale_to_counts(ref).astype(">u2"))
-        del ref
+        for top in range(0, height, _BLOCK_ROWS):
+            f.write(target[top:top + _BLOCK_ROWS, :].astype(">u2"))
 
-    # The helper thread draws tile k + 1 into noise buffer (k + 1) % 2
-    # while tile k is finished here with buffer k % 2; one draw in flight
-    # bounds the noise held to these two.  Imported here so that stitch
-    # and evaluate do not pay for it.
-    from concurrent.futures import ThreadPoolExecutor
+    frames = _Frames(
+        target, vignette, offset, degradation.noise_sigma, subpixel, pgm.pgm_header(tw, th)
+    )
+    references = (("ref_bright.pgm", run.bright_level), ("ref_dark.pgm", run.dark_level))
 
-    buffers = [None, None]
-    if degradation.noise_sigma > 0.0:
-        buffers = [np.empty((th, tw)), np.empty((th, tw))]
-    # Every tile's window of the target is decoded into one buffer; an
-    # integer crop is finished there in place, a subpixel one in the two
-    # buffers of its sample and interpolation terms.
-    window = np.empty((th + subpixel) * (tw + subpixel))
-    sample, term = (np.empty((th, tw)), np.empty((th, tw))) if subpixel else (None, None)
+    def write_frame(k: int) -> None:
+        if k < len(references):
+            name, level = references[k]
+            frames.write(out / name, _reference_rng(degradation, k), 1.0, level)
+        else:
+            k -= len(references)
+            jitter, rng = _tile_rng(degradation, placements[k].row, placements[k].col)
+            frames.write(out / names[k], rng, jitter, placements[k])
 
-    def decode(counts: np.ndarray) -> np.ndarray:
-        return pgm.to_unit(counts, out=window[:counts.size].reshape(counts.shape))
-
-    with ThreadPoolExecutor(max_workers=1) as ahead:
-        first = placements[0]
-        draws = ahead.submit(_tile_draws, degradation, first.row, first.col, (th, tw), buffers[0])
-        for k, p in enumerate(placements):
-            jitter, noise = draws.result()
-            if k + 1 < len(placements):
-                q = placements[k + 1]
-                draws = ahead.submit(
-                    _tile_draws, degradation, q.row, q.col, (th, tw), buffers[(k + 1) % 2]
-                )
-            img = _degrade_tile(
-                _crop(target, decode, p, tw, th, subpixel, sample, term),
-                vignette, offset, jitter, noise,
-            )
-            pgm.write_pgm(out / names[k], pgm.scale_to_counts(img).astype(">u2"))
+    halves.each(write_frame, len(references) + len(placements), th * tw)
 
     with pgm.replacing(out / "manifest.json") as f:
         f.write(manifest.to_json().encode("ascii"))

@@ -1,5 +1,6 @@
-"""Bulk passes in two row halves: exact sums, the helper's error rule, and a
-split stitch that matches the serial stitch byte for byte."""
+"""Bulk passes in two row halves: exact sums, the helper's error rule, a
+split stitch that matches the serial stitch byte for byte, and what the
+helper thread may call."""
 
 import functools
 import sys
@@ -179,6 +180,56 @@ def test_small_pass_runs_whole_on_the_calling_thread():
     assert threads == [threading.get_ident()]
 
 
+def test_each_calls_every_item_once():
+    calls = []
+
+    def item(k: int) -> None:
+        calls.append((k, threading.current_thread() is threading.main_thread()))
+
+    halves.each(item, 50, halves.SPLIT_MIN - 1)
+    assert calls == [(k, True) for k in range(50)]
+    calls.clear()
+    halves.each(item, 50, halves.SPLIT_MIN)
+    assert sorted(k for k, _ in calls) == list(range(50))
+    calls.clear()
+    with halves._busy:  # another caller holds the helper
+        halves.each(item, 50, halves.SPLIT_MIN)
+    assert calls == [(k, True) for k in range(50)]
+
+
+def test_each_from_several_threads_claims_every_item_once():
+    # Four callers race for the one helper under fast thread switching; a
+    # lost or repeated claim shows in a caller's counts.
+    calls, items, errors = 30, 200, []
+
+    def caller() -> None:
+        counts = np.zeros(items, dtype=np.int64)
+
+        def item(k: int) -> None:
+            counts[k] += 1
+
+        try:
+            for _ in range(calls):
+                halves.each(item, items, halves.SPLIT_MIN)
+            assert (counts == calls).all()
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=caller, daemon=True) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        deadline = time.monotonic() + 30.0
+        for thread in threads:
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+
+
 @pytest.fixture(scope="module")
 def datasets(tmp_path_factory):
     base = tmp_path_factory.mktemp("split")
@@ -263,13 +314,18 @@ def test_error_in_helper_half_fails_stitch_like_serial(datasets, tmp_path, monke
     assert _outputs(tmp_path / "split") == _outputs(tmp_path / "serial")
 
 
-def test_traced_functions_run_on_the_main_thread(datasets, tmp_path, monkeypatch, handoffs):
-    # The benchmark's tracer keeps one span stack, so every function it
-    # wraps must run on the main thread, also while passes are split.
+def test_traced_functions_run_on_the_main_thread(tmp_path, monkeypatch, handoffs):
+    # The benchmark's tracer keeps one span stack, so no function it wraps
+    # may run off the main thread: not while simulate shares its frames
+    # between two threads, nor while stitch splits its passes.  Of pgm and
+    # the builtins, the helper calls pgm._decode, pgm.scale_to_counts and
+    # open only.  A profile hook, set before a fresh helper thread starts,
+    # logs every Python function and builtin that thread calls.
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     import tracer
 
     calls: list[tuple[str, int]] = []
+    on_helper: set[tuple[str, str]] = set()
 
     class ThreadTracer(tracer.Tracer):
         def _wrap(self, span_name, func):
@@ -282,12 +338,37 @@ def test_traced_functions_run_on_the_main_thread(datasets, tmp_path, monkeypatch
 
             return record
 
-    monkeypatch.setattr(halves, "SPLIT_MIN", EVERY_PASS)
-    with ThreadTracer():
-        for mode in ("raw", "processed"):
-            assert _stitch(datasets["linear"], tmp_path / mode, mode) == 0
-    assert handoffs[0] > 0
+    def log(frame, event, arg):
+        if event == "call":
+            on_helper.add((frame.f_code.co_filename, frame.f_code.co_qualname))
+        elif event == "c_call" and arg is open:
+            on_helper.add(("builtins", "open"))
+
+    cfg = tmp_path / "split.cfg"
+    cfg.write_text(SPLIT_CFG)
+    monkeypatch.setattr(halves, "_pool", None)
+    threading.setprofile(log)
+    try:
+        with ThreadTracer():
+            assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "ds")]) == 0
+            assert handoffs[0] == 1
+            monkeypatch.setattr(halves, "SPLIT_MIN", EVERY_PASS)
+            for mode in ("raw", "processed"):
+                assert _stitch(tmp_path / "ds", tmp_path / mode, mode) == 0
+    finally:
+        threading.setprofile(None)
+    assert handoffs[0] > 1
     names = {name for name, _ in calls}
-    assert {"cli.cmd_stitch", "correction.apply_roi_corrections",
-            "metrics.normalized_mae", "compose.compose_feathered"} <= names
+    assert {"cli.cmd_simulate", "simulate.write_dataset", "cli.cmd_stitch",
+            "correction.apply_roi_corrections", "metrics.normalized_mae",
+            "compose.compose_feathered"} <= names
     assert {ident for _, ident in calls} == {threading.main_thread().ident}
+    assert not [name for path, name in on_helper if path == tracer.__file__]
+    package = {(Path(path).name, name) for path, name in on_helper
+               if Path(path).parent == Path(halves.__file__).parent}
+    assert ("simulate.py", "_Frames.write") in package
+    assert {name for module, name in package if module == "pgm.py"} == {
+        "_decode", "scale_to_counts"}
+    public = {call for call in package if call[1].isidentifier() and call[1][0] != "_"}
+    assert public == {("pgm.py", "scale_to_counts")}
+    assert ("builtins", "open") in on_helper

@@ -1,16 +1,20 @@
 """Synthetic dataset generation and its round-trip guarantees."""
 
 import dataclasses
+import os
+import subprocess
 import sys
 import threading
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from galvomosaic import pgm
+from galvomosaic import halves, pgm, simulate
 from galvomosaic.compose import compose_feathered, compose_raw, compute_overlaps
 from galvomosaic.correction import RectROI, ReferencePair, correct_roi, fit_two_point
 from galvomosaic.errors import ConfigError, CoverageError, GalvoMosaicError
@@ -37,6 +41,7 @@ from galvomosaic.simulate import (
 from galvomosaic.simulate import _bar_layout, _crop, _noise, _Target, _tile_draws, _usaf_layout
 
 TILE_W = TILE_H = 80
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def small_cfg(**overrides) -> ScanConfig:
@@ -214,7 +219,7 @@ class TestNoiseDraws:
 
     def test_zero_sigma_draws_no_noise(self):
         spec = DegradationSpec(gain_jitter=0.05, rng_seed=4)
-        jitter, noise = _tile_draws(spec, 1, 2, (8, 8), np.zeros((8, 8)))
+        jitter, noise = _tile_draws(spec, 1, 2, (8, 8))
         assert noise is None
         rng = np.random.default_rng([4, 0, 1, 2])
         assert jitter == rng.uniform(0.95, 1.05)
@@ -351,6 +356,16 @@ class TestVignette:
         assert field[20, 30] == 1.0
         for corner in [(0, 0), (0, -1), (-1, 0), (-1, -1)]:
             assert field[corner] == pytest.approx(0.7, abs=1e-12)
+
+    @pytest.mark.parametrize("height, width, vignette_min",
+                             [(1, 7, 0.5), (41, 61, 0.7), (400, 300, 0.85), (1000, 1000, 0.85)])
+    def test_field_has_the_bits_of_its_formula(self, height, width, vignette_min):
+        # vignette_field works in one array; the formula with its temporaries.
+        y = np.arange(height, dtype=np.float64) - (height - 1) / 2.0
+        x = np.arange(width, dtype=np.float64) - (width - 1) / 2.0
+        r2 = y[:, None] ** 2 + x[None, :] ** 2
+        expected = 1.0 - (1.0 - vignette_min) * (r2 / r2.max())
+        assert vignette_field(height, width, vignette_min).tobytes() == expected.tobytes()
 
     def test_uniform_truth_tiles_identical_with_ratio(self):
         cfg = small_cfg()
@@ -556,8 +571,11 @@ class TestRunConfigValidate:
             RunConfig(small_cfg(), [], regions=[region]).validate()
 
 
-# write_dataset streams tiles through the same crop and degrade helpers as
-# the list APIs; each case must give the same bytes as the list pipeline.
+# write_dataset makes each frame in blocks of rows, with the noise drawn
+# block by block, from the same crop and degrade helpers as the list APIs,
+# which make and draw each frame whole; each case must give the same bytes
+# as the list pipeline.  The *_large cases hold SPLIT_MIN pixels or more
+# per tile, so two threads share their frames.
 STREAM_CASES = {
     "linear_noise": (
         small_cfg(),
@@ -579,8 +597,47 @@ STREAM_CASES = {
         DegradationSpec(vignette_min=0.9, corner_offset=0.05, gain_jitter=0.05, rng_seed=2),
         False,
     ),
+    "linear_noise_large": (
+        small_cfg(n_rows=2, n_cols=2, tile_width=400, tile_height=400),
+        DegradationSpec(
+            vignette_min=0.85, corner_offset=0.05, gain_jitter=0.05, noise_sigma=0.01, rng_seed=5
+        ),
+        False,
+    ),
+    "sinusoidal_subpixel_negative_tilt_large": (
+        small_cfg(
+            n_rows=2, n_cols=2, strategy=ScanStrategy.SINUSOIDAL, alpha_x=3.5, alpha_y=-12.25,
+            tile_width=400, tile_height=400,
+        ),
+        DegradationSpec(
+            vignette_min=0.9, corner_offset=0.05, gain_jitter=0.05, noise_sigma=0.002, rng_seed=11
+        ),
+        True,
+    ),
 }
+assert all(
+    (cfg.tile_width * cfg.tile_height >= halves.SPLIT_MIN) == name.endswith("_large")
+    for name, (cfg, _, _) in STREAM_CASES.items()
+)
 STREAM_ROIS = [RectROI(x0=0, y0=50, width=30, height=30)]
+
+
+class _Opens:
+    """Stands in for ``open`` in galvomosaic.simulate: logs (file name, thread
+    name) of every file opened, and raises OSError("disk full") where
+    ``fails(name, on_main)`` says so."""
+
+    def __init__(self, fails=lambda name, on_main: False):
+        self.log = []
+        self.fails = fails
+
+    def __call__(self, path, mode="r"):
+        name = Path(path).name
+        thread = threading.current_thread()
+        self.log.append((name, thread.name))
+        if self.fails(name, thread is threading.main_thread()):
+            raise OSError("disk full")
+        return open(path, mode)
 
 
 class TestStreamingWriteDataset:
@@ -609,12 +666,13 @@ class TestStreamingWriteDataset:
         for name, data in expected.items():
             assert np.array_equal(pgm.read_pgm(tmp_path / name), pgm.to_u16(data)), name
 
-    def test_reused_noise_buffers_under_fast_thread_switching(self, tmp_path):
-        # The helper thread fills one noise buffer while the main thread
-        # reads the other; switching threads every microsecond must not
-        # let a draw reach the tile before or after its own.
-        cfg, spec, _ = STREAM_CASES["linear_noise"]
-        cfg = dataclasses.replace(cfg, n_rows=4, n_cols=4)
+    @pytest.mark.parametrize("case, grid", [("linear_noise", 4), ("linear_noise_large", 3)])
+    def test_files_match_under_fast_thread_switching(self, tmp_path, case, grid):
+        # Switching threads every microsecond must not let a noise draw
+        # reach a block or a frame other than its own, whether one thread
+        # writes the frames or two share them.
+        cfg, spec, _ = STREAM_CASES[case]
+        cfg = dataclasses.replace(cfg, n_rows=grid, n_cols=grid)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -650,8 +708,8 @@ class TestStreamingWriteDataset:
     def test_memory_does_not_grow_with_canvas(self, tmp_path):
         # The grids of test_memory_scales_with_canvas_counts: the 16x8 one
         # has twice the canvas, 8 MB of counts, yet both stay within a few
-        # tile buffers (vignette, offset, two noise buffers, the tile, its
-        # window and its encoding).
+        # tile buffers (the vignette and offset fields, and one frame's
+        # blocks of rows).
         spec = DegradationSpec(
             vignette_min=0.85, corner_offset=0.05, gain_jitter=0.05, noise_sigma=0.002, rng_seed=1
         )
@@ -673,39 +731,79 @@ class TestStreamingWriteDataset:
                     tracemalloc.stop()
                 assert peak <= 9 * tile_buffer, (n_rows, subpixel, peak)
 
-    def test_encode_and_write_stay_on_main_thread(self, tmp_path, monkeypatch):
-        calls = []
-
-        def recorded(func):
-            def wrapper(*args, **kwargs):
-                calls.append((func.__name__, threading.get_ident()))
-                return func(*args, **kwargs)
-            return wrapper
-
-        for name in ("scale_to_counts", "write_pgm"):
-            monkeypatch.setattr(pgm, name, recorded(getattr(pgm, name)))
-        write_dataset(
-            tmp_path, RunConfig(small_cfg(), [], identity_spec(gain_jitter=0.05, noise_sigma=0.01))
+    def test_memory_does_not_grow_with_frame_height_beyond_the_fields(self, tmp_path):
+        # Equal-width scans of 200-row and 400-row frames, each written by
+        # the calling thread (60,000 and 120,000 px, below SPLIT_MIN).  Of
+        # frame-sized arrays only the vignette and offset fields are held,
+        # so the peak may grow by their 2 x 200 rows, plus ``slack`` for
+        # the longer placement and block loops, but by no tile-sized
+        # buffer (200 x 300 x 8 B = 480,000 B of growth each).
+        slack = 64 * 1024
+        width = 300
+        spec = DegradationSpec(
+            vignette_min=0.85, corner_offset=0.05, gain_jitter=0.05, noise_sigma=0.002, rng_seed=1
         )
-        # truth.pgm is written in blocks of rows, without write_pgm.
-        assert sum(name == "write_pgm" for name, _ in calls) == 2 + 9
-        assert {ident for _, ident in calls} == {threading.main_thread().ident}
+        write_dataset(tmp_path / "warm", RunConfig(small_cfg(n_rows=1, n_cols=2), [], spec))
+        peaks = {}
+        for height in (200, 400):
+            cfg = ScanConfig(
+                n_rows=2, n_cols=2, dv_x=1.0, dv_y=1.0, s_x=175.0, s_y=175.0,
+                tile_width=width, tile_height=height,
+            )
+            assert cfg.tile_width * cfg.tile_height < halves.SPLIT_MIN
+            tracemalloc.start()
+            try:
+                rc = RunConfig(cfg, [RectROI(0, 120, 80, 80)], spec, subpixel=True)
+                write_dataset(tmp_path / f"height{height}", rc)
+                peaks[height] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[400] - peaks[200] <= 2 * 200 * width * 8 + slack, peaks
+
+    def test_small_frames_start_no_thread(self, tmp_path):
+        # In a fresh interpreter: this one has loaded concurrent.futures.
+        code = "\n".join((
+            "import sys, threading",
+            "started = []",
+            "start = threading.Thread.start",
+            "threading.Thread.start = lambda thread: (started.append(thread), start(thread))",
+            "from galvomosaic.cli import main",
+            f"assert main(['simulate', '--config', {str(ROOT / 'configs' / 'quick.cfg')!r},"
+            f" '--out', {str(tmp_path)!r}]) == 0",
+            "assert started == [], started",
+            "assert 'concurrent.futures' not in sys.modules",
+        ))
+        path = os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
+        subprocess.run(
+            [sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": path}
+        )
+        assert (tmp_path / "manifest.json").exists()
+
+    def test_large_frames_are_each_written_once_by_one_of_two_threads(
+        self, tmp_path, monkeypatch
+    ):
+        cfg, spec, subpixel = STREAM_CASES["linear_noise_large"]
+        opens = _Opens()
+        monkeypatch.setattr(simulate, "open", opens, raising=False)
+        manifest = write_dataset(tmp_path, RunConfig(cfg, STREAM_ROIS, spec, subpixel=subpixel))
+        frames = [entry["path"] for entry in manifest.tiles] + ["ref_bright.pgm", "ref_dark.pgm"]
+        written = [name for name, _ in opens.log]
+        assert sorted(written) == sorted(frames + ["truth.pgm"])
+        assert {thread for _, thread in opens.log} <= {"MainThread", "galvomosaic-halves_0"}
 
     def test_failed_rewrite_leaves_no_manifest(self, tmp_path, monkeypatch):
         cfg = small_cfg()
         write_dataset(tmp_path, RunConfig(cfg, [], identity_spec(noise_sigma=0.01)))
         assert (tmp_path / "manifest.json").exists()
-        write_pgm = pgm.write_pgm
         tiles_written = []
 
-        def failing_write(path, img):
-            if path.name.startswith("tile_"):
-                tiles_written.append(path.name)
-                if len(tiles_written) == 3:
-                    raise OSError("disk full")
-            write_pgm(path, img)
+        def fails(name: str, on_main: bool) -> bool:
+            if name.startswith("tile_"):
+                tiles_written.append(name)
+                return len(tiles_written) == 3
+            return False
 
-        monkeypatch.setattr(pgm, "write_pgm", failing_write)
+        monkeypatch.setattr(simulate, "open", _Opens(fails), raising=False)
         with pytest.raises(OSError, match="disk full"):
             write_dataset(tmp_path, RunConfig(cfg, [], identity_spec(noise_sigma=0.01, rng_seed=9)))
         names = {p.name for p in tmp_path.iterdir()}
@@ -713,3 +811,42 @@ class TestStreamingWriteDataset:
         assert not [n for n in names if n.endswith(".tmp")], names
         with pytest.raises(GalvoMosaicError, match="no manifest.json"):
             load_manifest(tmp_path)
+
+    @pytest.mark.parametrize("error, on_helper", [(OSError, True), (KeyboardInterrupt, False)])
+    def test_error_in_one_worker_stops_both(self, tmp_path, monkeypatch, error, on_helper):
+        # The failing worker raises at the first tile it opens; the other
+        # holds its first tile until then, so each has one tile under way.
+        # No tile may be begun after the error, and none written after
+        # write_dataset has raised.
+        cfg, spec, _ = STREAM_CASES["linear_noise_large"]
+        cfg = dataclasses.replace(cfg, n_rows=3, n_cols=3)
+        rc = RunConfig(cfg, [], spec)
+        write_dataset(tmp_path, rc)
+        failed = threading.Event()
+
+        def fails(name: str, on_main: bool) -> bool:
+            if not name.startswith("tile_"):
+                return False
+            if on_main != on_helper:
+                failed.set()
+                raise error("disk full")
+            assert failed.wait(timeout=30.0)
+            return False
+
+        opens = _Opens(fails)
+        monkeypatch.setattr(simulate, "open", opens, raising=False)
+        with pytest.raises(error, match="disk full"):
+            write_dataset(tmp_path, dataclasses.replace(rc, degradation=identity_spec(rng_seed=9)))
+        tiles = [(name, thread) for name, thread in opens.log if name.startswith("tile_")]
+        time.sleep(0.2)
+        assert len(opens.log) == len(tiles) + 3  # truth and the two references
+        failing = "galvomosaic-halves_0" if on_helper else "MainThread"
+        assert [thread for _, thread in tiles].count(failing) == 1
+        assert len(tiles) <= 2
+        names = {p.name for p in tmp_path.iterdir()}
+        assert "manifest.json" not in names
+        assert not [n for n in names if n.endswith(".tmp")], names
+        # The helper serves the next dataset.
+        monkeypatch.undo()
+        write_dataset(tmp_path, rc)
+        assert load_manifest(tmp_path).tiles
