@@ -7,9 +7,7 @@
 ``--mode raw`` turns correction and feathering off, ``--mode processed``
 turns both on; ``--correction`` and ``--feather`` override the mode's
 defaults independently so every raw/processed combination is reachable.
-All outputs are deterministic functions of the config and seed, for a
-given numpy and BLAS build and BLAS thread count: the overlap fits'
-``np.dot`` goes through BLAS, whose last bits depend on its threads.
+All outputs are deterministic functions of the config and seed.
 """
 
 from __future__ import annotations

@@ -23,11 +23,14 @@ Splitting changes no bit of any result:
 - An elementwise step gives the same value for each element however the
   rows are divided.
 - ``cut`` is ``n // 2`` rounded down to a multiple of 8.  For a
-  contiguous 1-D float64 array of more than 128 elements, that is where
-  numpy's pairwise summation makes its top split.  So in :func:`sums`,
-  the two halves' ``np.add.reduce`` added together is ``np.add.reduce``
-  of the whole array, bit for bit (``SPLIT_MIN`` is above 128).
-  ``np.dot`` has no such rule, and no pass splits one.
+  contiguous float64 row of more than 128 elements, that is where
+  numpy's pairwise summation (``np.add.reduce``) makes its top split,
+  and each part is split again the same way.  :func:`sums` follows
+  these nodes down to leaves of at most ``LEAF`` elements: each leaf is
+  reduced by one call, over temporaries no larger than the leaf, and
+  the leaves' sums are added at the nodes, so a sum is ``np.add.reduce``
+  of the whole row, bit for bit.  The top node is split over the two
+  threads.
 - An item of :func:`each` is made whole by one thread; only the order in
   which items finish varies.
 
@@ -58,6 +61,9 @@ if TYPE_CHECKING:
 # Elements a pass or an item must cover to be shared with the helper;
 # more than 128 (see _cut).
 SPLIT_MIN = 1 << 17
+# Most elements :func:`sums` reduces in one call: a few float64 rows of a
+# leaf stay in a 2 MB L2 cache.  More than 128 (see _cut).
+LEAF = 1 << 16
 
 T = TypeVar("T")
 
@@ -114,16 +120,50 @@ def run(fn: Callable[..., T], arrays: tuple[np.ndarray, ...], *args) -> list[T]:
         _busy.release()
 
 
+def _leaves(fn: Callable[..., T], start: int, arrays: list[np.ndarray], args: tuple) -> T:
+    """``fn(start, *leaf, *args)`` for each leaf of ``arrays``' last axis,
+    added at the pairwise nodes."""
+    n = arrays[0].shape[-1]
+    if n <= LEAF:
+        return fn(start, *arrays, *args)
+    cut = _cut(n)
+    return np.add(_leaves(fn, start, [a[..., :cut] for a in arrays], args),
+                  _leaves(fn, start, [a[..., cut:] for a in arrays], args))
+
+
 def sums(fn: Callable[..., T], arrays: tuple[np.ndarray, ...], *args) -> T:
     """What ``fn(0, *arrays, *args)`` returns, where ``fn`` returns float64
-    sums (``np.add.reduce``) of contiguous 1-D arrays among ``arrays``, all
-    of the same length: one sum, or a tuple of them; ``fn`` may fill those
-    arrays first.  Where :func:`run` splits the pass, the two halves' sums
-    are added, giving the whole sums bit for bit (a tuple of sums comes
-    back as an array)."""
-    if arrays[0].size < SPLIT_MIN:
+    sums (``np.add.reduce``) along the last axis of ``arrays``, whose rows
+    are contiguous and all of the same length ``n``: one sum, or an array
+    or tuple of them; ``fn`` may fill temporaries first.
+
+    Up to ``LEAF`` elements that is the one call.  Longer rows are cut at
+    numpy's pairwise nodes into leaves of at most ``LEAF`` elements,
+    ``fn`` is called on the columns of each leaf, and the sums are added
+    node by node, giving the whole sums bit for bit (as an array, for a
+    tuple).  From ``SPLIT_MIN`` elements on, the leaves past the top node
+    are taken by the helper thread, unless another pass holds it.
+    ``start`` tells the two halves apart: it is 0 for every leaf of the
+    calling thread's half and the top node's cut for every leaf of the
+    other half, so ``fn`` may keep one scratch for each.
+    """
+    n = arrays[0].shape[-1]
+    if n <= LEAF:
         return fn(0, *arrays, *args)
-    return np.add(*run(fn, arrays, *args))
+    cut = _cut(n)
+
+    def here() -> T:
+        return _leaves(fn, 0, [a[..., :cut] for a in arrays], args)
+
+    def there() -> T:
+        return _leaves(fn, cut, [a[..., cut:] for a in arrays], args)
+
+    if n < SPLIT_MIN or not _busy.acquire(blocking=False):
+        return np.add(here(), there())
+    try:
+        return np.add(*_both(here, there))
+    finally:
+        _busy.release()
 
 
 def each(fn: Callable[[int], object], n: int, size: int) -> None:

@@ -88,45 +88,66 @@ class MaeWorkspace:
     """Float64 buffers that :func:`normalized_mae` reuses for every
     overlap of at most ``size`` samples.
 
-    :meth:`samples` hands out the two sample arrays of one overlap, to be
-    filled in place; the fit's two temporaries take two more rows.  A
-    stitch makes one workspace for its largest overlap, so no overlap
-    faults in fresh pages for its temporaries.
+    :meth:`samples` hands out the two sample arrays of one overlap, two
+    rows of one array, to be filled in place.  The fit and the residuals
+    take at most ``halves.LEAF`` samples at a time, into a two-row
+    scratch of that length: one for each half of a split sum, one if no
+    sum is split.  A stitch makes one workspace for its largest overlap,
+    so no overlap faults in fresh pages for its temporaries.
     """
 
     def __init__(self, size: int):
-        self._rows = np.empty((4, size))
+        self._rows = np.empty((2, size))
+        self._leaf = np.empty((1 if size <= halves.LEAF else 2, 2, min(size, halves.LEAF)))
+        # The last samples handed out, and the rows that hold them.
+        self._handed: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def samples(self, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
         """Two contiguous float64 arrays of ``shape``, for samples i and j."""
-        n = shape[0] * shape[1]
-        return self._rows[0, :n].reshape(shape), self._rows[1, :n].reshape(shape)
+        pair = self._rows[:, :shape[0] * shape[1]]
+        x, y = pair[0].reshape(shape), pair[1].reshape(shape)
+        self._handed = x, y, pair
+        return x, y
 
-    def _scratch(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        return self._rows[2, :n], self._rows[3, :n]
-
-
-def _mean(values: np.ndarray) -> np.float64:
-    """``np.mean`` of 1D float64 ``values``: the same pairwise sum and
-    division, without its per-call overhead (thousands of small overlaps)."""
-    return np.add.reduce(values) / values.size
-
-
-def _sums(start: int, x: np.ndarray, y: np.ndarray) -> tuple[np.float64, np.float64]:
-    return np.add.reduce(x), np.add.reduce(y)
-
-
-def _centre(start: int, dx: np.ndarray, x: np.ndarray, dy: np.ndarray, y: np.ndarray,
-            x_mean: np.float64, y_mean: np.float64) -> None:
-    np.subtract(x, x_mean, out=dx)
-    np.subtract(y, y_mean, out=dy)
+    def _pair(self, samples_i, samples_j) -> np.ndarray:
+        """Both samples, flattened, as the rows of one ``(2, n)`` array: where
+        they lie if they are the last :meth:`samples`, else copied in."""
+        handed = self._handed
+        if handed is not None and samples_i is handed[0] and samples_j is handed[1]:
+            return handed[2]
+        x, y = _flat_samples(samples_i, samples_j)
+        if np.may_share_memory(self._rows, x) or np.may_share_memory(self._rows, y):
+            x, y = x.copy(), y.copy()
+        pair = self._rows[:, :x.size]
+        pair[0], pair[1] = x, y
+        return pair
 
 
-def _absolute_residual_sum(start: int, residual: np.ndarray, x: np.ndarray, y: np.ndarray,
-                           fit: AffineFit) -> np.float64:
-    """|y - (a*x + b)| into ``residual``, and its sum."""
-    np.multiply(x, fit.a, out=residual)
-    residual += fit.b
+def _sums(start: int, pair: np.ndarray) -> np.ndarray:
+    return np.add.reduce(pair, axis=1, keepdims=True)
+
+
+def _moments(start: int, pair: np.ndarray, means: np.ndarray, leaf: np.ndarray) -> np.ndarray:
+    """Σdx² and Σdx·dy over the columns of ``pair``, for dx and dy its
+    rows less the column ``means``, formed in the scratch of ``start``'s
+    half."""
+    d = leaf[1 if start else 0, :, :pair.shape[1]]
+    np.subtract(pair, means, out=d)
+    # Rows by index: unpacking iterates the array, which costs more than
+    # a ufunc over a small overlap.
+    dx, dy = d[0], d[1]
+    np.multiply(dy, dx, out=dy)
+    np.multiply(dx, dx, out=dx)
+    return np.add.reduce(d, axis=1)
+
+
+def _absolute_residuals(start: int, pair: np.ndarray, a: float, b: float,
+                        leaf: np.ndarray) -> np.float64:
+    """Σ|y - (a*x + b)| over the columns (x, y) of ``pair``."""
+    x, y = pair[0], pair[1]
+    residual = leaf[1 if start else 0, 0, :pair.shape[1]]
+    np.multiply(x, a, out=residual)
+    residual += b
     np.subtract(y, residual, out=residual)
     np.abs(residual, out=residual)
     return np.add.reduce(residual)
@@ -143,31 +164,47 @@ def _flat_samples(samples_i, samples_j) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
+def _fit(pair: np.ndarray, leaf: np.ndarray) -> tuple[AffineFit, bool]:
+    """Closed-form OLS of ``pair[1]`` against ``pair[0]``, and False; where
+    the slope is undefined (fewer than 2 samples, or constant ``pair[0]``),
+    a = 1 with b = mean(pair[1]) - mean(pair[0]), and True.
+
+    The means are ``np.mean``'s: each row's pairwise sum over its length.
+    Σdx² and Σdx·dy are ``np.add.reduce`` of the products, formed leaf by
+    leaf in ``leaf``.  Each sum runs in halves on two threads when it is
+    large.
+    """
+    n = pair.shape[1]
+    # The column of sums becomes the column of means in place: a Python
+    # float division has np.mean's bits and costs no ufunc call.
+    means = halves.sums(_sums, (pair,))
+    (x_sum,), (y_sum,) = means.tolist()
+    x_mean, y_mean = x_sum / n, y_sum / n
+    means[0, 0], means[1, 0] = x_mean, y_mean
+    if n >= 2:
+        sxx, sxy = halves.sums(_moments, (pair,), means, leaf).tolist()
+        if sxx != 0.0:
+            a = sxy / sxx
+            return AffineFit(a=a, b=y_mean - a * x_mean), False
+    return AffineFit(a=1.0, b=y_mean - x_mean), True
+
+
 def fit_affine(
     samples_i: np.ndarray, samples_j: np.ndarray, work: MaeWorkspace | None = None
 ) -> AffineFit:
     """Closed-form OLS of samples_j against samples_i.
 
-    The centred samples go to ``work``'s scratch rows, or to a new
-    workspace sized to the samples.
+    The temporaries go to ``work``, or to a new workspace sized to the
+    samples.
     """
-    x, y = _flat_samples(samples_i, samples_j)
-    if x.size < 2:
-        raise DegenerateFitError(f"need at least 2 sample pairs, got {x.size}")
-    dx, dy = (work or MaeWorkspace(x.size))._scratch(x.size)
-    # The means as _mean takes them, and the centred samples, each pass
-    # in halves on two threads when it is large.
-    x_sum, y_sum = halves.sums(_sums, (x, y))
-    x_mean, y_mean = x_sum / x.size, y_sum / y.size
-    halves.run(_centre, (dx, x, dy, y), x_mean, y_mean)
-    # Each dot product is taken whole, on this thread: numpy's dot has no
-    # split that keeps its bits.
-    sxx = float(np.dot(dx, dx))
-    if sxx == 0.0:
+    work = work or MaeWorkspace(np.size(samples_i))
+    pair = work._pair(samples_i, samples_j)
+    if pair.shape[1] < 2:
+        raise DegenerateFitError(f"need at least 2 sample pairs, got {pair.shape[1]}")
+    fit, degenerate = _fit(pair, work._leaf)
+    if degenerate:
         raise DegenerateFitError("predictor samples are constant; slope undefined")
-    a = float(np.dot(dx, dy)) / sxx
-    b = float(y_mean - a * x_mean)
-    return AffineFit(a=a, b=b)
+    return fit
 
 
 def normalized_mae(
@@ -178,22 +215,18 @@ def normalized_mae(
     Constant predictor samples make the slope undefined; the fallback is
     a = 1 with b = mean(I_j) - mean(I_i) and the flag set.  Samples of
     any shape are flattened in row-major order; those filled into
-    ``work.samples`` are used where they lie.  The temporaries go to
-    ``work``, or to a new workspace sized to the samples.
+    ``work.samples`` are used where they lie, others are copied into
+    ``work``.  The temporaries go to ``work``, or to a new workspace
+    sized to the samples.
     """
-    x, y = _flat_samples(samples_i, samples_j)
-    if x.size == 0:
+    work = work or MaeWorkspace(np.size(samples_i))
+    pair = work._pair(samples_i, samples_j)
+    n = pair.shape[1]
+    if n == 0:
         raise NoOverlapError("empty overlap sample")
-    work = work or MaeWorkspace(x.size)
-    degenerate = False
-    try:
-        fit = fit_affine(x, y, work)
-    except DegenerateFitError:
-        fit = AffineFit(a=1.0, b=float(_mean(y) - _mean(x)))
-        degenerate = True
-    residual, _ = work._scratch(x.size)
-    # The mean absolute residual, as _mean of the residuals.
-    mae = halves.sums(_absolute_residual_sum, (residual, x, y), fit) / x.size
+    fit, degenerate = _fit(pair, work._leaf)
+    # The mean absolute residual, as np.mean of the residuals.
+    mae = halves.sums(_absolute_residuals, (pair,), fit.a, fit.b, work._leaf) / n
     return float(mae), fit, degenerate
 
 

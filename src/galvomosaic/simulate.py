@@ -24,7 +24,8 @@ from one call to the next, so a frame drawn block by block has the bits
 of one drawn whole.  The two fields are the only frame-sized arrays.
 When a frame holds at least ``halves.SPLIT_MIN`` pixels, the calling
 thread and the package's helper thread (:func:`galvomosaic.halves.each`)
-each claim the next unwritten frame and write it whole.
+each claim the next unwritten file, the truth or a frame, and write it
+whole.
 """
 
 from __future__ import annotations
@@ -647,13 +648,14 @@ def write_dataset(out_dir: str | os.PathLike, run: RunConfig) -> DatasetManifest
     checked before the first file is written.  No array of the whole
     target is made: ``truth.pgm`` is drawn in blocks of rows, and each
     frame block by block, a tile from its own window of the target.
-    Frames of at least ``halves.SPLIT_MIN`` pixels are written by two
-    threads, each frame whole by one (:func:`galvomosaic.halves.each`);
-    smaller ones in order.  ``manifest.json`` is the commit point: an
-    earlier one is removed first and the new one is put in place whole,
-    last, once every frame is written, so a dataset with a manifest is
-    complete.  An error in either thread stops both from starting another
-    frame, and is raised once both have stopped.
+    When frames hold at least ``halves.SPLIT_MIN`` pixels, the truth and
+    the frames are written by two threads, each file whole by one
+    (:func:`galvomosaic.halves.each`); else in order, the truth first.
+    ``manifest.json`` is the commit point: an earlier one is removed
+    first and the new one is put in place whole, last, once every other
+    file is written, so a dataset with a manifest is complete.  An error
+    in either thread stops both from starting another file, and is
+    raised once both have stopped.
     """
     run.validate()
     scan, degradation, subpixel = run.scan, run.degradation, run.subpixel
@@ -700,26 +702,29 @@ def write_dataset(out_dir: str | os.PathLike, run: RunConfig) -> DatasetManifest
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "manifest.json").unlink(missing_ok=True)
-    with open(out / "truth.pgm", "wb") as f:
-        f.write(pgm.pgm_header(width, height))
-        for top in range(0, height, _BLOCK_ROWS):
-            f.write(target[top:top + _BLOCK_ROWS, :].astype(">u2"))
-
+    # Both headers are made here: the workers call no public function.
     frames = _Frames(
         target, vignette, offset, degradation.noise_sigma, subpixel, pgm.pgm_header(tw, th)
     )
+    truth_header = pgm.pgm_header(width, height)
     references = (("ref_bright.pgm", run.bright_level), ("ref_dark.pgm", run.dark_level))
 
-    def write_frame(k: int) -> None:
-        if k < len(references):
-            name, level = references[k]
-            frames.write(out / name, _reference_rng(degradation, k), 1.0, level)
+    def write_file(k: int) -> None:
+        # Item 0 is the truth, then the two references, then the tiles.
+        if k == 0:
+            with open(out / "truth.pgm", "wb") as f:
+                f.write(truth_header)
+                for top in range(0, height, _BLOCK_ROWS):
+                    f.write(target[top:top + _BLOCK_ROWS, :].astype(">u2"))
+        elif k <= len(references):
+            name, level = references[k - 1]
+            frames.write(out / name, _reference_rng(degradation, k - 1), 1.0, level)
         else:
-            k -= len(references)
+            k -= 1 + len(references)
             jitter, rng = _tile_rng(degradation, placements[k].row, placements[k].col)
             frames.write(out / names[k], rng, jitter, placements[k])
 
-    halves.each(write_frame, len(references) + len(placements), th * tw)
+    halves.each(write_file, 1 + len(references) + len(placements), th * tw)
 
     with pgm.replacing(out / "manifest.json") as f:
         f.write(manifest.to_json().encode("ascii"))

@@ -3,6 +3,8 @@ split stitch that matches the serial stitch byte for byte, and what the
 helper thread may call."""
 
 import functools
+import os
+import subprocess
 import sys
 import threading
 import time
@@ -48,8 +50,10 @@ NO_PASS = 1 << 62
 @given(
     size=st.one_of(
         st.integers(0, 300),
+        st.integers(2**16 - 20, 2**16 + 20),
         st.integers(2**17 - 20, 2**17 + 20),
         st.just(558_000),
+        st.just(775_587),
     ),
     seed=st.integers(0, 2**32 - 1),
     decades=st.integers(0, 15),
@@ -59,17 +63,34 @@ def test_split_sum_is_add_reduce_bit_for_bit(size, seed, decades):
     rng = np.random.default_rng(seed)
     values = rng.standard_normal(size) * 10.0 ** rng.integers(-decades, decades + 1, size)
     other = values[::-1].copy()
+    rows = np.stack((values, other))
+    leaves = []
+
+    def leaf_sums(start, *blocks):
+        # Each leaf sums fresh temporaries of its own length, as the MAE does.
+        leaves.append((start, blocks[0].shape[-1], threading.current_thread()))
+        copies = [np.multiply(b, 1.0) for b in blocks]
+        return tuple(np.add.reduce(c, axis=-1) for c in copies)
+
     saved = halves.SPLIT_MIN
-    halves.SPLIT_MIN = 129  # split every sum over 128 elements
+    halves.SPLIT_MIN = 129  # split every sum over a leaf between the threads
     try:
-        whole = halves.sums(lambda start, v: np.add.reduce(v), (values,))
-        pair = halves.sums(lambda start, v, w: (np.add.reduce(v), np.add.reduce(w)),
-                           (values, other))
+        (whole,) = halves.sums(leaf_sums, (values,))
+        pair = halves.sums(leaf_sums, (values, other))
+        (by_row,) = halves.sums(leaf_sums, (rows,))
     finally:
         halves.SPLIT_MIN = saved
-    assert whole.tobytes() == np.add.reduce(values).tobytes()
-    assert np.asarray(pair).tobytes() == np.array(
-        [np.add.reduce(values), np.add.reduce(other)]).tobytes()
+    expected = np.array([np.add.reduce(values), np.add.reduce(other)])
+    assert whole.tobytes() == expected[0].tobytes()
+    assert np.asarray(pair).tobytes() == expected.tobytes()
+    assert by_row.tobytes() == expected.tobytes()
+    assert max(length for _, length, _ in leaves) <= halves.LEAF
+    assert sum(length for _, length, _ in leaves) == 3 * size
+    # One scratch per half: start is 0 on the calling thread's half and
+    # the top node's cut on the other.
+    cut = halves._cut(size) if size > halves.LEAF else 0
+    assert {start for start, _, _ in leaves} <= {0, cut}
+    assert {thread for start, _, thread in leaves if start == 0} == {threading.current_thread()}
 
 
 # 1000 rows that hold just over SPLIT_MIN elements: cut at row 496.
@@ -282,6 +303,24 @@ def test_split_stitch_matches_serial_stitch(datasets, tmp_path, monkeypatch, han
     # At least the decode of each of the 6 tiles and its overlaps' MAE.
     assert handoffs[0] >= 6
     assert _outputs(tmp_path / "split") == _outputs(tmp_path / "serial")
+
+
+def test_sidecar_does_not_depend_on_the_blas_thread_count(datasets, tmp_path):
+    # No overlap fit goes through BLAS, so its thread count, which is read
+    # once when numpy loads, changes no byte.
+    code = "import sys; from galvomosaic.cli import main; sys.exit(main(sys.argv[1:]))"
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
+    sidecars = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}"
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
+        subprocess.run(
+            [sys.executable, "-c", code, "stitch", "--dataset", str(datasets["linear"]),
+             "--out", str(out), "--mode", "raw"],
+            check=True, env=env,
+        )
+        sidecars.append((out / "sidecar.json").read_bytes())
+    assert sidecars[0] == sidecars[1]
 
 
 def test_error_in_helper_half_fails_stitch_like_serial(datasets, tmp_path, monkeypatch, capsys):

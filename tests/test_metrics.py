@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from galvomosaic import pgm
+from galvomosaic import halves, pgm
 from galvomosaic.compose import Axis, SeamLine, canvas_dims, compute_overlaps, derive_seams
 from galvomosaic.correction import RectROI
 from galvomosaic.errors import (
@@ -128,16 +128,17 @@ class TestOverlapMae:
 
 
 def mae_with_fresh_temporaries(samples_i, samples_j):
-    """The normalized MAE written with fresh numpy temporaries and ``np.mean``,
-    the reference whose bits the workspace version must keep."""
+    """The normalized MAE written with fresh numpy temporaries, ``np.mean``
+    and ``np.add.reduce`` of whole product arrays, the reference whose bits
+    the workspace version must keep."""
     x = np.asarray(samples_i, dtype=np.float64).ravel()
     y = np.asarray(samples_j, dtype=np.float64).ravel()
     dx = x - x.mean()
-    sxx = float(np.dot(dx, dx))
+    sxx = float(np.add.reduce(dx * dx))
     if sxx == 0.0 or x.size < 2:
         a, b = 1.0, float(y.mean() - x.mean())
     else:
-        a = float(np.dot(dx, y - y.mean())) / sxx
+        a = float(np.add.reduce(dx * (y - y.mean()))) / sxx
         b = float(y.mean() - a * x.mean())
     return float(np.mean(np.abs(y - (a * x + b)))), a, b
 
@@ -163,6 +164,29 @@ class TestMaeWorkspace:
             mae, fit, degenerate = got
             assert (mae, fit.a, fit.b) == expected
             assert degenerate == (flat or h * w < 2)
+        # The handed-out samples the other way round are copied in whole
+        # before either row is overwritten.
+        mae, fit, _ = normalized_mae(y, x, work)
+        assert (mae, fit.a, fit.b) == mae_with_fresh_temporaries(window_j, window_i)
+
+
+    @pytest.mark.parametrize("split_min", [halves.SPLIT_MIN, 1 << 62], ids=["split", "serial"])
+    @pytest.mark.parametrize("size", [2**16 + 1, 2**17 + 9, 775_587])
+    def test_leaf_by_leaf_keeps_every_bit(self, monkeypatch, size, split_min):
+        # Overlaps of more than one leaf, summed in halves on two threads
+        # or serially, in a workspace sized for them or for a larger one.
+        monkeypatch.setattr(halves, "SPLIT_MIN", split_min)
+        rng = np.random.default_rng(size)
+        shape = (1, size)
+        frame_i = rng.uniform(0.0, 1.0, shape)
+        frame_j = 0.8 * frame_i + rng.normal(0.0, 0.01, shape)
+        expected = mae_with_fresh_temporaries(frame_i, frame_j)
+        for work in (MaeWorkspace(size), MaeWorkspace(size + 1000)):
+            x, y = work.samples(shape)
+            x[...], y[...] = frame_i, frame_j
+            mae, fit, degenerate = normalized_mae(x, y, work)
+            assert (mae, fit.a, fit.b) == expected
+            assert not degenerate
 
 
 class TestCnr:

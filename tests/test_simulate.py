@@ -760,6 +760,29 @@ class TestStreamingWriteDataset:
                 tracemalloc.stop()
         assert peaks[400] - peaks[200] <= 2 * 200 * width * 8 + slack, peaks
 
+    def test_truth_is_written_beside_the_frames(self, tmp_path, monkeypatch):
+        # The truth is one more item of halves.each: the thread writing it
+        # holds it open until the other thread has opened a frame.
+        cfg, spec, subpixel = STREAM_CASES["linear_noise_large"]
+        writers, framers = [], []
+
+        def fails(name: str, on_main: bool) -> bool:
+            here = threading.current_thread()
+            if name != "truth.pgm":
+                framers.append(here)
+                return False
+            writers.append(here)
+            deadline = time.monotonic() + 10.0
+            while all(thread is here for thread in framers):
+                assert time.monotonic() < deadline, "no frame was opened beside the truth"
+                time.sleep(0.001)
+            return False
+
+        monkeypatch.setattr(simulate, "open", _Opens(fails), raising=False)
+        write_dataset(tmp_path, RunConfig(cfg, STREAM_ROIS, spec, subpixel=subpixel))
+        assert len(writers) == 1
+        assert load_manifest(tmp_path).tiles
+
     def test_small_frames_start_no_thread(self, tmp_path):
         # In a fresh interpreter: this one has loaded concurrent.futures.
         code = "\n".join((

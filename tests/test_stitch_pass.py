@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from galvomosaic import pgm
+from galvomosaic import halves, pgm
 from galvomosaic.cli import main
 from galvomosaic.compose import canvas_dims, compute_overlaps, tile_weight_map
 from galvomosaic.correction import (
@@ -213,8 +213,10 @@ def test_stitch_memory_does_not_grow_with_grid_rows(tmp_path):
 def test_raw_stitch_holds_counts_not_floats(tmp_path):
     # Raw stitch keeps tiles as uint16 counts: a 2 B/px row band, the
     # pending overlap samples of one grid row at 2 B/px, one MAE workspace
-    # (four float64 rows of the largest overlap) and one tile's counts.
-    # The same pass with float64 band and samples needs about twice this.
+    # (two float64 rows of the largest overlap, and a two-row scratch of
+    # at most halves.LEAF samples for each half of a split sum) and one
+    # tile's counts.  The same pass with float64 band and samples needs
+    # about twice this.
     dataset = simulate(tmp_path, "rows8", _grid_cfg(8))
     scan = load_manifest(dataset).run.scan
     placements = placement_table(scan)
@@ -224,7 +226,9 @@ def test_raw_stitch_holds_counts_not_floats(tmp_path):
     band = width * scan.tile_height * 2
     areas = [ov.rect.width * ov.rect.height for ov in overlaps]
     pending = 2 * (sum(a for a, ov in zip(areas, overlaps) if ov.tile_a[0] == 0) + max(areas))
-    workspace = 4 * max(areas) * 8
+    largest = max(areas)
+    halves_split = 1 if largest <= halves.LEAF else 2
+    workspace = 2 * largest * 8 + halves_split * 2 * min(largest, halves.LEAF) * 8
     tile = scan.tile_width * scan.tile_height * 2
     # The run's own Python objects: manifest, placements, sidecar text.
     objects = 256 * 1024
