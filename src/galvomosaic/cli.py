@@ -8,6 +8,12 @@
 turns both on; ``--correction`` and ``--feather`` override the mode's
 defaults independently so every raw/processed combination is reachable.
 All outputs are deterministic functions of the config and seed.
+
+``stitch`` reads each tile once, as 16-bit counts, and composes it in
+one pass of row blocks that the calling thread and a helper thread
+claim in turn (:mod:`galvomosaic.halves`): each block is decoded,
+corrected, copied into the overlap samples it closes and added to the
+row band, so no float64 copy of a whole tile is made.
 """
 
 from __future__ import annotations
@@ -23,8 +29,11 @@ import numpy as np
 
 from . import halves, pgm
 from .compose import (
+    BLOCK_ROWS,
+    Axis,
     OverlapRegion,
     SeamLine,
+    TileBlocks,
     canvas_dims,
     compose_feathered,
     compose_raw,
@@ -35,7 +44,9 @@ from .compose import (
 from .config import load_run_config, regions_from_file
 from .correction import (
     ReferencePair,
-    apply_roi_corrections,
+    _blend,
+    _plane_size,
+    _scratch,
     fit_two_point,
     linear_weight_field,
 )
@@ -113,28 +124,95 @@ def _build_fits(manifest: DatasetManifest, dataset: Path, correction: str):
     ]
 
 
-# The passes of stitch that run in row halves on two threads
-# (galvomosaic.halves).  The helper thread may not call a public function
-# such as pgm.to_unit, so these decode with pgm._decode.
+# The block passes of stitch (galvomosaic.halves.blocks) run on two
+# threads.  The helper thread may not call a public function such as
+# pgm.to_unit or correction.apply_roi_corrections, so these call the
+# private pgm._decode and correction._blend.
 
 
-def _decode(start: int, unit: np.ndarray, counts: np.ndarray) -> None:
-    pgm._decode(counts, unit)
+def _block_scratch(fits: list, shape: tuple[int, int]) -> int:
+    """Elements of a worker's scratch that :class:`_Decoder` takes for a
+    block of a tile of ``shape``: the block's rows, then the ROI blend's
+    three planes."""
+    height, width = shape
+    return halves.step(height, height * width) * width + (3 * _plane_size(fits) if fits else 0)
 
 
-def _samples(start: int, x: np.ndarray, earlier: np.ndarray, y: np.ndarray,
-             later: np.ndarray) -> None:
-    """An overlap's samples: the earlier tile's counts decoded into ``x``,
-    the later tile's window decoded (counts) or copied (float64) into ``y``."""
-    pgm._decode(earlier, x)
-    if later.dtype.kind == "f":
-        y[...] = later
-    else:
-        pgm._decode(later, y)
+class _Decoder:
+    """Decoding of counts to float64 intensities and ROI correction in
+    place, block by block.  Each worker decodes a block of a tile into,
+    and corrects in, its scratch of the MAE workspace ``work``, which no
+    sum uses meanwhile (:meth:`~galvomosaic.metrics.MaeWorkspace.scratch`,
+    made with :func:`_block_scratch` elements or more).
+
+    A tile of ``halves.SPLIT_MIN`` pixels or more is worked in blocks of
+    at most ``halves.BLOCK_ROWS`` rows, by both workers; a smaller tile
+    is one block on the calling thread.
+    """
+
+    def __init__(self, fits: list, shape: tuple[int, int], work: MaeWorkspace):
+        self.fits = fits
+        self.width = shape[1]
+        self.work = work
+        # The ROI blend's planes lie after a block's rows in a worker's
+        # scratch; each worker's planes and mask are made at its first blend.
+        self._planes = slice(_block_scratch([], shape), _block_scratch(fits, shape))
+        self._blend: list = [None, None]
+
+    def unit(self, worker: int, counts: np.ndarray, out: np.ndarray,
+             origin: tuple[int, int]) -> np.ndarray:
+        """``out`` holding ``counts`` decoded and corrected: a window of a
+        frame whose top-left pixel is frame pixel ``origin``.  Every step is
+        elementwise, so a window comes out bit-equal to the same window of
+        the whole corrected frame."""
+        pgm._decode(counts, out)
+        if self.fits:
+            if self._blend[worker] is None:
+                self._blend[worker] = _scratch(self.fits, self.work.scratch(worker)[self._planes])
+            _blend(out, self.fits, origin, self._blend[worker])
+        return out
+
+    def rows(self, worker: int, n: int) -> np.ndarray:
+        """A block of ``n`` tile rows in the scratch of ``worker``."""
+        return self.work.scratch(worker)[:n * self.width].reshape(n, self.width)
 
 
-def _encode(start: int, counts: np.ndarray, rows: np.ndarray) -> None:
-    counts[...] = pgm.scale_to_counts(rows)
+class _Frame(TileBlocks):
+    """A tile's float64 intensities, decoded and corrected from its counts
+    block by block into the scratch of the worker that composes the
+    block.  Each block also copies its rows of the windows that the tile
+    closes into their MAE samples."""
+
+    def __init__(self, counts: np.ndarray, decoder: _Decoder, windows: list):
+        super().__init__(counts.shape, np.dtype(np.float64))
+        self.counts = counts
+        self.decoder = decoder
+        # (first row, end row, columns, samples) of each closing window.
+        self.windows = windows
+
+    def block(self, worker: int, lo: int, hi: int) -> np.ndarray:
+        out = self.decoder.unit(worker, self.counts[lo:hi], self.decoder.rows(worker, hi - lo),
+                                (lo, 0))
+        for top, bottom, cols, samples in self.windows:
+            a, b = max(lo, top), min(hi, bottom)
+            if a < b:
+                samples[a - top:b - top] = out[a - lo:b - lo, cols]
+        return out
+
+
+def _samples(worker: int, lo: int, hi: int, decoder: _Decoder, x: np.ndarray,
+             earlier: np.ndarray, origin: tuple[int, int], y: np.ndarray,
+             later: np.ndarray | None) -> None:
+    """Rows ``lo..hi`` of an overlap's samples: the earlier tile's window
+    decoded and corrected into ``x``, and the later tile's window counts
+    decoded into ``y`` unless the tile's own pass filled it."""
+    decoder.unit(worker, earlier[lo:hi], x[lo:hi], (origin[0] + lo, origin[1]))
+    if later is not None:
+        pgm._decode(later[lo:hi], y[lo:hi])
+
+
+def _encode(worker: int, lo: int, hi: int, counts: np.ndarray, rows: np.ndarray) -> None:
+    counts[lo:hi] = pgm.scale_to_counts(rows[lo:hi])
 
 
 def _corrected_tiles(
@@ -148,53 +226,76 @@ def _corrected_tiles(
 ):
     """Read each tile once, in placement order, and yield it for composing.
 
-    A tile is read as its uint16 counts.  It is decoded to float64 only
-    when it is corrected or feathered, into one tile buffer reused for
-    every tile, and corrected there in place; otherwise the counts
-    themselves are yielded, and raw composition keeps them as counts.
+    A tile is read as its uint16 counts.  When it is neither corrected
+    nor feathered the counts themselves are yielded, and raw composition
+    keeps them as counts.  Otherwise a :class:`_Frame` is yielded: the
+    band asks it for one block of rows at a time, which is decoded to
+    float64 and corrected in a worker's scratch, so no float64 copy of
+    the whole tile is made.
 
-    As a tile arrives, ``mae[k]`` is filled for every overlap k it closes
-    (its left and top pairs).  Until then the earlier tile keeps only
-    its overlap samples, as uint16 counts (2 B/px).  When the partner
-    arrives, both windows are decoded into one MAE workspace sized to
-    the largest overlap, and in corrected modes the earlier window is
-    corrected again where an ROI reaches into it.  Decoding and
-    correcting are elementwise, so the MAE sees the same float64 values
-    as on whole corrected tiles.  A tile whose dimensions differ from the
-    manifest's raises :class:`~galvomosaic.pgm.ImageFormatError`.
+    ``mae[k]`` is filled for every overlap k that a tile closes (its left
+    and top pairs): for raw counts before they are yielded, for a
+    :class:`_Frame` once it is composed, when the next tile is asked
+    for, so the caller must ask once more after the last.  Until then
+    the earlier tile keeps only its overlap samples, as uint16 counts
+    (2 B/px).  The MAE samples lie in one workspace sized to the largest
+    overlap.  A :class:`_Frame` copies its rows of both windows it closes
+    into the workspace as it is composed, which therefore holds the
+    later samples of two overlaps; raw tiles decode their window from
+    the counts.  The earlier window is then decoded and, in corrected
+    modes, corrected again where an ROI reaches into it.
+    Decoding and correcting are elementwise, so the MAE sees the same
+    float64 values as on whole corrected tiles.  A tile whose dimensions
+    differ from the manifest's raises
+    :class:`~galvomosaic.pgm.ImageFormatError`.
     """
     paths = {(t["row"], t["col"]): dataset / t["path"] for t in manifest.tiles}
     expected = (manifest.run.scan.tile_height, manifest.run.scan.tile_width)
     by_tile = overlaps_by_tile(overlaps)
-    work = MaeWorkspace(max((ov.rect.width * ov.rect.height for ov in overlaps), default=0))
-    unit = np.empty(expected) if fits or feather else None
+    decoded = bool(fits) or feather
+    work = MaeWorkspace(max((ov.rect.width * ov.rect.height for ov in overlaps), default=0),
+                        pairs=2 if decoded else 1,
+                        scratch=_block_scratch(fits, expected) if decoded else 0)
+    decoder = _Decoder(fits, expected, work)
     # overlap index -> (counts, window origin in the earlier tile)
     pending: dict[int, tuple[np.ndarray, tuple[int, int]]] = {}
     for p in placements:
         key = (p.row, p.col)
         counts = _read_frame(paths[key], expected, f"tile ({p.row}, {p.col})")
-        if unit is not None:
-            halves.run(_decode, (unit, counts))
-            if fits:
-                apply_roi_corrections(unit, fits)
+        closing, windows, opening = [], [], []
         for k in by_tile.get(key, ()):
             rect = overlaps[k].rect
-            origin = (rect.y0 - p.y, rect.x0 - p.x)
-            window = np.s_[origin[0]:origin[0] + rect.height, origin[1]:origin[1] + rect.width]
+            top, left = rect.y0 - p.y, rect.x0 - p.x
+            window = np.s_[top:top + rect.height, left:left + rect.width]
             if key == overlaps[k].tile_a:
-                pending[k] = counts[window].copy(), origin
+                opening.append((k, window, (top, left)))
                 continue
-            earlier, earlier_origin = pending.pop(k)
-            x, y = work.samples(earlier.shape)
-            halves.run(_samples, (x, earlier, y, (counts if unit is None else unit)[window]))
-            if fits:
-                apply_roi_corrections(x, fits, earlier_origin)
+            shape = (rect.height, rect.width)
+            if decoded:
+                # The frame fills the left pair's later samples in one row of
+                # the workspace and the top pair's in another.
+                x, y = work.samples(shape, 1 if overlaps[k].axis is Axis.VERTICAL else 0)
+                windows.append((top, top + rect.height, window[1], y))
+                closing.append((k, shape, (x, y), None))
+            else:
+                closing.append((k, shape, None, counts[window]))
+        # Raw tiles are kept whole as counts, so their MAE is taken before
+        # they are composed; a frame's samples are filled as it is composed.
+        if decoded:
+            yield _Frame(counts, decoder, windows)
+        for k, shape, samples, later in closing:
+            x, y = samples or work.samples(shape)
+            # The earlier window is held by the pass alone, and let go with it.
+            halves.blocks(_samples, len(x), x.size, decoder, x, *pending.pop(k), y, later)
             mae[k] = normalized_mae(x, y, work)
-            # Hold an earlier tile's window no longer than its MAE needs it.
-            earlier = None
-        yield counts if unit is None else unit
-        # Hold no tile counts while the next one is read.
-        counts = None
+        if not decoded:
+            yield counts
+        # Taken once the earlier windows are let go, so that the two are
+        # not held at once.
+        for k, window, origin in opening:
+            pending[k] = counts[window].copy(), origin
+        # Hold no tile counts while the next tile is read.
+        counts = later = closing = None
 
 
 @dataclass(frozen=True)
@@ -235,12 +336,16 @@ def cmd_stitch(args: argparse.Namespace) -> int:
     with pgm.replacing(out / "mosaic.pgm") as f:
         f.write(pgm.pgm_header(width, height))
 
+        # The counts of one block of float rows, reused for every block.
+        decoded = bool(fits) or feather
+        encoded = np.empty((min(BLOCK_ROWS, height), width), ">u2") if decoded else None
+
         def write_rows(row: int, rows: np.ndarray) -> None:
             # Raw counts are written as they are; float rows are encoded
-            # in place, in row halves, and the band zeroes them next.
+            # in place, block by block, and the band zeroes them next.
             if rows.dtype.kind == "f":
-                counts = np.empty(rows.shape, dtype=">u2")
-                halves.run(_encode, (counts, rows))
+                counts = encoded[:len(rows)]
+                halves.blocks(_encode, len(rows), rows.size, counts, rows)
                 rows = counts
             f.write(rows.astype(">u2", copy=False))
 

@@ -30,15 +30,18 @@ for each block of ``BLOCK_ROWS`` finished rows in one scratch array
 (width x 64 x 8 B) just before the division.  Tiles whose overlaps
 agree in axis, extent and side share one pair of ramps; each weight
 product ``wy * wx`` is formed where it is used, at most ``BLOCK_ROWS``
-rows at a time.  Rows reach the sink in blocks of at most
-``BLOCK_ROWS``.
+rows at a time, in a scratch of each worker.  Rows reach the sink in
+blocks of at most ``BLOCK_ROWS``.
 
+A tile reaches the band block by block: it is an array, or a
+:class:`TileBlocks` that makes each block of rows when it is asked for
+it, so a stitch can decode and correct a tile a block at a time and
+hold no float64 copy of it.  An array is its own trivial block source.
 Adding a tile to the band, and building the weight sums of an emitted
-block and dividing by them, run in two row halves when they cover at
-least ``halves.SPLIT_MIN`` elements, the second half on the helper
-thread of :mod:`~galvomosaic.halves`.  Each half forms its own weight
-products, of at most ``BLOCK_ROWS`` rows, so two of these short-lived
-products can be alive at once.
+block and dividing by them, are passes of blocks of at most
+``BLOCK_ROWS`` rows that the calling thread and the helper thread of
+:mod:`~galvomosaic.halves` claim in turn once a pass covers
+``halves.SPLIT_MIN`` elements; a smaller tile is one block.
 """
 
 from __future__ import annotations
@@ -53,6 +56,12 @@ from . import halves
 from .correction import RectROI
 from .errors import CompositionError, DimensionMismatchError
 from .geometry import TilePlacement
+
+
+# Canvas rows handled at once by the band: the height of the feathered
+# weight scratch, of each feathered add's product, of each block a sink
+# gets and of the blocks of a shared pass.
+BLOCK_ROWS = halves.BLOCK_ROWS
 
 
 class Axis(Enum):
@@ -230,22 +239,56 @@ def tile_weight_map(
     return wy, wx
 
 
-def _next_tile(it, k: int, n: int, raw: bool) -> np.ndarray:
-    """The next tile as it is if it holds uint16 counts (of either byte
-    order) and is composed raw, else as float64."""
+class TileBlocks:
+    """A tile handed to composition block by block.
+
+    ``shape`` is its (height, width) and ``dtype`` the dtype of its rows.
+    ``block(worker, lo, hi)`` returns its rows ``lo..hi``, an array the
+    band reads before the same ``worker`` asks for another block.  The
+    band asks for disjoint blocks from the calling thread (worker 0) and
+    the helper (worker 1) of :mod:`~galvomosaic.halves`, in no fixed
+    order, so a source may fill scratch of each worker, and may do more
+    work per block than produce it (stitch decodes and corrects there).
+    """
+
+    def __init__(self, shape: tuple[int, int], dtype: np.dtype):
+        self.shape = shape
+        self.dtype = np.dtype(dtype)
+
+    def block(self, worker: int, lo: int, hi: int) -> np.ndarray:
+        raise NotImplementedError
+
+
+class _ArrayBlocks(TileBlocks):
+    """A tile array as its own block source, converted block by block."""
+
+    def __init__(self, tile: np.ndarray, dtype: np.dtype):
+        super().__init__(tile.shape, dtype)
+        self.tile = tile
+
+    def block(self, worker: int, lo: int, hi: int) -> np.ndarray:
+        return np.asarray(self.tile[lo:hi], dtype=self.dtype)
+
+
+def _next_tile(it, k: int, n: int, raw: bool) -> TileBlocks:
+    """The next tile as a block source: as it is if it is one; else an
+    array whose blocks keep uint16 counts (of either byte order) when
+    composed raw, and are float64 otherwise."""
     try:
-        tile = np.asarray(next(it))
+        tile = next(it)
     except StopIteration:
         raise CompositionError(f"{k} tiles supplied for {n} placements") from None
-    if raw and tile.dtype.kind == "u" and tile.dtype.itemsize == 2:
+    if isinstance(tile, TileBlocks):
         return tile
-    return np.asarray(tile, dtype=np.float64)
+    tile = np.asarray(tile)
+    counts = raw and tile.dtype.kind == "u" and tile.dtype.itemsize == 2
+    return _ArrayBlocks(tile, tile.dtype if counts else np.dtype(np.float64))
 
 
-def _check_tile_shape(tile: np.ndarray, tile_width: int, tile_height: int) -> None:
-    if tile.shape != (tile_height, tile_width):
+def _check_tile_shape(tile: TileBlocks, tile_width: int, tile_height: int) -> None:
+    if tuple(tile.shape) != (tile_height, tile_width):
         raise DimensionMismatchError(
-            f"tile shape {tile.shape} does not match {tile_height}x{tile_width}"
+            f"tile shape {tuple(tile.shape)} does not match {tile_height}x{tile_width}"
         )
 
 
@@ -269,12 +312,6 @@ def _band_schedule(
     return finished, depth
 
 
-# Canvas rows handled at once by the band: the height of the feathered
-# weight scratch, of each feathered add's product and of each block a
-# sink gets.
-BLOCK_ROWS = 64
-
-
 class _RowBand:
     """Accumulators for the canvas rows that tiles can still touch.
 
@@ -283,14 +320,23 @@ class _RowBand:
     rows zeroed for reuse.  Both modes keep values only, in the band's
     dtype.  Feathered mode also keeps the placement and ramps of each
     ``live`` tile, one whose rows are not all emitted yet, and rebuilds
-    the weight sums of each block of rows it emits from them, in one
-    reused scratch array.
+    the weight sums of each block of rows it emits from them.  Its
+    scratch is made once: the weight sums and their mask for one emitted
+    block, and for each worker one weight product of at most
+    ``BLOCK_ROWS`` tile rows.
     """
 
-    def __init__(self, width: int, depth: int, feathered: bool, dtype: np.dtype):
+    def __init__(self, width: int, depth: int, feathered: bool, dtype: np.dtype,
+                 tile_width: int, tile_height: int):
         self.depth = depth
         self.value = np.zeros((depth, width), dtype=dtype)
-        self.weight = np.empty((min(BLOCK_ROWS, depth), width)) if feathered else None
+        self.weight = self.mask = None
+        if feathered:
+            self.weight = np.empty((min(BLOCK_ROWS, depth), width))
+            self.mask = np.empty(self.weight.shape, dtype=bool)
+        # Made by each worker at its first product, and touched by its thread only.
+        self.products: list[np.ndarray | None] = [None, None]
+        self.product_shape = (min(BLOCK_ROWS, tile_height), tile_width)
         self.live: list[tuple[int, int, tuple[np.ndarray, np.ndarray]]] = []
         self.done = 0
 
@@ -303,59 +349,73 @@ class _RowBand:
             yield start, slice(offset, offset + n)
             start += n
 
-    def add(self, tile: np.ndarray, weights: tuple[np.ndarray, np.ndarray] | None,
+    def _product(self, worker: int, wy: np.ndarray, wx: np.ndarray) -> np.ndarray:
+        """``wy[:, None] * wx`` in the product scratch of ``worker``; ``wx``
+        spans the tile's width."""
+        if self.products[worker] is None:
+            self.products[worker] = np.empty(self.product_shape)
+        return np.multiply(wy[:, None], wx, out=self.products[worker][:len(wy)])
+
+    def add(self, tile: TileBlocks, weights: tuple[np.ndarray, np.ndarray] | None,
             x: int, y: int) -> None:
-        """Overwrite with ``tile`` at (x, y), or accumulate it with weights ``(wy, wx)``."""
-        halves.run(self._place, (tile,), x, y, weights)
+        """Overwrite with ``tile`` at (x, y), or accumulate it with weights
+        ``(wy, wx)``, block by block (:func:`galvomosaic.halves.blocks`).
+        The blocks of a tile touch disjoint buffer rows, since the band is
+        at least a tile deep."""
+        height, width = tile.shape
+        halves.blocks(self._place, height, height * width, tile, x, y, weights)
         if weights is not None:
             self.live.append((x, y, weights))
 
-    def _place(self, start: int, rows: np.ndarray, x: int, y: int,
+    def _place(self, worker: int, lo: int, hi: int, tile: TileBlocks, x: int, y: int,
                weights: tuple[np.ndarray, np.ndarray] | None) -> None:
-        """:meth:`add` for ``rows``, the tile's rows from ``start`` on.  The
-        two halves of a tile touch disjoint buffer rows, since the band is
-        at least a tile deep."""
+        """:meth:`add` for the tile's rows ``lo..hi``."""
+        rows = tile.block(worker, lo, hi)
         cols = slice(x, x + rows.shape[1])
-        top = y + start
+        top = y + lo
         if weights is None:
-            for row, buf in self._runs(top, top + rows.shape[0], self.depth):
+            for row, buf in self._runs(top, y + hi, self.depth):
                 self.value[buf, cols] = rows[row - top:row - top + buf.stop - buf.start]
             return
         wy, wx = weights
-        for row, buf in self._runs(top, top + rows.shape[0], BLOCK_ROWS):
-            lo, hi = row - top, row - top + buf.stop - buf.start
+        for row, buf in self._runs(top, y + hi, BLOCK_ROWS):
+            r = row - y
             # Left to right: wy * wx is formed before it scales the tile,
             # the rounding of a whole-canvas weight array.
-            self.value[buf, cols] += wy[start + lo:start + hi, None] * wx * rows[lo:hi]
+            product = self._product(worker, wy[r:r + buf.stop - buf.start], wx)
+            product *= rows[r - lo:r - lo + len(product)]
+            self.value[buf, cols] += product
 
-    def _normalize(self, first: int, value: np.ndarray, weight: np.ndarray, row: int) -> None:
-        """Divide ``value``, the band rows of canvas rows from ``row + first``
-        on, by their weight sums, built in ``weight`` (rows of the weight
-        scratch).
+    def _normalize(self, worker: int, lo: int, hi: int, value: np.ndarray, row: int) -> None:
+        """Divide rows ``lo..hi`` of ``value``, the band rows of canvas rows
+        from ``row`` on, by their weight sums, built in the same rows of
+        the weight scratch.
 
         Every live tile adds ``wy * wx`` over its rows among them, in
         placement order: the same additions, in the same order, as a
         whole-canvas weight array built tile by tile.
         """
-        start = row + first
-        stop = start + value.shape[0]
+        start, stop = row + lo, row + hi
+        weight = self.weight[lo:hi]
         weight[...] = 0.0
         for x, y, (wy, wx) in self.live:
             end = y + wy.size
-            lo = start if start > y else y
-            hi = stop if stop < end else end
-            if lo < hi:
-                weight[lo - start:hi - start, x:x + wx.size] += wy[lo - y:hi - y, None] * wx
+            a = start if start > y else y
+            b = stop if stop < end else end
+            if a < b:
+                weight[a - start:b - start, x:x + wx.size] += self._product(
+                    worker, wy[a - y:b - y], wx)
         # In place: value is 0 wherever weight is, since every tile pixel
         # carries a weight > 0.
-        np.divide(value, weight, out=value, where=weight > 0.0)
+        np.divide(value[lo:hi], weight, out=value[lo:hi],
+                  where=np.greater(weight, 0.0, out=self.mask[lo:hi]))
 
     def emit(self, stop: int, sink: RowSink) -> None:
         """Finalize canvas rows done..stop-1 and pass them to ``sink`` in order."""
         for row, buf in self._runs(self.done, stop, BLOCK_ROWS):
             value = self.value[buf]
             if self.weight is not None:
-                halves.run(self._normalize, (value, self.weight[:len(value)]), row)
+                halves.blocks(self._normalize, len(value), value.size, value, row)
             sink(row, value)
             value[...] = 0.0
         if stop > self.done:
@@ -364,7 +424,7 @@ class _RowBand:
 
 
 def _compose(
-    tiles: Iterable[np.ndarray],
+    tiles: Iterable[np.ndarray | TileBlocks],
     placements: Sequence[TilePlacement],
     tile_width: int,
     tile_height: int,
@@ -382,7 +442,7 @@ def _compose(
         _check_tile_shape(tile, tile_width, tile_height)
         if band is None:
             # The first tile sets the band's dtype.
-            band = _RowBand(width, depth, not raw, tile.dtype)
+            band = _RowBand(width, depth, not raw, tile.dtype, tile_width, tile_height)
             if sink is None:
                 gathered = canvas.rows = np.empty((height, width), dtype=tile.dtype)
 
@@ -402,7 +462,7 @@ def _compose(
 
 
 def compose_raw(
-    tiles: Iterable[np.ndarray],
+    tiles: Iterable[np.ndarray | TileBlocks],
     placements: Sequence[TilePlacement],
     tile_width: int,
     tile_height: int,
@@ -411,20 +471,21 @@ def compose_raw(
 ) -> MosaicCanvas:
     """Overwrite composition in row-major acquisition order.
 
-    Tiles are consumed one at a time.  With ``sink``, finished rows go to
-    it in raster order, in blocks it may overwrite (they are zeroed and
-    reused after the call); without, they are gathered for ``finalize()``.
-    uint16 tiles, native or big-endian, are placed as counts in a band
-    of their dtype (canvas width x band depth x 2 B) and reach the sink
-    as such rows; tiles of any other dtype are converted to float64 and
-    take a float64 band (x 8 B).  All tiles must give the first tile's
-    band dtype.
+    Tiles, arrays or :class:`TileBlocks`, are consumed one at a time.
+    With ``sink``, finished rows go to it in raster order, on the calling
+    thread, in blocks it may overwrite (they are zeroed and reused after
+    the call); without, they are gathered for ``finalize()``.  uint16
+    tiles, native or big-endian, are placed as counts in a band of their
+    dtype (canvas width x band depth x 2 B) and reach the sink as such
+    rows; array tiles of any other dtype are converted to float64, block
+    by block, and take a float64 band (x 8 B).  All tiles must give the
+    first tile's band dtype.
     """
     return _compose(tiles, placements, tile_width, tile_height, None, sink)
 
 
 def compose_feathered(
-    tiles: Iterable[np.ndarray],
+    tiles: Iterable[np.ndarray | TileBlocks],
     placements: Sequence[TilePlacement],
     overlaps: Sequence[OverlapRegion],
     tile_width: int,
@@ -435,12 +496,12 @@ def compose_feathered(
     """Weighted composition with linear ramps across overlapped edges.
 
     Every pixel of every tile must carry positive weight, so every
-    touched canvas pixel is covered.  ``sink`` works as in
-    :func:`compose_raw`, with every tile converted to float64.  The rows
-    in flight take one float64 value band (canvas width x band depth x
-    8 B) plus one weight block (canvas width x ``BLOCK_ROWS`` x 8 B) and
-    the short-lived products of at most ``BLOCK_ROWS`` rows of a tile,
-    one per row half when the add is split.
+    touched canvas pixel is covered.  ``tiles`` and ``sink`` work as in
+    :func:`compose_raw`, with every tile taken as float64.  The rows in
+    flight take one float64 value band (canvas width x band depth x 8 B)
+    plus one weight block (canvas width x ``BLOCK_ROWS`` x 9 B, with its
+    mask) and, for each worker, a product of at most ``BLOCK_ROWS`` rows
+    of a tile.
     """
     by_tile = overlaps_by_tile(overlaps)
 

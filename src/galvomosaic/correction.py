@@ -17,7 +17,15 @@ and a frame is corrected by inverting the model, I_corr = (I - o) /
 gain-only, g = I_b / (L_b + eps), o = 0: the same two-point fit with an
 all-zero dark frame at level 0.  Corrected values are blended back into
 the frame with a weight field that ramps linearly from 0 at the ROI
-boundary to 1 past a transition band, which hides the ROI outline.
+boundary to 1 past a transition band, which hides the ROI outline.  The
+field is kept as two 1-D ramps, one per axis, whose minimum is the
+weight of a pixel; only the rows being blended form it.
+
+Every step of the correction is elementwise, so any window of a frame
+can be corrected on its own, bit-equal to the same window of the whole
+corrected frame: :func:`apply_roi_corrections` takes a frame or a
+window in blocks of rows, and stitch corrects each block of a tile as
+it decodes it, through the same private window kernel.
 
 All intensities here are floats in [0, 1]; eps defaults to 1e-6 in
 those units.
@@ -35,8 +43,9 @@ from .errors import DimensionMismatchError, InvalidReferenceError
 
 EPSILON_DEFAULT = 1e-6
 BAND_PX_DEFAULT = 50
-# ROI rows that apply_roi_corrections corrects at once.
-_BLOCK_ROWS = 64
+# ROI rows that _blend corrects at once: enough that each numpy call
+# covers a few ten thousand pixels of a wide ROI.
+_SCRATCH_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -159,25 +168,34 @@ def correct_roi(tile: np.ndarray, model: ResponseModel, roi: RectROI) -> np.ndar
     return model.invert(np.asarray(tile, dtype=np.float64)[roi.slices()])
 
 
-def linear_weight_field(roi: RectROI, band_px: int = BAND_PX_DEFAULT) -> np.ndarray:
-    """ROI-shaped weights that rise linearly from the ROI boundary over ``band_px``.
+def linear_weight_field(roi: RectROI, band_px: int = BAND_PX_DEFAULT
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """ROI weights that rise linearly from the ROI boundary over ``band_px``,
+    as two ramps ``(wy, wx)``: pixel (r, c) of the ROI weighs
+    ``min(wy[r], wx[c])``.
 
     A pixel at L-inf-style distance d from the nearest ROI edge (the min
     over the four per-edge distances) gets min(d / band_px, 1), so the
     boundary ring is 0, the interior past the band is 1, and adjacent
-    pixels never differ by more than 1/band_px.
+    pixels never differ by more than 1/band_px.  Each ramp is
+    min(dist / band_px, 1) along its axis; division by band_px > 0 and
+    rounding keep order, so the min of the two ramps is that weight bit
+    for bit.
     """
-    x = np.arange(roi.width, dtype=np.float64)
-    y = np.arange(roi.height, dtype=np.float64)
-    dist_x = np.minimum(x, roi.width - 1 - x)
-    dist_y = np.minimum(y, roi.height - 1 - y)
-    dist = np.minimum(dist_y[:, None], dist_x[None, :])
-    return np.minimum(dist / float(band_px), 1.0)
+    def ramp(length: int) -> np.ndarray:
+        d = np.arange(length, dtype=np.float64)
+        return np.minimum(np.minimum(d, length - 1 - d) / float(band_px), 1.0)
+
+    return ramp(roi.height), ramp(roi.width)
+
+
+# (model, ROI, (wy, wx)) of one ROI, as :func:`apply_roi_corrections` takes them.
+Fit = tuple[ResponseModel, RectROI, tuple[np.ndarray, np.ndarray]]
 
 
 def apply_roi_corrections(
     tile: np.ndarray,
-    fits: Sequence[tuple[ResponseModel, RectROI, np.ndarray]],
+    fits: Sequence[Fit],
     origin: tuple[int, int] = (0, 0),
 ) -> np.ndarray:
     """Correct and feather each (model, ROI, weights) triple in turn, in place.
@@ -187,49 +205,84 @@ def apply_roi_corrections(
     written so W = 0 leaves I bit-exact; W = 1 gives I_corr exactly.
     The result is clamped to [0, 1].  A float64 ``tile`` is overwritten
     inside its ROIs and returned; any other input is converted to a new
-    float64 array first.  The fits are taken as built: each model and
-    weight array has the ROI's shape.
+    float64 array first.  The fits are taken as built: each model has
+    the ROI's shape, and the weights are the ramps of
+    :func:`linear_weight_field` (or any ramps of the ROI's height and
+    width).
 
     ``tile`` may be a window of a frame whose top-left pixel is frame
     pixel ``origin`` (row, col); each ROI, in frame pixels, is then
     corrected where it lies inside the window.  Every step is
     elementwise, so a window comes out bit-equal to the same window of
-    the corrected frame.
+    the corrected frame.  Large windows are corrected in blocks of rows
+    that the calling thread and the helper claim in turn
+    (:func:`galvomosaic.halves.blocks`).
     """
     out = np.asarray(tile, dtype=np.float64)
+    if fits:
+        scratch: list = [None, None]
+        halves.blocks(_blend_block, out.shape[0], out.size, out, fits, origin, scratch)
+    return out
+
+
+def _blend_block(worker: int, lo: int, hi: int, out: np.ndarray, fits: Sequence[Fit],
+                 origin: tuple[int, int], scratch: list) -> None:
+    """:func:`apply_roi_corrections` for rows ``lo..hi`` of ``out``, in the
+    scratch of ``worker``, made at its first block."""
+    if scratch[worker] is None:
+        scratch[worker] = _scratch(fits)
+    _blend(out[lo:hi], fits, (origin[0] + lo, origin[1]), scratch[worker])
+
+
+def _plane_size(fits: Sequence[Fit]) -> int:
+    """Elements in each plane of :func:`_scratch`: ``_SCRATCH_ROWS`` rows of
+    the widest ROI."""
+    return _SCRATCH_ROWS * max(roi.width for _, roi, _ in fits)
+
+
+def _scratch(fits: Sequence[Fit], planes: np.ndarray | None = None
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """Scratch for :func:`_blend`: three float64 planes, laid in the flat
+    ``planes`` when given, and a mask."""
+    size = _plane_size(fits)
+    if planes is None:
+        planes = np.empty(3 * size)
+    return planes[:3 * size].reshape(3, size), np.empty(size, dtype=bool)
+
+
+def _blend(rows: np.ndarray, fits: Sequence[Fit], origin: tuple[int, int],
+           scratch: tuple[np.ndarray, np.ndarray]) -> None:
+    """Correct and feather ``rows`` in place, each fit in turn: a float64
+    window of a frame whose top-left pixel is frame pixel ``origin``.
+
+    The pixels of an ROI in the window are taken as many rows at a time
+    as ``scratch`` (:func:`_scratch`) holds, so each step's temporaries
+    stay in cache and no call allocates.
+    """
     top, left = origin
-    bottom, right = top + out.shape[0], left + out.shape[1]
-    for model, roi, weights in fits:
+    bottom, right = top + rows.shape[0], left + rows.shape[1]
+    planes, full = scratch
+    for model, roi, (wy, wx) in fits:
         y0, y1 = max(roi.y0, top), min(roi.y1, bottom)
         x0, x1 = max(roi.x0, left), min(roi.x1, right)
         if y0 >= y1 or x0 >= x1:
             continue
-        # The ROI's pixels in this window, in row halves when they are many.
-        patch = out[y0 - top:y1 - top, x0 - left:x1 - left]
-        halves.run(_blend, (patch,), model, weights, (y0 - roi.y0, x0 - roi.x0))
-    return out
-
-
-def _blend(start: int, patch: np.ndarray, model: ResponseModel, weights: np.ndarray,
-           origin: tuple[int, int]) -> None:
-    """Correct and feather ``patch`` in place: pixels of one ROI, its
-    top-left pixel being ROI pixel ``(origin[0] + start, origin[1])``."""
-    # Blocks of rows, so that each step's temporaries stay in cache.
-    height, width = patch.shape
-    shape = (min(_BLOCK_ROWS, height), width)
-    corrected, blended = np.empty((2, *shape))
-    full = np.empty(shape, dtype=bool)
-    cols = slice(origin[1], origin[1] + width)
-    for r in range(0, height, _BLOCK_ROWS):
-        n = min(_BLOCK_ROWS, height - r)
-        rows = patch[r:r + n]
-        y = origin[0] + start + r
-        part_of_roi = (slice(y, y + n), cols)
-        c = model.invert(rows, part_of_roi, out=corrected[:n])
-        w = weights[part_of_roi]
-        b = np.subtract(c, rows, out=blended[:n])
-        b *= w
-        b += rows
-        # Pin the W = 1 endpoint: a + 1*(b - a) can round away from b.
-        np.copyto(b, c, where=np.equal(w, 1.0, out=full[:n]))
-        b.clip(0.0, 1.0, out=rows)
+        width = x1 - x0
+        cols = slice(x0 - roi.x0, x1 - roi.x0)
+        chunk = planes.shape[1] // width
+        for y in range(y0, y1, chunk):
+            n = min(chunk, y1 - y)
+            patch = rows[y - top:y - top + n, x0 - left:x1 - left]
+            part = (slice(y - roi.y0, y - roi.y0 + n), cols)
+            chunk_planes = planes[:, :n * width].reshape(3, n, width)
+            c, w, b = chunk_planes[0], chunk_planes[1], chunk_planes[2]
+            # c = (I - o) / (g + eps), as ResponseModel.invert forms it.
+            np.subtract(patch, model.offset[part], out=c)
+            c /= np.add(model.gain[part], model.epsilon, out=w)
+            np.minimum(wy[part[0], None], wx[cols], out=w)
+            np.subtract(c, patch, out=b)
+            b *= w
+            b += patch
+            # Pin the W = 1 endpoint: a + 1*(b - a) can round away from b.
+            np.copyto(b, c, where=np.equal(w, 1.0, out=full[:n * width].reshape(n, width)))
+            b.clip(0.0, 1.0, out=patch)

@@ -29,13 +29,15 @@ from .errors import ConfigError, DegenerateGridError, IndexRangeError
 from .records import check_fields
 
 
-# The largest scan accepted.  Both limits are checked from the config
+# The largest scan accepted.  The limits are checked from the config
 # arithmetic alone, before any placement list or array is made: the tile
-# count bounds the placement list and the dataset's files, and the canvas
+# count bounds the placement list and the dataset's files, the canvas
 # area bounds ``truth.pgm`` and ``mosaic.pgm`` (2 B per canvas pixel, so
-# 2 GiB at the limit) and the width of every stitch row band.
+# 2 GiB at the limit), and the band bounds the float64 row band that
+# stitch holds (canvas width x band depth x 8 B) to the same 2 GiB.
 MAX_TILES = 2**20
 MAX_CANVAS_PIXELS = 2**30
+MAX_BAND_BYTES = 2 * MAX_CANVAS_PIXELS
 
 
 class ScanStrategy(Enum):
@@ -82,8 +84,9 @@ class ScanConfig:
         self._check_size()
 
     def _check_size(self) -> None:
-        """Raise :class:`ConfigError` for a scan over :data:`MAX_TILES` or
-        :data:`MAX_CANVAS_PIXELS`, from the four corner tiles alone.
+        """Raise :class:`ConfigError` for a scan over :data:`MAX_TILES`,
+        :data:`MAX_CANVAS_PIXELS` or :data:`MAX_BAND_BYTES`, from the four
+        corner tiles and each grid row's end tiles alone.
 
         Each offset is monotone in the row index and in the column index,
         so the corner tiles hold its extremes and span the canvas.
@@ -108,6 +111,40 @@ class ScanConfig:
                 f"keys {keys}: the scan spans a canvas of {width:.6g} x {height:.6g} px, "
                 f"over the limit of {MAX_CANVAS_PIXELS} px"
             )
+        # The band is never deeper than the canvas, so only a canvas of more
+        # than MAX_BAND_BYTES / 8 px needs the depth worked out.
+        if width * (height + 1) * 8 <= MAX_BAND_BYTES:
+            return
+        depth = self._band_depth()
+        if not width * depth * 8 <= MAX_BAND_BYTES:
+            raise ConfigError(
+                f"keys 'dv_x', 'dv_y', 's_x', 's_y', 'alpha_x', 'alpha_y': stitch would hold a "
+                f"band of {width:.6g} x {depth} px of float64 "
+                f"({width * depth * 8 / 2**30:.3g} GiB), over the limit of "
+                f"{MAX_BAND_BYTES // 2**30} GiB"
+            )
+
+    def _band_depth(self) -> int:
+        """The depth of the row band that stitch holds, in canvas rows,
+        from each grid row's end tiles.
+
+        Stitch emits a canvas row once no later tile reaches it, and holds
+        the rows from the first unemitted one to the lowest one touched so
+        far (``compose._band_schedule``).  Within a grid row ``y`` is
+        monotone in the column, so at its last tile the band spans at most
+        from the smaller of that tile's ``y`` and the lowest ``y`` of the
+        later rows to the row's highest ``y`` plus a tile; a span that
+        starts at an earlier row's highest ``y`` is no wider than that
+        row's own.  The ``y`` are rounded as the placements round them.
+        """
+        ends = [(_dy(self, i, 0), _dy(self, i, self.n_cols - 1)) for i in range(self.n_rows)]
+        low = min(min(pair) for pair in ends)
+        later, span = math.inf, 0
+        for first, last in reversed(ends):
+            first, last = round_half_away(first - low), round_half_away(last - low)
+            span = max(span, max(first, last) - min(last, later))
+            later = min(later, first, last)
+        return self.tile_height + span
 
     def sine_params(self) -> tuple[float, float]:
         """Resolved ``(v0, amplitude)`` with span-matching defaults."""
@@ -149,12 +186,17 @@ def _check_indices(cfg: ScanConfig, i: int, j: int) -> None:
         raise IndexRangeError(f"col index {j} outside [0, {cfg.n_cols})")
 
 
+def _dy(cfg: ScanConfig, i, j):
+    """The Y offset of tile (i, j) under either strategy; ``i`` may be an
+    array of row indices."""
+    return i * cfg.dv_y * cfg.s_y + cfg.alpha_y * j
+
+
 def linear_offset(cfg: ScanConfig, i: int, j: int) -> TilePlacement:
     """Placement of tile (i, j) under uniform voltage stepping."""
     _check_indices(cfg, i, j)
     dx = j * cfg.dv_x * cfg.s_x + cfg.alpha_x * i
-    dy = i * cfg.dv_y * cfg.s_y + cfg.alpha_y * j
-    return TilePlacement(row=i, col=j, dx=dx, dy=dy)
+    return TilePlacement(row=i, col=j, dx=dx, dy=_dy(cfg, i, j))
 
 
 def sinusoidal_voltage(cfg: ScanConfig, j: int) -> float:
@@ -179,8 +221,7 @@ def sinusoidal_offset(cfg: ScanConfig, i: int, j: int) -> TilePlacement:
     """Placement of tile (i, j) under sinusoidal X stepping."""
     _check_indices(cfg, i, j)
     dx = sinusoidal_voltage(cfg, j) * cfg.s_x + cfg.alpha_x * i
-    dy = i * cfg.dv_y * cfg.s_y + cfg.alpha_y * j
-    return TilePlacement(row=i, col=j, dx=dx, dy=dy)
+    return TilePlacement(row=i, col=j, dx=dx, dy=_dy(cfg, i, j))
 
 
 def tile_offset(cfg: ScanConfig, i: int, j: int) -> TilePlacement:

@@ -89,49 +89,69 @@ class MaeWorkspace:
     overlap of at most ``size`` samples.
 
     :meth:`samples` hands out the two sample arrays of one overlap, two
-    rows of one array, to be filled in place.  The fit and the residuals
-    take at most ``halves.LEAF`` samples at a time, into a two-row
-    scratch of that length: one for each half of a split sum, one if no
-    sum is split.  A stitch makes one workspace for its largest overlap,
-    so no overlap faults in fresh pages for its temporaries.
+    rows of one array, to be filled in place.  With ``pairs = 2`` it
+    holds two such pairs that share their first row: the rows are
+    ``[y_0, x, y_1]``, pair 0 is rows (1, 0) and pair 1 rows (1, 2), so
+    a stitch can fill the later tile's samples of both overlaps it
+    closes in one pass over that tile, and then the earlier tile's
+    samples of each in turn.
+
+    The fit and the residuals take at most ``halves.LEAF`` samples at a
+    time, into :meth:`scratch`: one for each worker of a shared sum, one
+    if no sum is shared.  A scratch holds at least ``scratch`` elements;
+    with ``scratch > 0`` there is one for each worker, and a caller may
+    use them for work of its own between MAEs.  A stitch makes one
+    workspace for its largest overlap, so no overlap faults in fresh
+    pages for its temporaries, and works the blocks of its tiles in the
+    scratch that the sums leave free meanwhile.
     """
 
-    def __init__(self, size: int):
-        self._rows = np.empty((2, size))
-        self._leaf = np.empty((1 if size <= halves.LEAF else 2, 2, min(size, halves.LEAF)))
-        # The last samples handed out, and the rows that hold them.
-        self._handed: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+    def __init__(self, size: int, pairs: int = 1, scratch: int = 0):
+        self._rows = np.empty((1 + pairs, size))
+        workers = 2 if size > halves.LEAF or scratch else 1
+        self._leaf = np.empty((workers, max(2 * min(size, halves.LEAF), scratch)))
+        # Pair -> the last samples handed out for it, and the rows that hold them.
+        self._handed: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
-    def samples(self, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-        """Two contiguous float64 arrays of ``shape``, for samples i and j."""
-        pair = self._rows[:, :shape[0] * shape[1]]
-        x, y = pair[0].reshape(shape), pair[1].reshape(shape)
-        self._handed = x, y, pair
+    def scratch(self, worker: int) -> np.ndarray:
+        """The flat float64 scratch of ``worker`` (0 or 1), free between
+        calls of :func:`normalized_mae` and :func:`fit_affine`."""
+        return self._leaf[worker]
+
+    def _rows_of(self, pair: int, n: int) -> np.ndarray:
+        return self._rows[1::-1, :n] if pair == 0 else self._rows[1:, :n]
+
+    def samples(self, shape: tuple[int, int], pair: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """Two contiguous float64 arrays of ``shape``, for samples i and j
+        of ``pair``; samples i of every pair share one row."""
+        rows = self._rows_of(pair, shape[0] * shape[1])
+        x, y = rows[0].reshape(shape), rows[1].reshape(shape)
+        self._handed[pair] = x, y, rows
         return x, y
 
     def _pair(self, samples_i, samples_j) -> np.ndarray:
         """Both samples, flattened, as the rows of one ``(2, n)`` array: where
-        they lie if they are the last :meth:`samples`, else copied in."""
-        handed = self._handed
-        if handed is not None and samples_i is handed[0] and samples_j is handed[1]:
-            return handed[2]
+        they lie if they are the last :meth:`samples` of a pair, else
+        copied into the rows of pair 0."""
+        for x, y, rows in self._handed.values():
+            if samples_i is x and samples_j is y:
+                return rows
         x, y = _flat_samples(samples_i, samples_j)
         if np.may_share_memory(self._rows, x) or np.may_share_memory(self._rows, y):
             x, y = x.copy(), y.copy()
-        pair = self._rows[:, :x.size]
+        pair = self._rows_of(0, x.size)
         pair[0], pair[1] = x, y
         return pair
 
 
-def _sums(start: int, pair: np.ndarray) -> np.ndarray:
+def _sums(worker: int, pair: np.ndarray) -> np.ndarray:
     return np.add.reduce(pair, axis=1, keepdims=True)
 
 
-def _moments(start: int, pair: np.ndarray, means: np.ndarray, leaf: np.ndarray) -> np.ndarray:
+def _moments(worker: int, pair: np.ndarray, means: np.ndarray, leaf: np.ndarray) -> np.ndarray:
     """Σdx² and Σdx·dy over the columns of ``pair``, for dx and dy its
-    rows less the column ``means``, formed in the scratch of ``start``'s
-    half."""
-    d = leaf[1 if start else 0, :, :pair.shape[1]]
+    rows less the column ``means``, formed in the scratch of ``worker``."""
+    d = leaf[worker, :2 * pair.shape[1]].reshape(2, -1)
     np.subtract(pair, means, out=d)
     # Rows by index: unpacking iterates the array, which costs more than
     # a ufunc over a small overlap.
@@ -141,11 +161,11 @@ def _moments(start: int, pair: np.ndarray, means: np.ndarray, leaf: np.ndarray) 
     return np.add.reduce(d, axis=1)
 
 
-def _absolute_residuals(start: int, pair: np.ndarray, a: float, b: float,
+def _absolute_residuals(worker: int, pair: np.ndarray, a: float, b: float,
                         leaf: np.ndarray) -> np.float64:
     """Σ|y - (a*x + b)| over the columns (x, y) of ``pair``."""
     x, y = pair[0], pair[1]
-    residual = leaf[1 if start else 0, 0, :pair.shape[1]]
+    residual = leaf[worker, :pair.shape[1]]
     np.multiply(x, a, out=residual)
     residual += b
     np.subtract(y, residual, out=residual)
@@ -171,8 +191,8 @@ def _fit(pair: np.ndarray, leaf: np.ndarray) -> tuple[AffineFit, bool]:
 
     The means are ``np.mean``'s: each row's pairwise sum over its length.
     Σdx² and Σdx·dy are ``np.add.reduce`` of the products, formed leaf by
-    leaf in ``leaf``.  Each sum runs in halves on two threads when it is
-    large.
+    leaf in ``leaf``.  The leaves of a large sum are shared by two threads
+    (:func:`galvomosaic.halves.sums`).
     """
     n = pair.shape[1]
     # The column of sums becomes the column of means in place: a Python

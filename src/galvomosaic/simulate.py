@@ -709,7 +709,7 @@ def write_dataset(out_dir: str | os.PathLike, run: RunConfig) -> DatasetManifest
     truth_header = pgm.pgm_header(width, height)
     references = (("ref_bright.pgm", run.bright_level), ("ref_dark.pgm", run.dark_level))
 
-    def write_file(k: int) -> None:
+    def write_file(worker: int, k: int) -> None:
         # Item 0 is the truth, then the two references, then the tiles.
         if k == 0:
             with open(out / "truth.pgm", "wb") as f:

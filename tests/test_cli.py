@@ -32,6 +32,13 @@ seed = 42
 """
 
 
+# 200 columns of 100 px tiles climbing 100 px each: an 18010 x 20100 px
+# canvas, within the area limit, whose stitch band is 19,900 rows deep
+# (2.67 GiB of float64).
+BAND_OVER_THE_LIMIT = ("n_rows = 2\nn_cols = 200\ndv_x = 1\ndv_y = 1\ns_x = 90\ns_y = 100\n"
+                       "alpha_y = 100\ntile_width = 100\ntile_height = 100\n")
+
+
 @pytest.fixture
 def config_path(tmp_path):
     path = tmp_path / "scan.cfg"
@@ -109,6 +116,8 @@ class TestSimulate:
                          "exceeds array bounds 395x397", id="config_region_past_mosaic"),
             pytest.param("seed = -5\n", "key 'seed'", "must be at least 0, got -5",
                          id="seed_negative"),
+            pytest.param(BAND_OVER_THE_LIMIT, "'dv_x', 'dv_y', 's_x', 's_y', 'alpha_x', 'alpha_y'",
+                         "band of 18010 x 19900 px", id="band_over_the_limit"),
         ],
     )
     def test_bad_run_float_names_key(self, tmp_path, capsys, lines, key, message):
@@ -323,6 +332,16 @@ class TestStitch:
         parent[path[-1]] = value
         err = self._stitch_fails_cleanly(tmp_path, dataset, manifest, capsys)
         assert key in err, err
+
+    def test_band_over_the_limit_fails_before_any_file_is_read(self, tmp_path, capsys):
+        dataset = tmp_path / "quick"
+        assert run("simulate", "--config", QUICK_CFG, "--out", dataset) == 0
+        manifest = json.loads((dataset / "manifest.json").read_text())
+        for line in BAND_OVER_THE_LIMIT.splitlines():
+            key, value = line.split(" = ")
+            manifest["scan"][key] = int(value)
+        err = self._stitch_fails_cleanly(tmp_path, dataset, manifest, capsys)
+        assert "'alpha_y': stitch would hold a band of 18010 x 19900 px" in err, err
 
     # Each edit leaves a manifest that the writer would never write: the
     # reader must not drop a key, ignore a copy or fill in a default.

@@ -30,9 +30,25 @@ def constant_model(gain, offset=0.0, eps=0.0, roi=ROI):
     return ResponseModel(gain=np.full(shape, gain), offset=np.full(shape, offset), epsilon=eps)
 
 
+def weight_field(weights):
+    """The ROI-shaped weights of the ramps ``(wy, wx)``."""
+    wy, wx = weights
+    return np.minimum(wy[:, None], wx[None, :])
+
+
+def distance_field(roi, band_px):
+    """Oracle: min(d / band_px, 1) for d the distance to the nearest ROI edge."""
+    x = np.arange(roi.width, dtype=np.float64)
+    y = np.arange(roi.height, dtype=np.float64)
+    dist = np.minimum(np.minimum(y, roi.height - 1 - y)[:, None],
+                      np.minimum(x, roi.width - 1 - x)[None, :])
+    return np.minimum(dist / float(band_px), 1.0)
+
+
 def feather_roi(tile, corrected, weights, roi):
     """Oracle: a copy of ``tile`` whose ROI holds I + W * (I_corr - I), or
-    I_corr where W = 1, clamped to [0, 1]."""
+    I_corr where W = 1, clamped to [0, 1]; ``weights`` are ramps."""
+    weights = weight_field(weights)
     out = np.array(tile, dtype=np.float64)
     patch = out[roi.slices()]
     blended = np.where(weights == 1.0, corrected, patch + weights * (corrected - patch))
@@ -181,18 +197,30 @@ class TestCorrectRoi:
 
 class TestWeightField:
     def test_values_bounded_and_boundary_zero(self):
-        w = linear_weight_field(ROI, band_px=10)
-        assert w.shape == (ROI.height, ROI.width)
+        wy, wx = linear_weight_field(ROI, band_px=10)
+        assert wy.shape == (ROI.height,) and wx.shape == (ROI.width,)
+        w = weight_field((wy, wx))
         assert w.min() == 0.0 and w.max() == 1.0
         assert np.all(w[0, :] == 0.0) and np.all(w[-1, :] == 0.0)
         assert np.all(w[:, 0] == 0.0) and np.all(w[:, -1] == 0.0)
 
     def test_interior_beyond_band_is_one(self):
-        w = linear_weight_field(ROI, band_px=10)
+        w = weight_field(linear_weight_field(ROI, band_px=10))
         assert np.all(w[10:-10, 10:-10] == 1.0)
 
+    @pytest.mark.parametrize("roi, band_px", [
+        (ROI, 10), (ROI, 7), (RectROI(0, 0, 1, 1), 1), (RectROI(3, 4, 1, 9), 2),
+        (RectROI(0, 0, 580, 600), 50), (RectROI(0, 0, 200, 400), 50),
+        (RectROI(5, 5, 30, 30), 8), (RectROI(0, 0, 17, 64), 3),
+    ])
+    def test_min_of_ramps_is_the_distance_field_bit_for_bit(self, roi, band_px):
+        # min(a, b) / c == min(a / c, b / c) for c > 0, and likewise for the
+        # clamp at 1, so the two ramps give the whole field's every bit.
+        expected = distance_field(roi, band_px)
+        assert weight_field(linear_weight_field(roi, band_px)).tobytes() == expected.tobytes()
+
     def test_adjacent_difference_bounded_by_band_slope(self):
-        w = linear_weight_field(ROI, band_px=7)
+        w = weight_field(linear_weight_field(ROI, band_px=7))
         bound = 1.0 / 7 + 1e-12
         assert np.abs(np.diff(w, axis=0)).max() <= bound
         assert np.abs(np.diff(w, axis=1)).max() <= bound
@@ -213,8 +241,8 @@ class TestFeatherRoi:
 
     def _apply(self, model, weights):
         """(corrected tile, the ROI's inverted values) for one fit."""
-        if np.ndim(weights) == 0:
-            weights = np.full((ROI.height, ROI.width), float(weights))
+        if not isinstance(weights, tuple):
+            weights = np.full(ROI.height, float(weights)), np.full(ROI.width, float(weights))
         corrected = correct_roi(self.tile, model, ROI)
         out = apply_roi_corrections(self.tile.copy(), [(model, ROI, weights)])
         assert np.array_equal(out, feather_roi(self.tile, corrected, weights, ROI))
@@ -321,6 +349,21 @@ def test_apply_roi_corrections_corrects_in_place_like_feather_roi():
     counts = np.full(TILE, 3, dtype=np.uint16)
     converted = apply_roi_corrections(counts, fits)
     assert converted.dtype == np.float64 and np.all(counts == 3)
+
+
+def test_roi_taller_than_the_scratch_is_corrected_whole():
+    # 300 rows of a 40 px ROI: the blend takes them in several passes of
+    # its scratch, with the same bits as the oracle on the whole ROI.
+    rng = np.random.default_rng(12)
+    frame = rng.uniform(0.0, 1.0, (320, 50))
+    roi = RectROI(5, 10, 40, 300)
+    shape = (roi.height, roi.width)
+    model = ResponseModel(gain=rng.uniform(0.5, 2.0, shape), offset=rng.uniform(-0.1, 0.1, shape),
+                          epsilon=1e-6)
+    weights = linear_weight_field(roi, band_px=30)
+    patch = frame[roi.slices()]
+    expected = feather_roi(frame, (patch - model.offset) / (model.gain + 1e-6), weights, roi)
+    assert np.array_equal(apply_roi_corrections(frame.copy(), [(model, roi, weights)]), expected)
 
 
 @st.composite

@@ -1,13 +1,18 @@
 """Scan geometry: offsets, sinusoidal voltages, placement tables."""
 
 import math
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from galvomosaic.errors import ConfigError, DegenerateGridError, IndexRangeError
+from galvomosaic.compose import _band_schedule, canvas_dims
+from galvomosaic.config import load_run_config
 from galvomosaic.geometry import (
+    MAX_BAND_BYTES,
     MAX_CANVAS_PIXELS,
     MAX_TILES,
     ScanConfig,
@@ -189,8 +194,28 @@ class TestValidation:
             calib_cfg(**overrides).validate()
 
     def test_canvas_at_the_limit_is_accepted(self):
-        calib_cfg(n_rows=1, n_cols=1, tile_width=2**15, tile_height=2**15).validate()
+        # 4 x 4 tiles of 2^13 px side by side: a 2^15 x 2^15 px canvas, and a
+        # band one tile deep that is also at its limit.
+        calib_cfg(n_rows=4, n_cols=4, dv_x=1.0, dv_y=1.0, s_x=2.0**13, s_y=2.0**13,
+                  tile_width=2**13, tile_height=2**13).validate()
         assert MAX_CANVAS_PIXELS == 2**30 and MAX_TILES == 2**20
+        # One tile of the same canvas is a band as deep as the canvas: 8 GiB.
+        with pytest.raises(ConfigError, match="band of 32768 x 32768 px"):
+            calib_cfg(n_rows=1, n_cols=1, tile_width=2**15, tile_height=2**15).validate()
+
+    def test_band_over_the_limit_names_the_step_and_tilt_keys(self):
+        # An 18010 x 20100 px canvas, within the area limit, whose stitch
+        # band is 19,900 rows deep: 2.67 GiB of float64.
+        cfg = calib_cfg(n_rows=2, n_cols=200, dv_x=1.0, dv_y=1.0, s_x=90.0, s_y=100.0,
+                        alpha_y=100.0, tile_width=100, tile_height=100)
+        assert cfg._band_depth() == 19900
+        with pytest.raises(ConfigError, match=(
+                r"keys 'dv_x', 'dv_y', 's_x', 's_y', 'alpha_x', 'alpha_y': stitch would hold a "
+                r"band of 18010 x 19900 px of float64 \(2.67 GiB\), over the limit of 2 GiB")):
+            cfg.validate()
+        assert MAX_BAND_BYTES == 2**31
+        calib_cfg(n_rows=2, n_cols=200, dv_x=1.0, dv_y=1.0, s_x=90.0, s_y=100.0,
+                  alpha_y=70.0, tile_width=100, tile_height=100).validate()
 
     @pytest.mark.parametrize("strategy", list(ScanStrategy))
     def test_corner_tiles_span_the_placements(self, strategy):
@@ -312,3 +337,52 @@ def test_endpoint_equivalence_under_default_sine_params():
         last_lin = linear_offset(lin, 0, n_cols - 1).dx
         last_sin = sinusoidal_offset(sin, 0, n_cols - 1).dx
         assert last_sin == pytest.approx(last_lin, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# The band depth that the config check reads
+
+
+def _schedule_depth(cfg: ScanConfig) -> int:
+    table = placement_table(cfg)
+    _, height = canvas_dims(table, cfg.tile_width, cfg.tile_height)
+    return _band_schedule([p.y for p in table], cfg.tile_height, height)[1]
+
+
+@pytest.mark.parametrize("workload", ["full_scan_linear", "small_tiles_40x40",
+                                      "sinusoidal_tilt_subpixel", "tiny"])
+def test_config_band_depth_covers_the_stitch_schedule_on_the_workloads(tmp_path, workload):
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    try:
+        from workloads import WORKLOADS
+    finally:
+        sys.path.pop(0)
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text(WORKLOADS[workload].config)
+    scan = load_run_config(cfg).scan
+    assert scan._band_depth() >= _schedule_depth(scan)
+
+
+@given(
+    n_rows=st.integers(1, 6),
+    n_cols=st.integers(1, 7),
+    step_x=st.floats(0.2, 1.5),
+    step_y=st.floats(0.2, 1.5),
+    alpha_x=st.floats(-1.0, 1.0),
+    alpha_y=st.floats(-1.0, 1.0),
+    sinusoidal=st.booleans(),
+    tile_width=st.integers(1, 40),
+    tile_height=st.integers(1, 40),
+)
+@settings(max_examples=300, deadline=None)
+def test_config_band_depth_is_never_below_the_stitch_schedule(
+        n_rows, n_cols, step_x, step_y, alpha_x, alpha_y, sinusoidal, tile_width, tile_height):
+    # Steps and tilts are drawn in tiles, so grids overlap, leave gaps,
+    # climb or fall along a row, and rows cross one another.
+    cfg = ScanConfig(
+        n_rows=n_rows, n_cols=n_cols, dv_x=1.0, dv_y=1.0, s_x=step_x * tile_width,
+        s_y=step_y * tile_height, alpha_x=alpha_x * tile_width, alpha_y=alpha_y * tile_height,
+        strategy=ScanStrategy.SINUSOIDAL if sinusoidal and n_cols > 1 else ScanStrategy.LINEAR,
+        tile_width=tile_width, tile_height=tile_height,
+    )
+    assert cfg._band_depth() >= _schedule_depth(cfg)

@@ -1,6 +1,7 @@
-"""Bulk passes in two row halves: exact sums, the helper's error rule, a
-split stitch that matches the serial stitch byte for byte, and what the
-helper thread may call."""
+"""Work claimed in turn by two threads: exact sums, the error and
+interrupt rules, callers on several threads, a split stitch that matches
+the serial stitch byte for byte whatever order the helper claims in, and
+what the helper thread may call."""
 
 import functools
 import os
@@ -40,8 +41,8 @@ noise_sigma = 0.002
 seed = 5
 """
 SINUSOIDAL = "strategy = sinusoidal\nsubpixel = true\nalpha_x = 3.5\nalpha_y = -12.25\n"
-# A threshold that splits every pass of a SPLIT_CFG stitch, emit blocks and
-# the encode included, and one that splits none.
+# A threshold that shares every pass of a SPLIT_CFG stitch, emit blocks and
+# the encode included, and one that shares none.
 EVERY_PASS = 4096
 NO_PASS = 1 << 62
 
@@ -66,14 +67,14 @@ def test_split_sum_is_add_reduce_bit_for_bit(size, seed, decades):
     rows = np.stack((values, other))
     leaves = []
 
-    def leaf_sums(start, *blocks):
+    def leaf_sums(worker, *blocks):
         # Each leaf sums fresh temporaries of its own length, as the MAE does.
-        leaves.append((start, blocks[0].shape[-1], threading.current_thread()))
+        leaves.append((worker, blocks[0].shape[-1], threading.current_thread()))
         copies = [np.multiply(b, 1.0) for b in blocks]
         return tuple(np.add.reduce(c, axis=-1) for c in copies)
 
     saved = halves.SPLIT_MIN
-    halves.SPLIT_MIN = 129  # split every sum over a leaf between the threads
+    halves.SPLIT_MIN = 129  # share every sum of more than one leaf between the threads
     try:
         (whole,) = halves.sums(leaf_sums, (values,))
         pair = halves.sums(leaf_sums, (values, other))
@@ -86,59 +87,91 @@ def test_split_sum_is_add_reduce_bit_for_bit(size, seed, decades):
     assert by_row.tobytes() == expected.tobytes()
     assert max(length for _, length, _ in leaves) <= halves.LEAF
     assert sum(length for _, length, _ in leaves) == 3 * size
-    # One scratch per half: start is 0 on the calling thread's half and
-    # the top node's cut on the other.
-    cut = halves._cut(size) if size > halves.LEAF else 0
-    assert {start for start, _, _ in leaves} <= {0, cut}
-    assert {thread for start, _, thread in leaves if start == 0} == {threading.current_thread()}
+    # One scratch per worker: worker 0 is the calling thread, 1 the helper.
+    assert {worker for worker, _, _ in leaves} <= {0, 1}
+    assert {thread for worker, _, thread in leaves if worker == 0} <= {threading.current_thread()}
+    assert threading.current_thread() not in {thread for worker, _, thread in leaves if worker}
 
 
-# 1000 rows that hold just over SPLIT_MIN elements: cut at row 496.
+# 1000 rows that hold just over SPLIT_MIN elements: 16 blocks of 64 rows.
 ROWS = np.zeros((1000, 132))
-HALVES = [(0, 496), (496, 504)]
+BLOCKS = [(k, min(k + 64, 1000)) for k in range(0, 1000, 64)]
 
 
-def _rows_of(start: int, block: np.ndarray) -> tuple[int, int]:
-    return start, len(block)
+def _blocks_of(pass_fn, array=ROWS) -> list[tuple[int, int]]:
+    """The (lo, hi) blocks that ``halves.blocks`` hands ``pass_fn``, sorted."""
+    seen = []
+
+    def record(worker: int, lo: int, hi: int) -> None:
+        pass_fn(worker, lo, hi)
+        seen.append((lo, hi))
+
+    halves.blocks(record, len(array), array.size)
+    return sorted(seen)
 
 
-def test_an_error_in_either_half_is_raised_after_both_finish():
-    finished = []
+def test_blocks_cover_the_rows_once_in_blocks_of_at_most_block_rows():
+    assert _blocks_of(lambda worker, lo, hi: None) == BLOCKS
+    # A shared pass of few rows still gives both threads a block.
+    assert halves.step(64, halves.SPLIT_MIN) == 32
+    assert halves.step(63, halves.SPLIT_MIN) == 32
+    assert halves.step(1, halves.SPLIT_MIN) == 1
 
-    def slow_then_fail(start: int, block: np.ndarray) -> None:
-        if start == 0:
-            raise ValueError("top half")
+
+def test_an_error_in_either_thread_is_raised_once_neither_runs():
+    # The calling thread fails while the helper is still in its block: the
+    # error waits for that block, and neither thread claims another.
+    helper_in_block, finished = threading.Event(), []
+
+    def fail_on_caller(worker: int, lo: int, hi: int) -> None:
+        if worker == 0:
+            assert helper_in_block.wait(timeout=30.0)
+            raise ValueError("calling thread")
+        helper_in_block.set()
         time.sleep(0.2)
-        finished.append(_rows_of(start, block))
+        finished.append(lo)
 
-    with pytest.raises(ValueError, match="top half"):
-        halves.run(slow_then_fail, (ROWS,))
-    assert finished == [(496, 504)]
+    calls = []
+    with pytest.raises(ValueError, match="calling thread"):
+        halves.blocks(lambda *block: calls.append(block) or fail_on_caller(*block),
+                      len(ROWS), ROWS.size)
+    assert len(finished) == 1 and len(calls) == 2
 
-    def fail_on_helper(start: int, block: np.ndarray) -> None:
-        if threading.current_thread() is not threading.main_thread():
-            raise ValueError("helper half")
-        finished.append(_rows_of(start, block))
+    # The helper fails in its first block; the calling thread claims
+    # nothing once it has.
+    helper_failed = threading.Event()
+    calls.clear()
 
-    with pytest.raises(ValueError, match="helper half"):
-        halves.run(fail_on_helper, (ROWS,))
-    assert finished[-1] == (0, 496)
+    def fail_on_helper(worker: int, lo: int, hi: int) -> None:
+        calls.append(worker)
+        if worker:
+            helper_failed.set()
+            raise ValueError("helper")
+        assert helper_failed.wait(timeout=30.0)
+        time.sleep(0.05)
+
+    with pytest.raises(ValueError, match="helper"):
+        halves.blocks(fail_on_helper, len(ROWS), ROWS.size)
+    assert sorted(calls) == [0, 1]
     # The helper serves the next pass.
-    assert halves.run(_rows_of, (ROWS,)) == HALVES
+    assert _blocks_of(lambda worker, lo, hi: None) == BLOCKS
 
 
 def test_a_pass_whose_wait_was_interrupted_leaves_the_next_pass_its_own(monkeypatch):
     # The caller's wait is interrupted (say by Ctrl-C) while the helper
-    # still runs its half.  The next pass must still return only once
-    # both of its own halves have run, not on the earlier half's finish.
-    release = threading.Event()
-    finished = []
+    # still runs a block.  The next pass must still return only once its
+    # own blocks have all run and its own helper claims have ended, not on
+    # the earlier block's finish.
+    release, helper_in_block = threading.Event(), threading.Event()
+    first, second = [], []
 
-    def held(start: int, block: np.ndarray) -> tuple[int, int]:
-        if start:
+    def held(worker: int, lo: int, hi: int) -> None:
+        if worker:
+            helper_in_block.set()
             assert release.wait(timeout=30.0)
-        finished.append(start)
-        return _rows_of(start, block)
+        else:
+            assert helper_in_block.wait(timeout=30.0)
+        first.append(lo)
 
     def interrupted(future, timeout=None):
         raise KeyboardInterrupt
@@ -146,109 +179,116 @@ def test_a_pass_whose_wait_was_interrupted_leaves_the_next_pass_its_own(monkeypa
     with monkeypatch.context() as patch:
         patch.setattr(Future, "exception", interrupted)
         with pytest.raises(KeyboardInterrupt):
-            halves.run(held, (ROWS,))
-    assert finished == [0]
-    # The helper is still held in the first pass's half when this one waits.
+            halves.blocks(held, len(ROWS), ROWS.size)
+    # Every block but the helper's is done; the helper is still in its block.
+    assert len(first) == len(BLOCKS) - 1
     timer = threading.Timer(0.1, release.set)
     timer.start()
-    assert halves.run(held, (ROWS,)) == HALVES
-    assert sorted(finished) == [0, 0, 496, 496]
+    assert _blocks_of(lambda worker, lo, hi: second.append(lo)) == BLOCKS
+    # This pass waited for its own helper claims, queued behind the held block.
+    assert len(first) == len(BLOCKS) and sorted(first) == [lo for lo, _ in BLOCKS]
     timer.join()
-
-
-def test_callers_on_several_threads_each_get_both_halves_once():
-    # Four callers race for the one helper; a caller that finds it busy
-    # runs both halves itself.  Every pass adds 1 to each of its rows, so
-    # a lost or repeated half shows in the counts.
-    passes, errors = 200, []
-
-    def add_one(start: int, block: np.ndarray) -> tuple[int, int]:
-        block += 1.0
-        return _rows_of(start, block)
-
-    def caller() -> None:
-        counts = np.zeros_like(ROWS)
-        try:
-            for _ in range(passes):
-                assert halves.run(add_one, (counts,)) == HALVES
-            assert (counts == passes).all()
-        except BaseException as exc:
-            errors.append(exc)
-
-    threads = [threading.Thread(target=caller, daemon=True) for _ in range(4)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for thread in threads:
-            thread.start()
-        deadline = time.monotonic() + 30.0
-        for thread in threads:
-            thread.join(timeout=max(0.0, deadline - time.monotonic()))
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert errors == []
 
 
 def test_small_pass_runs_whole_on_the_calling_thread():
     threads = []
 
-    def record(start: int, block: np.ndarray) -> tuple[int, int]:
-        threads.append(threading.get_ident())
-        return _rows_of(start, block)
+    def record(worker: int, lo: int, hi: int) -> None:
+        threads.append((worker, threading.get_ident()))
 
-    assert halves.run(record, (ROWS[:, :131],)) == [(0, 1000)]  # 131,000 elements
-    assert threads == [threading.get_ident()]
+    small = ROWS[:, :131]  # 131,000 elements
+    assert _blocks_of(record, small) == [(0, 1000)]
+    assert threads == [(0, threading.get_ident())]
+    # So is a sum under SPLIT_MIN, leaf by leaf.
+    threads.clear()
+
+    def leaf(worker: int, block: np.ndarray) -> np.ndarray:
+        threads.append((worker, threading.get_ident()))
+        return np.add.reduce(block)
+
+    values = np.ones(halves.SPLIT_MIN - 1)
+    assert halves.sums(leaf, (values,)) == values.size
+    assert len(threads) > 1 and set(threads) == {(0, threading.get_ident())}
 
 
 def test_each_calls_every_item_once():
     calls = []
 
-    def item(k: int) -> None:
-        calls.append((k, threading.current_thread() is threading.main_thread()))
+    def item(worker: int, k: int) -> None:
+        calls.append((k, worker, threading.current_thread() is threading.main_thread()))
 
     halves.each(item, 50, halves.SPLIT_MIN - 1)
-    assert calls == [(k, True) for k in range(50)]
+    assert calls == [(k, 0, True) for k in range(50)]
     calls.clear()
     halves.each(item, 50, halves.SPLIT_MIN)
-    assert sorted(k for k, _ in calls) == list(range(50))
+    assert sorted(k for k, _, _ in calls) == list(range(50))
+    assert all(worker == (not on_main) for _, worker, on_main in calls)
     calls.clear()
     with halves._busy:  # another caller holds the helper
         halves.each(item, 50, halves.SPLIT_MIN)
-    assert calls == [(k, True) for k in range(50)]
+    assert calls == [(k, 0, True) for k in range(50)]
+
+
+def _race(caller, threads: int = 4) -> list:
+    """Run ``caller`` on several threads under fast thread switching; the
+    errors they raised."""
+    errors = []
+
+    def run() -> None:
+        try:
+            caller()
+        except BaseException as exc:
+            errors.append(exc)
+
+    workers = [threading.Thread(target=run, daemon=True) for _ in range(threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in workers:
+            thread.start()
+        deadline = time.monotonic() + 30.0
+        for thread in workers:
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in workers)
+    return errors
+
+
+def test_callers_on_several_threads_each_get_every_block_once():
+    # Four callers race for the one helper; a caller that finds it busy
+    # does all its blocks itself.  Every pass adds 1 to each of its rows,
+    # so a lost or repeated block shows in the counts.
+    passes = 200
+
+    def caller() -> None:
+        counts = np.zeros_like(ROWS)
+
+        def add_one(worker: int, lo: int, hi: int) -> None:
+            counts[lo:hi] += 1.0
+
+        for _ in range(passes):
+            halves.blocks(add_one, len(counts), counts.size)
+        assert (counts == passes).all()
+
+    assert _race(caller) == []
 
 
 def test_each_from_several_threads_claims_every_item_once():
-    # Four callers race for the one helper under fast thread switching; a
-    # lost or repeated claim shows in a caller's counts.
-    calls, items, errors = 30, 200, []
+    # A lost or repeated claim shows in a caller's counts.
+    calls, items = 30, 200
 
     def caller() -> None:
         counts = np.zeros(items, dtype=np.int64)
 
-        def item(k: int) -> None:
+        def item(worker: int, k: int) -> None:
             counts[k] += 1
 
-        try:
-            for _ in range(calls):
-                halves.each(item, items, halves.SPLIT_MIN)
-            assert (counts == calls).all()
-        except BaseException as exc:
-            errors.append(exc)
+        for _ in range(calls):
+            halves.each(item, items, halves.SPLIT_MIN)
+        assert (counts == calls).all()
 
-    threads = [threading.Thread(target=caller, daemon=True) for _ in range(4)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for thread in threads:
-            thread.start()
-        deadline = time.monotonic() + 30.0
-        for thread in threads:
-            thread.join(timeout=max(0.0, deadline - time.monotonic()))
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert errors == []
+    assert _race(caller) == []
 
 
 @pytest.fixture(scope="module")
@@ -273,7 +313,7 @@ def _outputs(out: Path) -> dict[str, bytes]:
 
 @pytest.fixture
 def handoffs(monkeypatch):
-    """Count the passes whose second half went to the helper thread."""
+    """Count the passes shared with the helper thread."""
     count = [0]
     both = halves._both
 
@@ -285,10 +325,48 @@ def handoffs(monkeypatch):
     return count
 
 
+def _claiming(order: str, both):
+    """``halves._both`` whose helper claims items in ``order``: ``prompt``
+    as it comes; ``sleeps`` before its first claim; ``all`` of them before
+    the calling thread claims one; or ``none``, starting only once the
+    calling thread has claimed every item."""
+    if order == "prompt":
+        return both
+
+    def ordered(here, there):
+        done = threading.Event()
+
+        def first(fn):
+            try:
+                return fn()
+            finally:
+                done.set()
+
+        def after(fn):
+            assert done.wait(timeout=30.0)
+            return fn()
+
+        if order == "sleeps":
+            return both(here, lambda: (time.sleep(0.002), there())[1])
+        if order == "all":
+            return both(lambda: after(here), lambda: first(there))
+        return both(lambda: first(here), lambda: after(there))
+
+    return ordered
+
+
+@pytest.fixture
+def helper(request, monkeypatch, handoffs):
+    """The helper's claim order, from the test's parameter."""
+    monkeypatch.setattr(halves, "_both", _claiming(request.param, halves._both))
+    return request.param
+
+
+@pytest.mark.parametrize("helper", ["prompt", "sleeps"], indirect=True)
 @pytest.mark.parametrize("split_min", [halves.SPLIT_MIN, EVERY_PASS], ids=["split_min", "every"])
 @pytest.mark.parametrize("mode", ["raw", "processed"])
 @pytest.mark.parametrize("strategy", ["linear", "sinusoidal"])
-def test_split_stitch_matches_serial_stitch(datasets, tmp_path, monkeypatch, handoffs,
+def test_split_stitch_matches_serial_stitch(datasets, tmp_path, monkeypatch, handoffs, helper,
                                             strategy, mode, split_min):
     monkeypatch.setattr(halves, "SPLIT_MIN", NO_PASS)
     assert _stitch(datasets[strategy], tmp_path / "serial", mode) == 0
@@ -300,9 +378,28 @@ def test_split_stitch_matches_serial_stitch(datasets, tmp_path, monkeypatch, han
         assert _stitch(datasets[strategy], tmp_path / "split", mode) == 0
     finally:
         sys.setswitchinterval(interval)
-    # At least the decode of each of the 6 tiles and its overlaps' MAE.
+    # At least the blocks of each of the 6 tiles and its overlaps' MAE.
     assert handoffs[0] >= 6
     assert _outputs(tmp_path / "split") == _outputs(tmp_path / "serial")
+
+
+@pytest.mark.parametrize("helper", ["all", "none"], indirect=True)
+def test_adversarial_claim_order_keeps_every_bit(datasets, tmp_path, monkeypatch, handoffs,
+                                                 helper):
+    # The helper claims every leaf and block, or none: sums and stitches
+    # have the bits of the serial ones.
+    rng = np.random.default_rng(17)
+    values = rng.standard_normal(775_587) * 10.0 ** rng.integers(-9, 10, 775_587)
+    pair = np.stack((values, values[::-1]))
+    expected = np.add.reduce(pair, axis=1)
+    shared = halves.sums(lambda worker, block: np.add.reduce(block, axis=1), (pair,))
+    assert handoffs[0] == 1 and shared.tobytes() == expected.tobytes()
+    for mode in ("raw", "processed"):
+        monkeypatch.setattr(halves, "SPLIT_MIN", NO_PASS)
+        assert _stitch(datasets["sinusoidal"], tmp_path / f"serial_{mode}", mode) == 0
+        monkeypatch.setattr(halves, "SPLIT_MIN", EVERY_PASS)
+        assert _stitch(datasets["sinusoidal"], tmp_path / f"split_{mode}", mode) == 0
+        assert _outputs(tmp_path / f"split_{mode}") == _outputs(tmp_path / f"serial_{mode}")
 
 
 def test_sidecar_does_not_depend_on_the_blas_thread_count(datasets, tmp_path):
@@ -323,7 +420,11 @@ def test_sidecar_does_not_depend_on_the_blas_thread_count(datasets, tmp_path):
     assert sidecars[0] == sidecars[1]
 
 
-def test_error_in_helper_half_fails_stitch_like_serial(datasets, tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("helper", ["all"], indirect=True)
+def test_error_on_the_helper_fails_stitch_like_serial(datasets, tmp_path, monkeypatch, capsys,
+                                                      helper):
+    # The helper claims every block of a shared pass, so the first shared
+    # encode fails on it.
     encode = pgm.scale_to_counts
 
     def fail_on(thread_is_main: bool):
@@ -356,7 +457,7 @@ def test_error_in_helper_half_fails_stitch_like_serial(datasets, tmp_path, monke
 def test_traced_functions_run_on_the_main_thread(tmp_path, monkeypatch, handoffs):
     # The benchmark's tracer keeps one span stack, so no function it wraps
     # may run off the main thread: not while simulate shares its frames
-    # between two threads, nor while stitch splits its passes.  Of pgm and
+    # between two threads, nor while stitch shares its passes.  Of pgm and
     # the builtins, the helper calls pgm._decode, pgm.scale_to_counts and
     # open only.  A profile hook, set before a fresh helper thread starts,
     # logs every Python function and builtin that thread calls.
@@ -399,7 +500,7 @@ def test_traced_functions_run_on_the_main_thread(tmp_path, monkeypatch, handoffs
     assert handoffs[0] > 1
     names = {name for name, _ in calls}
     assert {"cli.cmd_simulate", "simulate.write_dataset", "cli.cmd_stitch",
-            "correction.apply_roi_corrections", "metrics.normalized_mae",
+            "correction.fit_two_point", "metrics.normalized_mae",
             "compose.compose_feathered"} <= names
     assert {ident for _, ident in calls} == {threading.main_thread().ident}
     assert not [name for path, name in on_helper if path == tracer.__file__]

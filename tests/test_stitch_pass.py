@@ -9,14 +9,8 @@ import pytest
 
 from galvomosaic import halves, pgm
 from galvomosaic.cli import main
-from galvomosaic.compose import canvas_dims, compute_overlaps, tile_weight_map
-from galvomosaic.correction import (
-    ReferencePair,
-    apply_roi_corrections,
-    fit_bright_only,
-    fit_two_point,
-    linear_weight_field,
-)
+from galvomosaic.compose import _band_schedule, canvas_dims, compute_overlaps, tile_weight_map
+from galvomosaic.correction import ReferencePair, fit_bright_only, fit_two_point
 from galvomosaic.geometry import placement_table
 from galvomosaic.metrics import normalized_mae
 from galvomosaic.simulate import load_manifest
@@ -91,6 +85,24 @@ STITCH_MODES = {
 }
 
 
+def corrected(tile: np.ndarray, fits) -> np.ndarray:
+    """The whole float tile with each fit's ROI corrected and blended back
+    with the ROI-shaped weights min(d / band_px, 1), d the distance to the
+    nearest ROI edge, in turn."""
+    out = tile.copy()
+    for model, roi, band_px in fits:
+        x = np.arange(roi.width, dtype=np.float64)
+        y = np.arange(roi.height, dtype=np.float64)
+        dist = np.minimum(np.minimum(y, roi.height - 1 - y)[:, None],
+                          np.minimum(x, roi.width - 1 - x)[None, :])
+        weights = np.minimum(dist / float(band_px), 1.0)
+        patch = out[roi.slices()]
+        inverted = (patch - model.offset) / (model.gain + model.epsilon)
+        blended = np.where(weights == 1.0, inverted, patch + weights * (inverted - patch))
+        out[roi.slices()] = np.clip(blended, 0.0, 1.0)
+    return out
+
+
 def oracle(dataset: Path, correction: str, feather: bool):
     """The expected mosaic.pgm bytes and ``mae_per_overlap`` values.
 
@@ -115,15 +127,13 @@ def oracle(dataset: Path, correction: str, feather: bool):
             else:
                 model = fit_bright_only(bright, manifest.run.bright_level, roi,
                                         eps=manifest.run.epsilon)
-            fits.append((model, roi, linear_weight_field(roi, manifest.run.band_px)))
+            fits.append((model, roi, manifest.run.band_px))
     paths = {(t["row"], t["col"]): dataset / t["path"] for t in manifest.tiles}
     value = np.zeros((height, width))
     weight = np.zeros((height, width))
     tiles = {}
     for p in placements:
-        tile = tiles[p.row, p.col] = apply_roi_corrections(
-            pgm.to_unit(pgm.read_pgm(paths[(p.row, p.col)])), fits
-        )
+        tile = tiles[p.row, p.col] = corrected(pgm.to_unit(pgm.read_pgm(paths[(p.row, p.col)])), fits)
         box = np.s_[p.y:p.y + th, p.x:p.x + tw]
         if feather:
             w = np.outer(*tile_weight_map((p.row, p.col), tw, th, overlaps))
@@ -243,6 +253,74 @@ def test_raw_stitch_holds_counts_not_floats(tmp_path):
     assert code == 0
     assert peak < band + pending + workspace + tile + objects, (
         peak, band, pending, workspace, tile)
+
+
+# 400 px tiles on 350 px steps, tilted 20 px per row: every tile is worked
+# in shared blocks, and its float64 copy (1.28 MB) would outweigh the
+# slack below.
+PROCESSED_CFG = """\
+n_rows = 3
+n_cols = 4
+dv_x = 1
+dv_y = 1
+s_x = 350
+s_y = 350
+alpha_x = 20
+tile_width = 400
+tile_height = 400
+rois = 0,250,120,150
+band_px = 20
+vignette_min = 0.9
+gain_jitter = 0.05
+noise_sigma = 0.002
+seed = 9
+"""
+
+
+def test_processed_stitch_holds_no_float_tile(tmp_path):
+    # Processed stitch decodes, corrects and feathers each tile block by
+    # block, so its peak is bounded by: the float64 band; the pending
+    # overlap samples (as in the raw test); the three-row MAE workspace
+    # and each worker's scratch, which holds a block of decoded rows and
+    # the ROI blend's three planes of 64 ROI rows (or, during the sums,
+    # the leaf scratch); the ROI gain, offset and ramps; one tile's
+    # counts; each worker's weight product of a 64-row block, and the
+    # blend's mask; the weight block, its mask and the encoded rows of
+    # one emitted block.  No term is a float64 tile.
+    dataset = simulate(tmp_path, "processed", PROCESSED_CFG)
+    run_cfg = load_manifest(dataset).run
+    scan = run_cfg.scan
+    tw, th = scan.tile_width, scan.tile_height
+    placements = placement_table(scan)
+    overlaps = compute_overlaps(placements, tw, th)
+    width, height = canvas_dims(placements, tw, th)
+    depth = _band_schedule([p.y for p in placements], th, height)[1]
+    (roi,) = run_cfg.rois
+    areas = [ov.rect.width * ov.rect.height for ov in overlaps]
+    largest = max(areas)
+    assert tw * th >= halves.SPLIT_MIN
+    band = width * depth * 8
+    pending = 2 * (sum(a for a, ov in zip(areas, overlaps) if ov.tile_a[0] == 0) + max(areas))
+    block = min(halves.BLOCK_ROWS, th)
+    per_worker = max(2 * min(largest, halves.LEAF), block * tw + 3 * 64 * roi.width) * 8
+    workspace = 3 * largest * 8 + 2 * per_worker
+    fits = 2 * roi.width * roi.height * 8 + (roi.width + roi.height) * 8
+    tile = tw * th * 2
+    scratch = 2 * (block * tw * 8 + 64 * roi.width)
+    emit = min(halves.BLOCK_ROWS, depth) * width * (8 + 1 + 2)
+    # The run's own Python objects: manifest, placements, fits, sidecar text.
+    objects = 512 * 1024
+    args = ("stitch", "--dataset", dataset, "--out", tmp_path / "run", "--mode", "processed")
+    assert run(*args) == 0  # imports and caches are in place before tracing
+    tracemalloc.start()
+    try:
+        code = run(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    bound = band + pending + workspace + fits + tile + scratch + emit + objects
+    assert peak < bound, (peak, bound, tw * th * 8)
 
 
 def test_failed_stitch_keeps_earlier_outputs(tmp_path, capsys):
