@@ -286,9 +286,9 @@ def _next_tile(it, k: int, n: int, raw: bool) -> TileBlocks:
 
 
 def _check_tile_shape(tile: TileBlocks, tile_width: int, tile_height: int) -> None:
-    if tuple(tile.shape) != (tile_height, tile_width):
+    if tile.shape != (tile_height, tile_width):
         raise DimensionMismatchError(
-            f"tile shape {tuple(tile.shape)} does not match {tile_height}x{tile_width}"
+            f"tile shape {tile.shape} does not match {tile_height}x{tile_width}"
         )
 
 
