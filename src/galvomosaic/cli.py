@@ -153,7 +153,7 @@ class _Decoder:
     def __init__(self, fits: list, shape: tuple[int, int], work: MaeWorkspace):
         self.fits = fits
         self.width = shape[1]
-        self.work = work
+        self.scratch = work.scratch()
         # The ROI blend's planes lie after a block's rows in a worker's
         # scratch; each worker's planes and mask are made at its first blend.
         self._planes = slice(_block_scratch([], shape), _block_scratch(fits, shape))
@@ -168,13 +168,13 @@ class _Decoder:
         pgm._decode(counts, out)
         if self.fits:
             if self._blend[worker] is None:
-                self._blend[worker] = _scratch(self.fits, self.work.scratch(worker)[self._planes])
+                self._blend[worker] = _scratch(self.fits, self.scratch[worker, self._planes])
             _blend(out, self.fits, origin, self._blend[worker])
         return out
 
     def rows(self, worker: int, n: int) -> np.ndarray:
         """A block of ``n`` tile rows in the scratch of ``worker``."""
-        return self.work.scratch(worker)[:n * self.width].reshape(n, self.width)
+        return self.scratch[worker, :n * self.width].reshape(n, self.width)
 
 
 class _Frame(TileBlocks):

@@ -113,10 +113,10 @@ class MaeWorkspace:
         # Pair -> the last samples handed out for it, and the rows that hold them.
         self._handed: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
-    def scratch(self, worker: int) -> np.ndarray:
-        """The flat float64 scratch of ``worker`` (0 or 1), free between
+    def scratch(self) -> np.ndarray:
+        """The float64 scratch of each worker, one row each, free between
         calls of :func:`normalized_mae` and :func:`fit_affine`."""
-        return self._leaf[worker]
+        return self._leaf
 
     def _rows_of(self, pair: int, n: int) -> np.ndarray:
         return self._rows[1::-1, :n] if pair == 0 else self._rows[1:, :n]
