@@ -47,6 +47,7 @@ from .correction import (
     _blend,
     _plane_size,
     _scratch,
+    fit_bright_only,
     fit_two_point,
     linear_weight_field,
 )
@@ -106,8 +107,8 @@ def _read_frame(path: Path, shape: tuple[int, int], what: str) -> np.ndarray:
 
 
 def _build_fits(manifest: DatasetManifest, dataset: Path, correction: str):
-    """(model, ROI, weights) per ROI; bright-only is the two-point fit
-    with an all-zero dark frame at level 0."""
+    """(model, ROI, weights) per ROI, from both references or, for
+    bright-only correction, the bright one alone."""
     if correction == "off":
         return []
     run = manifest.run
@@ -116,12 +117,12 @@ def _build_fits(manifest: DatasetManifest, dataset: Path, correction: str):
     if correction == "two-point":
         dark = pgm.to_unit(_read_frame(dataset / manifest.ref_dark_path, shape, "reference frame"))
         refs = ReferencePair(bright, run.bright_level, dark, run.dark_level)
+        models = [fit_two_point(refs, roi, eps=run.epsilon) for roi in run.rois]
     else:
-        refs = ReferencePair(bright, run.bright_level, np.zeros_like(bright), 0.0)
-    return [
-        (fit_two_point(refs, roi, eps=run.epsilon), roi, linear_weight_field(roi, run.band_px))
-        for roi in run.rois
-    ]
+        models = [fit_bright_only(bright, run.bright_level, roi, eps=run.epsilon)
+                  for roi in run.rois]
+    return [(model, roi, linear_weight_field(roi, run.band_px))
+            for model, roi in zip(models, run.rois)]
 
 
 # The block passes of stitch (galvomosaic.halves.blocks) run on two
@@ -155,9 +156,9 @@ class _Decoder:
         self.width = shape[1]
         self.scratch = work.scratch()
         # The ROI blend's planes lie after a block's rows in a worker's
-        # scratch; each worker's planes and mask are made at its first blend.
-        self._planes = slice(_block_scratch([], shape), _block_scratch(fits, shape))
-        self._blend: list = [None, None]
+        # scratch; each worker has a mask of its own.
+        planes = slice(_block_scratch([], shape), _block_scratch(fits, shape))
+        self.blend_scratch = [_scratch(fits, row[planes]) for row in self.scratch] if fits else []
 
     def unit(self, worker: int, counts: np.ndarray, out: np.ndarray,
              origin: tuple[int, int]) -> np.ndarray:
@@ -167,9 +168,7 @@ class _Decoder:
         the whole corrected frame."""
         pgm._decode(counts, out)
         if self.fits:
-            if self._blend[worker] is None:
-                self._blend[worker] = _scratch(self.fits, self.scratch[worker, self._planes])
-            _blend(out, self.fits, origin, self._blend[worker])
+            _blend(out, self.fits, origin, self.blend_scratch[worker])
         return out
 
     def rows(self, worker: int, n: int) -> np.ndarray:
@@ -249,7 +248,7 @@ def _corrected_tiles(
     differ from the manifest's raises
     :class:`~galvomosaic.pgm.ImageFormatError`.
     """
-    paths = {(t["row"], t["col"]): dataset / t["path"] for t in manifest.tiles}
+    paths = {(t.row, t.col): dataset / t.path for t in manifest.tiles}
     expected = (manifest.run.scan.tile_height, manifest.run.scan.tile_width)
     by_tile = overlaps_by_tile(overlaps)
     decoded = bool(fits) or feather
@@ -310,7 +309,7 @@ def cmd_stitch(args: argparse.Namespace) -> int:
     dataset = Path(args.dataset)
     manifest = load_manifest(dataset)
     missing = sorted(
-        (t["row"], t["col"]) for t in manifest.tiles if not (dataset / t["path"]).exists()
+        (t.row, t.col) for t in manifest.tiles if not (dataset / t.path).exists()
     )
     if missing:
         raise GalvoMosaicError(

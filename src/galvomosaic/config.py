@@ -140,9 +140,19 @@ def regions_from_kv(kv: dict[str, str]) -> list[RegionSpec]:
     ]
 
 
+def _read_kv(path: str | os.PathLike, known, what: str) -> dict[str, str]:
+    """:func:`parse_kv` of the UTF-8 file ``path``; text that does not
+    decode is a :class:`ConfigError` naming ``what`` and the file."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"malformed {what} {path}: {exc}") from exc
+    return parse_kv(text, known)
+
+
 def regions_from_file(path: str | os.PathLike) -> list[RegionSpec]:
     """The metric regions of a file holding only ``region_*`` keys, at least one."""
-    regions = regions_from_kv(parse_kv(Path(path).read_text(encoding="utf-8"), _REGION_KINDS))
+    regions = regions_from_kv(_read_kv(path, _REGION_KINDS, "regions file"))
     if not regions:
         raise ConfigError(f"{path}: no region_signal/region_bright/region_dark keys found")
     return regions
@@ -154,7 +164,7 @@ def load_run_config(
     seed_override: int | None = None,
 ) -> RunConfig:
     """Load a config file into a validated RunConfig, applying CLI overrides."""
-    kv = parse_kv(Path(path).read_text(encoding="utf-8"), CONFIG_KEYS)
+    kv = _read_kv(path, CONFIG_KEYS, "config")
     if strategy_override is not None:
         kv["strategy"] = strategy_override
     if seed_override is not None:

@@ -23,9 +23,9 @@ weight of a pixel; only the rows being blended form it.
 
 Every step of the correction is elementwise, so any window of a frame
 can be corrected on its own, bit-equal to the same window of the whole
-corrected frame: :func:`apply_roi_corrections` takes a frame or a
-window in blocks of rows, and stitch corrects each block of a tile as
-it decodes it, through the same private window kernel.
+corrected frame.  :func:`apply_roi_corrections` corrects a whole frame;
+stitch corrects each block of rows of a tile as it decodes it, through
+the same private window kernel.
 
 All intensities here are floats in [0, 1]; eps defaults to 1e-6 in
 those units.
@@ -38,7 +38,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import halves
 from .errors import DimensionMismatchError, InvalidReferenceError
 
 EPSILON_DEFAULT = 1e-6
@@ -124,16 +123,11 @@ class ResponseModel:
         if not (np.all(np.isfinite(self.gain)) and np.all(np.isfinite(self.offset))):
             raise InvalidReferenceError("response model contains non-finite entries")
 
-    def invert(self, values: np.ndarray, part=np.s_[:, :], out: np.ndarray | None = None
-               ) -> np.ndarray:
-        """``values`` with the model inverted: (I - o) / (g + eps), into ``out``
-        or a new array.
-
-        ``values`` has the shape of ``gain[part]``, the ROI's own pixels
-        by default.
-        """
-        out = np.subtract(values, self.offset[part], out=out)
-        out /= self.gain[part] + self.epsilon
+    def invert(self, values: np.ndarray) -> np.ndarray:
+        """``values``, of the ROI's shape, with the model inverted:
+        (I - o) / (g + eps), as a new array."""
+        out = np.subtract(values, self.offset)
+        out /= self.gain + self.epsilon
         return out
 
 
@@ -193,11 +187,7 @@ def linear_weight_field(roi: RectROI, band_px: int = BAND_PX_DEFAULT
 Fit = tuple[ResponseModel, RectROI, tuple[np.ndarray, np.ndarray]]
 
 
-def apply_roi_corrections(
-    tile: np.ndarray,
-    fits: Sequence[Fit],
-    origin: tuple[int, int] = (0, 0),
-) -> np.ndarray:
+def apply_roi_corrections(tile: np.ndarray, fits: Sequence[Fit]) -> np.ndarray:
     """Correct and feather each (model, ROI, weights) triple in turn, in place.
 
     Inside each ROI the model is inverted and blended back as
@@ -209,29 +199,11 @@ def apply_roi_corrections(
     the ROI's shape, and the weights are the ramps of
     :func:`linear_weight_field` (or any ramps of the ROI's height and
     width).
-
-    ``tile`` may be a window of a frame whose top-left pixel is frame
-    pixel ``origin`` (row, col); each ROI, in frame pixels, is then
-    corrected where it lies inside the window.  Every step is
-    elementwise, so a window comes out bit-equal to the same window of
-    the corrected frame.  Large windows are corrected in blocks of rows
-    that the calling thread and the helper claim in turn
-    (:func:`galvomosaic.halves.blocks`).
     """
     out = np.asarray(tile, dtype=np.float64)
     if fits:
-        scratch: list = [None, None]
-        halves.blocks(_blend_block, out.shape[0], out.size, out, fits, origin, scratch)
+        _blend(out, fits, (0, 0), _scratch(fits))
     return out
-
-
-def _blend_block(worker: int, lo: int, hi: int, out: np.ndarray, fits: Sequence[Fit],
-                 origin: tuple[int, int], scratch: list) -> None:
-    """:func:`apply_roi_corrections` for rows ``lo..hi`` of ``out``, in the
-    scratch of ``worker``, made at its first block."""
-    if scratch[worker] is None:
-        scratch[worker] = _scratch(fits)
-    _blend(out[lo:hi], fits, (origin[0] + lo, origin[1]), scratch[worker])
 
 
 def _plane_size(fits: Sequence[Fit]) -> int:

@@ -187,30 +187,29 @@ def _nodes(lo: int, hi: int, leaf_sums: Iterator[T]) -> T:
     return np.add(left, _nodes(cut, hi, leaf_sums))
 
 
-def sums(fn: Callable[..., T], arrays: tuple[np.ndarray, ...], *args) -> T:
-    """What ``fn(0, *arrays, *args)`` returns, where ``fn`` returns float64
-    sums (``np.add.reduce``) along the last axis of ``arrays``, whose rows
-    are contiguous and all of the same length ``n``: one sum, or an array
-    or tuple of them; ``fn`` may fill temporaries first.
+def sums(fn: Callable[..., T], array: np.ndarray, *args) -> T:
+    """What ``fn(0, array, *args)`` returns, where ``fn`` returns the
+    float64 sums (``np.add.reduce``) along the last axis of ``array``,
+    whose rows are contiguous and of length ``n``: one sum for a row, an
+    array of them for a ``(k, n)`` array; ``fn`` may fill temporaries first.
 
     Up to ``LEAF`` elements that is the one call.  Longer rows are cut at
     numpy's pairwise nodes into leaves of at most ``LEAF`` elements,
-    ``fn(worker, *leaf, *args)`` is called on the columns of each leaf,
+    ``fn(worker, leaf, *args)`` is called on the columns of each leaf,
     and the sums are added node by node in leaf order, giving the whole
-    sums bit for bit (as an array, for a tuple).  The leaves are the
-    items of one :func:`each` pass of ``n`` elements, so from
-    ``SPLIT_MIN`` on both threads claim them; ``worker`` tells them
-    apart, so ``fn`` may keep one scratch for each.
+    sums bit for bit.  The leaves are the items of one :func:`each` pass
+    of ``n`` elements, so from ``SPLIT_MIN`` on both threads claim them;
+    ``worker`` tells them apart, so ``fn`` may keep one scratch for each.
     """
-    n = arrays[0].shape[-1]
+    n = array.shape[-1]
     if n <= LEAF:
-        return fn(0, *arrays, *args)
+        return fn(0, array, *args)
     bounds = list(_leaves(0, n))
     leaf_sums: list = [None] * len(bounds)
 
     def leaf(worker: int, k: int) -> None:
         lo, hi = bounds[k]
-        leaf_sums[k] = fn(worker, *[a[..., lo:hi] for a in arrays], *args)
+        leaf_sums[k] = fn(worker, array[..., lo:hi], *args)
 
     each(leaf, len(bounds), n)
     return _nodes(0, n, iter(leaf_sums))

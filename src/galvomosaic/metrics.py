@@ -115,7 +115,7 @@ class MaeWorkspace:
 
     def scratch(self) -> np.ndarray:
         """The float64 scratch of each worker, one row each, free between
-        calls of :func:`normalized_mae` and :func:`fit_affine`."""
+        calls of :func:`normalized_mae`."""
         return self._leaf
 
     def _rows_of(self, pair: int, n: int) -> np.ndarray:
@@ -197,27 +197,22 @@ def _fit(pair: np.ndarray, leaf: np.ndarray) -> tuple[AffineFit, bool]:
     n = pair.shape[1]
     # The column of sums becomes the column of means in place: a Python
     # float division has np.mean's bits and costs no ufunc call.
-    means = halves.sums(_sums, (pair,))
+    means = halves.sums(_sums, pair)
     (x_sum,), (y_sum,) = means.tolist()
     x_mean, y_mean = x_sum / n, y_sum / n
     means[0, 0], means[1, 0] = x_mean, y_mean
     if n >= 2:
-        sxx, sxy = halves.sums(_moments, (pair,), means, leaf).tolist()
+        sxx, sxy = halves.sums(_moments, pair, means, leaf).tolist()
         if sxx != 0.0:
             a = sxy / sxx
             return AffineFit(a=a, b=y_mean - a * x_mean), False
     return AffineFit(a=1.0, b=y_mean - x_mean), True
 
 
-def fit_affine(
-    samples_i: np.ndarray, samples_j: np.ndarray, work: MaeWorkspace | None = None
-) -> AffineFit:
-    """Closed-form OLS of samples_j against samples_i.
-
-    The temporaries go to ``work``, or to a new workspace sized to the
-    samples.
-    """
-    work = work or MaeWorkspace(np.size(samples_i))
+def fit_affine(samples_i: np.ndarray, samples_j: np.ndarray) -> AffineFit:
+    """Closed-form OLS of samples_j against samples_i, in a new workspace
+    sized to the samples."""
+    work = MaeWorkspace(np.size(samples_i))
     pair = work._pair(samples_i, samples_j)
     if pair.shape[1] < 2:
         raise DegenerateFitError(f"need at least 2 sample pairs, got {pair.shape[1]}")
@@ -246,7 +241,7 @@ def normalized_mae(
         raise NoOverlapError("empty overlap sample")
     fit, degenerate = _fit(pair, work._leaf)
     # The mean absolute residual, as np.mean of the residuals.
-    mae = halves.sums(_absolute_residuals, (pair,), fit.a, fit.b, work._leaf) / n
+    mae = halves.sums(_absolute_residuals, pair, fit.a, fit.b, work._leaf) / n
     return float(mae), fit, degenerate
 
 

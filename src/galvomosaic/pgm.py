@@ -32,17 +32,18 @@ class ImageFormatError(GalvoMosaicError):
     """Unreadable or unsupported image file."""
 
 
-def to_unit(img: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """uint16 counts -> float64 intensities in [0, 1], into ``out`` if given.
+def to_unit(img: np.ndarray) -> np.ndarray:
+    """uint16 counts -> float64 intensities in [0, 1], as a new array.
 
     ``scale_to_counts`` maps the result back to the same counts, exactly.
     """
-    return _decode(img, out)
+    return _decode(img, None)
 
 
 def _decode(counts: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    """The rule of :func:`to_unit`, for callers that must not go through a
-    public name (stitch's helper thread, see :mod:`galvomosaic.halves`)."""
+    """The rule of :func:`to_unit`, into ``out`` if given: in-place
+    decoding, also for callers that must not go through a public name
+    (stitch's helper thread, see :mod:`galvomosaic.halves`)."""
     return np.divide(counts, MAXVAL, out=out, dtype=np.float64)
 
 

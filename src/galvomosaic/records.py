@@ -1,9 +1,9 @@
 """JSON records: dataclasses written to and read from JSON by their fields.
 
 A record is a dataclass whose fields are annotated ``int``, ``float``,
-``bool``, ``str``, an enum, a record, ``list[T]``, ``tuple[T, U]``,
-``dict`` (any JSON object) or ``T | None``.  Its JSON object holds each
-field under its name, in order, enums as their values.  Field metadata
+``bool``, ``str``, an enum, a record, ``list[T]``, ``tuple[T, U]`` or
+``T | None``.  Its JSON object holds each field under its name, in
+order, enums as their values.  Field metadata
 ``{"json": key}`` stores a field under ``key`` instead; ``INLINE`` puts a
 record field's keys in the enclosing object, after its own keys;
 ``UNRECORDED`` leaves a field out, to read back as its default;
@@ -106,12 +106,6 @@ def _reader(kind, optional: bool = False, least=None):
                 misfit.keys.append(len(out))
                 raise
             return out if origin is list else tuple(out)
-    elif kind is dict:
-
-        def read(value):
-            if type(value) is not dict:
-                raise _expected("an object", value)
-            return value
     else:
         members = kind._value2member_map_ if isinstance(kind, EnumMeta) else {}
         plain = kind if kind in (int, bool, str) and least is None else None

@@ -545,6 +545,16 @@ _LAYOUT = {
 }
 
 
+@dataclass(frozen=True)
+class TileFile:
+    """One ``tiles`` entry of ``manifest.json``: a tile's grid indices and
+    the name of its file in the dataset directory."""
+
+    row: int
+    col: int
+    path: str
+
+
 @dataclass
 class DatasetManifest:
     """Everything needed to reproduce and stitch one emitted dataset.
@@ -558,7 +568,7 @@ class DatasetManifest:
     """
 
     run: RunConfig = field(metadata=INLINE)
-    tiles: list[dict]
+    tiles: list[TileFile]
     # The file names are recorded under their keys in the file.
     truth_path: str = field(metadata={"json": "truth"})
     ref_bright_path: str = field(metadata={"json": "reference.bright"})
@@ -572,19 +582,11 @@ class DatasetManifest:
         if self.run.regions is None:
             raise ConfigError("manifest key 'regions': expected a list, got None")
         for k, t in enumerate(self.tiles):
-            if not (type(t.get("row")) is int and type(t.get("col")) is int):
+            if not _plain_file_name(t.path):
                 raise GalvoMosaicError(
-                    f"manifest key 'tiles[{k}]': expected an object with integer "
-                    f"row and col, got {t!r}"
+                    f"manifest key 'tiles[{k}].path' of tile ({t.row}, {t.col}): "
+                    f"expected a plain file name, got {t.path!r}"
                 )
-            if not _plain_file_name(t.get("path")):
-                raise GalvoMosaicError(
-                    f"manifest key 'tiles[{k}].path' of tile ({t['row']}, {t['col']}): "
-                    f"expected a plain file name, got {t.get('path')!r}"
-                )
-            if len(t) != 3:  # row, col and path
-                unknown = min(set(t) - {"row", "col", "path"})
-                raise GalvoMosaicError(f"manifest key 'tiles[{k}].{unknown}' is unknown")
         for key, value in (("truth", self.truth_path), ("reference.bright", self.ref_bright_path),
                            ("reference.dark", self.ref_dark_path)):
             if not _plain_file_name(value):
@@ -592,7 +594,7 @@ class DatasetManifest:
                     f"manifest key {key!r}: expected a plain file name, got {value!r}"
                 )
         scan = self.run.scan
-        seen = {(t["row"], t["col"]) for t in self.tiles}
+        seen = {(t.row, t.col) for t in self.tiles}
         expected = {(i, j) for i in range(scan.n_rows) for j in range(scan.n_cols)}
         if len(self.tiles) != len(expected) or seen != expected:
             raise GalvoMosaicError(
@@ -692,7 +694,7 @@ def write_dataset(out_dir: str | os.PathLike, run: RunConfig) -> DatasetManifest
     names = [tile_filename(p.row, p.col, scan.n_rows, scan.n_cols) for p in placements]
     manifest = DatasetManifest(
         run=run,
-        tiles=[{"row": p.row, "col": p.col, "path": n} for p, n in zip(placements, names)],
+        tiles=[TileFile(p.row, p.col, n) for p, n in zip(placements, names)],
         truth_path="truth.pgm",
         ref_bright_path="ref_bright.pgm",
         ref_dark_path="ref_dark.pgm",
@@ -735,4 +737,8 @@ def load_manifest(dataset_dir: str | os.PathLike) -> DatasetManifest:
     path = Path(dataset_dir) / "manifest.json"
     if not path.exists():
         raise GalvoMosaicError(f"no manifest.json in {dataset_dir}")
-    return DatasetManifest.from_json(path.read_text(encoding="ascii"))
+    try:
+        text = path.read_text(encoding="ascii")
+    except UnicodeDecodeError as exc:
+        raise GalvoMosaicError(f"malformed manifest {path}: {exc}") from exc
+    return DatasetManifest.from_json(text)

@@ -363,7 +363,8 @@ class TestStitch:
             pytest.param(
                 lambda m: m["tiles"][2].update(gain=1.0), "'tiles[2].gain' is unknown", id="tile",
             ),
-            pytest.param(lambda m: m["tiles"][0].update(row=False), "'tiles[0]'", id="tile_bool"),
+            pytest.param(lambda m: m["tiles"][0].update(row=False), "'tiles[0].row'",
+                         id="tile_bool"),
             pytest.param(
                 lambda m: m["timing"].update(settle_ms=999), "'timing.settle_ms': 999 disagrees",
                 id="settle_ms_copy",
@@ -675,3 +676,32 @@ class TestPipelineReproducibility:
         one, two = outputs
         for rel in ("run/mosaic.pgm", "run/sidecar.json", "rep/report.json", "rep/report.txt"):
             assert (one / rel).read_bytes() == (two / rel).read_bytes(), rel
+
+
+@pytest.mark.parametrize("command", ["simulate", "stitch", "evaluate"])
+def test_undecodable_input_file_is_named(tmp_path, config_path, capsys, command):
+    # A byte that does not decode, in a config, a manifest or a regions file.
+    out = tmp_path / "out"
+    if command == "simulate":
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"n_rows = 2\n\xff\xfe bad\n")
+        argv, what = ("simulate", "--config", bad, "--out", out), "config"
+    else:
+        dataset = tmp_path / "ds"
+        assert run("simulate", "--config", config_path, "--out", dataset) == 0
+        if command == "stitch":
+            bad = dataset / "manifest.json"
+            bad.write_bytes(bad.read_bytes() + b"\xff")
+            argv, what = ("stitch", "--dataset", dataset, "--out", out), "manifest"
+        else:
+            stitched = tmp_path / "run"
+            assert run("stitch", "--dataset", dataset, "--out", stitched) == 0
+            bad = tmp_path / "regions.cfg"
+            bad.write_bytes(b"region_signal = 0,0,50,50\n# \xff\n")
+            argv = ("evaluate", "--mosaic", stitched / "mosaic.pgm",
+                    "--sidecar", stitched / "sidecar.json", "--regions", bad, "--out", out)
+            what = "regions file"
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert f"error: malformed {what} {bad}: " in err and "Traceback" not in err, err
+    assert not out.exists()

@@ -9,6 +9,8 @@ from galvomosaic.correction import (
     RectROI,
     ReferencePair,
     ResponseModel,
+    _blend,
+    _scratch,
     apply_roi_corrections,
     correct_roi,
     fit_bright_only,
@@ -390,9 +392,11 @@ def windowed_corrections(draw):
 @given(windowed_corrections())
 def test_window_correction_is_bit_equal_to_the_frame_slice(case):
     frame, fits, (top, bottom, left, right) = case
+    # Stitch corrects each block of a tile's rows, or an overlap window,
+    # through the private window kernel.
     expected = apply_roi_corrections(frame.copy(), fits)[top:bottom, left:right]
     window = frame[top:bottom, left:right].copy()
-    assert apply_roi_corrections(window, fits, (top, left)) is window
+    _blend(window, fits, (top, left), _scratch(fits))
     assert np.array_equal(window, expected)
 
 
@@ -402,7 +406,7 @@ def test_window_correction_covers_inside_partial_and_outside_rois():
     fits = [(constant_model(2.0, roi=roi), roi, linear_weight_field(roi, band_px=3)) for roi in rois]
     top, left = 25, 20
     window = frame[top:top + 30, left:left + 40].copy()
-    apply_roi_corrections(window, fits, (top, left))
+    _blend(window, fits, (top, left), _scratch(fits))
     whole = apply_roi_corrections(frame.copy(), fits)
     assert np.array_equal(window, whole[top:top + 30, left:left + 40])
     # The third ROI lies outside the window and leaves it untouched.

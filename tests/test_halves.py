@@ -67,26 +67,24 @@ def test_split_sum_is_add_reduce_bit_for_bit(size, seed, decades):
     rows = np.stack((values, other))
     leaves = []
 
-    def leaf_sums(worker, *blocks):
-        # Each leaf sums fresh temporaries of its own length, as the MAE does.
-        leaves.append((worker, blocks[0].shape[-1], threading.current_thread()))
-        copies = [np.multiply(b, 1.0) for b in blocks]
-        return tuple(np.add.reduce(c, axis=-1) for c in copies)
+    def leaf_sums(worker, block):
+        # Each leaf sums a fresh temporary of its own length, as the MAE does.
+        leaves.append((worker, block.shape[-1], threading.current_thread()))
+        return np.add.reduce(np.multiply(block, 1.0), axis=-1)
 
     saved = halves.SPLIT_MIN
     halves.SPLIT_MIN = 129  # share every sum of more than one leaf between the threads
     try:
-        (whole,) = halves.sums(leaf_sums, (values,))
-        pair = halves.sums(leaf_sums, (values, other))
-        (by_row,) = halves.sums(leaf_sums, (rows,))
+        whole = halves.sums(leaf_sums, values)
+        # The (2, n) layout of the MAE's sample pair: one sum per row.
+        by_row = halves.sums(leaf_sums, rows)
     finally:
         halves.SPLIT_MIN = saved
     expected = np.array([np.add.reduce(values), np.add.reduce(other)])
     assert whole.tobytes() == expected[0].tobytes()
-    assert np.asarray(pair).tobytes() == expected.tobytes()
     assert by_row.tobytes() == expected.tobytes()
     assert max(length for _, length, _ in leaves) <= halves.LEAF
-    assert sum(length for _, length, _ in leaves) == 3 * size
+    assert sum(length for _, length, _ in leaves) == 2 * size
     # One scratch per worker: worker 0 is the calling thread, 1 the helper.
     assert {worker for worker, _, _ in leaves} <= {0, 1}
     assert {thread for worker, _, thread in leaves if worker == 0} <= {threading.current_thread()}
@@ -207,7 +205,7 @@ def test_small_pass_runs_whole_on_the_calling_thread():
         return np.add.reduce(block)
 
     values = np.ones(halves.SPLIT_MIN - 1)
-    assert halves.sums(leaf, (values,)) == values.size
+    assert halves.sums(leaf, values) == values.size
     assert len(threads) > 1 and set(threads) == {(0, threading.get_ident())}
 
 
@@ -392,7 +390,7 @@ def test_adversarial_claim_order_keeps_every_bit(datasets, tmp_path, monkeypatch
     values = rng.standard_normal(775_587) * 10.0 ** rng.integers(-9, 10, 775_587)
     pair = np.stack((values, values[::-1]))
     expected = np.add.reduce(pair, axis=1)
-    shared = halves.sums(lambda worker, block: np.add.reduce(block, axis=1), (pair,))
+    shared = halves.sums(lambda worker, block: np.add.reduce(block, axis=1), pair)
     assert handoffs[0] == 1 and shared.tobytes() == expected.tobytes()
     for mode in ("raw", "processed"):
         monkeypatch.setattr(halves, "SPLIT_MIN", NO_PASS)

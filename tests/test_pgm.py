@@ -20,9 +20,10 @@ def test_u16_unit_roundtrip_is_exact():
 def test_every_count_survives_decode_and_encode_exactly():
     # Raw stitch writes tile counts as they are, where it once wrote
     # scale_to_counts(to_unit(counts)): the two agree for all 65,536 counts.
+    # Stitch decodes in place, into its scratch.
     counts = np.arange(65536, dtype=np.uint16)
     unit = np.empty(counts.shape)
-    assert pgm.to_unit(counts, out=unit) is unit
+    assert pgm._decode(counts, unit) is unit
     assert np.array_equal(unit, pgm.to_unit(counts))
     assert np.array_equal(pgm.scale_to_counts(unit), counts)
 

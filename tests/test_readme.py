@@ -1,5 +1,6 @@
 """The README matches the package: its Library snippet, its config keys and
-its lists of flag choices; and the package defines no name that only tests use."""
+its lists of flag choices; and the package defines no name and no defaulted
+parameter that only tests use."""
 
 import argparse
 import ast
@@ -59,11 +60,15 @@ def _names_used(tree: ast.AST) -> set[str]:
     return used
 
 
+def _package_trees() -> dict[Path, ast.Module]:
+    return {path: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted((ROOT / "src" / "galvomosaic").glob("*.py"))}
+
+
 def test_every_module_level_name_has_a_use_outside_tests():
     # A module-level def or class is used by the package's own code, named
     # by the benchmark harness, or imported by the acceptance tests.
-    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted((ROOT / "src" / "galvomosaic").glob("*.py"))}
+    trees = _package_trees()
     bench = "\n".join(p.read_text(encoding="utf-8") for p in sorted((ROOT / "bench").glob("*.py")))
     acceptance = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
     used = set().union(*map(_names_used, trees.values())) | {
@@ -79,3 +84,70 @@ def test_every_module_level_name_has_a_use_outside_tests():
         and not re.search(rf"\b{node.name}\b", bench)
     ]
     assert not unused, unused
+
+
+# Defaulted parameters kept without a caller outside tests: the list
+# pipeline that tests/test_simulate.py compares the streaming writer
+# against takes them, and they mirror the target_pitch and subpixel
+# config keys.
+UNPASSED_PARAMETERS = {"make_target(pitch)", "extract_tiles(subpixel)"}
+
+
+def _defaulted_parameters(tree: ast.Module):
+    """(name a call uses, parameter, its index among positional arguments
+    or None if keyword-only) of each defaulted parameter of each function
+    in ``tree``.  A method is called without its first argument, and
+    ``__init__`` by its class name."""
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in child.decorator_list)
+                if cls is not None and not static:
+                    positional = positional[1:]
+                name = cls.name if cls is not None and child.name == "__init__" else child.name
+                for k in range(len(positional) - len(args.defaults), len(positional)):
+                    yield name, positional[k].arg, k
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        yield name, arg.arg, None
+                yield from visit(child, None)
+            else:
+                yield from visit(child, child if isinstance(child, ast.ClassDef) else cls)
+
+    return visit(tree, None)
+
+
+def test_every_defaulted_parameter_is_passed_outside_tests():
+    # Each defaulted parameter of the package is passed, by keyword or by
+    # position, by some call of its function's name in the package, the
+    # benchmark harness or the acceptance tests; a call with *args or
+    # **kwargs may pass any.
+    trees = _package_trees()
+    others = [*sorted((ROOT / "bench").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]
+    callers = [*trees.values(), *(ast.parse(p.read_text(encoding="utf-8")) for p in others)]
+    positions: dict[str, int] = {}
+    keywords: dict[str, set] = {}
+    spread = set()
+    for tree in callers:
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if any(isinstance(a, ast.Starred) for a in call.args) or any(
+                    k.arg is None for k in call.keywords):
+                spread.add(name)
+            positions[name] = max(positions.get(name, 0), len(call.args))
+            keywords.setdefault(name, set()).update(k.arg for k in call.keywords)
+    unpassed = {
+        f"{name}({param})"
+        for tree in trees.values()
+        for name, param, index in _defaulted_parameters(tree)
+        if name not in spread and param not in keywords.get(name, ())
+        and (index is None or positions.get(name, 0) <= index)
+    }
+    assert unpassed == UNPASSED_PARAMETERS, sorted(unpassed ^ UNPASSED_PARAMETERS)

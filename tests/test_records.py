@@ -12,7 +12,9 @@ from galvomosaic.errors import ConfigError
 from galvomosaic.geometry import ScanConfig, ScanStrategy
 from galvomosaic.metrics import RegionKind, RegionSpec
 from galvomosaic.records import dumps_indented, fields_dict, read
-from galvomosaic.simulate import DatasetManifest, DegradationSpec, RunConfig, tile_filename
+from galvomosaic.simulate import (
+    DatasetManifest, DegradationSpec, RunConfig, TileFile, tile_filename,
+)
 
 # Finite reals, sometimes written as JSON integers: a float field keeps
 # whichever it was given.
@@ -107,7 +109,7 @@ def test_manifest_round_trips(run):
     manifest = DatasetManifest(
         run=run,
         tiles=[
-            {"row": i, "col": j, "path": tile_filename(i, j, scan.n_rows, scan.n_cols)}
+            TileFile(i, j, tile_filename(i, j, scan.n_rows, scan.n_cols))
             for i in range(scan.n_rows) for j in range(scan.n_cols)
         ],
         truth_path="truth.pgm",

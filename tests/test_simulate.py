@@ -229,7 +229,7 @@ class TestNoiseDraws:
         manifest = write_dataset(tmp_path, RunConfig(cfg, [], identity_spec(rng_seed=3)))
         truth = pgm.read_pgm(tmp_path / "truth.pgm")
         for p, entry in zip(placement_table(cfg), manifest.tiles):
-            tile = pgm.read_pgm(tmp_path / entry["path"])
+            tile = pgm.read_pgm(tmp_path / entry.path)
             assert np.array_equal(tile, truth[p.y:p.y + TILE_H, p.x:p.x + TILE_W])
 
     def test_degrade_returns_arrays_of_its_own(self):
@@ -660,8 +660,8 @@ class TestStreamingWriteDataset:
         )
         expected = {"truth.pgm": truth, "ref_bright.pgm": bright, "ref_dark.pgm": dark}
         for tile, entry in zip(tiles, manifest.tiles):
-            assert (tile.row, tile.col) == (entry["row"], entry["col"])
-            expected[entry["path"]] = tile.data
+            assert (tile.row, tile.col) == (entry.row, entry.col)
+            expected[entry.path] = tile.data
         assert len(expected) == 3 + cfg.n_rows * cfg.n_cols
         for name, data in expected.items():
             assert np.array_equal(pgm.read_pgm(tmp_path / name), pgm.to_u16(data)), name
@@ -682,7 +682,7 @@ class TestStreamingWriteDataset:
         truth = make_target(*required_truth_dims(cfg), TargetPattern.USAF_LIKE)
         tiles, _, _ = degrade(extract_tiles(truth, cfg), spec, STREAM_ROIS)
         for tile, entry in zip(tiles, manifest.tiles):
-            assert np.array_equal(pgm.read_pgm(tmp_path / entry["path"]), pgm.to_u16(tile.data))
+            assert np.array_equal(pgm.read_pgm(tmp_path / entry.path), pgm.to_u16(tile.data))
 
     def test_memory_scales_with_canvas_counts(self, tmp_path):
         # 200 px tiles on 175 px steps; a 16x8 grid doubles the canvas of an 8x8 one
@@ -809,7 +809,7 @@ class TestStreamingWriteDataset:
         opens = _Opens()
         monkeypatch.setattr(simulate, "open", opens, raising=False)
         manifest = write_dataset(tmp_path, RunConfig(cfg, STREAM_ROIS, spec, subpixel=subpixel))
-        frames = [entry["path"] for entry in manifest.tiles] + ["ref_bright.pgm", "ref_dark.pgm"]
+        frames = [entry.path for entry in manifest.tiles] + ["ref_bright.pgm", "ref_dark.pgm"]
         written = [name for name, _ in opens.log]
         assert sorted(written) == sorted(frames + ["truth.pgm"])
         assert {thread for _, thread in opens.log} <= {"MainThread", "galvomosaic-halves_0"}

@@ -128,7 +128,7 @@ def oracle(dataset: Path, correction: str, feather: bool):
                 model = fit_bright_only(bright, manifest.run.bright_level, roi,
                                         eps=manifest.run.epsilon)
             fits.append((model, roi, manifest.run.band_px))
-    paths = {(t["row"], t["col"]): dataset / t["path"] for t in manifest.tiles}
+    paths = {(t.row, t.col): dataset / t.path for t in manifest.tiles}
     value = np.zeros((height, width))
     weight = np.zeros((height, width))
     tiles = {}
@@ -331,8 +331,8 @@ def test_failed_stitch_keeps_earlier_outputs(tmp_path, capsys):
     assert set(before) == {"mosaic.pgm", "sidecar.json"}
 
     manifest = load_manifest(dataset)
-    last_row = max(t["row"] for t in manifest.tiles)
-    victim = dataset / next(t["path"] for t in manifest.tiles if t["row"] == last_row)
+    last_row = max(t.row for t in manifest.tiles)
+    victim = dataset / next(t.path for t in manifest.tiles if t.row == last_row)
     data = victim.read_bytes()
     victim.write_bytes(data[: len(data) // 2])
     capsys.readouterr()
