@@ -45,8 +45,6 @@ from .config import load_run_config, regions_from_file
 from .correction import (
     ReferencePair,
     _blend,
-    _plane_size,
-    _scratch,
     fit_bright_only,
     fit_two_point,
     linear_weight_field,
@@ -108,19 +106,29 @@ def _read_frame(path: Path, shape: tuple[int, int], what: str) -> np.ndarray:
 
 def _build_fits(manifest: DatasetManifest, dataset: Path, correction: str):
     """(model, ROI, weights) per ROI, from both references or, for
-    bright-only correction, the bright one alone."""
+    bright-only correction, the bright one alone.  An ROI whose gain plus
+    epsilon is 0 at some pixel raises :class:`GalvoMosaicError`."""
     if correction == "off":
         return []
     run = manifest.run
     shape = (run.scan.tile_height, run.scan.tile_width)
     bright = pgm.to_unit(_read_frame(dataset / manifest.ref_bright_path, shape, "reference frame"))
+    files = manifest.ref_bright_path
     if correction == "two-point":
         dark = pgm.to_unit(_read_frame(dataset / manifest.ref_dark_path, shape, "reference frame"))
         refs = ReferencePair(bright, run.bright_level, dark, run.dark_level)
         models = [fit_two_point(refs, roi, eps=run.epsilon) for roi in run.rois]
+        files += f" and {manifest.ref_dark_path}"
     else:
         models = [fit_bright_only(bright, run.bright_level, roi, eps=run.epsilon)
                   for roi in run.rois]
+    for k, (model, roi) in enumerate(zip(models, run.rois)):
+        if not np.all(model.gain + model.epsilon):
+            raise GalvoMosaicError(
+                f"rois[{k}] = {roi.x0},{roi.y0},{roi.width},{roi.height}: gain + epsilon is 0 "
+                f"at some pixel of the fit to {files} with epsilon = {run.epsilon}, so the "
+                "correction would divide by 0"
+            )
     return [(model, roi, linear_weight_field(roi, run.band_px))
             for model, roi in zip(models, run.rois)]
 
@@ -131,67 +139,40 @@ def _build_fits(manifest: DatasetManifest, dataset: Path, correction: str):
 # private pgm._decode and correction._blend.
 
 
-def _block_scratch(fits: list, shape: tuple[int, int]) -> int:
-    """Elements of a worker's scratch that :class:`_Decoder` takes for a
-    block of a tile of ``shape``: the block's rows, then the ROI blend's
-    three planes."""
-    height, width = shape
-    return halves.step(height, height * width) * width + (3 * _plane_size(fits) if fits else 0)
-
-
-class _Decoder:
-    """Decoding of counts to float64 intensities and ROI correction in
-    place, block by block.  Each worker decodes a block of a tile into,
-    and corrects in, its scratch of the MAE workspace ``work``, which no
-    sum uses meanwhile (:meth:`~galvomosaic.metrics.MaeWorkspace.scratch`,
-    made with :func:`_block_scratch` elements or more).
-
-    A tile of ``halves.SPLIT_MIN`` pixels or more is worked in blocks of
-    at most ``halves.BLOCK_ROWS`` rows, by both workers; a smaller tile
-    is one block on the calling thread.
-    """
-
-    def __init__(self, fits: list, shape: tuple[int, int], work: MaeWorkspace):
-        self.fits = fits
-        self.width = shape[1]
-        self.scratch = work.scratch()
-        # The ROI blend's planes lie after a block's rows in a worker's
-        # scratch; each worker has a mask of its own.
-        planes = slice(_block_scratch([], shape), _block_scratch(fits, shape))
-        self.blend_scratch = [_scratch(fits, row[planes]) for row in self.scratch] if fits else []
-
-    def unit(self, worker: int, counts: np.ndarray, out: np.ndarray,
-             origin: tuple[int, int]) -> np.ndarray:
-        """``out`` holding ``counts`` decoded and corrected: a window of a
-        frame whose top-left pixel is frame pixel ``origin``.  Every step is
-        elementwise, so a window comes out bit-equal to the same window of
-        the whole corrected frame."""
-        pgm._decode(counts, out)
-        if self.fits:
-            _blend(out, self.fits, origin, self.blend_scratch[worker])
-        return out
-
-    def rows(self, worker: int, n: int) -> np.ndarray:
-        """A block of ``n`` tile rows in the scratch of ``worker``."""
-        return self.scratch[worker, :n * self.width].reshape(n, self.width)
+def _unit(counts: np.ndarray, out: np.ndarray, fits: list,
+          origin: tuple[int, int]) -> np.ndarray:
+    """``out`` holding ``counts`` decoded and corrected: a window of a
+    frame whose top-left pixel is frame pixel ``origin``.  Every step is
+    elementwise, so a window comes out bit-equal to the same window of
+    the whole corrected frame."""
+    pgm._decode(counts, out)
+    if fits:
+        _blend(out, fits, origin)
+    return out
 
 
 class _Frame(TileBlocks):
-    """A tile's float64 intensities, decoded and corrected from its counts
-    block by block into the scratch of the worker that composes the
-    block.  Each block also copies its rows of the windows that the tile
-    closes into their MAE samples."""
+    """A tile's float64 intensities, decoded from its counts block by
+    block into the ``scratch`` row of the worker that composes the block
+    and corrected there; the ROI correction's temporaries hold at most a
+    block's part of an ROI.  Each block also copies its rows of the
+    windows that the tile closes into their MAE samples.  A tile of
+    ``halves.SPLIT_MIN`` pixels or more is worked in blocks of at most
+    ``halves.BLOCK_ROWS`` rows, by both workers; a smaller tile is one
+    block on the calling thread.
+    """
 
-    def __init__(self, counts: np.ndarray, decoder: _Decoder, windows: list):
+    def __init__(self, counts: np.ndarray, fits: list, scratch: np.ndarray, windows: list):
         super().__init__(counts.shape, np.dtype(np.float64))
         self.counts = counts
-        self.decoder = decoder
+        self.fits = fits
+        self.scratch = scratch
         # (first row, end row, columns, samples) of each closing window.
         self.windows = windows
 
     def block(self, worker: int, lo: int, hi: int) -> np.ndarray:
-        out = self.decoder.unit(worker, self.counts[lo:hi], self.decoder.rows(worker, hi - lo),
-                                (lo, 0))
+        rows = self.scratch[worker, :(hi - lo) * self.shape[1]].reshape(hi - lo, -1)
+        out = _unit(self.counts[lo:hi], rows, self.fits, (lo, 0))
         for top, bottom, cols, samples in self.windows:
             a, b = max(lo, top), min(hi, bottom)
             if a < b:
@@ -199,13 +180,13 @@ class _Frame(TileBlocks):
         return out
 
 
-def _samples(worker: int, lo: int, hi: int, decoder: _Decoder, x: np.ndarray,
+def _samples(worker: int, lo: int, hi: int, fits: list, x: np.ndarray,
              earlier: np.ndarray, origin: tuple[int, int], y: np.ndarray,
              later: np.ndarray | None) -> None:
     """Rows ``lo..hi`` of an overlap's samples: the earlier tile's window
     decoded and corrected into ``x``, and the later tile's window counts
     decoded into ``y`` unless the tile's own pass filled it."""
-    decoder.unit(worker, earlier[lo:hi], x[lo:hi], (origin[0] + lo, origin[1]))
+    _unit(earlier[lo:hi], x[lo:hi], fits, (origin[0] + lo, origin[1]))
     if later is not None:
         pgm._decode(later[lo:hi], y[lo:hi])
 
@@ -227,9 +208,8 @@ def _corrected_tiles(
 
     A tile is read as its uint16 counts.  When it is neither corrected
     nor feathered the counts themselves are yielded, and raw composition
-    keeps them as counts.  Otherwise a :class:`_Frame` is yielded: the
-    band asks it for one block of rows at a time, which is decoded to
-    float64 and corrected in a worker's scratch, so no float64 copy of
+    keeps them as counts.  Otherwise a :class:`_Frame` is yielded, which
+    the band asks for one block of rows at a time, so no float64 copy of
     the whole tile is made.
 
     ``mae[k]`` is filled for every overlap k that a tile closes (its left
@@ -249,13 +229,14 @@ def _corrected_tiles(
     :class:`~galvomosaic.pgm.ImageFormatError`.
     """
     paths = {(t.row, t.col): dataset / t.path for t in manifest.tiles}
-    expected = (manifest.run.scan.tile_height, manifest.run.scan.tile_width)
+    height, width = expected = (manifest.run.scan.tile_height, manifest.run.scan.tile_width)
     by_tile = overlaps_by_tile(overlaps)
     decoded = bool(fits) or feather
+    # Each worker's scratch holds the rows of one block of a tile.
     work = MaeWorkspace(max((ov.rect.width * ov.rect.height for ov in overlaps), default=0),
                         pairs=2 if decoded else 1,
-                        scratch=_block_scratch(fits, expected) if decoded else 0)
-    decoder = _Decoder(fits, expected, work)
+                        scratch=halves.step(height, height * width) * width if decoded else 0)
+    scratch = work.scratch()
     # overlap index -> (counts, window origin in the earlier tile)
     pending: dict[int, tuple[np.ndarray, tuple[int, int]]] = {}
     for p in placements:
@@ -273,19 +254,19 @@ def _corrected_tiles(
             if decoded:
                 # The frame fills the left pair's later samples in one row of
                 # the workspace and the top pair's in another.
-                x, y = work.samples(shape, 1 if overlaps[k].axis is Axis.VERTICAL else 0)
-                windows.append((top, top + rect.height, window[1], y))
-                closing.append((k, shape, (x, y), None))
+                pair = 1 if overlaps[k].axis is Axis.VERTICAL else 0
+                windows.append((top, top + rect.height, window[1], work.samples(shape, pair)[1]))
+                closing.append((k, shape, pair, None))
             else:
-                closing.append((k, shape, None, counts[window]))
+                closing.append((k, shape, 0, counts[window]))
         # Raw tiles are kept whole as counts, so their MAE is taken before
         # they are composed; a frame's samples are filled as it is composed.
         if decoded:
-            yield _Frame(counts, decoder, windows)
-        for k, shape, samples, later in closing:
-            x, y = samples or work.samples(shape)
+            yield _Frame(counts, fits, scratch, windows)
+        for k, shape, pair, later in closing:
+            x, y = work.samples(shape, pair)
             # The earlier window is held by the pass alone, and let go with it.
-            halves.blocks(_samples, len(x), x.size, decoder, x, *pending.pop(k), y, later)
+            halves.blocks(_samples, len(x), x.size, fits, x, *pending.pop(k), y, later)
             mae[k] = normalized_mae(x, y, work)
         if not decoded:
             yield counts

@@ -25,7 +25,8 @@ Every step of the correction is elementwise, so any window of a frame
 can be corrected on its own, bit-equal to the same window of the whole
 corrected frame.  :func:`apply_roi_corrections` corrects a whole frame;
 stitch corrects each block of rows of a tile as it decodes it, through
-the same private window kernel.
+the same private window kernel, whose temporaries are the size of each
+ROI's part of the window.
 
 All intensities here are floats in [0, 1]; eps defaults to 1e-6 in
 those units.
@@ -42,9 +43,6 @@ from .errors import DimensionMismatchError, InvalidReferenceError
 
 EPSILON_DEFAULT = 1e-6
 BAND_PX_DEFAULT = 50
-# ROI rows that _blend corrects at once: enough that each numpy call
-# covers a few ten thousand pixels of a wide ROI.
-_SCRATCH_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -123,13 +121,6 @@ class ResponseModel:
         if not (np.all(np.isfinite(self.gain)) and np.all(np.isfinite(self.offset))):
             raise InvalidReferenceError("response model contains non-finite entries")
 
-    def invert(self, values: np.ndarray) -> np.ndarray:
-        """``values``, of the ROI's shape, with the model inverted:
-        (I - o) / (g + eps), as a new array."""
-        out = np.subtract(values, self.offset)
-        out /= self.gain + self.epsilon
-        return out
-
 
 def fit_two_point(
     refs: ReferencePair, roi: RectROI, eps: float = EPSILON_DEFAULT
@@ -153,13 +144,15 @@ def fit_bright_only(
 
 
 def correct_roi(tile: np.ndarray, model: ResponseModel, roi: RectROI) -> np.ndarray:
-    """Invert the response model over the ROI; returns the ROI-sized result."""
+    """Invert the response model over the ROI, (I - o) / (g + eps); returns
+    the ROI-sized result."""
     roi.check_within(np.asarray(tile).shape)
     if model.gain.shape != (roi.height, roi.width):
         raise DimensionMismatchError(
             f"model shape {model.gain.shape} does not match ROI {roi.height}x{roi.width}"
         )
-    return model.invert(np.asarray(tile, dtype=np.float64)[roi.slices()])
+    patch = np.asarray(tile, dtype=np.float64)[roi.slices()]
+    return (patch - model.offset) / (model.gain + model.epsilon)
 
 
 def linear_weight_field(roi: RectROI, band_px: int = BAND_PX_DEFAULT
@@ -198,63 +191,36 @@ def apply_roi_corrections(tile: np.ndarray, fits: Sequence[Fit]) -> np.ndarray:
     float64 array first.  The fits are taken as built: each model has
     the ROI's shape, and the weights are the ramps of
     :func:`linear_weight_field` (or any ramps of the ROI's height and
-    width).
+    width).  The correction makes temporaries the size of each ROI.
     """
     out = np.asarray(tile, dtype=np.float64)
-    if fits:
-        _blend(out, fits, (0, 0), _scratch(fits))
+    _blend(out, fits, (0, 0))
     return out
 
 
-def _plane_size(fits: Sequence[Fit]) -> int:
-    """Elements in each plane of :func:`_scratch`: ``_SCRATCH_ROWS`` rows of
-    the widest ROI."""
-    return _SCRATCH_ROWS * max(roi.width for _, roi, _ in fits)
-
-
-def _scratch(fits: Sequence[Fit], planes: np.ndarray | None = None
-             ) -> tuple[np.ndarray, np.ndarray]:
-    """Scratch for :func:`_blend`: three float64 planes, laid in the flat
-    ``planes`` when given, and a mask."""
-    size = _plane_size(fits)
-    if planes is None:
-        planes = np.empty(3 * size)
-    return planes[:3 * size].reshape(3, size), np.empty(size, dtype=bool)
-
-
-def _blend(rows: np.ndarray, fits: Sequence[Fit], origin: tuple[int, int],
-           scratch: tuple[np.ndarray, np.ndarray]) -> None:
+def _blend(rows: np.ndarray, fits: Sequence[Fit], origin: tuple[int, int]) -> None:
     """Correct and feather ``rows`` in place, each fit in turn: a float64
-    window of a frame whose top-left pixel is frame pixel ``origin``.
-
-    The pixels of an ROI in the window are taken as many rows at a time
-    as ``scratch`` (:func:`_scratch`) holds, so each step's temporaries
-    stay in cache and no call allocates.
-    """
+    window of a frame whose top-left pixel is frame pixel ``origin``.  Each
+    ROI's part of the window is corrected in one go, in three float64
+    temporaries and a mask of that part's shape."""
     top, left = origin
     bottom, right = top + rows.shape[0], left + rows.shape[1]
-    planes, full = scratch
     for model, roi, (wy, wx) in fits:
         y0, y1 = max(roi.y0, top), min(roi.y1, bottom)
         x0, x1 = max(roi.x0, left), min(roi.x1, right)
         if y0 >= y1 or x0 >= x1:
             continue
-        width = x1 - x0
-        cols = slice(x0 - roi.x0, x1 - roi.x0)
-        chunk = planes.shape[1] // width
-        for y in range(y0, y1, chunk):
-            n = min(chunk, y1 - y)
-            patch = rows[y - top:y - top + n, x0 - left:x1 - left]
-            part = (slice(y - roi.y0, y - roi.y0 + n), cols)
-            chunk_planes = planes[:, :n * width].reshape(3, n, width)
-            c, w, b = chunk_planes[0], chunk_planes[1], chunk_planes[2]
-            # c = (I - o) / (g + eps), as ResponseModel.invert forms it.
-            np.subtract(patch, model.offset[part], out=c)
-            c /= np.add(model.gain[part], model.epsilon, out=w)
-            np.minimum(wy[part[0], None], wx[cols], out=w)
-            np.subtract(c, patch, out=b)
-            b *= w
-            b += patch
-            # Pin the W = 1 endpoint: a + 1*(b - a) can round away from b.
-            np.copyto(b, c, where=np.equal(w, 1.0, out=full[:n * width].reshape(n, width)))
-            b.clip(0.0, 1.0, out=patch)
+        patch = rows[y0 - top:y1 - top, x0 - left:x1 - left]
+        part = np.s_[y0 - roi.y0:y1 - roi.y0, x0 - roi.x0:x1 - roi.x0]
+        # c = (I - o) / (g + eps), as correct_roi forms it; the
+        # denominator's array then holds the weights.
+        c = np.subtract(patch, model.offset[part])
+        w = np.add(model.gain[part], model.epsilon)
+        c /= w
+        np.minimum(wy[part[0], None], wx[part[1]], out=w)
+        b = np.subtract(c, patch)
+        b *= w
+        b += patch
+        # Pin the W = 1 endpoint: a + 1*(b - a) can round away from b.
+        np.copyto(b, c, where=np.equal(w, 1.0))
+        b.clip(0.0, 1.0, out=patch)

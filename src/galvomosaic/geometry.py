@@ -77,10 +77,15 @@ class ScanConfig:
             raise ConfigError(f"s_x must be > 0, got {self.s_x}")
         if not self.s_y > 0:
             raise ConfigError(f"s_y must be > 0, got {self.s_y}")
-        if self.strategy is ScanStrategy.SINUSOIDAL and self.n_cols >= 2:
-            _, amplitude = self.sine_params()
-            if amplitude < 0:
-                raise ConfigError(f"amplitude must be >= 0, got {amplitude}")
+        # Seams and feather ramps assume each later column lies right, each later row below.
+        if self.strategy is ScanStrategy.SINUSOIDAL:
+            key, step = "amplitude", self.sine_params()[1]
+        else:
+            key, step = "dv_x", self.dv_x
+        if self.n_cols >= 2 and not step > 0:
+            raise ConfigError(f"{key} must be > 0 over 2 or more columns, got {step}")
+        if self.n_rows >= 2 and not self.dv_y > 0:
+            raise ConfigError(f"dv_y must be > 0 over 2 or more rows, got {self.dv_y}")
         self._check_size()
 
     def _check_size(self) -> None:

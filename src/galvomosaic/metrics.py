@@ -102,8 +102,8 @@ class MaeWorkspace:
     with ``scratch > 0`` there is one for each worker, and a caller may
     use them for work of its own between MAEs.  A stitch makes one
     workspace for its largest overlap, so no overlap faults in fresh
-    pages for its temporaries, and works the blocks of its tiles in the
-    scratch that the sums leave free meanwhile.
+    pages for its temporaries, and decodes the blocks of its tiles into
+    the scratch that the sums leave free meanwhile.
     """
 
     def __init__(self, size: int, pairs: int = 1, scratch: int = 0):

@@ -118,6 +118,14 @@ class TestSimulate:
                          id="seed_negative"),
             pytest.param(BAND_OVER_THE_LIMIT, "'dv_x', 'dv_y', 's_x', 's_y', 'alpha_x', 'alpha_y'",
                          "band of 18010 x 19900 px", id="band_over_the_limit"),
+            pytest.param("dv_x = -0.1\n", "dv_x", "must be > 0 over 2 or more columns",
+                         id="dv_x_negative"),
+            pytest.param("dv_x = 0\n", "dv_x", "must be > 0 over 2 or more columns",
+                         id="dv_x_zero"),
+            pytest.param("dv_y = -0.1\n", "dv_y", "must be > 0 over 2 or more rows",
+                         id="dv_y_negative"),
+            pytest.param("strategy = sinusoidal\namplitude = 0\n", "amplitude",
+                         "must be > 0 over 2 or more columns", id="amplitude_zero"),
         ],
     )
     def test_bad_run_float_names_key(self, tmp_path, capsys, lines, key, message):
@@ -391,6 +399,50 @@ class TestStitch:
         edit(manifest)
         err = self._stitch_fails_cleanly(tmp_path, dataset, manifest, capsys)
         assert key in err, err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("dv_x", -0.1), ("dv_x", 0), ("dv_y", -0.1), ("amplitude", 0)],
+        ids=["dv_x_negative", "dv_x_zero", "dv_y_negative", "amplitude_zero"],
+    )
+    def test_step_that_does_not_advance_fails_before_any_tile_is_read(
+            self, tmp_path, capsys, key, value):
+        dataset = tmp_path / "quick"
+        assert run("simulate", "--config", QUICK_CFG, "--out", dataset) == 0
+        manifest = json.loads((dataset / "manifest.json").read_text())
+        manifest["scan"][key] = value
+        if key == "amplitude":
+            manifest["scan"]["strategy"] = "sinusoidal"
+        # Empty tiles: reading any of them would fail with another error.
+        for tile in dataset.glob("tile_*.pgm"):
+            tile.write_bytes(b"")
+        err = self._stitch_fails_cleanly(tmp_path, dataset, manifest, capsys)
+        assert f"{key} must be > 0 over 2 or more" in err, err
+
+    @pytest.mark.parametrize(
+        "corner_offset, correction, files",
+        [(1.0, "two-point", "ref_bright.pgm and ref_dark.pgm"),
+         (-1.0, "bright-only", "ref_bright.pgm")],
+        ids=["saturated", "bright_zero"],
+    )
+    def test_fit_with_zero_gain_and_epsilon_is_refused(
+            self, tmp_path, capsys, corner_offset, correction, files):
+        # Both references clamp to one level inside the ROI (or the bright
+        # one to 0), so the fitted gain is 0 there, and epsilon = 0 leaves
+        # the correction dividing by it.
+        cfg = tmp_path / "flat.cfg"
+        cfg.write_text(QUICK_CFG.read_text() + f"corner_offset = {corner_offset}\nepsilon = 0\n")
+        dataset = tmp_path / "flat"
+        assert run("simulate", "--config", cfg, "--out", dataset) == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert run("stitch", "--dataset", dataset, "--out", out, "--correction", correction) == 1
+        assert not (out / "mosaic.pgm").exists()
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert (f"rois[0] = 0,50,30,30: gain + epsilon is 0 at some pixel of the fit to {files} "
+                "with epsilon = 0.0") in err, err
+        assert run("stitch", "--dataset", dataset, "--out", out, "--correction", "off") == 0
 
     @pytest.mark.parametrize("size", [100, 40], ids=["padded", "cut"])
     def test_reference_frame_of_wrong_size_is_named(self, tmp_path, dataset, capsys, size):

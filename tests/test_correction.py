@@ -1,5 +1,7 @@
 """Response-model fitting, ROI correction, and feathered re-blending."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,6 @@ from galvomosaic.correction import (
     ReferencePair,
     ResponseModel,
     _blend,
-    _scratch,
     apply_roi_corrections,
     correct_roi,
     fit_bright_only,
@@ -353,9 +354,9 @@ def test_apply_roi_corrections_corrects_in_place_like_feather_roi():
     assert converted.dtype == np.float64 and np.all(counts == 3)
 
 
-def test_roi_taller_than_the_scratch_is_corrected_whole():
-    # 300 rows of a 40 px ROI: the blend takes them in several passes of
-    # its scratch, with the same bits as the oracle on the whole ROI.
+def test_tall_roi_is_corrected_whole():
+    # 300 rows of a 40 px ROI come out with the same bits as the oracle
+    # on the whole ROI.
     rng = np.random.default_rng(12)
     frame = rng.uniform(0.0, 1.0, (320, 50))
     roi = RectROI(5, 10, 40, 300)
@@ -366,6 +367,31 @@ def test_roi_taller_than_the_scratch_is_corrected_whole():
     patch = frame[roi.slices()]
     expected = feather_roi(frame, (patch - model.offset) / (model.gain + 1e-6), weights, roi)
     assert np.array_equal(apply_roi_corrections(frame.copy(), [(model, roi, weights)]), expected)
+
+
+# numpy's ufunc buffers and array headers, beyond the temporaries.
+BLEND_SLACK = 64 * 1024
+
+
+def test_block_correction_holds_only_temporaries_of_the_roi_part():
+    # Stitch corrects a 64-row block of a 1000 px wide frame through a
+    # 580 x 600 ROI: the kernel may hold three float64 arrays and a mask
+    # of the block's 64 x 580 part of the ROI, never more of the ROI.
+    roi = RectROI(200, 100, 580, 600)
+    shape = (roi.height, roi.width)
+    rng = np.random.default_rng(5)
+    model = ResponseModel(gain=rng.uniform(0.5, 2.0, shape), offset=rng.uniform(-0.1, 0.1, shape),
+                          epsilon=1e-6)
+    fits = [(model, roi, linear_weight_field(roi))]
+    block = rng.uniform(0.0, 1.0, (64, 1000))
+    _blend(block.copy(), fits, (300, 0))  # numpy's first-call caches are in place before tracing
+    tracemalloc.start()
+    try:
+        _blend(block, fits, (300, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * roi.width * (3 * 8 + 1) + BLEND_SLACK, peak
 
 
 @st.composite
@@ -396,7 +422,7 @@ def test_window_correction_is_bit_equal_to_the_frame_slice(case):
     # through the private window kernel.
     expected = apply_roi_corrections(frame.copy(), fits)[top:bottom, left:right]
     window = frame[top:bottom, left:right].copy()
-    _blend(window, fits, (top, left), _scratch(fits))
+    _blend(window, fits, (top, left))
     assert np.array_equal(window, expected)
 
 
@@ -406,7 +432,7 @@ def test_window_correction_covers_inside_partial_and_outside_rois():
     fits = [(constant_model(2.0, roi=roi), roi, linear_weight_field(roi, band_px=3)) for roi in rois]
     top, left = 25, 20
     window = frame[top:top + 30, left:left + 40].copy()
-    _blend(window, fits, (top, left), _scratch(fits))
+    _blend(window, fits, (top, left))
     whole = apply_roi_corrections(frame.copy(), fits)
     assert np.array_equal(window, whole[top:top + 30, left:left + 40])
     # The third ROI lies outside the window and leaves it untouched.

@@ -1,6 +1,7 @@
 """Scan geometry: offsets, sinusoidal voltages, placement tables."""
 
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -173,6 +174,35 @@ class TestValidation:
         cfg = calib_cfg(strategy=ScanStrategy.SINUSOIDAL, amplitude=-1.0)
         with pytest.raises(ConfigError):
             cfg.validate()
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (dict(dv_x=0.0), "dv_x must be > 0 over 2 or more columns, got 0.0"),
+            (dict(dv_x=-0.1), "dv_x must be > 0 over 2 or more columns, got -0.1"),
+            (dict(dv_y=0.0), "dv_y must be > 0 over 2 or more rows, got 0.0"),
+            (dict(dv_y=-0.1), "dv_y must be > 0 over 2 or more rows, got -0.1"),
+            (dict(strategy=ScanStrategy.SINUSOIDAL, amplitude=0.0),
+             "amplitude must be > 0 over 2 or more columns, got 0.0"),
+            # The default amplitude follows dv_x.
+            (dict(strategy=ScanStrategy.SINUSOIDAL, dv_x=0.0),
+             "amplitude must be > 0 over 2 or more columns, got 0.0"),
+        ],
+        ids=["dv_x_zero", "dv_x_negative", "dv_y_zero", "dv_y_negative", "amplitude_zero",
+             "default_amplitude_zero"],
+    )
+    def test_rejects_a_step_that_does_not_advance(self, overrides, message):
+        # Seams and feather ramps take each later column to lie right of
+        # the one before, and each later row below.
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            calib_cfg(**overrides).validate()
+
+    def test_step_of_a_single_column_or_row_is_not_checked(self):
+        calib_cfg(n_cols=1, dv_x=0.0).validate()
+        calib_cfg(n_rows=1, dv_y=-1.0).validate()
+
+    def test_sinusoidal_scan_takes_its_column_step_from_the_amplitude(self):
+        calib_cfg(strategy=ScanStrategy.SINUSOIDAL, dv_x=-1.0, amplitude=2.0).validate()
 
     def test_tile_count_over_the_limit_is_named_before_any_placement(self):
         # Only the check runs: 10**10 placements must never be built.

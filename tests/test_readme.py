@@ -1,6 +1,7 @@
 """The README matches the package: its Library snippet, its config keys and
-its lists of flag choices; and the package defines no name and no defaulted
-parameter that only tests use."""
+its lists of flag choices; the package defines no name and no defaulted
+parameter that only tests use; and its modules take no private name from
+one another beyond the helper thread's pair."""
 
 import argparse
 import ast
@@ -151,3 +152,37 @@ def test_every_defaulted_parameter_is_passed_outside_tests():
         and (index is None or positions.get(name, 0) <= index)
     }
     assert unpassed == UNPASSED_PARAMETERS, sorted(unpassed ^ UNPASSED_PARAMETERS)
+
+
+def _private_names_taken(path: Path, tree: ast.Module) -> set[str]:
+    """``module._name`` for each private name that the module at ``path``
+    takes from another module of the package: by ``from .module import
+    _name``, or as an attribute ``module._name`` of a module it imports."""
+    modules, taken = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None:
+                    modules[alias.asname or alias.name] = alias.name
+                elif alias.name.startswith("_"):
+                    taken.add(f"{node.module}.{alias.name}")
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("galvomosaic."):
+                    modules[alias.asname or alias.name] = alias.name.split(".")[-1]
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")
+                and not node.attr.startswith("__")):
+            taken.add(f"{modules[node.value.id]}.{node.attr}")
+    return {name for name in taken if name.split(".")[0] != path.stem}
+
+
+def test_modules_take_no_private_name_but_the_helper_threads():
+    # Stitch's and simulate's helper thread may run no public function
+    # that bench/tracer.py wraps, since the tracer keeps one span stack
+    # for the main thread: so the block passes call these two private
+    # kernels across modules.  Any other private name stays in its module.
+    taken = set().union(*(_private_names_taken(path, tree)
+                          for path, tree in _package_trees().items()))
+    assert taken == {"correction._blend", "pgm._decode"}, sorted(taken)

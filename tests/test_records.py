@@ -43,15 +43,15 @@ def run_configs(draw) -> RunConfig:
     scan = ScanConfig(
         n_rows=draw(st.integers(1, 4)),
         n_cols=draw(st.integers(2 if sinusoidal else 1, 4)),
-        dv_x=draw(st.integers(0, 5) | st.floats(0.0, 5.0)),
-        dv_y=draw(reals),
+        dv_x=draw(positive),
+        dv_y=draw(positive),
         s_x=draw(positive),
         s_y=draw(positive),
         alpha_x=draw(reals),
         alpha_y=draw(reals),
         strategy=strategy,
         v0=draw(st.none() | reals),
-        amplitude=draw(st.none() | st.floats(0.0, 10.0)),
+        amplitude=draw(st.none() | st.floats(0.0, 10.0, exclude_min=True)),
         tile_width=tile_width,
         tile_height=tile_height,
         settle_ms=settle_ms,

@@ -281,12 +281,12 @@ def test_processed_stitch_holds_no_float_tile(tmp_path):
     # Processed stitch decodes, corrects and feathers each tile block by
     # block, so its peak is bounded by: the float64 band; the pending
     # overlap samples (as in the raw test); the three-row MAE workspace
-    # and each worker's scratch, which holds a block of decoded rows and
-    # the ROI blend's three planes of 64 ROI rows (or, during the sums,
-    # the leaf scratch); the ROI gain, offset and ramps; one tile's
-    # counts; each worker's weight product of a 64-row block, and the
-    # blend's mask; the weight block, its mask and the encoded rows of
-    # one emitted block.  No term is a float64 tile.
+    # and each worker's scratch, which holds a block of decoded rows (or,
+    # during the sums, the leaf scratch), counted with the ROI blend's
+    # three float64 temporaries of a block's 64 ROI rows; the ROI gain,
+    # offset and ramps; one tile's counts; each worker's weight product of
+    # a 64-row block, and the blend's mask; the weight block, its mask and
+    # the encoded rows of one emitted block.  No term is a float64 tile.
     dataset = simulate(tmp_path, "processed", PROCESSED_CFG)
     run_cfg = load_manifest(dataset).run
     scan = run_cfg.scan
