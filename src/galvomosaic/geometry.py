@@ -77,15 +77,26 @@ class ScanConfig:
             raise ConfigError(f"s_x must be > 0, got {self.s_x}")
         if not self.s_y > 0:
             raise ConfigError(f"s_y must be > 0, got {self.s_y}")
-        # Seams and feather ramps assume each later column lies right, each later row below.
-        if self.strategy is ScanStrategy.SINUSOIDAL:
-            key, step = "amplitude", self.sine_params()[1]
-        else:
-            key, step = "dv_x", self.dv_x
-        if self.n_cols >= 2 and not step > 0:
-            raise ConfigError(f"{key} must be > 0 over 2 or more columns, got {step}")
-        if self.n_rows >= 2 and not self.dv_y > 0:
-            raise ConfigError(f"dv_y must be > 0 over 2 or more rows, got {self.dv_y}")
+        # Seams and feather ramps assume each later column lies right, each
+        # later row below.  A step of 1 px or more keeps the rounded offsets
+        # strictly increasing, as round_half_away is monotone.
+        if self.n_cols >= 2:
+            if self.strategy is ScanStrategy.SINUSOIDAL:
+                key, step = "amplitude", self.sine_params()[1]
+            else:
+                key, step = "dv_x", self.dv_x
+            if not step > 0:
+                raise ConfigError(f"{key} must be > 0 over 2 or more columns, got {step}")
+            if self.strategy is ScanStrategy.SINUSOIDAL:
+                # The sweep is densest at its ends.
+                last = self.n_cols - 1
+                step = min(sinusoidal_voltage(self, 1) - sinusoidal_voltage(self, 0),
+                           sinusoidal_voltage(self, last) - sinusoidal_voltage(self, last - 1))
+            _check_step((key, "s_x"), step * self.s_x, "column")
+        if self.n_rows >= 2:
+            if not self.dv_y > 0:
+                raise ConfigError(f"dv_y must be > 0 over 2 or more rows, got {self.dv_y}")
+            _check_step(("dv_y", "s_y"), self.dv_y * self.s_y, "row")
         self._check_size()
 
     def _check_size(self) -> None:
@@ -158,6 +169,16 @@ class ScanConfig:
             amplitude = (self.n_cols - 1) * self.dv_x / 2.0
         v0 = self.v0 if self.v0 is not None else amplitude
         return v0, amplitude
+
+
+def _check_step(keys: tuple[str, str], step: float, axis: str) -> None:
+    """Raise :class:`ConfigError` naming ``keys`` if the scan advances less
+    than 1 px from one grid ``axis`` (column or row) to the next."""
+    if not step >= 1.0:
+        raise ConfigError(
+            f"keys {keys[0]!r} and {keys[1]!r}: the {axis} step of {step:.6g} px is under "
+            f"1 px over 2 or more {axis}s"
+        )
 
 
 def round_half_away(x: float) -> int:

@@ -21,7 +21,9 @@ window (or of the reference level), degraded with those rows of the
 vignette and offset fields and the next noise draws of the frame's own
 generator, then encoded.  The generator's normal draws carry no state
 from one call to the next, so a frame drawn block by block has the bits
-of one drawn whole.  The two fields are the only frame-sized arrays.
+of one drawn whole.  No frame-sized array is held: the vignette field is
+kept as its lower right quadrant, which mirrors to the rest, and the
+offset field as one row per run of rows the same ROIs cover.
 When a frame holds at least ``halves.SPLIT_MIN`` pixels, the calling
 thread and the package's helper thread (:func:`galvomosaic.halves.each`)
 each claim the next unwritten file, the truth or a frame, and write it
@@ -75,6 +77,9 @@ class DegradationSpec:
         check_fields(self)
         if not 0.0 < self.vignette_min <= 1.0:
             raise ConfigError(f"vignette_min must be in (0, 1], got {self.vignette_min}")
+        # A gain of 0 or below would leave a tile with no signal.
+        if not self.gain_jitter < 1.0:
+            raise ConfigError(f"gain_jitter must be in [0, 1), got {self.gain_jitter}")
 
 
 @dataclass
@@ -348,13 +353,24 @@ def extract_tiles(
 
 
 def vignette_field(height: int, width: int, vignette_min: float) -> np.ndarray:
-    """Radial quadratic gain: 1 at the frame center, vignette_min at corners."""
+    """Radial quadratic gain: 1 at the frame center, vignette_min at corners.
+
+    The field is mirror-symmetric in both axes, bit for bit: rows ``r`` and
+    ``height - 1 - r`` lie at ``y`` and ``-y``, exact integers or
+    half-integers, so their ``y**2`` agree; likewise the columns.
+    """
+    return _vignette(height, width, vignette_min, 0, 0)
+
+
+def _vignette(height: int, width: int, vignette_min: float, top: int, left: int) -> np.ndarray:
+    """Rows ``top..`` and columns ``left..`` of :func:`vignette_field`, worked
+    out from their own coordinates."""
     cy, cx = (height - 1) / 2.0, (width - 1) / 2.0
-    y = np.arange(height, dtype=np.float64) - cy
-    x = np.arange(width, dtype=np.float64) - cx
+    y = np.arange(top, height, dtype=np.float64) - cy
+    x = np.arange(left, width, dtype=np.float64) - cx
     r2_corner = cy**2 + cx**2
     if r2_corner == 0.0:
-        return np.ones((height, width), dtype=np.float64)
+        return np.ones((y.size, x.size), dtype=np.float64)
     # 1 - (1 - vignette_min) * (r2 / r2_corner), in the one array of r2.
     gain = y[:, None] ** 2 + x[None, :] ** 2
     gain /= r2_corner
@@ -373,6 +389,30 @@ def _field(
         rows, cols = roi.slices()
         offset[rows, cols] += spec.corner_offset
     return vignette, offset
+
+
+def _offset_runs(
+    spec: DegradationSpec, rois: Sequence[RectROI]
+) -> list[tuple[int, int, int, np.ndarray]]:
+    """The offset field of :func:`_field` as row runs ``(top, bottom, left, row)``.
+
+    The rows are cut at every ROI's top and bottom edge, so all rows
+    between two consecutive edges are alike.  Where ROIs cover them, a run
+    holds that row over the columns the ROIs span, from column ``left``,
+    summed in ROI order as :func:`_field` sums it.  Every other value of
+    the field is 0.
+    """
+    edges = sorted({edge for roi in rois for edge in (roi.y0, roi.y1)})
+    runs = []
+    for top, bottom in zip(edges, edges[1:]):
+        inside = [roi for roi in rois if roi.y0 <= top and bottom <= roi.y1]
+        if inside:
+            left = min(roi.x0 for roi in inside)
+            row = np.zeros(max(roi.x1 for roi in inside) - left)
+            for roi in inside:
+                row[roi.x0 - left:roi.x1 - left] += spec.corner_offset
+            runs.append((top, bottom, left, row))
+    return runs
 
 
 def _noise(rng: np.random.Generator, sigma: float, shape: tuple[int, int], out=None):
@@ -411,9 +451,8 @@ def _tile_draws(spec: DegradationSpec, row: int, col: int, shape: tuple[int, int
     return jitter, _noise(rng, spec.noise_sigma, shape)
 
 
-def _finish(img: np.ndarray, offset: np.ndarray, noise) -> np.ndarray:
-    """In place: ``(img + offset) + noise``, clamped to [0, 1]."""
-    img += offset
+def _finish(img: np.ndarray, noise) -> np.ndarray:
+    """In place: ``img + noise``, clamped to [0, 1]."""
     if noise is not None:
         img += noise
     np.clip(img, 0.0, 1.0, out=img)
@@ -424,22 +463,33 @@ def _degrade_tile(img, vignette, offset, jitter, noise) -> np.ndarray:
     """In place: ``((img * vignette) * jitter + offset) + noise``, clamped."""
     img *= vignette
     img *= jitter
-    return _finish(img, offset, noise)
+    img += offset
+    return _finish(img, noise)
 
 
 def _reference(spec: DegradationSpec, which: int, level: float, vignette, offset) -> np.ndarray:
     """Uniform frame at ``level`` through the field effects, without jitter."""
     noise = _noise(_reference_rng(spec, which), spec.noise_sigma, vignette.shape)
-    return _finish(vignette * level, offset, noise)
+    img = vignette * level
+    img += offset
+    return _finish(img, noise)
 
 
 @dataclass(frozen=True)
 class _Frames:
-    """What the frames of one dataset share; :meth:`write` writes one frame."""
+    """What the frames of one dataset share; :meth:`write` writes one frame.
+
+    No array of a frame's size is held.  ``quadrant`` is the lower right
+    quadrant of the frame's vignette field, its rows ``th // 2..`` and
+    columns ``tw // 2..``: the field is mirror-symmetric in both axes, so
+    the quadrant holds every value of it.  ``runs`` is the ROI offset
+    field as row runs (:func:`_offset_runs`).
+    """
 
     target: _Target
-    vignette: np.ndarray
-    offset: np.ndarray
+    shape: tuple[int, int]
+    quadrant: np.ndarray
+    runs: list[tuple[int, int, int, np.ndarray]]
     sigma: float
     subpixel: bool
     header: bytes
@@ -451,15 +501,18 @@ class _Frames:
         placement, or a uniform field at a level (a reference frame, whose
         ``jitter`` is 1).
 
-        Each block of ``_BLOCK_ROWS`` rows is :func:`_degrade_tile` of those
-        rows of the clean frame, the fields and the next noise draws of
-        ``rng``, then encoded and written, so the file holds the bytes of
-        the whole-frame pipeline (``level * vignette`` is
-        ``vignette * level``; a gain of 1 changes no bit).  Either worker of
+        Each block of ``_BLOCK_ROWS`` rows is degraded as
+        :func:`_degrade_tile` degrades those rows of the clean frame, with
+        the fields and the next noise draws of ``rng``, then encoded and
+        written, so the file holds the bytes of the whole-frame pipeline
+        (``level * vignette`` is ``vignette * level``; a gain of 1 changes
+        no bit).  Only the pixels of an offset run get its add: with a gain
+        above 0 every pixel is at least +0.0 before it, so adding the
+        field's 0 elsewhere would change no bit.  Either worker of
         :func:`halves.each` runs this, so it calls numpy, private helpers,
         ``pgm.scale_to_counts`` and ``open`` only.
         """
-        th, tw = self.vignette.shape
+        th, tw = self.shape
         rows = min(th, _BLOCK_ROWS)
         block, term, noise = np.empty((rows, tw)), np.empty((rows, tw)), np.empty((rows, tw))
         window = np.empty((rows + 1) * (tw + 1))
@@ -479,11 +532,30 @@ class _Frames:
                 else:
                     img = block[:n]
                     img.fill(source)
-                _degrade_tile(
-                    img, self.vignette[top:top + n], self.offset[top:top + n], jitter,
-                    _noise(rng, self.sigma, (n, tw), noise[:n]),
-                )
+                # ``noise`` holds the vignette rows until the noise is drawn into it.
+                img *= self._vignette_rows(top, noise[:n])
+                img *= jitter
+                for y0, y1, x0, row in self.runs:
+                    if y0 < top + n and top < y1:
+                        img[max(y0 - top, 0):y1 - top, x0:x0 + row.size] += row
+                _finish(img, _noise(rng, self.sigma, (n, tw), noise[:n]))
                 f.write(pgm.scale_to_counts(img).astype(">u2"))
+
+    def _vignette_rows(self, top: int, out: np.ndarray) -> np.ndarray:
+        """Rows ``top..top + len(out)`` of the vignette field, copied into
+        ``out`` from the quadrant: the right half of each row, forward or
+        mirrored, then its mirror image as the left half."""
+        (th, tw), quadrant = self.shape, self.quadrant
+        mid_row, mid_col = th // 2, tw // 2
+        # Row r above the middle is row th - 1 - r, quadrant row th - 1 - r - mid_row.
+        above = min(max(mid_row - top, 0), len(out))
+        if above:
+            first = th - 1 - top - mid_row
+            out[:above, mid_col:] = quadrant[first - above + 1:first + 1][::-1]
+        out[above:, mid_col:] = quadrant[top + above - mid_row:top + len(out) - mid_row]
+        # Column c left of the middle is column tw - 1 - c.
+        out[:, :mid_col] = out[:, ::-1][:, :mid_col]
+        return out
 
 
 def degrade(
@@ -690,7 +762,6 @@ def write_dataset(out_dir: str | os.PathLike, run: RunConfig) -> DatasetManifest
             raise ConfigError(
                 f"key {key}: region {region.name!r} lies outside the mosaic: {exc}"
             ) from None
-    vignette, offset = _field(degradation, run.rois, th, tw)
     names = [tile_filename(p.row, p.col, scan.n_rows, scan.n_cols) for p in placements]
     manifest = DatasetManifest(
         run=run,
@@ -706,7 +777,9 @@ def write_dataset(out_dir: str | os.PathLike, run: RunConfig) -> DatasetManifest
     (out / "manifest.json").unlink(missing_ok=True)
     # Both headers are made here: the workers call no public function.
     frames = _Frames(
-        target, vignette, offset, degradation.noise_sigma, subpixel, pgm.pgm_header(tw, th)
+        target, (th, tw), _vignette(th, tw, degradation.vignette_min, th // 2, tw // 2),
+        _offset_runs(degradation, run.rois), degradation.noise_sigma, subpixel,
+        pgm.pgm_header(tw, th),
     )
     truth_header = pgm.pgm_header(width, height)
     references = (("ref_bright.pgm", run.bright_level), ("ref_dark.pgm", run.dark_level))

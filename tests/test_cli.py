@@ -126,6 +126,14 @@ class TestSimulate:
                          id="dv_y_negative"),
             pytest.param("strategy = sinusoidal\namplitude = 0\n", "amplitude",
                          "must be > 0 over 2 or more columns", id="amplitude_zero"),
+            pytest.param("dv_x = 0.001\n", "keys 'dv_x' and 's_x'",
+                         "column step of 0.35 px is under 1 px", id="dv_x_under_1px"),
+            pytest.param("dv_y = 0.001\n", "keys 'dv_y' and 's_y'",
+                         "row step of 0.352 px is under 1 px", id="dv_y_under_1px"),
+            pytest.param("gain_jitter = 1.5\n", "gain_jitter", "must be in [0, 1), got 1.5",
+                         id="gain_jitter_over_1"),
+            pytest.param("gain_jitter = 1\n", "gain_jitter", "must be in [0, 1), got 1.0",
+                         id="gain_jitter_1"),
         ],
     )
     def test_bad_run_float_names_key(self, tmp_path, capsys, lines, key, message):
@@ -296,6 +304,8 @@ class TestStitch:
             pytest.param(("correction", "band_px"), 0, "'band_px'", id="band_px_zero"),
             pytest.param(("reference", "bright_level"), 0, "'bright_level'", id="bright_zero"),
             pytest.param(("degradation", "gain_jitter"), -1, "gain_jitter", id="jitter_negative"),
+            pytest.param(("degradation", "gain_jitter"), 1.0, "gain_jitter must be in [0, 1)",
+                         id="jitter_one"),
             pytest.param(("timing", "per_frame_ms"), math.inf, "per_frame_ms", id="frame_inf"),
             pytest.param(
                 ("rois", 0), {"x0": 60, "y0": 50, "width": 30, "height": 30}, "'rois'",
@@ -401,12 +411,21 @@ class TestStitch:
         assert key in err, err
 
     @pytest.mark.parametrize(
-        "key, value",
-        [("dv_x", -0.1), ("dv_x", 0), ("dv_y", -0.1), ("amplitude", 0)],
-        ids=["dv_x_negative", "dv_x_zero", "dv_y_negative", "amplitude_zero"],
+        "key, value, message",
+        [
+            ("dv_x", -0.1, "dv_x must be > 0 over 2 or more"),
+            ("dv_x", 0, "dv_x must be > 0 over 2 or more"),
+            ("dv_y", -0.1, "dv_y must be > 0 over 2 or more"),
+            ("amplitude", 0, "amplitude must be > 0 over 2 or more"),
+            ("dv_x", 0.001, "keys 'dv_x' and 's_x': the column step of 0.35 px is under 1 px"),
+            ("dv_y", 0.001, "keys 'dv_y' and 's_y': the row step of 0.352 px is under 1 px"),
+            ("amplitude", 0.001, "keys 'amplitude' and 's_x': the column step of"),
+        ],
+        ids=["dv_x_negative", "dv_x_zero", "dv_y_negative", "amplitude_zero",
+             "dv_x_under_1px", "dv_y_under_1px", "amplitude_under_1px"],
     )
     def test_step_that_does_not_advance_fails_before_any_tile_is_read(
-            self, tmp_path, capsys, key, value):
+            self, tmp_path, capsys, key, value, message):
         dataset = tmp_path / "quick"
         assert run("simulate", "--config", QUICK_CFG, "--out", dataset) == 0
         manifest = json.loads((dataset / "manifest.json").read_text())
@@ -417,7 +436,7 @@ class TestStitch:
         for tile in dataset.glob("tile_*.pgm"):
             tile.write_bytes(b"")
         err = self._stitch_fails_cleanly(tmp_path, dataset, manifest, capsys)
-        assert f"{key} must be > 0 over 2 or more" in err, err
+        assert message in err, err
 
     @pytest.mark.parametrize(
         "corner_offset, correction, files",

@@ -1,12 +1,13 @@
 """Scan geometry: offsets, sinusoidal voltages, placement tables."""
 
+import dataclasses
 import math
 import re
 import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from galvomosaic.errors import ConfigError, DegenerateGridError, IndexRangeError
@@ -197,9 +198,54 @@ class TestValidation:
         with pytest.raises(ConfigError, match=re.escape(message)):
             calib_cfg(**overrides).validate()
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (dict(dv_x=0.001),
+             "keys 'dv_x' and 's_x': the column step of 0.402 px is under 1 px over 2 or more "
+             "columns"),
+            (dict(dv_y=0.001),
+             "keys 'dv_y' and 's_y': the row step of 0.468 px is under 1 px over 2 or more rows"),
+            (dict(strategy=ScanStrategy.SINUSOIDAL, amplitude=0.001),
+             "keys 'amplitude' and 's_x': the column step of 0.0242436 px is under 1 px"),
+        ],
+        ids=["dv_x", "dv_y", "amplitude"],
+    )
+    def test_rejects_a_step_under_one_px(self, overrides, message):
+        # Two columns or rows would round to one offset, and the seams
+        # between them would lie outside the canvas.
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            calib_cfg(**overrides).validate()
+
+    def test_sinusoidal_step_is_checked_at_the_ends_of_the_sweep(self):
+        # 100 columns 2.01 px apart on average: the linear scan passes, but
+        # the sinusoidal sweep's first and last steps are 0.05 px.
+        calib_cfg(n_cols=100, dv_x=0.005).validate()
+        cfg = calib_cfg(n_cols=100, dv_x=0.005, strategy=ScanStrategy.SINUSOIDAL)
+        end_step = (sinusoidal_voltage(cfg, 1) - sinusoidal_voltage(cfg, 0)) * cfg.s_x
+        assert end_step < 1.0
+        with pytest.raises(ConfigError, match=f"the column step of {end_step:.6g} px is under"):
+            cfg.validate()
+
+    @pytest.mark.parametrize("strategy", list(ScanStrategy))
+    def test_step_of_one_px_keeps_rounded_offsets_increasing(self, strategy):
+        # Half-pixel tilts put every offset on a rounding tie.
+        cfg = calib_cfg(n_rows=4, n_cols=4, dv_x=1.0, dv_y=1.0, s_x=1.0, s_y=1.0,
+                        alpha_x=0.5, alpha_y=0.5, tile_width=8, tile_height=8)
+        if strategy is ScanStrategy.SINUSOIDAL:
+            # The sweep's end steps are half the amplitude: 1 px.
+            cfg = dataclasses.replace(cfg, strategy=strategy, amplitude=2.0)
+        table = {(p.row, p.col): p for p in placement_table(cfg)}
+        for i in range(4):
+            for j in range(3):
+                assert table[i, j + 1].x > table[i, j].x
+                assert table[j + 1, i].y > table[j, i].y
+
     def test_step_of_a_single_column_or_row_is_not_checked(self):
         calib_cfg(n_cols=1, dv_x=0.0).validate()
         calib_cfg(n_rows=1, dv_y=-1.0).validate()
+        calib_cfg(n_cols=1, dv_x=0.001).validate()
+        calib_cfg(n_rows=1, dv_y=0.001).validate()
 
     def test_sinusoidal_scan_takes_its_column_step_from_the_amplitude(self):
         calib_cfg(strategy=ScanStrategy.SINUSOIDAL, dv_x=-1.0, amplitude=2.0).validate()
@@ -272,7 +318,8 @@ class TestValidation:
 @given(
     n_cols=st.integers(min_value=2, max_value=24),
     dv_x=st.floats(min_value=0.05, max_value=5.0),
-    s_x=st.floats(min_value=10.0, max_value=1000.0),
+    # 0.05 V x 20 px/V: every drawn scan advances at least 1 px per column.
+    s_x=st.floats(min_value=20.0, max_value=1000.0),
 )
 @settings(max_examples=60)
 def test_linear_spacing_is_uniform(n_cols, dv_x, s_x):
@@ -415,4 +462,10 @@ def test_config_band_depth_is_never_below_the_stitch_schedule(
         strategy=ScanStrategy.SINUSOIDAL if sinusoidal and n_cols > 1 else ScanStrategy.LINEAR,
         tile_width=tile_width, tile_height=tile_height,
     )
+    try:
+        cfg.validate()
+    except ConfigError as exc:
+        # A narrow tile on a short step can advance less than 1 px per step.
+        assume("under 1 px" not in str(exc))
+        raise
     assert cfg._band_depth() >= _schedule_depth(cfg)

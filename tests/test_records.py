@@ -19,7 +19,9 @@ from galvomosaic.simulate import (
 # Finite reals, sometimes written as JSON integers: a float field keeps
 # whichever it was given.
 reals = st.integers(-1000, 1000) | st.floats(-1e6, 1e6, allow_nan=False)
-positive = st.integers(1, 1000) | st.floats(1e-3, 1e4)
+# Drive steps and scales of at least 2: a linear step of 4 px or more, and
+# a sinusoidal end step of at least 2 px over the 2 to 4 columns drawn.
+steps = st.integers(2, 1000) | st.floats(2.0, 1e4)
 unit = st.floats(0.0, 1.0)
 
 
@@ -43,15 +45,15 @@ def run_configs(draw) -> RunConfig:
     scan = ScanConfig(
         n_rows=draw(st.integers(1, 4)),
         n_cols=draw(st.integers(2 if sinusoidal else 1, 4)),
-        dv_x=draw(positive),
-        dv_y=draw(positive),
-        s_x=draw(positive),
-        s_y=draw(positive),
+        dv_x=draw(steps),
+        dv_y=draw(steps),
+        s_x=draw(steps),
+        s_y=draw(steps),
         alpha_x=draw(reals),
         alpha_y=draw(reals),
         strategy=strategy,
         v0=draw(st.none() | reals),
-        amplitude=draw(st.none() | st.floats(0.0, 10.0, exclude_min=True)),
+        amplitude=draw(st.none() | st.floats(2.0, 10.0)),
         tile_width=tile_width,
         tile_height=tile_height,
         settle_ms=settle_ms,
@@ -76,7 +78,7 @@ def run_configs(draw) -> RunConfig:
         degradation=DegradationSpec(
             vignette_min=draw(st.floats(1e-3, 1.0)),
             corner_offset=draw(reals),
-            gain_jitter=draw(unit),
+            gain_jitter=draw(st.floats(0.0, 1.0, exclude_max=True)),
             noise_sigma=draw(unit),
             rng_seed=draw(st.integers(0, 2**32)),
         ),

@@ -1,7 +1,9 @@
 """Synthetic dataset generation and its round-trip guarantees."""
 
 import dataclasses
+import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -11,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from galvomosaic import halves, pgm, simulate
@@ -38,7 +40,9 @@ from galvomosaic.simulate import (
     vignette_field,
     write_dataset,
 )
-from galvomosaic.simulate import _bar_layout, _crop, _noise, _Target, _tile_draws, _usaf_layout
+from galvomosaic.simulate import (
+    _bar_layout, _crop, _Frames, _noise, _Target, _tile_draws, _usaf_layout, _vignette,
+)
 
 TILE_W = TILE_H = 80
 ROOT = Path(__file__).resolve().parents[1]
@@ -307,15 +311,23 @@ class TestExtractTiles:
 def small_scans(draw):
     strategy = draw(st.sampled_from(list(ScanStrategy)))
     n_cols = draw(st.integers(2 if strategy is ScanStrategy.SINUSOIDAL else 1, 4))
-    step = st.floats(0.01, 0.2)
+    # 0.05 V x 20 px/V: a linear step advances at least 1 px.
+    step = st.floats(0.05, 0.2)
     scale = st.floats(20.0, 400.0)
     tilt = st.floats(-15.0, 15.0)
-    return ScanConfig(
+    cfg = ScanConfig(
         n_rows=draw(st.integers(1, 3)), n_cols=n_cols, dv_x=draw(step), dv_y=draw(step),
         s_x=draw(scale), s_y=draw(scale), alpha_x=draw(tilt), alpha_y=draw(tilt),
         strategy=strategy, tile_width=draw(st.integers(4, 24)),
         tile_height=draw(st.integers(4, 24)),
     )
+    try:
+        cfg.validate()
+    except ConfigError as exc:
+        # A sinusoidal sweep's end steps are shorter than the linear one.
+        assume("under 1 px" not in str(exc))
+        raise
+    return cfg
 
 
 class _WindowLog:
@@ -366,6 +378,22 @@ class TestVignette:
         r2 = y[:, None] ** 2 + x[None, :] ** 2
         expected = 1.0 - (1.0 - vignette_min) * (r2 / r2.max())
         assert vignette_field(height, width, vignette_min).tobytes() == expected.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 64), st.integers(1, 64), st.floats(-2.0, 2.0), st.integers(1, 64))
+    def test_quadrant_mirrors_back_to_the_field(self, height, width, vignette_min, rows):
+        field = vignette_field(height, width, vignette_min)
+        quadrant = _vignette(height, width, vignette_min, height // 2, width // 2)
+        half = np.vstack([quadrant[::-1][:height // 2], quadrant])
+        mirrored = np.hstack([half[:, ::-1][:, :width // 2], half])
+        assert mirrored.tobytes() == field.tobytes()
+        # write_dataset copies each block of rows from the quadrant.
+        frames = _Frames(None, (height, width), quadrant, [], 0.0, False, b"")
+        out = np.empty((rows, width))
+        for top in range(0, height, rows):
+            n = min(rows, height - top)
+            block = frames._vignette_rows(top, out[:n])
+            assert block.tobytes() == field[top:top + n].tobytes(), top
 
     def test_uniform_truth_tiles_identical_with_ratio(self):
         cfg = small_cfg()
@@ -460,6 +488,14 @@ class TestDegrade:
             identity_spec(vignette_min=0.0).validate()
         with pytest.raises(ConfigError):
             identity_spec(noise_sigma=-1.0).validate()
+
+    @pytest.mark.parametrize("gain_jitter", [1.0, 1.5])
+    def test_gain_jitter_of_one_or_more_rejected(self, gain_jitter):
+        # A tile gain drawn from [1 - gain_jitter, 1 + gain_jitter] must stay above 0.
+        with pytest.raises(ConfigError, match=re.escape(
+                f"gain_jitter must be in [0, 1), got {gain_jitter}")):
+            identity_spec(gain_jitter=gain_jitter).validate()
+        identity_spec(gain_jitter=math.nextafter(1.0, 0.0)).validate()
 
 
 class TestTiming:
@@ -575,7 +611,9 @@ class TestRunConfigValidate:
 # block by block, from the same crop and degrade helpers as the list APIs,
 # which make and draw each frame whole; each case must give the same bytes
 # as the list pipeline.  The *_large cases hold SPLIT_MIN pixels or more
-# per tile, so two threads share their frames.
+# per tile, so two threads share their frames.  Each case is (scan,
+# degradation, subpixel, ROIs).
+STREAM_ROIS = [RectROI(x0=0, y0=50, width=30, height=30)]
 STREAM_CASES = {
     "linear_noise": (
         small_cfg(),
@@ -583,6 +621,7 @@ STREAM_CASES = {
             vignette_min=0.85, corner_offset=0.05, gain_jitter=0.05, noise_sigma=0.01, rng_seed=5
         ),
         False,
+        STREAM_ROIS,
     ),
     # the last tile of a grid row lies above the first tile of the row before it
     "sinusoidal_subpixel_negative_tilt": (
@@ -591,11 +630,23 @@ STREAM_CASES = {
             vignette_min=0.9, corner_offset=0.05, gain_jitter=0.05, noise_sigma=0.002, rng_seed=11
         ),
         True,
+        STREAM_ROIS,
     ),
     "no_noise": (
         small_cfg(),
         DegradationSpec(vignette_min=0.9, corner_offset=0.05, gain_jitter=0.05, rng_seed=2),
         False,
+        STREAM_ROIS,
+    ),
+    # Odd frames have a middle row and column of their own, and two
+    # overlapping ROIs cut the offset into three row runs.
+    "odd_overlapping_rois": (
+        small_cfg(tile_width=81, tile_height=77),
+        DegradationSpec(
+            vignette_min=0.8, corner_offset=-0.05, gain_jitter=0.05, noise_sigma=0.003, rng_seed=7
+        ),
+        False,
+        [RectROI(x0=3, y0=5, width=40, height=30), RectROI(x0=10, y0=9, width=50, height=60)],
     ),
     "linear_noise_large": (
         small_cfg(n_rows=2, n_cols=2, tile_width=400, tile_height=400),
@@ -603,6 +654,7 @@ STREAM_CASES = {
             vignette_min=0.85, corner_offset=0.05, gain_jitter=0.05, noise_sigma=0.01, rng_seed=5
         ),
         False,
+        STREAM_ROIS,
     ),
     "sinusoidal_subpixel_negative_tilt_large": (
         small_cfg(
@@ -613,13 +665,22 @@ STREAM_CASES = {
             vignette_min=0.9, corner_offset=0.05, gain_jitter=0.05, noise_sigma=0.002, rng_seed=11
         ),
         True,
+        STREAM_ROIS,
+    ),
+    "odd_overlapping_rois_large": (
+        small_cfg(n_rows=2, n_cols=2, tile_width=401, tile_height=399),
+        DegradationSpec(
+            vignette_min=0.8, corner_offset=-0.05, gain_jitter=0.05, noise_sigma=0.003, rng_seed=7
+        ),
+        True,
+        [RectROI(x0=30, y0=50, width=200, height=150),
+         RectROI(x0=100, y0=90, width=250, height=300)],
     ),
 }
 assert all(
     (cfg.tile_width * cfg.tile_height >= halves.SPLIT_MIN) == name.endswith("_large")
-    for name, (cfg, _, _) in STREAM_CASES.items()
+    for name, (cfg, *_) in STREAM_CASES.items()
 )
-STREAM_ROIS = [RectROI(x0=0, y0=50, width=30, height=30)]
 
 
 class _Opens:
@@ -643,18 +704,16 @@ class _Opens:
 class TestStreamingWriteDataset:
     @pytest.mark.parametrize("case", sorted(STREAM_CASES))
     def test_files_match_list_pipeline(self, tmp_path, case):
-        cfg, spec, subpixel = STREAM_CASES[case]
+        cfg, spec, subpixel, rois = STREAM_CASES[case]
         manifest = write_dataset(
             tmp_path,
-            RunConfig(
-                cfg, STREAM_ROIS, spec, subpixel=subpixel, bright_level=0.9, dark_level=0.05
-            ),
+            RunConfig(cfg, rois, spec, subpixel=subpixel, bright_level=0.9, dark_level=0.05),
         )
         truth = make_target(*required_truth_dims(cfg, subpixel=subpixel), TargetPattern.USAF_LIKE)
         tiles, bright, dark = degrade(
             extract_tiles(truth, cfg, subpixel=subpixel),
             spec,
-            STREAM_ROIS,
+            rois,
             bright_level=manifest.run.bright_level,
             dark_level=manifest.run.dark_level,
         )
@@ -671,7 +730,7 @@ class TestStreamingWriteDataset:
         # Switching threads every microsecond must not let a noise draw
         # reach a block or a frame other than its own, whether one thread
         # writes the frames or two share them.
-        cfg, spec, _ = STREAM_CASES[case]
+        cfg, spec, _, _ = STREAM_CASES[case]
         cfg = dataclasses.replace(cfg, n_rows=grid, n_cols=grid)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -708,8 +767,7 @@ class TestStreamingWriteDataset:
     def test_memory_does_not_grow_with_canvas(self, tmp_path):
         # The grids of test_memory_scales_with_canvas_counts: the 16x8 one
         # has twice the canvas, 8 MB of counts, yet both stay within a few
-        # tile buffers (the vignette and offset fields, and one frame's
-        # blocks of rows).
+        # tile buffers (the vignette quadrant and one frame's blocks of rows).
         spec = DegradationSpec(
             vignette_min=0.85, corner_offset=0.05, gain_jitter=0.05, noise_sigma=0.002, rng_seed=1
         )
@@ -731,13 +789,13 @@ class TestStreamingWriteDataset:
                     tracemalloc.stop()
                 assert peak <= 9 * tile_buffer, (n_rows, subpixel, peak)
 
-    def test_memory_does_not_grow_with_frame_height_beyond_the_fields(self, tmp_path):
+    def test_memory_does_not_grow_with_frame_height_beyond_the_vignette_quadrant(self, tmp_path):
         # Equal-width scans of 200-row and 400-row frames, each written by
         # the calling thread (60,000 and 120,000 px, below SPLIT_MIN).  Of
-        # frame-sized arrays only the vignette and offset fields are held,
-        # so the peak may grow by their 2 x 200 rows, plus ``slack`` for
-        # the longer placement and block loops, but by no tile-sized
-        # buffer (200 x 300 x 8 B = 480,000 B of growth each).
+        # the frame's own values only the vignette's lower right quadrant is
+        # held, so the peak may grow by its 100 more rows of 150 columns,
+        # plus ``slack`` for the longer placement and block loops, but by no
+        # field (200 x 300 x 8 B = 480,000 B of growth each).
         slack = 64 * 1024
         width = 300
         spec = DegradationSpec(
@@ -758,12 +816,35 @@ class TestStreamingWriteDataset:
                 peaks[height] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peaks[400] - peaks[200] <= 2 * 200 * width * 8 + slack, peaks
+        assert peaks[400] - peaks[200] <= (400 - 200) // 2 * width // 2 * 8 + slack, peaks
+
+    @pytest.mark.parametrize("subpixel", [False, True])
+    def test_two_threads_hold_less_than_one_frame(self, tmp_path, subpixel):
+        # 1000 x 1000 frames, written by both threads: the vignette quadrant
+        # (2 MB) and each thread's blocks of rows stay below one float64
+        # frame, 8,000,000 B.
+        spec = DegradationSpec(
+            vignette_min=0.85, corner_offset=0.05, gain_jitter=0.05, noise_sigma=0.002, rng_seed=1
+        )
+        cfg = ScanConfig(
+            n_rows=2, n_cols=2, dv_x=1.0, dv_y=1.0, s_x=875.0, s_y=875.0,
+            tile_width=1000, tile_height=1000,
+        )
+        assert cfg.tile_width * cfg.tile_height >= halves.SPLIT_MIN
+        rois = [RectROI(0, 700, 300, 300), RectROI(100, 800, 400, 200)]
+        write_dataset(tmp_path / "warm", RunConfig(small_cfg(n_rows=1, n_cols=2), [], spec))
+        tracemalloc.start()
+        try:
+            write_dataset(tmp_path / "frames", RunConfig(cfg, rois, spec, subpixel=subpixel))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1000 * 1000 * 8, peak
 
     def test_truth_is_written_beside_the_frames(self, tmp_path, monkeypatch):
         # The truth is one more item of halves.each: the thread writing it
         # holds it open until the other thread has opened a frame.
-        cfg, spec, subpixel = STREAM_CASES["linear_noise_large"]
+        cfg, spec, subpixel, _ = STREAM_CASES["linear_noise_large"]
         writers, framers = [], []
 
         def fails(name: str, on_main: bool) -> bool:
@@ -805,7 +886,7 @@ class TestStreamingWriteDataset:
     def test_large_frames_are_each_written_once_by_one_of_two_threads(
         self, tmp_path, monkeypatch
     ):
-        cfg, spec, subpixel = STREAM_CASES["linear_noise_large"]
+        cfg, spec, subpixel, _ = STREAM_CASES["linear_noise_large"]
         opens = _Opens()
         monkeypatch.setattr(simulate, "open", opens, raising=False)
         manifest = write_dataset(tmp_path, RunConfig(cfg, STREAM_ROIS, spec, subpixel=subpixel))
@@ -841,7 +922,7 @@ class TestStreamingWriteDataset:
         # holds its first tile until then, so each has one tile under way.
         # No tile may be begun after the error, and none written after
         # write_dataset has raised.
-        cfg, spec, _ = STREAM_CASES["linear_noise_large"]
+        cfg, spec, _, _ = STREAM_CASES["linear_noise_large"]
         cfg = dataclasses.replace(cfg, n_rows=3, n_cols=3)
         rc = RunConfig(cfg, [], spec)
         write_dataset(tmp_path, rc)
