@@ -27,11 +27,12 @@ Sharing changes no bit of any result:
   rows are divided.
 - numpy's pairwise summation (``np.add.reduce``) of a contiguous float64
   row of ``n > 128`` elements splits it at ``n // 2`` rounded down to a
-  multiple of 8, and each part again the same way.  :func:`sums` follows
-  these nodes down to leaves of at most ``LEAF`` elements: each leaf is
-  reduced by one call, over temporaries no larger than the leaf, and the
-  leaves' sums are added at the nodes in leaf order, whichever thread
-  made them, so a sum is ``np.add.reduce`` of the whole row, bit for bit.
+  multiple of 8, and each part again the same way.  :func:`pairwise`
+  follows these nodes down to leaves of at most ``LEAF`` elements: each
+  leaf is reduced by one call, over temporaries no larger than the leaf,
+  and the leaves' sums are added at the nodes in leaf order, whichever
+  thread made them, so a sum is ``np.add.reduce`` of the whole row, bit
+  for bit.  :func:`sums` shares the leaves of a row it holds.
 - An item is made whole by one thread; only the order in which items
   finish varies.
 
@@ -52,7 +53,7 @@ from __future__ import annotations
 
 import itertools
 import threading
-from typing import TYPE_CHECKING, Callable, Iterator, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, TypeVar
 
 import numpy as np
 
@@ -187,29 +188,40 @@ def _nodes(lo: int, hi: int, leaf_sums: Iterator[T]) -> T:
     return np.add(left, _nodes(cut, hi, leaf_sums))
 
 
+def pairwise(n: int, sum_leaves: Callable[[list[tuple[int, int]]], Iterable[T]]) -> T:
+    """``np.add.reduce`` of a contiguous float64 row of ``n`` elements:
+    ``sum_leaves`` takes the leaves ``(lo, hi)`` of at most ``LEAF``
+    elements that numpy's pairwise nodes cut the row into, in order, and
+    yields or returns the ``np.add.reduce`` of elements ``lo..hi`` of
+    each, in that order; the sums are added node by node."""
+    return _nodes(0, n, iter(sum_leaves(list(_leaves(0, n)))))
+
+
 def sums(fn: Callable[..., T], array: np.ndarray, *args) -> T:
     """What ``fn(0, array, *args)`` returns, where ``fn`` returns the
     float64 sums (``np.add.reduce``) along the last axis of ``array``,
     whose rows are contiguous and of length ``n``: one sum for a row, an
     array of them for a ``(k, n)`` array; ``fn`` may fill temporaries first.
 
-    Up to ``LEAF`` elements that is the one call.  Longer rows are cut at
-    numpy's pairwise nodes into leaves of at most ``LEAF`` elements,
-    ``fn(worker, leaf, *args)`` is called on the columns of each leaf,
-    and the sums are added node by node in leaf order, giving the whole
-    sums bit for bit.  The leaves are the items of one :func:`each` pass
-    of ``n`` elements, so from ``SPLIT_MIN`` on both threads claim them;
-    ``worker`` tells them apart, so ``fn`` may keep one scratch for each.
+    Up to ``LEAF`` elements that is the one call.  Longer rows are summed
+    by :func:`pairwise`, with ``fn(worker, leaf, *args)`` called on the
+    columns of each leaf.  The leaves are the items of one :func:`each`
+    pass of ``n`` elements, so from ``SPLIT_MIN`` on both threads claim
+    them; ``worker`` tells them apart, so ``fn`` may keep one scratch for
+    each.
     """
     n = array.shape[-1]
     if n <= LEAF:
         return fn(0, array, *args)
-    bounds = list(_leaves(0, n))
-    leaf_sums: list = [None] * len(bounds)
 
-    def leaf(worker: int, k: int) -> None:
-        lo, hi = bounds[k]
-        leaf_sums[k] = fn(worker, array[..., lo:hi], *args)
+    def sum_leaves(bounds: list[tuple[int, int]]) -> list:
+        leaf_sums: list = [None] * len(bounds)
 
-    each(leaf, len(bounds), n)
-    return _nodes(0, n, iter(leaf_sums))
+        def leaf(worker: int, k: int) -> None:
+            lo, hi = bounds[k]
+            leaf_sums[k] = fn(worker, array[..., lo:hi], *args)
+
+        each(leaf, len(bounds), n)
+        return leaf_sums
+
+    return pairwise(n, sum_leaves)

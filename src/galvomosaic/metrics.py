@@ -12,11 +12,13 @@ The canvas of a quality metric is a 2D array or any object with a
 ``shape`` whose indexing returns the indexed block as an array, such as
 :class:`~galvomosaic.pgm.UnitView` over a memory-mapped mosaic.  The
 metrics index only the pixels of each region and the two pixel lines of
-each seam, and convert only those to float64.
+each seam, and convert only those to float64, a region in reads of at
+most ``halves.LEAF`` values (:class:`_Region`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
@@ -35,7 +37,7 @@ from .errors import (
 )
 from .records import INLINE, dumps_indented, fields_dict
 
-# Canvas rows per read of a region or of the vertical seam lines.
+# Canvas rows per read of the vertical seam lines.
 _BLOCK_ROWS = 256
 
 
@@ -251,53 +253,101 @@ def overlap_mae(samples_i: np.ndarray, samples_j: np.ndarray) -> float:
     return mae
 
 
-def _region_values(canvas, region: RegionSpec) -> np.ndarray:
-    # Convert only the region's columns, _BLOCK_ROWS rows per read, into
-    # rows one value longer than the region.  Like a view of a whole float
-    # canvas, the values are then not contiguous, so numpy reduces them
-    # through the same buffered loop in the same order.  A region as wide
-    # as the canvas is contiguous in such a view, and so it is here.
-    try:
-        region.rect.check_within(canvas.shape)
-    except DimensionMismatchError as exc:
-        raise DimensionMismatchError(
-            f"region {region.name!r} lies outside the mosaic: {exc}"
-        ) from None
-    rect = region.rect
-    pad = 1 if rect.width < canvas.shape[1] else 0
-    values = np.empty((rect.height, rect.width + pad))[:, :rect.width]
-    for top in range(0, rect.height, _BLOCK_ROWS):
-        bottom = min(top + _BLOCK_ROWS, rect.height)
-        values[top:bottom] = canvas[rect.y0 + top:rect.y0 + bottom, rect.x0:rect.x1]
-    return values
+class _Region:
+    """A region of a canvas: the ``mean``, ``low``, ``high`` and :meth:`std`
+    numpy gives its view on the whole float canvas, bit for bit, summed
+    from reads of at most ``halves.LEAF`` values.
 
+    numpy sums a view that is one evenly spaced run (as wide as the
+    canvas, one row or one column) by one pairwise sum.  Other views go
+    through its reduction buffer: rows in groups of
+    ``max(1, np.getbufsize() // w)``, each group one pairwise sum, the
+    group sums added in order to 0.0.  The squared deviations of ``std``
+    are a new contiguous array: one pairwise sum.
+    """
 
-def _population_std(values: np.ndarray) -> float:
-    # Mean rounding leaves ~1e-17 residuals on constant input; force the
-    # exact zero so degenerate backgrounds are detected reliably.
-    if values.max() == values.min():
-        return 0.0
-    return float(values.std())
+    def __init__(self, canvas, region: RegionSpec):
+        try:
+            region.rect.check_within(canvas.shape)
+        except DimensionMismatchError as exc:
+            raise DimensionMismatchError(
+                f"region {region.name!r} lies outside the mosaic: {exc}"
+            ) from None
+        self._canvas = canvas
+        self._rect = rect = region.rect
+        self.size = rect.height * rect.width
+        self._scratch = np.empty(min(self.size, halves.LEAF))
+        self.low, self.high = math.inf, -math.inf
+        if rect.width in (1, canvas.shape[1]) or rect.height == 1:
+            group = self.size
+        else:
+            group = max(1, np.getbufsize() // rect.width) * rect.width
+        total = 0.0
+        for start in range(0, self.size, group):
+            n = min(group, self.size - start)
+            total += halves.pairwise(n, lambda bounds: self._sums(start, bounds))
+        self.mean = total / self.size
+
+    def _values(self, lo: int, hi: int) -> np.ndarray:
+        """Values ``lo..hi`` of the region in row-major order, in the scratch:
+        the end of a row, whole rows and the start of a row, one read each."""
+        rect, w = self._rect, self._rect.width
+        out = self._scratch[:hi - lo]
+        at = lo
+        while at < hi:
+            row, col = divmod(at, w)
+            y, rest = rect.y0 + row, out[at - lo:]
+            if col == 0 and hi - at >= w:
+                rows = (hi - at) // w
+                rest[:rows * w].reshape(rows, w)[...] = self._canvas[y:y + rows, rect.x0:rect.x1]
+                at += rows * w
+            else:
+                n = min(w - col, hi - at)
+                rest[:n] = self._canvas[y, rect.x0 + col:rect.x0 + col + n]
+                at += n
+        return out
+
+    def _sums(self, start: int, bounds: list[tuple[int, int]], mean: float | None = None):
+        """For each leaf ``(lo, hi)``, the sum of values ``start + lo..start + hi``,
+        keeping ``low`` and ``high``, or of their squared deviations from ``mean``."""
+        for lo, hi in bounds:
+            values = self._values(start + lo, start + hi)
+            if mean is None:
+                self.low = min(self.low, values.min())
+                self.high = max(self.high, values.max())
+            else:
+                values -= mean
+                values *= values
+            yield np.add.reduce(values)
+
+    def std(self) -> float:
+        """The population standard deviation, as numpy's ``std``."""
+        # Mean rounding leaves ~1e-17 residuals on constant input; force the
+        # exact zero so degenerate backgrounds are detected reliably.
+        if self.high == self.low:
+            return 0.0
+        squares = halves.pairwise(self.size, lambda bounds: self._sums(0, bounds, self.mean))
+        return math.sqrt(squares / self.size)
 
 
 def cnr(canvas, signal: RegionSpec, background: RegionSpec) -> float:
     """Contrast-to-noise ratio |mu_sig - mu_bg| / sigma_bg."""
-    sig = _region_values(canvas, signal)
-    bg = _region_values(canvas, background)
-    sigma_bg = _population_std(bg)
+    sig = _Region(canvas, signal)
+    bg = _Region(canvas, background)
+    sigma_bg = bg.std()
     if sigma_bg == 0.0:
         raise UndefinedCnrError("background standard deviation is zero")
-    return float(abs(sig.mean() - bg.mean())) / sigma_bg
+    return float(abs(sig.mean - bg.mean)) / sigma_bg
 
 
 def region_std(canvas, region: RegionSpec) -> float:
     """Population standard deviation of intensities inside a region."""
-    values = _region_values(canvas, region)
-    if values.size < 2:
+    stats = _Region(canvas, region)
+    if stats.size < 2:
         raise DimensionMismatchError(
-            f"region {region.name} has {values.size} pixels; need at least 2"
+            f"region {region.name} has {stats.size} pixels; need at least 2"
         )
-    return _population_std(values)
+    return stats.std()
 
 
 def mean_seam_jump(canvas, seams: Sequence[SeamLine]) -> float:

@@ -161,9 +161,8 @@ class UnitView:
     ``counts``: only the indexed block is read and converted, so a metric
     that reads a few rows of a mosaic never holds the whole float canvas.
     Where the platform has ``MADV_DONTNEED``, each index then releases the
-    mapped pages of the rows it read, so the pages a metric reads do not
-    pile up in the resident set; they stay in the page cache.  A key
-    selects its rows with a slice or an int.
+    whole mapping, so the pages a metric reads, and those mapped around
+    them, do not pile up in the resident set; they stay in the page cache.
     """
 
     def __init__(self, path: str | os.PathLike):
@@ -171,24 +170,17 @@ class UnitView:
             if os.fstat(f.fileno()).st_size == 0:
                 raise ImageFormatError(f"{path}: not a binary PGM (P5) file")
             self._mapping = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
-        h, w, self._offset = _raster_layout(path, self._mapping)
+        h, w, offset = _raster_layout(path, self._mapping)
         self.counts = np.frombuffer(
-            self._mapping, dtype=">u2", count=h * w, offset=self._offset
+            self._mapping, dtype=">u2", count=h * w, offset=offset
         ).reshape(h, w)
         self.shape = self.counts.shape
 
     def __getitem__(self, key) -> np.ndarray:
         out = to_unit(self.counts[key])
-        rows = range(self.shape[0])[key[0] if isinstance(key, tuple) else key]
-        if isinstance(rows, int):
-            rows = range(rows, rows + 1)
-        if rows and hasattr(mmap, "MADV_DONTNEED"):
-            # From the page holding the first row read to the end of the
-            # last; a page it shares with an unread row is mapped in again
-            # when that row is read.
-            row_bytes = 2 * self.shape[1]
-            start = self._offset + min(rows[0], rows[-1]) * row_bytes
-            stop = self._offset + (max(rows[0], rows[-1]) + 1) * row_bytes
-            start -= start % mmap.PAGESIZE
-            self._mapping.madvise(mmap.MADV_DONTNEED, start, stop - start)
+        if hasattr(mmap, "MADV_DONTNEED"):
+            # The whole mapping, not only the pages read: a page fault also
+            # maps up to 64 KB of cached pages around the page (fault-around),
+            # rows never read among them.
+            self._mapping.madvise(mmap.MADV_DONTNEED)
         return out

@@ -483,7 +483,9 @@ class _Frames:
     quadrant of the frame's vignette field, its rows ``th // 2..`` and
     columns ``tw // 2..``: the field is mirror-symmetric in both axes, so
     the quadrant holds every value of it.  ``runs`` is the ROI offset
-    field as row runs (:func:`_offset_runs`).
+    field as row runs (:func:`_offset_runs`).  ``buffers`` holds each
+    worker's block buffers, made by its first frame and kept for the rest,
+    so no frame faults in fresh pages for them.
     """
 
     target: _Target
@@ -493,9 +495,11 @@ class _Frames:
     sigma: float
     subpixel: bool
     header: bytes
+    buffers: dict[int, tuple[np.ndarray, ...]] = field(default_factory=dict)
 
     def write(
-        self, path: Path, rng: np.random.Generator, jitter: float, source: TilePlacement | float
+        self, worker: int, path: Path, rng: np.random.Generator, jitter: float,
+        source: TilePlacement | float,
     ) -> None:
         """Write to ``path`` the frame of ``source``: the target's tile at a
         placement, or a uniform field at a level (a reference frame, whose
@@ -510,12 +514,15 @@ class _Frames:
         above 0 every pixel is at least +0.0 before it, so adding the
         field's 0 elsewhere would change no bit.  Either worker of
         :func:`halves.each` runs this, so it calls numpy, private helpers,
-        ``pgm.scale_to_counts`` and ``open`` only.
+        ``pgm.scale_to_counts`` and ``open`` only; ``worker`` picks its
+        buffers.
         """
         th, tw = self.shape
         rows = min(th, _BLOCK_ROWS)
-        block, term, noise = np.empty((rows, tw)), np.empty((rows, tw)), np.empty((rows, tw))
-        window = np.empty((rows + 1) * (tw + 1))
+        if worker not in self.buffers:
+            self.buffers[worker] = (np.empty((rows, tw)), np.empty((rows, tw)),
+                                    np.empty((rows, tw)), np.empty((rows + 1) * (tw + 1)))
+        block, term, noise, window = self.buffers[worker]
 
         def decode(counts: np.ndarray) -> np.ndarray:
             return pgm._decode(counts, window[:counts.size].reshape(counts.shape))
@@ -530,7 +537,9 @@ class _Frames:
                         block[:n], term[:n], top,
                     )
                 else:
-                    img = block[:n]
+                    # In ``window``, as an integer crop: only a subpixel
+                    # crop touches, and so keeps, the pages of ``block``.
+                    img = window[:n * tw].reshape(n, tw)
                     img.fill(source)
                 # ``noise`` holds the vignette rows until the noise is drawn into it.
                 img *= self._vignette_rows(top, noise[:n])
@@ -793,11 +802,11 @@ def write_dataset(out_dir: str | os.PathLike, run: RunConfig) -> DatasetManifest
                     f.write(target[top:top + _BLOCK_ROWS, :].astype(">u2"))
         elif k <= len(references):
             name, level = references[k - 1]
-            frames.write(out / name, _reference_rng(degradation, k - 1), 1.0, level)
+            frames.write(worker, out / name, _reference_rng(degradation, k - 1), 1.0, level)
         else:
             k -= 1 + len(references)
             jitter, rng = _tile_rng(degradation, placements[k].row, placements[k].col)
-            frames.write(out / names[k], rng, jitter, placements[k])
+            frames.write(worker, out / names[k], rng, jitter, placements[k])
 
     halves.each(write_file, 1 + len(references) + len(placements), th * tw)
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from galvomosaic import pgm
+from galvomosaic import halves, pgm
 from galvomosaic.cli import main
 
 QUICK_CFG = Path(__file__).resolve().parents[1] / "configs" / "quick.cfg"
@@ -730,6 +730,56 @@ class TestEvaluate:
                 tracemalloc.stop()
             assert code == 0
         assert peaks[1] <= 1.25 * peaks[0], peaks
+
+    def write_evaluation(self, tmp_path, bright_height):
+        """A 600 x 1300 mosaic and a sidecar whose bright region, 500 px
+        wide, is ``bright_height`` rows tall."""
+        mosaic = tmp_path / "mosaic.pgm"
+        if not mosaic.exists():
+            rng = np.random.default_rng(22)
+            pgm.write_pgm(mosaic, rng.integers(0, 65536, size=(1300, 600), dtype=np.uint16))
+        sidecar = tmp_path / f"sidecar_{bright_height}.json"
+        sidecar.write_text(json.dumps({
+            "canvas": {"width": 600, "height": 1300},
+            "seams": [{"orientation": "vertical", "position": 300, "start": 0, "stop": 1300}],
+            "regions": [
+                {"name": "signal", "kind": "signal", "x0": 10, "y0": 10, "width": 100, "height": 40},
+                {"name": "bright", "kind": "bright_background", "x0": 50, "y0": 60,
+                 "width": 500, "height": bright_height},
+                {"name": "dark", "kind": "dark_background", "x0": 200, "y0": 100, "width": 100, "height": 50},
+            ],
+            "mae_per_overlap": [], "mae_mean": None,
+        }))
+        return mosaic, sidecar
+
+    def test_memory_does_not_grow_with_region_height(self, tmp_path):
+        # Regions are read in blocks of at most halves.LEAF values, so a
+        # bright region four times taller raises the Python-heap peak by
+        # less than one block; a region-sized array raises it about fourfold.
+        peaks = []
+        for height in (300, 1200):
+            mosaic, sidecar = self.write_evaluation(tmp_path, height)
+            tracemalloc.start()
+            try:
+                code = run("evaluate", "--mosaic", mosaic, "--sidecar", sidecar,
+                           "--out", tmp_path / f"rep_{height}")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+        assert peaks[1] - peaks[0] < 8 * halves.LEAF, peaks
+
+    def test_regions_are_read_on_the_calling_thread_alone(self, tmp_path, monkeypatch):
+        # The bright region (600,000 values) is past SPLIT_MIN, yet no work
+        # goes to the helper thread.
+        mosaic, sidecar = self.write_evaluation(tmp_path, 1200)
+
+        def shared(*args):
+            raise AssertionError("evaluate shared work with the helper thread")
+
+        monkeypatch.setattr(halves, "each", shared)
+        assert run("evaluate", "--mosaic", mosaic, "--sidecar", sidecar,
+                   "--out", tmp_path / "rep") == 0
 
 
 class TestPipelineReproducibility:

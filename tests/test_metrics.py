@@ -1,6 +1,8 @@
 """Consistency and quality metrics against independent brute-force oracles."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +30,7 @@ from galvomosaic.metrics import (
     overlap_mae,
     region_std,
 )
-from galvomosaic.metrics import _region_values
+from galvomosaic.metrics import _Region
 
 # ---------------------------------------------------------------------------
 # Brute-force oracles: plain-Python reimplementations on lists, using fsum,
@@ -428,13 +430,7 @@ class TestMappedView:
 
 
 # ---------------------------------------------------------------------------
-# Region values decoded column by column against the full-width decode
-
-
-def full_width_values(canvas, r):
-    """The region's full-width canvas rows as float64, then its columns."""
-    rows, cols = r.rect.slices()
-    return np.asarray(canvas[rows], dtype=np.float64)[:, cols]
+# Streamed region statistics against numpy's on a view of the float canvas
 
 
 def stat_bits(values):
@@ -442,44 +438,113 @@ def stat_bits(values):
     return [np.float64(v).tobytes() for v in stats]
 
 
+def streamed_bits(canvas, r):
+    stats = _Region(canvas, r)
+    return [np.float64(v).tobytes() for v in (stats.mean, stats.std(), stats.low, stats.high)]
+
+
+def view_of(canvas, r):
+    rows, cols = r.rect.slices()
+    return canvas[rows, cols]
+
+
 @st.composite
 def canvas_regions(draw):
-    # Taller than one 256-row read, and regions of every kind of extent.
-    height, width = draw(st.integers(1, 600)), draw(st.integers(1, 300))
-    kind = draw(st.sampled_from(["any", "full_width", "one_row", "one_column"]))
+    # Widths past numpy's 8192-value buffer, regions of every kind of
+    # extent, and canvases of up to three 2**16-value leaves.
+    width = draw(st.one_of(st.integers(1, 300), st.integers(300, 12_000),
+                           st.integers(8150, 8250)))
+    height = draw(st.integers(1, max(1, 200_000 // width)))
+    kind = draw(st.sampled_from(["any", "full_width", "one_row", "one_column", "constant"]))
     x0 = 0 if kind == "full_width" else draw(st.integers(0, width - 1))
     y0 = draw(st.integers(0, height - 1))
     w = {"full_width": width, "one_column": 1}.get(kind) or draw(st.integers(1, width - x0))
     h = 1 if kind == "one_row" else draw(st.integers(1, height - y0))
-    return height, width, region("r", x0, y0, w, h), draw(st.integers(0, 2**32 - 1))
+    return height, width, region("r", x0, y0, w, h), kind == "constant", draw(st.booleans())
 
 
 @settings(max_examples=150, deadline=None)
-@given(canvas_regions())
-def test_region_values_match_full_width_decode(case):
-    height, width, r, seed = case
+@given(canvas_regions(), st.integers(0, 2**32 - 1))
+def test_streamed_region_stats_match_numpy_on_the_float_canvas(case, seed):
+    height, width, r, constant, mapped = case
     counts = np.random.default_rng(seed).integers(0, 65536, size=(height, width), dtype=np.uint16)
-    canvas = pgm.to_unit(counts)
-    values = _region_values(canvas, r)
-    expected = full_width_values(canvas, r)
-    assert np.array_equal(values, expected)
-    assert stat_bits(values) == stat_bits(expected)
+    if constant:
+        counts[r.rect.slices()] = counts[r.rect.y0, r.rect.x0]
+    whole = pgm.to_unit(counts)
+    expected = stat_bits(view_of(whole, r))
+    if constant:
+        # The mean's rounding may leave numpy a std of ~1e-17; the metrics read 0.
+        expected[1] = np.float64(0.0).tobytes()
+    with tempfile.TemporaryDirectory() as tmp:
+        if mapped:
+            pgm.write_pgm(Path(tmp) / "mosaic.pgm", counts)
+            canvas = pgm.UnitView(Path(tmp) / "mosaic.pgm")
+        else:
+            canvas = whole
+        assert streamed_bits(canvas, r) == expected
+        if constant:
+            with pytest.raises(UndefinedCnrError, match="background standard deviation is zero"):
+                cnr(canvas, r, r)
 
 
-def test_regions_larger_than_one_numpy_buffer_match_full_width_decode():
-    # A contiguous decode changes the mean's last bit for some regions of
-    # more than 8192 values, the size of numpy's reduction buffer.
+def test_streamed_regions_of_many_leaves_match_numpy():
+    # Regions of several 2**16-value leaves, most of them cut inside a row,
+    # and reads that start inside a row.
     rng = np.random.default_rng(12)
-    canvas = pgm.to_unit(rng.integers(0, 65536, size=(600, 300), dtype=np.uint16))
-    for _ in range(60):
-        w, h = int(rng.integers(40, 299)), int(rng.integers(210, 600))
-        x0, y0 = int(rng.integers(0, 300 - w)), int(rng.integers(0, 600 - h + 1))
+    canvas = pgm.to_unit(rng.integers(0, 65536, size=(600, 700), dtype=np.uint16))
+    for _ in range(30):
+        w, h = int(rng.integers(40, 700)), int(rng.integers(210, 600))
+        x0, y0 = int(rng.integers(0, 700 - w + 1)), int(rng.integers(0, 600 - h + 1))
         r = region("r", x0, y0, w, h)
-        assert stat_bits(_region_values(canvas, r)) == stat_bits(full_width_values(canvas, r))
+        assert streamed_bits(canvas, r) == stat_bits(view_of(canvas, r))
 
 
-def test_mapped_region_values_match_full_width_decode(tmp_path):
+def test_streamed_tall_columns_match_numpy():
+    # numpy sums a column as one strided run, not in buffer-sized groups;
+    # groups of 8192 rows change the mean of 4 of these 16 columns.
+    canvas = pgm.to_unit(np.random.default_rng(13).integers(0, 65536, size=(30000, 4),
+                                                            dtype=np.uint16))
+    for x0 in range(4):
+        for y0, h in ((0, 30000), (5, 20001), (100, 9000), (7, 12345)):
+            r = region("column", x0, y0, 1, h)
+            assert streamed_bits(canvas, r) == stat_bits(view_of(canvas, r)), (x0, y0, h)
+
+
+def test_mapped_regions_match_numpy_on_the_float_canvas(tmp_path):
     view, whole = mapped_and_whole(tmp_path, 700, 331, seed=9)
     for r in (region("tall", 17, 3, 120, 690), region("full", 0, 200, 331, 300),
               region("row", 5, 699, 300, 1), region("column", 330, 0, 1, 700)):
-        assert stat_bits(_region_values(view, r)) == stat_bits(full_width_values(whole, r)), r.name
+        assert streamed_bits(view, r) == stat_bits(view_of(whole, r)), r.name
+
+
+def numpy_rule_sum(view):
+    """numpy's sum of a 2D view of a wider array: one pairwise sum if the
+    view is one run of evenly spaced values (one row, one column or whole
+    rows); else its rows in groups of ``max(1, np.getbufsize() // width)``,
+    each group one contiguous pairwise sum, the group sums added in order
+    to 0.0."""
+    height, width = view.shape
+    run = height == 1 or width == 1 or view.flags.c_contiguous
+    group = height if run else max(1, np.getbufsize() // width)
+    total = 0.0
+    for top in range(0, height, group):
+        total += np.add.reduce(np.ascontiguousarray(view[top:top + group]).ravel())
+    return total
+
+
+@pytest.mark.parametrize("width, pad", [
+    (1, 1), (1, 0), (3, 1), (700, 1), (700, 0), (2730, 1), (4095, 1), (4096, 1), (4097, 1),
+    (8191, 1), (8192, 1), (8193, 1), (9000, 1),
+])
+def test_numpy_sums_a_view_by_the_rule_the_region_mean_follows(width, pad):
+    # The region mean relies on this rule of numpy's buffered reduction; a
+    # numpy that sums otherwise changes the report's bits, and fails here.
+    rng = np.random.default_rng(width)
+    height = max(3, 60_000 // width)
+    values = rng.standard_normal((height, width + pad)) * 10.0 ** rng.integers(-8, 9, (height, 1))
+    view = values[:, :width]
+    got, expected = np.add.reduce(view, axis=None), numpy_rule_sum(view)
+    assert got.tobytes() == np.float64(expected).tobytes(), (
+        f"numpy {np.__version__} with getbufsize() {np.getbufsize()} sums a "
+        f"{height} x {width} view of {width + pad} columns otherwise: {got!r} != {expected!r}"
+    )

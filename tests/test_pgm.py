@@ -1,7 +1,10 @@
 """16-bit image I/O round trips and format validation."""
 
 import mmap
+import os
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -133,10 +136,38 @@ def test_map_pgm_is_a_read_only_view_of_the_raster(tmp_path):
     assert not view.counts.flags.writeable
     assert np.array_equal(view.counts, img)
     assert view.shape == (23, 41)
-    # Each index releases the pages it read; reading again maps them back.
+    # Each index releases the whole mapping; reading again maps pages back.
     for key in (np.s_[3:9, 5:7], np.s_[:, [0, 40, 7]], np.s_[22], np.s_[-1], np.s_[20:2:-3, 1],
                 np.s_[5:5], np.s_[3:9, 5:7]):
         assert np.array_equal(view[key], pgm.to_unit(img)[key])
+
+
+def mapped_rss_kb(path) -> int:
+    """Rss (kB) of this process's mappings of ``path``, from /proc/self/smaps."""
+    rss, inside = 0, False
+    for line in Path("/proc/self/smaps").read_text().splitlines():
+        if re.match(r"[0-9a-f]+-[0-9a-f]+ ", line):
+            inside = line.endswith(f" {path}")
+        elif inside and line.startswith("Rss:"):
+            rss += int(line.split()[1])
+    return rss
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/smaps"), reason="needs /proc/self/smaps")
+def test_map_pgm_keeps_no_mapped_pages_between_reads(tmp_path):
+    # One row in every 33, 66 KB apart: a page fault maps up to 64 KB of
+    # cached pages around it (fault-around), so releasing only the rows
+    # read would leave most of those pages resident after every read.
+    width, step = 1000, 33
+    path = tmp_path / "img.pgm"
+    pgm.write_pgm(path, np.random.default_rng(5).integers(0, 65536, size=(200 * step, width),
+                                                          dtype=np.uint16))
+    view = pgm.UnitView(path)
+    rss = []
+    for k in range(200):
+        view[k * step:k * step + 1]
+        rss.append(mapped_rss_kb(path))
+    assert 1024 * max(rss) <= 2 * width + 65536, rss
 
 
 @pytest.mark.parametrize(
