@@ -12,8 +12,9 @@ All outputs are deterministic functions of the config and seed.
 ``stitch`` reads each tile once, as 16-bit counts, and composes it in
 one pass of row blocks that the calling thread and a helper thread
 claim in turn (:mod:`galvomosaic.halves`): each block is decoded,
-corrected, copied into the overlap samples it closes and added to the
-row band, so no float64 copy of a whole tile is made.
+corrected, copied into the samples of the left overlap that the tile
+closes and added to the row band, so no float64 copy of a whole tile
+is made.
 """
 
 from __future__ import annotations
@@ -156,7 +157,7 @@ class _Frame(TileBlocks):
     block into the ``scratch`` row of the worker that composes the block
     and corrected there; the ROI correction's temporaries hold at most a
     block's part of an ROI.  Each block also copies its rows of the
-    windows that the tile closes into their MAE samples.  A tile of
+    ``windows`` it is given into their MAE samples.  A tile of
     ``halves.SPLIT_MIN`` pixels or more is worked in blocks of at most
     ``halves.BLOCK_ROWS`` rows, by both workers; a smaller tile is one
     block on the calling thread.
@@ -167,7 +168,7 @@ class _Frame(TileBlocks):
         self.counts = counts
         self.fits = fits
         self.scratch = scratch
-        # (first row, end row, columns, samples) of each closing window.
+        # (first row, end row, columns, samples) of each window to copy.
         self.windows = windows
 
     def block(self, worker: int, lo: int, hi: int) -> np.ndarray:
@@ -180,15 +181,12 @@ class _Frame(TileBlocks):
         return out
 
 
-def _samples(worker: int, lo: int, hi: int, fits: list, x: np.ndarray,
-             earlier: np.ndarray, origin: tuple[int, int], y: np.ndarray,
-             later: np.ndarray | None) -> None:
-    """Rows ``lo..hi`` of an overlap's samples: the earlier tile's window
-    decoded and corrected into ``x``, and the later tile's window counts
-    decoded into ``y`` unless the tile's own pass filled it."""
-    _unit(earlier[lo:hi], x[lo:hi], fits, (origin[0] + lo, origin[1]))
-    if later is not None:
-        pgm._decode(later[lo:hi], y[lo:hi])
+def _samples(worker: int, lo: int, hi: int, fits: list, counts: np.ndarray,
+             origin: tuple[int, int], out: np.ndarray) -> None:
+    """Rows ``lo..hi`` of an overlap's samples of one tile: the ``counts``
+    of its window, whose top-left pixel is tile pixel ``origin``, decoded
+    and corrected into ``out``."""
+    _unit(counts[lo:hi], out[lo:hi], fits, (origin[0] + lo, origin[1]))
 
 
 def _encode(worker: int, lo: int, hi: int, counts: np.ndarray, rows: np.ndarray) -> None:
@@ -199,44 +197,40 @@ def _corrected_tiles(
     dataset: Path,
     manifest: DatasetManifest,
     fits,
-    feather: bool,
+    decoded: bool,
     placements: list[TilePlacement],
     overlaps: list[OverlapRegion],
     mae: list,
 ):
     """Read each tile once, in placement order, and yield it for composing.
 
-    A tile is read as its uint16 counts.  When it is neither corrected
-    nor feathered the counts themselves are yielded, and raw composition
-    keeps them as counts.  Otherwise a :class:`_Frame` is yielded, which
-    the band asks for one block of rows at a time, so no float64 copy of
-    the whole tile is made.
+    A tile is read as its uint16 counts.  Unless it is ``decoded`` (to be
+    corrected or feathered) the counts themselves are yielded, and raw
+    composition keeps them as counts.  Otherwise a :class:`_Frame` is
+    yielded, which the band asks for one block of rows at a time, so no
+    float64 copy of the whole tile is made.
 
     ``mae[k]`` is filled for every overlap k that a tile closes (its left
-    and top pairs): for raw counts before they are yielded, for a
-    :class:`_Frame` once it is composed, when the next tile is asked
+    and top pairs) once the tile is composed, when the next tile is asked
     for, so the caller must ask once more after the last.  Until then
     the earlier tile keeps only its overlap samples, as uint16 counts
-    (2 B/px).  The MAE samples lie in one workspace sized to the largest
-    overlap.  A :class:`_Frame` copies its rows of both windows it closes
-    into the workspace as it is composed, which therefore holds the
-    later samples of two overlaps; raw tiles decode their window from
-    the counts.  The earlier window is then decoded and, in corrected
-    modes, corrected again where an ROI reaches into it.
-    Decoding and correcting are elementwise, so the MAE sees the same
-    float64 values as on whole corrected tiles.  A tile whose dimensions
-    differ from the manifest's raises
+    (2 B/px).  The MAE samples lie in one workspace of two rows sized to
+    the largest overlap.  A :class:`_Frame` copies its rows of the left
+    pair's window into the later row as it is composed; that pair is
+    closed first.  Every other window, the earlier tile's and the later
+    tile's window of the top pair or of raw counts, is decoded from its
+    counts and, in corrected modes, corrected again where an ROI reaches
+    into it.  Decoding and correcting are elementwise, so the MAE sees
+    the same float64 values as on whole corrected tiles.  A tile whose
+    dimensions differ from the manifest's raises
     :class:`~galvomosaic.pgm.ImageFormatError`.
     """
     paths = {(t.row, t.col): dataset / t.path for t in manifest.tiles}
     height, width = expected = (manifest.run.scan.tile_height, manifest.run.scan.tile_width)
     by_tile = overlaps_by_tile(overlaps)
-    decoded = bool(fits) or feather
     # Each worker's scratch holds the rows of one block of a tile.
     work = MaeWorkspace(max((ov.rect.width * ov.rect.height for ov in overlaps), default=0),
-                        pairs=2 if decoded else 1,
                         scratch=halves.step(height, height * width) * width if decoded else 0)
-    scratch = work.scratch()
     # overlap index -> (counts, window origin in the earlier tile)
     pending: dict[int, tuple[np.ndarray, tuple[int, int]]] = {}
     for p in placements:
@@ -247,29 +241,24 @@ def _corrected_tiles(
             rect = overlaps[k].rect
             top, left = rect.y0 - p.y, rect.x0 - p.x
             window = np.s_[top:top + rect.height, left:left + rect.width]
+            shape = (rect.height, rect.width)
             if key == overlaps[k].tile_a:
                 opening.append((k, window, (top, left)))
-                continue
-            shape = (rect.height, rect.width)
-            if decoded:
-                # The frame fills the left pair's later samples in one row of
-                # the workspace and the top pair's in another.
-                pair = 1 if overlaps[k].axis is Axis.VERTICAL else 0
-                windows.append((top, top + rect.height, window[1], work.samples(shape, pair)[1]))
-                closing.append((k, shape, pair, None))
+            elif decoded and overlaps[k].axis is Axis.HORIZONTAL:
+                # The frame fills the left pair's later samples as it is
+                # composed, so that pair is closed before the top one.
+                windows.append((top, top + rect.height, window[1], work.samples(shape)[1]))
+                closing.insert(0, (k, shape, None))
             else:
-                closing.append((k, shape, 0, counts[window]))
-        # Raw tiles are kept whole as counts, so their MAE is taken before
-        # they are composed; a frame's samples are filled as it is composed.
-        if decoded:
-            yield _Frame(counts, fits, scratch, windows)
-        for k, shape, pair, later in closing:
-            x, y = work.samples(shape, pair)
+                closing.append((k, shape, (counts[window], (top, left))))
+        yield _Frame(counts, fits, work.scratch(), windows) if decoded else counts
+        for k, shape, later in closing:
+            x, y = work.samples(shape)
+            if later is not None:
+                halves.blocks(_samples, len(y), y.size, fits, *later, y)
             # The earlier window is held by the pass alone, and let go with it.
-            halves.blocks(_samples, len(x), x.size, fits, x, *pending.pop(k), y, later)
+            halves.blocks(_samples, len(x), x.size, fits, *pending.pop(k), x)
             mae[k] = normalized_mae(x, y, work)
-        if not decoded:
-            yield counts
         # Taken once the earlier windows are let go, so that the two are
         # not held at once.
         for k, window, origin in opening:
@@ -308,22 +297,23 @@ def cmd_stitch(args: argparse.Namespace) -> int:
 
     # One pass: each tile is read and corrected once, its overlap MAE
     # (on corrected-but-unblended tiles) is taken as it arrives, and the
-    # finished mosaic rows are encoded and appended to the PGM.
+    # finished mosaic rows are encoded and appended to the PGM.  Raw
+    # counts are composed as they are; other tiles are decoded to float64.
+    decoded = bool(fits) or feather
     mae: list = [None] * len(overlaps)
-    tiles = _corrected_tiles(dataset, manifest, fits, feather, placements, overlaps, mae)
+    tiles = _corrected_tiles(dataset, manifest, fits, decoded, placements, overlaps, mae)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with pgm.replacing(out / "mosaic.pgm") as f:
         f.write(pgm.pgm_header(width, height))
 
         # The counts of one block of float rows, reused for every block.
-        decoded = bool(fits) or feather
         encoded = np.empty((min(BLOCK_ROWS, height), width), ">u2") if decoded else None
 
         def write_rows(row: int, rows: np.ndarray) -> None:
             # Raw counts are written as they are; float rows are encoded
             # in place, block by block, and the band zeroes them next.
-            if rows.dtype.kind == "f":
+            if decoded:
                 counts = encoded[:len(rows)]
                 halves.blocks(_encode, len(rows), rows.size, counts, rows)
                 rows = counts

@@ -112,10 +112,11 @@ class ScanConfig:
                 f"keys 'n_rows' and 'n_cols': {self.n_rows} x {self.n_cols} tiles, "
                 f"over the limit of {MAX_TILES}"
             )
-        corners = [tile_offset(self, i, j)
-                   for i in (0, self.n_rows - 1) for j in (0, self.n_cols - 1)]
-        width = max(p.dx for p in corners) - min(p.dx for p in corners) + self.tile_width
-        height = max(p.dy for p in corners) - min(p.dy for p in corners) + self.tile_height
+        # Compared before they are rounded: a corner offset that overflows
+        # to inf or NaN spans an infinite canvas.
+        corners = [(i, j) for i in (0, self.n_rows - 1) for j in (0, self.n_cols - 1)]
+        width = _span([_dx(self, i, j, self.strategy) for i, j in corners]) + self.tile_width
+        height = _span([_dy(self, i, j) for i, j in corners]) + self.tile_height
         if not width * height <= MAX_CANVAS_PIXELS:
             if width < height:
                 keys = "'n_rows', 'dv_y', 's_y', 'alpha_y', 'tile_height'"
@@ -181,6 +182,13 @@ def _check_step(keys: tuple[str, str], step: float, axis: str) -> None:
         )
 
 
+def _span(offsets: list[float]) -> float:
+    """The largest less the smallest of ``offsets``; inf if one is not finite."""
+    if not all(map(math.isfinite, offsets)):
+        return math.inf
+    return max(offsets) - min(offsets)
+
+
 def round_half_away(x: float) -> int:
     """Round to nearest integer, ties away from zero."""
     if x >= 0.0:
@@ -212,6 +220,13 @@ def _check_indices(cfg: ScanConfig, i: int, j: int) -> None:
         raise IndexRangeError(f"col index {j} outside [0, {cfg.n_cols})")
 
 
+def _dx(cfg: ScanConfig, i: int, j: int, strategy: ScanStrategy) -> float:
+    """The X offset of tile (i, j) under ``strategy``."""
+    if strategy is ScanStrategy.SINUSOIDAL:
+        return sinusoidal_voltage(cfg, j) * cfg.s_x + cfg.alpha_x * i
+    return j * cfg.dv_x * cfg.s_x + cfg.alpha_x * i
+
+
 def _dy(cfg: ScanConfig, i, j):
     """The Y offset of tile (i, j) under either strategy; ``i`` may be an
     array of row indices."""
@@ -221,8 +236,7 @@ def _dy(cfg: ScanConfig, i, j):
 def linear_offset(cfg: ScanConfig, i: int, j: int) -> TilePlacement:
     """Placement of tile (i, j) under uniform voltage stepping."""
     _check_indices(cfg, i, j)
-    dx = j * cfg.dv_x * cfg.s_x + cfg.alpha_x * i
-    return TilePlacement(row=i, col=j, dx=dx, dy=_dy(cfg, i, j))
+    return TilePlacement(row=i, col=j, dx=_dx(cfg, i, j, ScanStrategy.LINEAR), dy=_dy(cfg, i, j))
 
 
 def sinusoidal_voltage(cfg: ScanConfig, j: int) -> float:
@@ -246,8 +260,8 @@ def sinusoidal_voltage(cfg: ScanConfig, j: int) -> float:
 def sinusoidal_offset(cfg: ScanConfig, i: int, j: int) -> TilePlacement:
     """Placement of tile (i, j) under sinusoidal X stepping."""
     _check_indices(cfg, i, j)
-    dx = sinusoidal_voltage(cfg, j) * cfg.s_x + cfg.alpha_x * i
-    return TilePlacement(row=i, col=j, dx=dx, dy=_dy(cfg, i, j))
+    return TilePlacement(row=i, col=j, dx=_dx(cfg, i, j, ScanStrategy.SINUSOIDAL),
+                         dy=_dy(cfg, i, j))
 
 
 def tile_offset(cfg: ScanConfig, i: int, j: int) -> TilePlacement:

@@ -90,13 +90,8 @@ class MaeWorkspace:
     """Float64 buffers that :func:`normalized_mae` reuses for every
     overlap of at most ``size`` samples.
 
-    :meth:`samples` hands out the two sample arrays of one overlap, two
-    rows of one array, to be filled in place.  With ``pairs = 2`` it
-    holds two such pairs that share their first row: the rows are
-    ``[y_0, x, y_1]``, pair 0 is rows (1, 0) and pair 1 rows (1, 2), so
-    a stitch can fill the later tile's samples of both overlaps it
-    closes in one pass over that tile, and then the earlier tile's
-    samples of each in turn.
+    :meth:`samples` hands out the two sample arrays of one overlap, the
+    two rows of one array, to be filled in place.
 
     The fit and the residuals take at most ``halves.LEAF`` samples at a
     time, into :meth:`scratch`: one for each worker of a shared sum, one
@@ -108,40 +103,36 @@ class MaeWorkspace:
     the scratch that the sums leave free meanwhile.
     """
 
-    def __init__(self, size: int, pairs: int = 1, scratch: int = 0):
-        self._rows = np.empty((1 + pairs, size))
+    def __init__(self, size: int, scratch: int = 0):
+        self._rows = np.empty((2, size))
         workers = 2 if size > halves.LEAF or scratch else 1
         self._leaf = np.empty((workers, max(2 * min(size, halves.LEAF), scratch)))
-        # Pair -> the last samples handed out for it, and the rows that hold them.
-        self._handed: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        # The last samples handed out, and the rows that hold them.
+        self._handed: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def scratch(self) -> np.ndarray:
         """The float64 scratch of each worker, one row each, free between
         calls of :func:`normalized_mae`."""
         return self._leaf
 
-    def _rows_of(self, pair: int, n: int) -> np.ndarray:
-        return self._rows[1::-1, :n] if pair == 0 else self._rows[1:, :n]
-
-    def samples(self, shape: tuple[int, int], pair: int = 0) -> tuple[np.ndarray, np.ndarray]:
-        """Two contiguous float64 arrays of ``shape``, for samples i and j
-        of ``pair``; samples i of every pair share one row."""
-        rows = self._rows_of(pair, shape[0] * shape[1])
+    def samples(self, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+        """Two contiguous float64 arrays of ``shape``, for samples i and j."""
+        rows = self._rows[:, :shape[0] * shape[1]]
         x, y = rows[0].reshape(shape), rows[1].reshape(shape)
-        self._handed[pair] = x, y, rows
+        self._handed = x, y, rows
         return x, y
 
     def _pair(self, samples_i, samples_j) -> np.ndarray:
         """Both samples, flattened, as the rows of one ``(2, n)`` array: where
-        they lie if they are the last :meth:`samples` of a pair, else
-        copied into the rows of pair 0."""
-        for x, y, rows in self._handed.values():
+        they lie if they are the last :meth:`samples`, else copied there."""
+        if self._handed is not None:
+            x, y, rows = self._handed
             if samples_i is x and samples_j is y:
                 return rows
         x, y = _flat_samples(samples_i, samples_j)
         if np.may_share_memory(self._rows, x) or np.may_share_memory(self._rows, y):
             x, y = x.copy(), y.copy()
-        pair = self._rows_of(0, x.size)
+        pair = self._rows[:, :x.size]
         pair[0], pair[1] = x, y
         return pair
 

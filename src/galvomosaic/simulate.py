@@ -80,6 +80,11 @@ class DegradationSpec:
         # A gain of 0 or below would leave a tile with no signal.
         if not self.gain_jitter < 1.0:
             raise ConfigError(f"gain_jitter must be in [0, 1), got {self.gain_jitter}")
+        # Intensities lie in [0, 1]: a larger noise or offset only saturates.
+        if not self.noise_sigma < 1.0:
+            raise ConfigError(f"noise_sigma must be in [0, 1), got {self.noise_sigma}")
+        if not abs(self.corner_offset) < 1.0:
+            raise ConfigError(f"corner_offset must be in (-1, 1), got {self.corner_offset}")
 
 
 @dataclass
@@ -126,6 +131,13 @@ class RunConfig:
             raise ConfigError(
                 f"key 'per_frame_ms': {self.per_frame_ms} ms must cover the settling period "
                 f"({self.scan.settle_ms} ms)"
+            )
+        # The manifest records the total as a JSON number, which is finite.
+        total_s = timing_report(self.scan, self.per_frame_ms)
+        if not math.isfinite(total_s):
+            raise ConfigError(
+                f"key 'per_frame_ms': {self.per_frame_ms} ms per frame over "
+                f"{self.scan.n_rows} x {self.scan.n_cols} tiles makes a total of {total_s} s"
             )
         # The levels are stored on the 16-bit grid, where the stitcher
         # needs them to stay apart.

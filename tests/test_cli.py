@@ -134,6 +134,28 @@ class TestSimulate:
                          id="gain_jitter_over_1"),
             pytest.param("gain_jitter = 1\n", "gain_jitter", "must be in [0, 1), got 1.0",
                          id="gain_jitter_1"),
+            # Offsets that overflow to inf span an infinite canvas, refused
+            # before any offset is rounded.
+            pytest.param("dv_x = 1e308\n", "'n_cols', 'dv_x', 's_x', 'alpha_x', 'tile_width'",
+                         "canvas of inf x 396.8 px", id="dv_x_overflows"),
+            pytest.param("alpha_x = -1e308\n", "'alpha_x'", "canvas of inf x 396.8 px",
+                         id="alpha_x_overflows"),
+            pytest.param("dv_y = 1e308\n", "'n_rows', 'dv_y', 's_y', 'alpha_y', 'tile_height'",
+                         "canvas of 395 x inf px", id="dv_y_overflows"),
+            pytest.param("alpha_y = 1e308\n", "'alpha_y'", "canvas of 395 x inf px",
+                         id="alpha_y_overflows"),
+            pytest.param("strategy = sinusoidal\namplitude = 1e308\n", "'amplitude'",
+                         "canvas of inf x 396.8 px", id="amplitude_overflows"),
+            pytest.param("per_frame_ms = 1e308\n", "'per_frame_ms'",
+                         "over 10 x 10 tiles makes a total of inf s", id="total_s_overflows"),
+            pytest.param("noise_sigma = 1e308\n", "noise_sigma", "must be in [0, 1), got 1e+308",
+                         id="noise_sigma_overflows"),
+            pytest.param("noise_sigma = 1\n", "noise_sigma", "must be in [0, 1), got 1.0",
+                         id="noise_sigma_1"),
+            pytest.param("corner_offset = 1e308\n", "corner_offset",
+                         "must be in (-1, 1), got 1e+308", id="corner_offset_overflows"),
+            pytest.param("corner_offset = -1\n", "corner_offset", "must be in (-1, 1), got -1.0",
+                         id="corner_offset_-1"),
         ],
     )
     def test_bad_run_float_names_key(self, tmp_path, capsys, lines, key, message):
@@ -335,6 +357,14 @@ class TestStitch:
             pytest.param(("reference", "dark"), None, "key 'reference.dark': expected str",
                          id="ref_dark_null"),
             pytest.param(("scan", "dv_x"), 1e9, "'dv_x'", id="canvas_over_the_limit"),
+            pytest.param(("scan", "dv_x"), 1e308, "'dv_x'", id="dv_x_overflows"),
+            pytest.param(("scan", "dv_y"), 1e308, "'dv_y'", id="dv_y_overflows"),
+            pytest.param(("scan", "alpha_x"), -1e308, "'alpha_x'", id="alpha_x_overflows"),
+            pytest.param(("scan", "alpha_y"), 1e308, "'alpha_y'", id="alpha_y_overflows"),
+            pytest.param(("degradation", "noise_sigma"), 1e308, "noise_sigma must be in [0, 1)",
+                         id="noise_sigma_overflows"),
+            pytest.param(("degradation", "corner_offset"), -1e308,
+                         "corner_offset must be in (-1, 1)", id="corner_offset_overflows"),
             pytest.param(("degradation", "rng_seed"), -3,
                          "manifest key 'degradation.rng_seed': must be at least 0, got -3",
                          id="seed_negative"),
@@ -439,18 +469,19 @@ class TestStitch:
         assert message in err, err
 
     @pytest.mark.parametrize(
-        "corner_offset, correction, files",
-        [(1.0, "two-point", "ref_bright.pgm and ref_dark.pgm"),
-         (-1.0, "bright-only", "ref_bright.pgm")],
+        "lines, correction, files",
+        [("dark_level = 0.5\ncorner_offset = 0.6\n", "two-point",
+          "ref_bright.pgm and ref_dark.pgm"),
+         ("bright_level = 0.5\ncorner_offset = -0.6\n", "bright-only", "ref_bright.pgm")],
         ids=["saturated", "bright_zero"],
     )
     def test_fit_with_zero_gain_and_epsilon_is_refused(
-            self, tmp_path, capsys, corner_offset, correction, files):
-        # Both references clamp to one level inside the ROI (or the bright
-        # one to 0), so the fitted gain is 0 there, and epsilon = 0 leaves
-        # the correction dividing by it.
+            self, tmp_path, capsys, lines, correction, files):
+        # Both references clamp to 1 inside the ROI (or the bright one to
+        # 0), so the fitted gain is 0 there, and epsilon = 0 leaves the
+        # correction dividing by it.
         cfg = tmp_path / "flat.cfg"
-        cfg.write_text(QUICK_CFG.read_text() + f"corner_offset = {corner_offset}\nepsilon = 0\n")
+        cfg.write_text(QUICK_CFG.read_text() + lines + "epsilon = 0\n")
         dataset = tmp_path / "flat"
         assert run("simulate", "--config", cfg, "--out", dataset) == 0
         capsys.readouterr()

@@ -77,9 +77,10 @@ def run_configs(draw) -> RunConfig:
         rois=draw(st.lists(rects(tile_width, tile_height), max_size=3)),
         degradation=DegradationSpec(
             vignette_min=draw(st.floats(1e-3, 1.0)),
-            corner_offset=draw(reals),
+            corner_offset=draw(st.integers(0, 0) | st.floats(-1.0, 1.0, exclude_min=True,
+                                                             exclude_max=True)),
             gain_jitter=draw(st.floats(0.0, 1.0, exclude_max=True)),
-            noise_sigma=draw(unit),
+            noise_sigma=draw(st.floats(0.0, 1.0, exclude_max=True)),
             rng_seed=draw(st.integers(0, 2**32)),
         ),
         epsilon=draw(unit),

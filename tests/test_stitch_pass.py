@@ -277,17 +277,17 @@ seed = 9
 """
 
 
-def test_processed_stitch_holds_no_float_tile(tmp_path):
-    # Processed stitch decodes, corrects and feathers each tile block by
-    # block, so its peak is bounded by: the float64 band; the pending
-    # overlap samples (as in the raw test); the three-row MAE workspace
-    # and each worker's scratch, which holds a block of decoded rows (or,
-    # during the sums, the leaf scratch), counted with the ROI blend's
-    # three float64 temporaries of a block's 64 ROI rows; the ROI gain,
-    # offset and ramps; one tile's counts; each worker's weight product of
-    # a 64-row block, and the blend's mask; the weight block, its mask and
-    # the encoded rows of one emitted block.  No term is a float64 tile.
-    dataset = simulate(tmp_path, "processed", PROCESSED_CFG)
+def _processed_peak_and_bound(tmp_path: Path, cfg_text: str) -> tuple[int, int]:
+    """The tracemalloc peak of a processed stitch of ``cfg_text``, and its
+    bound, the sum of: the float64 band; the pending overlap samples (as
+    in the raw test); the two-row MAE workspace and each worker's
+    scratch, which holds a block of decoded rows (or, during the sums,
+    the leaf scratch), counted with the ROI blend's three float64
+    temporaries of a block's 64 ROI rows; the ROI gain, offset and ramps;
+    one tile's counts; each worker's weight product of a 64-row block,
+    and the blend's mask; the weight block, its mask and the encoded rows
+    of one emitted block.  No term is a float64 tile."""
+    dataset = simulate(tmp_path, "processed", cfg_text)
     run_cfg = load_manifest(dataset).run
     scan = run_cfg.scan
     tw, th = scan.tile_width, scan.tile_height
@@ -303,7 +303,7 @@ def test_processed_stitch_holds_no_float_tile(tmp_path):
     pending = 2 * (sum(a for a, ov in zip(areas, overlaps) if ov.tile_a[0] == 0) + max(areas))
     block = min(halves.BLOCK_ROWS, th)
     per_worker = max(2 * min(largest, halves.LEAF), block * tw + 3 * 64 * roi.width) * 8
-    workspace = 3 * largest * 8 + 2 * per_worker
+    workspace = 2 * largest * 8 + 2 * per_worker
     fits = 2 * roi.width * roi.height * 8 + (roi.width + roi.height) * 8
     tile = tw * th * 2
     scratch = 2 * (block * tw * 8 + 64 * roi.width)
@@ -319,8 +319,42 @@ def test_processed_stitch_holds_no_float_tile(tmp_path):
     finally:
         tracemalloc.stop()
     assert code == 0
-    bound = band + pending + workspace + fits + tile + scratch + emit + objects
-    assert peak < bound, (peak, bound, tw * th * 8)
+    return peak, band + pending + workspace + fits + tile + scratch + emit + objects
+
+
+def test_processed_stitch_holds_no_float_tile(tmp_path):
+    # Processed stitch decodes, corrects and feathers each tile block by
+    # block (PROCESSED_CFG: its float64 tile would be 1.28 MB).
+    peak, bound = _processed_peak_and_bound(tmp_path, PROCESSED_CFG)
+    assert peak < bound, (peak, bound)
+
+
+# 400 px tiles on 100 px steps: each overlap is 300 x 400 or 400 x 300
+# px, so one float64 row of MAE samples (0.96 MB) outweighs the slack of
+# the bound.
+WIDE_OVERLAP_CFG = """\
+n_rows = 2
+n_cols = 3
+dv_x = 1
+dv_y = 1
+s_x = 100
+s_y = 100
+tile_width = 400
+tile_height = 400
+rois = 0,250,120,150
+band_px = 20
+vignette_min = 0.9
+gain_jitter = 0.05
+noise_sigma = 0.002
+seed = 9
+"""
+
+
+def test_processed_stitch_holds_two_rows_of_mae_samples(tmp_path):
+    # The left pair's later samples are copied as the tile is composed,
+    # and every other window is decoded into the same two rows.
+    peak, bound = _processed_peak_and_bound(tmp_path, WIDE_OVERLAP_CFG)
+    assert peak < bound, (peak, bound)
 
 
 def test_failed_stitch_keeps_earlier_outputs(tmp_path, capsys):
